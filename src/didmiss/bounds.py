@@ -19,14 +19,14 @@ outcome change is bracketed by the bottom-p_d and top-p_d trimmed means.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Mapping, Sequence
+from typing import Callable, Literal, Mapping, Sequence
 
 import numpy as np
 
 from .common import ClipEvent, Interval, clip01
-from .errors import DidMissError, EstimatorError, InputError
-from .estimators import BootstrapConfig
-from .panel import PanelDataset, RateTable, compute_rates
+from .errors import EstimatorError, InputError
+from .estimators import BootstrapConfig, _replicates
+from .panel import GroupKey, PanelDataset, RateTable, _rate_table
 
 __all__ = [
     "StrataProportions",
@@ -275,14 +275,29 @@ def att_ar_bounds(data: PanelDataset, mode: Mode = "monotone") -> BoundResult:
     """
     if mode not in ("monotone", "no-monotone"):
         raise InputError(f"mode must be 'monotone' or 'no-monotone', got {mode!r}")
-    deltas = {}
-    for d in (0, 1):
-        mask = (data.d == d) & data.complete_case
-        if not mask.any():
-            raise EstimatorError(f"no complete cases in arm {d}")
-        deltas[d] = data.y2[mask] - data.y1[mask]
+    cc = data.complete_case
+    deltas = [data.delta_y[cc & (data.d == d)] for d in (0, 1)]
+    return _bounds(
+        GroupKey(data).counts().arms,
+        lambda d, keep, side: trimmed_mean(deltas[d], keep, side),
+        mode,
+        data.outcome_support,
+    )
 
-    rates = compute_rates(data)
+
+def _bounds(
+    arms: np.ndarray,
+    trim: Callable[[int, float, str], float],
+    mode: Mode,
+    support: tuple[float, float] | None,
+) -> BoundResult:
+    """``att_ar_bounds`` from counts over (arm, R1, R2) and a trimmed-mean
+    function ``trim(arm, keep, side)`` of each arm's complete-case changes."""
+    for d in (0, 1):
+        if arms[d, 1, 1] == 0:
+            raise EstimatorError(f"no complete cases in arm {d}")
+
+    rates = _rate_table(arms)
     props = (
         strata_proportions_monotone(rates)
         if mode == "monotone"
@@ -302,9 +317,9 @@ def att_ar_bounds(data: PanelDataset, mode: Mode = "monotone") -> BoundResult:
             events.append(ClipEvent(f"trim share arm {d}", raw=share, clipped=1.0))
             share = 1.0
         if share <= 0.0:
-            if data.outcome_support is None:
+            if support is None:
                 raise EstimatorError("trimming infeasible and no outcome support declared")
-            y_min, y_max = data.outcome_support
+            y_min, y_max = support
             events.append(
                 ClipEvent(f"trim share arm {d} (support fallback)", raw=share, clipped=1.0)
             )
@@ -313,15 +328,15 @@ def att_ar_bounds(data: PanelDataset, mode: Mode = "monotone") -> BoundResult:
             shares[d] = 1.0
             fallback = True
             continue
-        lower[d] = trimmed_mean(deltas[d], share, "bottom")
-        upper[d] = trimmed_mean(deltas[d], share, "top")
+        lower[d] = trim(d, share, "bottom")
+        upper[d] = trim(d, share, "top")
         shares[d] = share
 
     lb = lower[1] - upper[0]
     ub = upper[1] - lower[0]
     flags = list(props.flags)
     if fallback:
-        width = data.outcome_support[1] - data.outcome_support[0]  # type: ignore[index]
+        width = support[1] - support[0]  # type: ignore[index]
         clipped_lb, clipped_ub = max(lb, -width), min(ub, width)
         if (clipped_lb, clipped_ub) != (lb, ub):
             flags.append("bounds intersected with estimand range")
@@ -337,8 +352,68 @@ def att_ar_bounds(data: PanelDataset, mode: Mode = "monotone") -> BoundResult:
         proportions=props,
         clip_events=tuple(events),
         flags=tuple(flags),
-        n_used=int(deltas[0].size + deltas[1].size),
+        n_used=int(arms[0, 1, 1] + arms[1, 1, 1]),
     )
+
+
+def _trimmed_mean_counts(
+    values: np.ndarray, mult: np.ndarray, keep: float, side: Literal["bottom", "top"]
+) -> float:
+    """``trimmed_mean`` of the sample holding mult[j] copies of values[j].
+
+    ``values`` must be sorted ascending; ``mult`` must have a positive sum.
+    """
+    size = int(mult.sum())
+    if keep == 1.0:  # the plain mean, identical for both sides
+        return float((mult * values).sum() / size)
+    if side == "top":
+        values, mult = values[::-1], mult[::-1]
+    weighted = mult * values
+    t = keep * size
+    k = int(np.floor(t))
+    frac = t - k
+    seen = np.cumsum(mult)
+    j = int(np.searchsorted(seen, k, side="right"))  # values[j] holds the (k+1)-th copy
+    total = float(weighted[:j].sum())
+    if j < values.size:
+        total += (k - (int(seen[j - 1]) if j else 0)) * float(values[j])
+        if frac > 0.0:
+            total += frac * float(values[j])
+    return total / t
+
+
+def _bounds_replicate(
+    data: PanelDataset, mode: Mode
+) -> Callable[[np.ndarray], tuple[float, float]]:
+    """(lb, ub) of ``att_ar_bounds`` on the resample at given row indices.
+
+    Each arm's complete-case changes are sorted once; a resample's trimmed
+    means then come from how often it draws each sorted position.
+    """
+    groups = GroupKey(data)
+    cc = data.complete_case
+    dy = data.delta_y
+    sorted_dy: list[np.ndarray] = []
+    starts = [0]
+    rank = np.empty(len(data), dtype=np.intp)
+    for d in (0, 1):
+        units = np.flatnonzero(cc & (data.d == d))
+        units = units[np.argsort(dy[units], kind="stable")]
+        rank[units] = starts[-1] + np.arange(units.size)
+        sorted_dy.append(dy[units])
+        starts.append(starts[-1] + units.size)
+    rank[~cc] = starts[-1]  # one bin past the sorted positions
+
+    def replicate(idx: np.ndarray) -> tuple[float, float]:
+        mult = np.bincount(rank[idx], minlength=starts[-1] + 1)
+
+        def trim(d: int, keep: float, side: str) -> float:
+            return _trimmed_mean_counts(sorted_dy[d], mult[starts[d] : starts[d + 1]], keep, side)
+
+        b = _bounds(groups.counts(idx).arms, trim, mode, data.outcome_support)
+        return b.lb, b.ub
+
+    return replicate
 
 
 @dataclass(frozen=True)
@@ -374,40 +449,16 @@ def bootstrap_bounds(
     more than half fail.
     """
     point = att_ar_bounds(data, mode)
-    n = len(data)
-    lbs: list[float] = []
-    ubs: list[float] = []
-    failures: list[DidMissError] = []
-    for rep in range(cfg.replicates):
-        rng = np.random.default_rng((cfg.seed, rep))
-        idx = rng.integers(0, n, size=n)
-        try:
-            b = att_ar_bounds(data._take(idx), mode)
-        except DidMissError as exc:
-            failures.append(exc)
-            continue
-        lbs.append(b.lb)
-        ubs.append(b.ub)
-    if len(failures) * 2 > cfg.replicates:
-        raise EstimatorError(
-            f"{len(failures)}/{cfg.replicates} bootstrap replicates failed; "
-            f"last error: {failures[-1]}"
-        ) from failures[-1]
-
-    lb_arr = np.asarray(lbs, dtype=np.float64)
-    ub_arr = np.asarray(ubs, dtype=np.float64)
-    alpha = (1.0 - cfg.level) / 2.0
-    qs = [100 * alpha, 100 * (1 - alpha)]
-    lb_lo, lb_hi = (float(v) for v in np.percentile(lb_arr, qs))
-    ub_lo, ub_hi = (float(v) for v in np.percentile(ub_arr, qs))
+    summaries, used, failed = _replicates(len(data), cfg, _bounds_replicate(data, mode))
+    (se_lb, lb_lo, lb_hi), (se_ub, ub_lo, ub_hi) = summaries
     return BoundsBootstrap(
         point=point,
         lb_ci=Interval(lb_lo, lb_hi),
         ub_ci=Interval(ub_lo, ub_hi),
         outer=Interval(min(lb_lo, ub_lo), max(ub_hi, lb_hi)),
-        se_lb=float(lb_arr.std(ddof=1)) if lb_arr.size >= 2 else 0.0,
-        se_ub=float(ub_arr.std(ddof=1)) if ub_arr.size >= 2 else 0.0,
+        se_lb=se_lb,
+        se_ub=se_ub,
         level=cfg.level,
-        replicates_used=int(lb_arr.size),
-        replicates_failed=len(failures),
+        replicates_used=used,
+        replicates_failed=failed,
     )

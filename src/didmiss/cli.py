@@ -13,9 +13,8 @@ unknown preset); 2 when a well-posed request is refused on the given data
 support).
 
 ``--pretty`` switches to an aligned human-readable rendering of the same
-report.  The bootstrap honours the ``DIDMISS_THREADS`` environment
-variable; replicate streams are derived from (seed, replicate index), so
-the thread count never changes the numbers.
+report.  Bootstrap replicate streams are derived from (seed, replicate
+index) and run in one thread; setting ``DIDMISS_THREADS`` has no effect.
 """
 
 from __future__ import annotations
@@ -23,10 +22,10 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import io
 import json
 import platform
 import sys
+from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -42,7 +41,6 @@ from .panel import (
     ColumnMapping,
     PanelDataset,
     RateTable,
-    _as_text,
     compute_rates,
     load_panel,
     save_panel,
@@ -492,10 +490,18 @@ def _run_pi(args: argparse.Namespace) -> RunReport:
 
 
 def _csv_header(path: str) -> list[str]:
-    rows = [row for row in csv.reader(io.StringIO(_as_text(path))) if row]
-    if not rows:
-        raise InputError("empty dataset")
-    return [cell.strip() for cell in rows[0]]
+    """The first non-empty CSV row of the file at ``path``; reads no further."""
+    file = Path(path)
+    if not file.exists():
+        raise InputError(f"no such file: {file}")
+    with open(file, newline="") as handle:
+        try:
+            for row in csv.reader(handle):
+                if row:
+                    return [cell.strip() for cell in row]
+        except csv.Error as exc:
+            raise InputError(f"malformed CSV: {exc}") from exc
+    raise InputError("empty dataset")
 
 
 def _run_rates(args: argparse.Namespace) -> RunReport:

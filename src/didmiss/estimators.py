@@ -12,13 +12,15 @@ weighting in the sibling modules are for.
 
 Bootstrap inference resamples units with replacement. Each replicate draws
 its random stream from (seed, replicate index), so results are bit-identical
-for a given seed regardless of the execution schedule or thread count.
+for a given seed. Replicates run one after another in the calling thread;
+setting ``DIDMISS_THREADS`` has no effect. A named estimator handle never
+rebuilds a dataset: its replicate is the same count formula as the
+full-sample estimate, evaluated on the group counts of the resampled rows
+(``panel.GroupKey``).
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -26,7 +28,7 @@ import numpy as np
 
 from .common import Interval
 from .errors import DidMissError, EstimatorError, InputError
-from .panel import PanelDataset
+from .panel import GroupCounts, GroupKey, PanelDataset
 
 __all__ = [
     "Estimate",
@@ -86,11 +88,16 @@ class BootstrapConfig:
             raise InputError(f"level must be in (0, 1), got {self.level}")
 
 
-def _arm_cc_delta(data: PanelDataset, d: int) -> np.ndarray:
-    mask = (data.d == d) & data.complete_case
-    if not mask.any():
-        raise EstimatorError(f"no complete cases in arm {d}")
-    return data.y2[mask] - data.y1[mask]
+def _complete_case(c: GroupCounts) -> Estimate:
+    """Complete-case DID from group counts (see ``did_complete_case``)."""
+    arms = c.arms
+    for d in (1, 0):
+        if arms[d, 1, 1] == 0:
+            raise EstimatorError(f"no complete cases in arm {d}")
+    return Estimate(
+        point=float(c.cc_sum[1] / arms[1, 1, 1] - c.cc_sum[0] / arms[0, 1, 1]),
+        n_used=int(arms[1, 1, 1] + arms[0, 1, 1]),
+    )
 
 
 def did_complete_case(data: PanelDataset) -> Estimate:
@@ -100,12 +107,7 @@ def did_complete_case(data: PanelDataset) -> Estimate:
           - mean(Y2-Y1 over control complete cases);
     n_used counts the complete cases that entered either mean.
     """
-    delta1 = _arm_cc_delta(data, 1)
-    delta0 = _arm_cc_delta(data, 0)
-    return Estimate(
-        point=float(delta1.mean() - delta0.mean()),
-        n_used=delta1.size + delta0.size,
-    )
+    return _complete_case(GroupKey(data).counts())
 
 
 def naive_did_all(data: PanelDataset) -> Estimate:
@@ -114,48 +116,96 @@ def naive_did_all(data: PanelDataset) -> Estimate:
     This is the infeasible benchmark: computable only when every outcome is
     observed (oracle-generated data, or the no-missingness baseline).
     """
-    if not data.complete_case.all():
+    c = GroupKey(data).counts()
+    arms = c.arms
+    if arms[:, 1, 1].sum() != len(data):
         raise EstimatorError("dataset contains missing outcomes")
     for d in (0, 1):
-        if not (data.d == d).any():
+        if arms[d].sum() == 0:
             raise EstimatorError(f"no units in arm {d}")
-    dy = data.y2 - data.y1
-    point = float(dy[data.d == 1].mean() - dy[data.d == 0].mean())
-    return Estimate(point=point, n_used=len(data))
+    return Estimate(point=_complete_case(c).point, n_used=len(data))
 
 
 Estimator = Callable[[PanelDataset], Estimate]
 
 
-def _resolve_estimator(estimator: Union[str, Estimator]) -> Estimator:
+def _replicate_fn(
+    data: PanelDataset, estimator: Union[str, Estimator]
+) -> tuple[Estimate, Callable[[np.ndarray], tuple[float]]]:
+    """Full-sample estimate and the point of the resample at given row indices.
+
+    A named handle evaluates its count formula on the resample's group
+    counts; a user callable runs on the rebuilt resampled dataset.
+    """
     if callable(estimator):
-        return estimator
+        full = estimator(data)
+        if not isinstance(full, Estimate):
+            raise InputError(
+                "bootstrap_ci requires a scalar estimator returning Estimate; "
+                "interval estimands are handled by bounds.bootstrap_bounds"
+            )
+        return full, lambda idx: (float(estimator(data._take(idx)).point),)
+
+    formula: Callable[[GroupCounts], Estimate]
     if estimator == "cc-did":
-        return did_complete_case
-    if estimator == "iv":
-        from .iv import att_iv
+        groups, formula = GroupKey(data), _complete_case
+    elif estimator == "iv":
+        from .iv import _check_aux_index, _iv_single
 
-        return lambda d: att_iv(d, aux_index=0)[0]
-    if estimator == "pi":
-        from .principal import att_principal_ignorability
+        _check_aux_index(data, 0)
+        groups, formula = GroupKey(data, aux=(0,)), lambda c: _iv_single(c)[0]
+    elif estimator == "pi":
+        from .principal import _principal_ignorability
 
-        return att_principal_ignorability
-    if estimator == "att-ar-bounds":
+        groups, formula = GroupKey(data, cells=True), _principal_ignorability
+    elif estimator == "att-ar-bounds":
         raise InputError(
             "att-ar-bounds is interval-valued; use bounds.bootstrap_bounds, "
             "which bootstraps LB and UB separately"
         )
-    raise InputError(
-        f"unknown estimator handle {estimator!r}; expected one of {ESTIMATOR_HANDLES}"
-    )
+    else:
+        raise InputError(
+            f"unknown estimator handle {estimator!r}; expected one of {ESTIMATOR_HANDLES}"
+        )
+    return formula(groups.counts()), lambda idx: (formula(groups.counts(idx)).point,)
 
 
-def _n_threads() -> int:
-    raw = os.environ.get("DIDMISS_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _replicates(
+    n: int,
+    cfg: BootstrapConfig,
+    replicate: Callable[[np.ndarray], tuple[float, ...]],
+) -> tuple[list[tuple[float, float, float]], int, int]:
+    """The resampling engine: run ``replicate`` on cfg.replicates resamples.
+
+    Replicate ``rep`` draws n row indices with replacement from the
+    ``(cfg.seed, rep)`` stream. Replicates that raise DidMissError are
+    dropped and counted; if more than half fail, the last error propagates.
+    Returns, for each statistic the replicate yields, (standard deviation,
+    lower percentile, upper percentile) at cfg.level, then the numbers of
+    replicates used and failed.
+    """
+    values: list[tuple[float, ...]] = []
+    failures: list[DidMissError] = []
+    for rep in range(cfg.replicates):
+        idx = np.random.default_rng((cfg.seed, rep)).integers(0, n, size=n)
+        try:
+            values.append(replicate(idx))
+        except DidMissError as exc:
+            failures.append(exc)
+    if len(failures) * 2 > cfg.replicates:
+        raise EstimatorError(
+            f"{len(failures)}/{cfg.replicates} bootstrap replicates failed; "
+            f"last error: {failures[-1]}"
+        ) from failures[-1]
+
+    alpha = (1.0 - cfg.level) / 2.0
+    summaries = []
+    for column in zip(*values):
+        arr = np.array(column, dtype=np.float64)
+        se = float(arr.std(ddof=1)) if arr.size >= 2 else 0.0
+        lo, hi = (float(v) for v in np.percentile(arr, [100 * alpha, 100 * (1 - alpha)]))
+        summaries.append((se, lo, hi))
+    return summaries, len(values), len(failures)
 
 
 def bootstrap_ci(
@@ -172,44 +222,11 @@ def bootstrap_ci(
     fails are dropped and counted; if more than half fail, the last estimator
     error propagates.
     """
-    fn = _resolve_estimator(estimator)
-    full = fn(data)
-    if not isinstance(full, Estimate):
-        raise InputError(
-            "bootstrap_ci requires a scalar estimator returning Estimate; "
-            "interval estimands are handled by bounds.bootstrap_bounds"
-        )
-    n = len(data)
-
-    def one_replicate(rep: int) -> tuple[float, None] | tuple[None, DidMissError]:
-        rng = np.random.default_rng((cfg.seed, rep))
-        idx = rng.integers(0, n, size=n)
-        try:
-            return float(fn(data._take(idx)).point), None
-        except DidMissError as exc:
-            return None, exc
-
-    threads = _n_threads()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_replicate, range(cfg.replicates)))
-    else:
-        results = [one_replicate(rep) for rep in range(cfg.replicates)]
-
-    points = np.array([p for p, _ in results if p is not None], dtype=np.float64)
-    failures = [e for _, e in results if e is not None]
-    if len(failures) * 2 > cfg.replicates:
-        raise EstimatorError(
-            f"{len(failures)}/{cfg.replicates} bootstrap replicates failed; "
-            f"last error: {failures[-1]}"
-        ) from failures[-1]
-
-    se = float(points.std(ddof=1)) if points.size >= 2 else 0.0
-    alpha = (1.0 - cfg.level) / 2.0
-    lo, hi = (float(v) for v in np.percentile(points, [100 * alpha, 100 * (1 - alpha)]))
+    full, replicate = _replicate_fn(data, estimator)
+    [(se, lo, hi)], _, failed = _replicates(len(data), cfg, replicate)
     notes: list[str] = list(full.notes)
-    if failures:
-        notes.append(f"replicates_failed={len(failures)}")
+    if failed:
+        notes.append(f"replicates_failed={failed}")
     if not lo <= full.point <= hi:
         lo, hi = min(lo, full.point), max(hi, full.point)
         notes.append("ci_widened")

@@ -29,13 +29,14 @@ first-wave missingness the estimand is the ATT among first-wave respondents
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .common import EPS_DENOM
 from .errors import EstimatorError, InputError
-from .estimators import Estimate, did_complete_case
-from .panel import PanelDataset
+from .estimators import Estimate, _complete_case
+from .panel import GroupCounts, GroupKey, PanelDataset
 
 __all__ = ["IvDiagnostics", "att_iv", "att_iv_multi"]
 
@@ -76,33 +77,57 @@ def _check_aux_index(data: PanelDataset, k: int) -> None:
         )
 
 
-def _cell_stats(
-    data: PanelDataset, d: int, k: int
+def _instrument_stats(
+    n: np.ndarray, s: np.ndarray, d: int
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Per instrument level v: (mean dY over complete cases, Pr(R2=0 | R1=1)).
 
+    n and s are counts and dY sums over (arm, R1, R2, instrument level).
     Raises when a level has no complete cases in this arm.
     """
-    arm = data.d == d
-    r1 = arm & data.r1
-    cc = r1 & data.r2
-    aux = data.aux[:, k]
     means: list[float] = []
     q: list[float] = []
     for v in (0, 1):
-        cc_cell = cc & (aux == v)
-        n_cc = int(cc_cell.sum())
+        n_cc = int(n[d, 1, 1, v])
         if n_cc == 0:
             raise EstimatorError(f"empty instrument cell (arm {d}, aux={v}): no complete cases")
-        means.append(float((data.y2[cc_cell] - data.y1[cc_cell]).mean()))
-        r1_cell = r1 & (aux == v)
-        q.append(1.0 - n_cc / int(r1_cell.sum()))
+        means.append(float(s[d, 1, 1, v] / n_cc))
+        q.append(1.0 - n_cc / int(n[d, 1, :, v].sum()))
     return (means[0], means[1]), (q[0], q[1])
 
 
-def _missing_share(data: PanelDataset, d: int) -> float:
-    arm = data.d == d
-    return float((~data.r2[arm]).sum()) / int(arm.sum())
+def _corrected(
+    c: GroupCounts, arm_gap: Callable[[int], tuple[float, float]]
+) -> tuple[Estimate, IvDiagnostics]:
+    """Complete-case DID plus the per-arm corrections gap / denom * Pr(R2=0|D=d).
+
+    ``arm_gap(d)`` returns arm d's (trend gap, denominator); it is called
+    only for arms with missing second-wave outcomes.
+    """
+    cc = _complete_case(c)
+    arms = c.arms
+    share = [int(arms[d, :, 0].sum()) / int(arms[d].sum()) for d in (0, 1)]
+    denom = [0.0, 0.0]
+    corr = [0.0, 0.0]
+    gap = [0.0, 0.0]
+    for d in (0, 1):
+        if share[d] == 0.0:
+            continue
+        gap[d], denom[d] = arm_gap(d)
+        if abs(denom[d]) < EPS_DENOM:
+            raise EstimatorError(f"weak instrument in arm {d}")
+        corr[d] = gap[d] / denom[d] * share[d]
+
+    point = cc.point + corr[1] - corr[0]
+    notes = (_R1_NOTE,) if arms[:, 0].any() else ()
+    est = Estimate(point=point, n_used=cc.n_used, notes=notes)
+    diag = IvDiagnostics(
+        denom=(denom[0], denom[1]),
+        missing_share=(share[0], share[1]),
+        bias_correction=(-corr[0], corr[1]),
+        trend_gap=(gap[0], gap[1]),
+    )
+    return est, diag
 
 
 def att_iv(data: PanelDataset, aux_index: int) -> tuple[Estimate, IvDiagnostics]:
@@ -114,33 +139,18 @@ def att_iv(data: PanelDataset, aux_index: int) -> tuple[Estimate, IvDiagnostics]
     clear the weak-instrument threshold.
     """
     _check_aux_index(data, aux_index)
-    cc = did_complete_case(data)
+    return _iv_single(GroupKey(data, aux=(aux_index,)).counts())
 
-    denom = [0.0, 0.0]
-    share = [0.0, 0.0]
-    corr = [0.0, 0.0]
-    gap = [0.0, 0.0]
-    for d in (0, 1):
-        share[d] = _missing_share(data, d)
-        if share[d] == 0.0:
-            continue
-        (m0, m1), (q0, q1) = _cell_stats(data, d, aux_index)
-        denom[d] = q0 - q1
-        gap[d] = m1 - m0
-        if abs(denom[d]) < EPS_DENOM:
-            raise EstimatorError(f"weak instrument in arm {d}")
-        corr[d] = gap[d] / denom[d] * share[d]
 
-    point = cc.point + corr[1] - corr[0]
-    notes = (_R1_NOTE,) if not data.r1.all() else ()
-    est = Estimate(point=point, n_used=cc.n_used, notes=notes)
-    diag = IvDiagnostics(
-        denom=(denom[0], denom[1]),
-        missing_share=(share[0], share[1]),
-        bias_correction=(-corr[0], corr[1]),
-        trend_gap=(gap[0], gap[1]),
-    )
-    return est, diag
+def _iv_single(c: GroupCounts) -> tuple[Estimate, IvDiagnostics]:
+    """``att_iv`` from counts keyed on (arm, R1, R2, instrument level)."""
+    n, s = c.n[0], c.s[0]
+
+    def arm_gap(d: int) -> tuple[float, float]:
+        (m0, m1), (q0, q1) = _instrument_stats(n, s, d)
+        return m1 - m0, q0 - q1
+
+    return _corrected(c, arm_gap)
 
 
 def att_iv_multi(
@@ -157,38 +167,17 @@ def att_iv_multi(
     k1, k2 = aux_pair
     _check_aux_index(data, k1)
     _check_aux_index(data, k2)
-    cc = did_complete_case(data)
+    c = GroupKey(data, aux=(k1, k2)).counts()
+    # counts over (arm, R1, R2, level of k1, level of k2)
+    n, s = c.n[0], c.s[0]
 
-    share = [_missing_share(data, 0), _missing_share(data, 1)]
-    denom = [0.0, 0.0]
-    corr = [0.0, 0.0]
-    gap = [0.0, 0.0]
-    if any(s > 0.0 for s in share):
-        cc_mask = data.complete_case
-        if np.array_equal(data.aux[cc_mask, k1], data.aux[cc_mask, k2]):
+    def arm_gap(d: int) -> tuple[float, float]:
+        if not (n[:, 1, 1, 0, 1].any() or n[:, 1, 1, 1, 0].any()):
             raise EstimatorError(
                 "degenerate instrument pair: indicators are identical on complete cases"
             )
-    for d in (0, 1):
-        if share[d] == 0.0:
-            continue
-        (m1_0, m1_1), (q1_0, q1_1) = _cell_stats(data, d, k1)
-        (m2_0, m2_1), (q2_0, q2_1) = _cell_stats(data, d, k2)
-        numer1 = m1_1 - m1_0
-        numer2 = m2_1 - m2_0
-        denom[d] = (q2_1 - q2_0) - (q1_1 - q1_0)
-        gap[d] = numer1 - numer2
-        if abs(denom[d]) < EPS_DENOM:
-            raise EstimatorError(f"weak instrument in arm {d}")
-        corr[d] = gap[d] / denom[d] * share[d]
+        (m1_0, m1_1), (q1_0, q1_1) = _instrument_stats(n.sum(axis=4), s.sum(axis=4), d)
+        (m2_0, m2_1), (q2_0, q2_1) = _instrument_stats(n.sum(axis=3), s.sum(axis=3), d)
+        return (m1_1 - m1_0) - (m2_1 - m2_0), (q2_1 - q2_0) - (q1_1 - q1_0)
 
-    point = cc.point + corr[1] - corr[0]
-    notes = (_R1_NOTE,) if not data.r1.all() else ()
-    est = Estimate(point=point, n_used=cc.n_used, notes=notes)
-    diag = IvDiagnostics(
-        denom=(denom[0], denom[1]),
-        missing_share=(share[0], share[1]),
-        bias_correction=(-corr[0], corr[1]),
-        trend_gap=(gap[0], gap[1]),
-    )
-    return est, diag
+    return _corrected(c, arm_gap)

@@ -9,7 +9,9 @@ bounds, principal scores — consumes either this dataset type or the
 
 Storage is columnar (one numpy array per field) because the estimators and
 the bootstrap are vectorized; a record view is materialized lazily for code
-that prefers row-wise access.
+that prefers row-wise access. ``GroupKey`` owns the one encoding the
+estimators share: every unit's group over (covariate cell, arm, R1, R2,
+auxiliary levels), reduced to per-group counts and Y2 - Y1 sums.
 """
 
 from __future__ import annotations
@@ -366,33 +368,125 @@ class RateTable:
                     raise InputError(f"rate {p} outside [0, 1]")
 
 
+class GroupKey:
+    """Every unit's integer group over (covariate cell, arm, R1, R2, aux levels).
+
+    The estimators are closed-form functions of per-group unit counts and
+    complete-case Y2 - Y1 sums, so a dataset is encoded once and any resample
+    of it (row indices into the encoded data) reduces to two ``bincount``
+    calls. The key is mixed-radix: cell, then arm, R1, R2 and the chosen
+    auxiliary indicators, each binary, so ``counts`` reshapes the bins to
+    ``(cells, 2, 2, 2) + (2,) * len(aux)``.
+
+    Parameters
+    ----------
+    aux
+        Auxiliary indicator columns to split on, in key order.
+    cells
+        Split on covariate cells (the distinct covariate rows, sorted
+        lexicographically); otherwise the whole sample is one cell.
+    """
+
+    __slots__ = ("key", "dy", "d", "shape", "cells")
+
+    def __init__(self, data: PanelDataset, aux: Sequence[int] = (), cells: bool = False) -> None:
+        key = data.d.astype(np.intp)
+        self.cells: tuple[tuple[int, ...], ...] = ((),)
+        if cells and data.x is not None:
+            self.cells, cell = _factorize(data.x)
+            key += 2 * cell
+        for column in (data.r1, data.r2) + tuple(data.aux[:, k] for k in aux):
+            key = 2 * key + column
+        self.key = key
+        #: Y2 - Y1 on complete cases, 0 elsewhere (so sums skip other units)
+        self.dy = np.where(data.r1 & data.r2, data.y2 - data.y1, 0.0)
+        self.d = data.d
+        self.shape = (len(self.cells), 2, 2, 2) + (2,) * len(aux)
+
+    def counts(self, idx: np.ndarray | None = None) -> "GroupCounts":
+        """Group counts and sums of the units at ``idx`` (all units when None)."""
+        key, dy = (self.key, self.dy) if idx is None else (self.key[idx], self.dy[idx])
+        size = math.prod(self.shape)
+        n = np.bincount(key, minlength=size).reshape(self.shape)
+        s = np.bincount(key, weights=dy, minlength=size).reshape(self.shape)
+        if self.shape == (1, 2, 2, 2):
+            cc_sum = s[0, :, 1, 1]
+        else:  # complete cases are split further: sum each arm's in unit order
+            d = self.d if idx is None else self.d[idx]
+            cc_sum = np.bincount(d, weights=dy, minlength=2)
+        return GroupCounts(n=n, s=s, cc_sum=cc_sum, cells=self.cells)
+
+
+@dataclass(frozen=True)
+class GroupCounts:
+    """Per-group sufficient statistics of one sample (see ``GroupKey``).
+
+    n[c, d, r1, r2, *levels] counts the units of covariate cell c and arm d
+    with response pattern (r1, r2) and the key's auxiliary levels; s holds
+    their Y2 - Y1 sums (nonzero only where r1 = r2 = 1). cc_sum[d] is arm d's
+    complete-case Y2 - Y1 total summed in unit order, whatever else the key
+    splits on, so every estimator built on it reproduces the complete-case
+    DID bit for bit.
+    """
+
+    n: np.ndarray
+    s: np.ndarray
+    cc_sum: np.ndarray
+    cells: tuple[tuple[int, ...], ...]
+
+    @property
+    def arms(self) -> np.ndarray:
+        """Counts over (arm, R1, R2), summed over cells and auxiliary levels."""
+        return self.n.reshape(self.n.shape[0], 2, 2, 2, -1).sum(axis=(0, 4))
+
+
+def _factorize(x: np.ndarray) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """Covariate rows to (distinct rows in lexicographic order, per-unit index)."""
+    index = np.zeros(x.shape[0], dtype=np.intp)
+    for column in x.T:
+        _, level = np.unique(column, return_inverse=True)
+        # re-rank after each column so codes stay below n squared
+        _, first, index = np.unique(
+            index * (int(level.max()) + 1) + level, return_index=True, return_inverse=True
+        )
+    return tuple(tuple(row) for row in x[first].tolist()), index.reshape(-1)
+
+
 def compute_rates(data: PanelDataset) -> RateTable:
     """Empirical response-rate table of ``data`` (proportions of counts)."""
+    return _rate_table(
+        GroupKey(data).counts().arms,
+        [GroupKey(data, aux=(k,)).counts().n[0] for k in range(data.n_aux)],
+    )
+
+
+def _rate_table(arms: np.ndarray, aux_counts: Sequence[np.ndarray] = ()) -> RateTable:
+    """Response-rate table from unit counts.
+
+    ``arms`` holds counts over (arm, R1, R2); ``aux_counts[k]`` over
+    (arm, R1, R2, aux_k), one entry per auxiliary indicator. Without
+    ``aux_counts`` the table's p_r2_given_aux is empty.
+    """
     n: list[int] = []
     p_r1: list[float] = []
     p_r2: list[float] = []
     p_cond: list[float | None] = []
     p_aux: list[tuple[tuple[float | None, float | None], ...]] = []
     for d in (0, 1):
-        arm = data.d == d
-        n_d = int(arm.sum())
+        n_d = int(arms[d].sum())
         if n_d == 0:
             raise InputError("single-arm dataset: both treated and control units are required")
-        r1 = data.r1[arm]
-        r2 = data.r2[arm]
+        n_r1 = int(arms[d, 1].sum())
         n.append(n_d)
-        p_r1.append(float(r1.sum()) / n_d)
-        p_r2.append(float(r2.sum()) / n_d)
-        n_r1 = int(r1.sum())
-        p_cond.append(float((r1 & r2).sum()) / n_r1 if n_r1 > 0 else None)
+        p_r1.append(n_r1 / n_d)
+        p_r2.append(int(arms[d, :, 1].sum()) / n_d)
+        p_cond.append(int(arms[d, 1, 1]) / n_r1 if n_r1 > 0 else None)
         per_k: list[tuple[float | None, float | None]] = []
-        for k in range(data.n_aux):
-            aux_k = data.aux[arm, k]
+        for counts in aux_counts:
             levels: list[float | None] = []
             for v in (0, 1):
-                cell = r1 & (aux_k == v)
-                n_cell = int(cell.sum())
-                levels.append(float((r2 & cell).sum()) / n_cell if n_cell > 0 else None)
+                n_cell = int(counts[d, 1, :, v].sum())
+                levels.append(int(counts[d, 1, 1, v]) / n_cell if n_cell > 0 else None)
             per_k.append((levels[0], levels[1]))
         p_aux.append(tuple(per_k))
     return RateTable(

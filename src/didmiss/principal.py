@@ -46,11 +46,11 @@ from typing import Mapping
 import numpy as np
 
 from .bounds import INCONSISTENT_FLAG
-from .common import ClipEvent, clip01
+from .common import ClipEvent
 from .errors import EstimatorError
 from .estimators import Estimate
 from .iv import _R1_NOTE
-from .panel import PanelDataset
+from .panel import GroupCounts, GroupKey, PanelDataset
 
 __all__ = [
     "CellScores",
@@ -128,16 +128,41 @@ class PrincipalScoreTable:
                 )
 
 
-def _cell_index(data: PanelDataset) -> tuple[list[tuple], np.ndarray]:
-    """Factorize covariate rows into ``(sorted unique keys, per-record index)``.
+def _occupied(c: GroupCounts) -> tuple[list[tuple], np.ndarray, np.ndarray]:
+    """Cells, counts and dY sums of the cells holding at least one unit.
 
-    Without covariates the whole sample is one cell keyed by the empty tuple.
+    A resample may miss a covariate cell entirely; it is then left out, just
+    as it would be absent from the resampled data.
     """
-    if data.x is None:
-        return [()], np.zeros(len(data), dtype=np.intp)
-    rows, index = np.unique(data.x, axis=0, return_inverse=True)
-    keys = [tuple(int(v) for v in row) for row in rows]
-    return keys, index.ravel()
+    present = c.n.reshape(c.n.shape[0], -1).any(axis=1)
+    cells = [key for key, keep in zip(c.cells, present) if keep]
+    return cells, c.n[present], c.s[present]
+
+
+def _cell_scores(
+    cells: list[tuple], counts: np.ndarray
+) -> tuple[np.ndarray, dict[tuple[int, int], np.ndarray], np.ndarray, dict[tuple[int, int], float]]:
+    """Per-cell principal scores from counts over (cell, arm, R1, R2).
+
+    Returns (n, scores, raw_e11, normalizers): n[i, a] counts the units of
+    cell i in arm a, scores[stratum] holds the per-cell scores and raw_e11
+    the always-respondent scores before clipping.
+    """
+    n = counts.sum(axis=(2, 3))
+    empty = [f"(x={key!r}, arm {a})" for key, row in zip(cells, n) for a in (0, 1) if row[a] == 0]
+    if empty:
+        raise EstimatorError("empty covariate cell: " + ", ".join(empty))
+
+    p_r1 = counts[:, :, 1, :].sum(axis=2) / n
+    p_r2 = counts[:, :, :, 1].sum(axis=2) / n
+    raw = p_r1[:, 1] + p_r2[:, 0] - p_r1[:, 0]
+    e11 = np.minimum(np.maximum(raw, 0.0), p_r2[:, 1])
+    scores = {(1, 1): e11, (1, 0): p_r2[:, 1] - e11, (0, 0): 1.0 - p_r2[:, 1]}
+    n1 = int(n[:, 1].sum())
+    normalizers = {
+        stratum: float((scores[stratum] * n[:, 1]).sum()) / n1 for stratum in SCORE_STRATA
+    }
+    return n, scores, raw, normalizers
 
 
 def principal_scores(data: PanelDataset) -> PrincipalScoreTable:
@@ -160,52 +185,28 @@ def principal_scores(data: PanelDataset) -> PrincipalScoreTable:
         rates that identify the scores have no denominator.  The message
         lists every offending ``(x, arm)`` pair.
     """
-    keys, index = _cell_index(data)
-    d = data.d
-    r1 = data.r1
-    r2 = data.r2
-
-    empty: list[str] = []
-    events: list[ClipEvent] = []
-    cells: dict[tuple, CellScores] = {}
-    for i, key in enumerate(keys):
-        in_cell = index == i
-        arm = [in_cell & (d == 0), in_cell & (d == 1)]
-        n = (int(arm[0].sum()), int(arm[1].sum()))
-        if n[0] == 0 or n[1] == 0:
-            empty.extend(
-                f"(x={key!r}, arm {a})" for a in (0, 1) if n[a] == 0
-            )
-            continue
-        p_r1 = [float(r1[arm[a]].mean()) for a in (0, 1)]
-        p_r2 = [float(r2[arm[a]].mean()) for a in (0, 1)]
-        raw = p_r1[1] + p_r2[0] - p_r1[0]
-        e11 = clip01(raw, f"e11(x={key!r})", events, hi=p_r2[1])
-        e10 = p_r2[1] - e11
-        e00 = 1.0 - p_r2[1]
-        cells[key] = CellScores(e11=e11, e10=e10, e00=e00, n=n)
-
-    if empty:
-        raise EstimatorError(
-            "empty covariate cell: " + ", ".join(empty)
+    cells, counts, _ = _occupied(GroupKey(data, cells=True).counts())
+    n, scores, raw, normalizers = _cell_scores(cells, counts)
+    e11 = scores[(1, 1)]
+    events = [
+        ClipEvent(quantity=f"e11(x={key!r})", raw=float(raw[i]), clipped=float(e11[i]))
+        for i, key in enumerate(cells)
+        if e11[i] != raw[i]
+    ]
+    table = {
+        key: CellScores(
+            e11=float(e11[i]),
+            e10=float(scores[(1, 0)][i]),
+            e00=float(scores[(0, 0)][i]),
+            n=(int(n[i, 0]), int(n[i, 1])),
         )
-
-    treated = d == 1
-    n1 = int(treated.sum())
-    normalizers: dict[tuple[int, int], float] = {}
-    for stratum in SCORE_STRATA:
-        total = 0.0
-        for i, key in enumerate(keys):
-            n_treated_cell = int(((index == i) & treated).sum())
-            total += cells[key].score(stratum) * n_treated_cell
-        normalizers[stratum] = total / n1 if n1 else 0.0
-
-    flags = (INCONSISTENT_FLAG,) if events else ()
+        for i, key in enumerate(cells)
+    }
     return PrincipalScoreTable(
-        cells=cells,
+        cells=table,
         normalizers=normalizers,
         clip_events=tuple(events),
-        flags=flags,
+        flags=(INCONSISTENT_FLAG,) if events else (),
     )
 
 
@@ -234,55 +235,41 @@ def att_principal_ignorability(data: PanelDataset) -> Estimate:
         If a covariate cell is empty in one arm, or contains no complete
         cases in one arm so its change cannot be estimated.
     """
-    table = principal_scores(data)
-    keys, index = _cell_index(data)
-    cc = data.complete_case
-    d = data.d
-    dy = data.delta_y
+    return _principal_ignorability(GroupKey(data, cells=True).counts())
 
-    # Per-record complete-case probability of the record's own (cell, arm).
-    p_cc = np.empty(len(data), dtype=np.float64)
-    missing_cc: list[str] = []
-    for i, key in enumerate(keys):
-        in_cell = index == i
-        for arm in (0, 1):
-            pool = in_cell & (d == arm)
-            n_cc = int((pool & cc).sum())
-            if n_cc == 0:
-                missing_cc.append(f"(x={key!r}, arm {arm})")
-                continue
-            p_cc[pool] = n_cc / table.cells[key].n[arm]
+
+def _principal_ignorability(c: GroupCounts) -> Estimate:
+    """``att_principal_ignorability`` from counts keyed on (cell, arm, R1, R2)."""
+    cells, counts, sums = _occupied(c)
+    n, scores, raw, normalizers = _cell_scores(cells, counts)
+    n_cc = counts[:, :, 1, 1]
+    missing_cc = [
+        f"(x={key!r}, arm {a})" for key, row in zip(cells, n_cc) for a in (0, 1) if row[a] == 0
+    ]
     if missing_cc:
         raise EstimatorError(
             "no complete cases in covariate cell: " + ", ".join(missing_cc)
         )
-
-    cell_scores = {
-        stratum: np.array([table.cells[k].score(stratum) for k in keys])
-        for stratum in SCORE_STRATA
-    }
-    scores = {stratum: cell_scores[stratum][index] for stratum in SCORE_STRATA}
+    dy_sum = sums[:, :, 1, 1]
+    p_cc = n_cc / n
 
     point = 0.0
     for stratum in SCORE_STRATA:
-        share = table.normalizers[stratum]
+        share = normalizers[stratum]
         if share == 0.0:
             continue
-        h = scores[stratum] / p_cc
-        arms = []
-        for arm in (1, 0):
-            pool = cc & (d == arm)
-            w = h[pool]
-            arms.append(float(np.sum(w * dy[pool]) / np.sum(w)))
-        point += share * (arms[0] - arms[1])
+        # per-record weight e_s(x) / Pr(complete case | arm, x), summed by cell
+        h = scores[stratum][:, None] / p_cc
+        means = (h * dy_sum).sum(axis=0) / (h * n_cc).sum(axis=0)
+        point += share * float(means[1] - means[0])
 
     notes: list[str] = []
-    if not bool(data.r1.all()):
+    if c.arms[:, 0].any():
         notes.append(_R1_NOTE)
-    if table.clip_events:
+    if (scores[(1, 1)] != raw).any():
         notes.append("principal scores clipped")
     return Estimate(
         point=float(point),
-        n_used=int(cc.sum()),
+        n_used=int(n_cc.sum()),
         notes=tuple(notes),
     )

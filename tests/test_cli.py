@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from didmiss import did_complete_case, load_panel, save_panel
-from didmiss.cli import main
+from didmiss.cli import _csv_header, main
 
 from _helpers import make_panel
 
@@ -259,6 +259,21 @@ def test_aux_index_out_of_range_exits_1(capsys, toy_path):
     code, _, err = run(capsys, "iv", "--input", toy_path, "--aux", 7)
     assert code == 1
     assert "aux index" in err
+
+
+def test_covariate_header_read_stops_at_the_first_row(tmp_path):
+    # the undecodable tail lies far past the header; reading it would fail
+    path = tmp_path / "panel.csv"
+    path.write_bytes(b"\n id ,d,y1,y2,x1\n" + b"1,0,1.0,2.0,0\n" * 20_000 + b"\xff\xfe")
+    assert _csv_header(str(path)) == ["id", "d", "y1", "y2", "x1"]
+
+
+def test_covariates_on_a_file_without_rows_is_input_error(capsys, tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("\n\n")
+    code, out, err = run(capsys, "pi", "--input", path, "--covariates", "x1")
+    assert code == 1 and out == ""
+    assert "empty dataset" in err
 
 
 def test_refusal_exits_2(capsys, tmp_path):
