@@ -35,7 +35,6 @@ from .iv import IvDiagnostics, att_iv, att_iv_multi
 from .panel import (
     ColumnMapping,
     PanelDataset,
-    PanelRecord,
     RateTable,
     compute_rates,
     load_panel,
@@ -83,7 +82,6 @@ __all__ = [
     "ClipEvent",
     "EPS_DENOM",
     # panel data
-    "PanelRecord",
     "PanelDataset",
     "ColumnMapping",
     "RateTable",

@@ -25,11 +25,9 @@ import dataclasses
 import json
 import platform
 import sys
-from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .bounds import BoundResult, BoundsBootstrap, StrataProportions, att_ar_bounds, bootstrap_bounds
@@ -59,6 +57,7 @@ from .simulate import (
     save_oracle,
     simulate_panel,
 )
+from .table import open_text
 
 __all__ = ["RunReport", "main"]
 
@@ -270,7 +269,6 @@ def _environment(seed: int | None) -> dict[str, Any]:
         "package": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "seed": seed,
     }
 
@@ -491,15 +489,12 @@ def _run_pi(args: argparse.Namespace) -> RunReport:
 
 def _csv_header(path: str) -> list[str]:
     """The first non-empty CSV row of the file at ``path``; reads no further."""
-    file = Path(path)
-    if not file.exists():
-        raise InputError(f"no such file: {file}")
-    with open(file, newline="") as handle:
+    with open_text(path) as handle:
         try:
             for row in csv.reader(handle):
                 if row:
                     return [cell.strip() for cell in row]
-        except csv.Error as exc:
+        except (csv.Error, UnicodeDecodeError) as exc:
             raise InputError(f"malformed CSV: {exc}") from exc
     raise InputError("empty dataset")
 
@@ -552,10 +547,10 @@ def _run_simulate(args: argparse.Namespace) -> RunReport:
 
 
 def _run_decompose(args: argparse.Namespace) -> RunReport:
-    records = load_oracle(args.truth)
+    oracle = load_oracle(args.truth)
     try:
-        dec = decompose_att(records)
-        mixture = check_trend_mixture(records)
+        dec = decompose_att(oracle)
+        mixture = check_trend_mixture(oracle)
     except RuntimeError as exc:
         # identity violations on user-supplied oracles are refusals, not crashes
         raise EstimatorError(str(exc)) from exc
@@ -564,7 +559,7 @@ def _run_decompose(args: argparse.Namespace) -> RunReport:
         version=__version__,
         command="decompose",
         options={"truth": args.truth},
-        data={"rows": len(records)},
+        data={"rows": len(oracle)},
         result=_decomposition_json(dec),
         diagnostics={"trend_mixture": _mixture_json(mixture)},
         environment=_environment(None),

@@ -1,4 +1,4 @@
-"""Small shared utilities: intervals, probability clipping, JSON coercion.
+"""Small shared utilities: intervals and probability clipping.
 
 The clipping policy is package-wide: every probability produced by a formula
 is pushed into its legal range *with a recorded event*, never silently.
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any
 
 #: Weak-instrument threshold on probability-difference denominators. Below
 #: this magnitude the IV estimators refuse rather than return an exploding
@@ -79,30 +78,3 @@ def clip01(
     if clipped != value:
         events.append(ClipEvent(quantity=quantity, raw=float(value), clipped=float(clipped)))
     return clipped
-
-
-def as_jsonable(obj: Any) -> Any:
-    """Recursively convert dataclasses / numpy scalars / tuples to JSON types."""
-    import dataclasses
-
-    import numpy as np
-
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
-        return obj
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [as_jsonable(v) for v in obj.tolist()]
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: as_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): as_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [as_jsonable(v) for v in obj]
-    raise TypeError(f"cannot convert {type(obj).__name__} to JSON")

@@ -8,27 +8,33 @@ bounds, principal scores — consumes either this dataset type or the
 ``RateTable`` of empirical response rates computed from it.
 
 Storage is columnar (one numpy array per field) because the estimators and
-the bootstrap are vectorized; a record view is materialized lazily for code
-that prefers row-wise access. ``GroupKey`` owns the one encoding the
-estimators share: every unit's group over (covariate cell, arm, R1, R2,
-auxiliary levels), reduced to per-group counts and Y2 - Y1 sums.
+the bootstrap are vectorized; CSV files are read and written a column at a
+time through ``table``. ``GroupKey`` owns the one encoding the estimators
+share: every unit's group over (covariate cell, arm, R1, R2, auxiliary
+levels), reduced to per-group counts and Y2 - Y1 sums.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Any, Sequence
 
 import numpy as np
 
 from .errors import InputError
+from .table import (
+    float_cells,
+    parse_binary,
+    parse_counts,
+    parse_floats,
+    read_table,
+    require_columns,
+    write_table,
+)
 
 __all__ = [
-    "PanelRecord",
     "PanelDataset",
     "RateTable",
     "ColumnMapping",
@@ -36,60 +42,6 @@ __all__ = [
     "save_panel",
     "compute_rates",
 ]
-
-#: Cell contents treated as missing on input (case-insensitive for "na").
-_MISSING_TOKENS = {"", "na"}
-
-
-def _is_missing_token(cell: str) -> bool:
-    return cell.strip().lower() in _MISSING_TOKENS
-
-
-def _parse_optional_float(cell: str, where: str) -> float:
-    """Parse a CSV cell into a float or NaN-for-missing; reject junk loudly."""
-    if _is_missing_token(cell):
-        return math.nan
-    try:
-        return float(cell)
-    except ValueError:
-        raise InputError(f"unparseable numeric value {cell!r} in {where}") from None
-
-
-@dataclass(frozen=True)
-class PanelRecord:
-    """One unit's observable data.
-
-    r1 and r2 are derived, not independent inputs: r_t = 1 exactly when y_t is
-    present. Missing outcomes are represented as None.
-    """
-
-    unit_id: str
-    d: int
-    y1: float | None
-    y2: float | None
-    aux: tuple[int, ...] = ()
-    x: tuple[int, ...] | None = None
-    r1: int = field(init=False)
-    r2: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.d not in (0, 1):
-            raise InputError(f"treatment must be 0 or 1, got {self.d!r} (unit {self.unit_id})")
-        for v in self.aux:
-            if v not in (0, 1):
-                raise InputError(
-                    f"auxiliary indicator must be 0 or 1, got {v!r} (unit {self.unit_id})"
-                )
-        if self.y1 is not None and math.isnan(self.y1):
-            object.__setattr__(self, "y1", None)
-        if self.y2 is not None and math.isnan(self.y2):
-            object.__setattr__(self, "y2", None)
-        object.__setattr__(self, "r1", int(self.y1 is not None))
-        object.__setattr__(self, "r2", int(self.y2 is not None))
-
-    @property
-    def is_complete_case(self) -> bool:
-        return self.r1 == 1 and self.r2 == 1
 
 
 @dataclass(frozen=True)
@@ -121,10 +73,7 @@ class ColumnMapping:
                     found.append((int(name[len(prefix) :]), name))
             return tuple(name for _, name in sorted(found))
 
-        required = ("id", "d", "y1", "y2")
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise InputError(f"CSV header is missing required columns: {', '.join(missing)}")
+        require_columns(header, ("id", "d", "y1", "y2"))
         return ColumnMapping(
             aux_indicators=numbered("aux"),
             aux_variables=numbered("w"),
@@ -152,7 +101,7 @@ class PanelDataset:
         fallback.
     """
 
-    __slots__ = ("d", "y1", "y2", "r1", "r2", "aux", "x", "_unit_ids", "outcome_support", "_records")
+    __slots__ = ("d", "y1", "y2", "r1", "r2", "aux", "x", "_unit_ids", "outcome_support")
 
     def __init__(
         self,
@@ -194,7 +143,6 @@ class PanelDataset:
             if outcome_support is not None
             else None
         )
-        self._records: tuple[PanelRecord, ...] | None = None
         if _validate:
             self._validate()
         for arr in (self.d, self.y1, self.y2, self.aux) + (() if x is None else (self.x,)):
@@ -263,65 +211,6 @@ class PanelDataset:
     def delta_y(self) -> np.ndarray:
         """Y2 - Y1 (NaN wherever either outcome is missing)."""
         return self.y2 - self.y1
-
-    @property
-    def records(self) -> tuple[PanelRecord, ...]:
-        """Row-wise view; materialized once on first access."""
-        if self._records is None:
-            ids = self.unit_ids
-            xs = self.x
-            self._records = tuple(
-                PanelRecord(
-                    unit_id=ids[i],
-                    d=int(self.d[i]),
-                    y1=None if np.isnan(self.y1[i]) else float(self.y1[i]),
-                    y2=None if np.isnan(self.y2[i]) else float(self.y2[i]),
-                    aux=tuple(int(v) for v in self.aux[i]),
-                    x=None if xs is None else tuple(int(v) for v in xs[i]),
-                )
-                for i in range(len(self))
-            )
-        return self._records
-
-    def __iter__(self) -> Iterator[PanelRecord]:
-        return iter(self.records)
-
-    # -- constructors ----------------------------------------------------
-
-    @staticmethod
-    def from_records(
-        records: Iterable[PanelRecord],
-        outcome_support: tuple[float, float] | None = None,
-    ) -> "PanelDataset":
-        recs = list(records)
-        if not recs:
-            raise InputError("empty dataset")
-        n_aux = len(recs[0].aux)
-        n_x = None if recs[0].x is None else len(recs[0].x)
-        for r in recs:
-            if len(r.aux) != n_aux:
-                raise InputError(
-                    f"inconsistent aux arity: unit {r.unit_id} has {len(r.aux)}, expected {n_aux}"
-                )
-            if (r.x is None) != (n_x is None) or (r.x is not None and len(r.x) != n_x):
-                raise InputError(
-                    f"inconsistent covariate arity: unit {r.unit_id} differs from the first record"
-                )
-        n = len(recs)
-        d = np.fromiter((r.d for r in recs), dtype=np.int8, count=n)
-        y1 = np.fromiter(
-            (math.nan if r.y1 is None else r.y1 for r in recs), dtype=np.float64, count=n
-        )
-        y2 = np.fromiter(
-            (math.nan if r.y2 is None else r.y2 for r in recs), dtype=np.float64, count=n
-        )
-        aux = np.array([r.aux for r in recs], dtype=np.int8).reshape(n, n_aux)
-        x = None if n_x is None else np.array([r.x for r in recs], dtype=np.int64).reshape(n, n_x)
-        return PanelDataset(
-            d, y1, y2, aux=aux, x=x,
-            unit_ids=tuple(r.unit_id for r in recs),
-            outcome_support=outcome_support,
-        )
 
     def _take(self, idx: np.ndarray) -> "PanelDataset":
         """Row-subset without re-validation (bootstrap hot path)."""
@@ -498,6 +387,8 @@ def _rate_table(arms: np.ndarray, aux_counts: Sequence[np.ndarray] = ()) -> Rate
     )
 
 
+
+
 # -- CSV I/O ---------------------------------------------------------------
 
 
@@ -509,80 +400,42 @@ def load_panel(
     """Read a CSV panel (header row required) into a validated PanelDataset.
 
     Empty cells and the literal "NA" (case-insensitive) denote missing
-    outcomes; any other unparseable numeric is a hard error. Auxiliary
+    outcomes; any other cell must be a finite decimal number. Auxiliary
     indicator columns must contain only 0/1; auxiliary *variable* columns
     (schema.aux_variables) contribute the indicator 1{cell present} instead.
     """
-    text = _as_text(source)
-    try:
-        rows = list(csv.reader(io.StringIO(text)))
-    except csv.Error as exc:
-        raise InputError(f"malformed CSV: {exc}") from exc
-    rows = [row for row in rows if row]
-    if not rows:
-        raise InputError("empty dataset")
-    header = [cell.strip() for cell in rows[0]]
-    if len(set(header)) != len(header):
-        raise InputError("malformed CSV: duplicate column names in header")
-    mapping = schema if schema is not None else ColumnMapping.detect(header)
-    col: dict[str, int] = {name: i for i, name in enumerate(header)}
-    for name in (mapping.id, mapping.treatment, mapping.y1, mapping.y2):
-        if name not in col:
-            raise InputError(f"CSV header is missing required columns: {name}")
-    for name in mapping.aux_indicators + mapping.aux_variables + mapping.covariates:
-        if name not in col:
-            raise InputError(f"CSV header is missing declared column: {name}")
+    table = read_table(source, "dataset")
+    mapping = schema if schema is not None else ColumnMapping.detect(list(table))
+    ids, d, y1, y2, aux, x = _parse_columns(table, mapping)
+    return PanelDataset(d, y1, y2, aux=aux, x=x, unit_ids=ids, outcome_support=outcome_support)
 
-    body = rows[1:]
-    if not body:
-        raise InputError("empty dataset")
-    n = len(body)
-    ids: list[str] = []
-    d = np.empty(n, dtype=np.int8)
-    y1 = np.empty(n, dtype=np.float64)
-    y2 = np.empty(n, dtype=np.float64)
-    n_aux = len(mapping.aux_indicators) + len(mapping.aux_variables)
-    aux = np.zeros((n, n_aux), dtype=np.int8)
-    n_x = len(mapping.covariates)
-    x = np.zeros((n, n_x), dtype=np.int64) if n_x else None
 
-    for i, row in enumerate(body):
-        where = f"row {i + 2}"
-        if len(row) != len(header):
-            raise InputError(f"malformed CSV: {where} has {len(row)} cells, header has {len(header)}")
-        ids.append(row[col[mapping.id]].strip())
-        d_cell = row[col[mapping.treatment]].strip()
-        if d_cell not in ("0", "1"):
-            raise InputError(f"treatment must be 0 or 1, got {d_cell!r} ({where})")
-        d[i] = int(d_cell)
-        y1[i] = _parse_optional_float(row[col[mapping.y1]], f"{where}, column {mapping.y1}")
-        y2[i] = _parse_optional_float(row[col[mapping.y2]], f"{where}, column {mapping.y2}")
-        for k, name in enumerate(mapping.aux_indicators):
-            cell = row[col[name]].strip()
-            if cell not in ("0", "1"):
-                raise InputError(
-                    f"auxiliary indicator column {name} must contain only 0/1, "
-                    f"got {cell!r} ({where})"
-                )
-            aux[i, k] = int(cell)
-        for k, name in enumerate(mapping.aux_variables):
-            value = _parse_optional_float(row[col[name]], f"{where}, column {name}")
-            aux[i, len(mapping.aux_indicators) + k] = int(not math.isnan(value))
-        for j, name in enumerate(mapping.covariates):
-            cell = row[col[name]].strip()
-            try:
-                x[i, j] = int(cell)  # type: ignore[index]
-            except ValueError:
-                raise InputError(
-                    f"covariate column {name} must contain integers, got {cell!r} ({where})"
-                ) from None
-            if x[i, j] < 0:  # type: ignore[index]
-                raise InputError(
-                    f"covariate column {name} must be non-negative, got {cell!r} ({where})"
-                )
-
-    return PanelDataset(
-        d, y1, y2, aux=aux, x=x, unit_ids=tuple(ids), outcome_support=outcome_support
+def _parse_columns(
+    table: dict[str, Sequence[str]], mapping: ColumnMapping
+) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """The panel fields of a table read by ``read_table``: ids, d, y1, y2, aux, x."""
+    require_columns(table, (mapping.id, mapping.treatment, mapping.y1, mapping.y2))
+    require_columns(
+        table, mapping.aux_indicators + mapping.aux_variables + mapping.covariates,
+        "declared columns",
+    )
+    n = len(table[mapping.id])
+    aux = [
+        parse_binary(table[name], name, "auxiliary indicator column must contain only 0/1")
+        for name in mapping.aux_indicators
+    ]
+    aux += [~np.isnan(parse_floats(table[name], name)) for name in mapping.aux_variables]
+    x = [
+        parse_counts(table[name], name, "covariate must be a non-negative integer")
+        for name in mapping.covariates
+    ]
+    return (
+        tuple(cell.strip() for cell in table[mapping.id]),
+        parse_binary(table[mapping.treatment], mapping.treatment, "treatment must be 0 or 1"),
+        parse_floats(table[mapping.y1], mapping.y1),
+        parse_floats(table[mapping.y2], mapping.y2),
+        np.column_stack(aux).astype(np.int8) if aux else np.zeros((n, 0), dtype=np.int8),
+        np.column_stack(x) if x else None,
     )
 
 
@@ -590,40 +443,25 @@ def save_panel(data: PanelDataset, dest: str | Path | IO[str]) -> None:
     """Write ``data`` as CSV with the default column grammar.
 
     Column order: id, d, y1, y2, aux1..auxK, x1..xJ; missing outcomes are
-    written as "NA". loading the output reproduces the dataset field by field.
+    written as "NA". Loading the output reproduces every column bit for bit.
     """
+    write_table(dest, *_table_columns(data))
+
+
+def _table_columns(data: Any) -> tuple[list[str], list[Sequence[object]]]:
+    """Header and cell columns of the panel fields, in save order.
+
+    ``data`` is a PanelDataset or anything with the same ``unit_ids``, ``d``,
+    ``y1``, ``y2``, ``aux`` and ``x`` fields, such as an ``OraclePanel``.
+    """
+    n_aux = int(data.aux.shape[1])
+    n_x = 0 if data.x is None else int(data.x.shape[1])
     header = ["id", "d", "y1", "y2"]
-    header += [f"aux{k + 1}" for k in range(data.n_aux)]
-    header += [f"x{j + 1}" for j in range(data.n_covariates)]
-
-    def fmt(v: float) -> str:
-        return "NA" if np.isnan(v) else repr(float(v))
-
-    own = isinstance(dest, (str, Path))
-    handle: IO[str] = open(dest, "w", newline="") if own else dest  # type: ignore[assignment]
-    try:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        ids = data.unit_ids
-        for i in range(len(data)):
-            row = [ids[i], str(int(data.d[i])), fmt(data.y1[i]), fmt(data.y2[i])]
-            row += [str(int(v)) for v in data.aux[i]]
-            if data.x is not None:
-                row += [str(int(v)) for v in data.x[i]]
-            writer.writerow(row)
-    finally:
-        if own:
-            handle.close()
-
-
-def _as_text(source: str | Path | bytes | IO[str] | IO[bytes]) -> str:
-    """str/Path name a file; bytes or a file-like object carry CSV content."""
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        if not path.exists():
-            raise InputError(f"no such file: {path}")
-        return path.read_text()
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    raw = source.read()
-    return raw.decode("utf-8") if isinstance(raw, bytes) else raw
+    header += [f"aux{k + 1}" for k in range(n_aux)]
+    header += [f"x{j + 1}" for j in range(n_x)]
+    columns: list[Sequence[object]] = [
+        data.unit_ids, data.d.tolist(), float_cells(data.y1), float_cells(data.y2)
+    ]
+    columns += [data.aux[:, k].tolist() for k in range(n_aux)]
+    columns += [data.x[:, j].tolist() for j in range(n_x)]
+    return header, columns

@@ -28,19 +28,16 @@ margins, …) are re-verified analytically every time they are built.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence, Union
 
 import numpy as np
-from scipy.optimize import root
 
 from .errors import EstimatorError, InputError
-from .panel import PanelDataset, _as_text
+from .panel import ColumnMapping, PanelDataset, _parse_columns, _table_columns
+from .table import parse_floats, read_table, reject, require_columns, write_table
 
 __all__ = [
     "AttDecomposition",
@@ -332,11 +329,11 @@ class DgpSpec:
 class OracleRecord:
     """One unit with its latent stratum and both potential outcomes.
 
-    The observable fields (``y1``, ``y2``, ``r1``, ``r2``) replicate the
-    unit's :class:`~didmiss.panel.PanelRecord` view; ``y1_true`` keeps the
-    first-period outcome even when survey response hides it.  Consistency
-    between the observable view and the latent fields is asserted on
-    construction.
+    The observable fields (``y1``, ``y2``, ``r1``, ``r2``) are the unit's
+    row of the observable panel, with None for a missing outcome;
+    ``y1_true`` keeps the first-period outcome even when survey response
+    hides it.  Consistency between the observable and the latent fields is
+    asserted on construction.
     """
 
     unit_id: str
@@ -379,15 +376,19 @@ class OracleRecord:
 
 
 class OraclePanel:
-    """Column-oriented oracle view of one simulated panel.
+    """Column-oriented oracle of one simulated panel.
 
-    Behaves as a read-only sequence of :class:`OracleRecord`; the heavy
-    per-record objects are only materialized on access.  All latent arrays
-    (stratum codes, both potential outcomes and responses, the unmasked
-    first-period outcome) are exposed directly for vectorized checks.
+    One numpy array per field: the latent arrays (stratum codes, both
+    potential outcomes and responses, the unmasked first-period outcome)
+    next to the observable treatment, auxiliary and covariate columns, so
+    every check is vectorized.  ``records`` builds a row-wise tuple of
+    :class:`OracleRecord` on first access.
     """
 
-    __slots__ = ("d", "y1_true", "y2_1", "y2_0", "s", "r1", "r2_1", "r2_0", "aux", "x", "_records")
+    __slots__ = (
+        "d", "y1_true", "y2_1", "y2_0", "s", "r1", "r2_1", "r2_0", "aux", "x",
+        "_unit_ids", "_records",
+    )
 
     def __init__(
         self,
@@ -401,6 +402,7 @@ class OraclePanel:
         r2_0: np.ndarray,
         aux: np.ndarray,
         x: np.ndarray | None,
+        unit_ids: tuple[str, ...] | None = None,
     ) -> None:
         self.d = d
         self.y1_true = y1_true
@@ -412,6 +414,7 @@ class OraclePanel:
         self.r2_0 = r2_0
         self.aux = aux
         self.x = x
+        self._unit_ids = unit_ids
         self._records: tuple[OracleRecord, ...] | None = None
         for arr in (d, y1_true, y2_1, y2_0, s, r1, r2_1, r2_0, aux):
             arr.setflags(write=False)
@@ -419,9 +422,21 @@ class OraclePanel:
             x.setflags(write=False)
 
     @property
+    def unit_ids(self) -> tuple[str, ...]:
+        """Opaque unit identifiers; "1".."n" unless given."""
+        if self._unit_ids is None:
+            self._unit_ids = tuple(str(i + 1) for i in range(len(self)))
+        return self._unit_ids
+
+    @property
     def r2(self) -> np.ndarray:
         """Realized second-period response."""
         return np.where(self.d == 1, self.r2_1, self.r2_0)
+
+    @property
+    def y1(self) -> np.ndarray:
+        """Observed first-period outcome, NaN where unobserved."""
+        return np.where(self.r1.astype(bool), self.y1_true, np.nan)
 
     @property
     def y2(self) -> np.ndarray:
@@ -432,45 +447,31 @@ class OraclePanel:
     def __len__(self) -> int:
         return int(self.d.shape[0])
 
-    def _record(self, i: int) -> OracleRecord:
-        r1 = int(self.r1[i])
-        d = int(self.d[i])
-        r2 = int(self.r2_1[i] if d == 1 else self.r2_0[i])
-        y2 = (self.y2_1[i] if d == 1 else self.y2_0[i]) if r2 else None
-        return OracleRecord(
-            unit_id=str(i + 1),
-            d=d,
-            y1=float(self.y1_true[i]) if r1 else None,
-            y2=float(y2) if r2 else None,
-            aux=tuple(int(v) for v in self.aux[i]),
-            x=None if self.x is None else tuple(int(v) for v in self.x[i]),
-            s=STRATUM_LABELS[int(self.s[i])],
-            y1_true=float(self.y1_true[i]),
-            y2_1=float(self.y2_1[i]),
-            y2_0=float(self.y2_0[i]),
-            r1=r1,
-            r2=r2,
-            r2_1=int(self.r2_1[i]),
-            r2_0=int(self.r2_0[i]),
-        )
-
-    def __getitem__(self, i: int) -> OracleRecord:
-        if not isinstance(i, (int, np.integer)):
-            raise TypeError("oracle panels support integer indexing only")
-        n = len(self)
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError(f"record index {i} out of range for {n} units")
-        return self._record(int(i))
-
-    def __iter__(self):
-        return iter(self.records)
-
     @property
     def records(self) -> tuple[OracleRecord, ...]:
+        """One :class:`OracleRecord` per unit, built once on first access."""
         if self._records is None:
-            self._records = tuple(self._record(i) for i in range(len(self)))
+            n = len(self)
+            y1, y2 = self.y1.tolist(), self.y2.tolist()
+            self._records = tuple(
+                map(
+                    OracleRecord,
+                    self.unit_ids,
+                    self.d.tolist(),
+                    [None if v != v else v for v in y1],
+                    [None if v != v else v for v in y2],
+                    map(tuple, self.aux.tolist()),
+                    [None] * n if self.x is None else map(tuple, self.x.tolist()),
+                    [STRATUM_LABELS[code] for code in self.s.tolist()],
+                    self.y1_true.tolist(),
+                    self.y2_1.tolist(),
+                    self.y2_0.tolist(),
+                    self.r1.tolist(),
+                    self.r2.tolist(),
+                    self.r2_1.tolist(),
+                    self.r2_0.tolist(),
+                )
+            )
         return self._records
 
 
@@ -598,8 +599,8 @@ def simulate_panel(spec: DgpSpec) -> tuple[PanelDataset, OraclePanel, OracleTrut
     Returns
     -------
     (PanelDataset, OraclePanel, OracleTruth)
-        The masked observable panel, the latent per-unit oracle (a sequence
-        of :class:`OracleRecord`), and the implied ground truth.
+        The masked observable panel, the latent per-unit oracle (one array
+        per field, see :class:`OraclePanel`), and the implied ground truth.
 
     Notes
     -----
@@ -1035,122 +1036,78 @@ def strip_missingness(spec: DgpSpec) -> DgpSpec:
 # ---------------------------------------------------------------------------
 
 
+#: Columns an oracle table has beyond the observable panel's.
+_LATENT_COLUMNS = ("s", "y1_true", "y2_1", "y2_0")
+
+
 def save_oracle(oracle: OraclePanel, dest: str | Path | IO[str]) -> None:
     """Write the per-unit oracle table as CSV.
 
     Column order: id, d, y1, y2, aux1..auxK, x1..xJ, s, y1_true, y2_1, y2_0;
     missing observable outcomes are written as "NA".  :func:`load_oracle`
-    reproduces the records field by field.
+    reproduces every column bit for bit.
     """
-    n_aux = int(oracle.aux.shape[1])
-    n_x = 0 if oracle.x is None else int(oracle.x.shape[1])
-    header = ["id", "d", "y1", "y2"]
-    header += [f"aux{k + 1}" for k in range(n_aux)]
-    header += [f"x{j + 1}" for j in range(n_x)]
-    header += ["s", "y1_true", "y2_1", "y2_0"]
-
-    own = isinstance(dest, (str, Path))
-    handle: IO[str] = open(dest, "w", newline="") if own else dest  # type: ignore[assignment]
-    try:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for rec in oracle.records:
-            row = [
-                rec.unit_id,
-                str(rec.d),
-                "NA" if rec.y1 is None else repr(rec.y1),
-                "NA" if rec.y2 is None else repr(rec.y2),
-            ]
-            row += [str(v) for v in rec.aux]
-            if rec.x is not None:
-                row += [str(v) for v in rec.x]
-            row += [rec.s, repr(rec.y1_true), repr(rec.y2_1), repr(rec.y2_0)]
-            writer.writerow(row)
-    finally:
-        if own:
-            handle.close()
+    header, columns = _table_columns(oracle)
+    header += list(_LATENT_COLUMNS)
+    columns += [
+        [STRATUM_LABELS[code] for code in oracle.s.tolist()],
+        oracle.y1_true.tolist(),
+        oracle.y2_1.tolist(),
+        oracle.y2_0.tolist(),
+    ]
+    write_table(dest, header, columns)
 
 
-def load_oracle(source: str | Path | bytes | IO[str] | IO[bytes]) -> tuple[OracleRecord, ...]:
+def load_oracle(source: str | Path | bytes | IO[str] | IO[bytes]) -> OraclePanel:
     """Read an oracle table written by :func:`save_oracle`.
 
-    Every record's internal consistency (stratum vs. potential responses,
-    observable view vs. latent values) is re-validated on load; a corrupted
-    file fails loudly.
+    Every unit's internal consistency (stratum vs. observed second-period
+    response, observable outcomes vs. latent values) is re-validated on
+    load; a corrupted file fails loudly and names its first bad row.
     """
-    text = _as_text(source)
-    try:
-        rows = [row for row in csv.reader(io.StringIO(text)) if row]
-    except csv.Error as exc:
-        raise InputError(f"malformed CSV: {exc}") from exc
-    if not rows:
+    table = read_table(source, "oracle table")
+    require_columns(table, ("id", "d", "y1", "y2") + _LATENT_COLUMNS)
+    ids, d, y1, y2, aux, x = _parse_columns(table, ColumnMapping.detect(list(table)))
+    if not ids:
         raise InputError("empty oracle table")
-    header = [cell.strip() for cell in rows[0]]
-    required = ["id", "d", "y1", "y2", "s", "y1_true", "y2_1", "y2_0"]
-    missing = [c for c in required if c not in header]
-    if missing:
-        raise InputError(f"oracle CSV is missing required columns: {', '.join(missing)}")
-    col = {name: i for i, name in enumerate(header)}
-    aux_cols = [c for c in header if c.startswith("aux") and c[3:].isdigit()]
-    aux_cols.sort(key=lambda c: int(c[3:]))
-    x_cols = [c for c in header if c.startswith("x") and c[1:].isdigit()]
-    x_cols.sort(key=lambda c: int(c[1:]))
+    codes = {label: code for code, label in enumerate(STRATUM_LABELS)}
+    s = np.array([codes.get(cell.strip(), -1) for cell in table["s"]], dtype=np.int8)
+    reject(s < 0, table["s"], "s", "unknown stratum label")
+    latent = []
+    for name in _LATENT_COLUMNS[1:]:
+        values = parse_floats(table[name], name)
+        reject(np.isnan(values), table[name], name, "latent outcome must not be missing")
+        latent.append(values)
+    y1_true, y2_1, y2_0 = latent
 
-    def opt_float(cell: str, where: str) -> float | None:
-        if cell.strip().lower() in ("", "na"):
-            return None
-        try:
-            return float(cell)
-        except ValueError:
-            raise InputError(f"unparseable numeric value {cell!r} in {where}") from None
-
-    records: list[OracleRecord] = []
-    for i, row in enumerate(rows[1:]):
-        where = f"row {i + 2}"
-        if len(row) != len(header):
-            raise InputError(
-                f"malformed CSV: {where} has {len(row)} cells, header has {len(header)}"
-            )
-        s = row[col["s"]].strip()
-        if s not in STRATUM_LABELS:
-            raise InputError(f"unknown stratum label {s!r} in {where}")
-        pair = STRATUM_PAIRS[STRATUM_LABELS.index(s)]
-        d_cell = row[col["d"]].strip()
-        if d_cell not in ("0", "1"):
-            raise InputError(f"treatment must be 0 or 1, got {d_cell!r} ({where})")
-        d = int(d_cell)
-        y1 = opt_float(row[col["y1"]], where)
-        y2 = opt_float(row[col["y2"]], where)
-        latent: dict[str, float] = {}
-        for name in ("y1_true", "y2_1", "y2_0"):
-            value = opt_float(row[col[name]], where)
-            if value is None:
-                raise InputError(f"latent column {name} must not be missing ({where})")
-            latent[name] = value
-        try:
-            records.append(
-                OracleRecord(
-                    unit_id=row[col["id"]].strip(),
-                    d=d,
-                    y1=y1,
-                    y2=y2,
-                    aux=tuple(int(row[col[c]]) for c in aux_cols),
-                    x=tuple(int(row[col[c]]) for c in x_cols) if x_cols else None,
-                    s=s,
-                    y1_true=latent["y1_true"],
-                    y2_1=latent["y2_1"],
-                    y2_0=latent["y2_0"],
-                    r1=int(y1 is not None),
-                    r2=pair[0] if d == 1 else pair[1],
-                    r2_1=pair[0],
-                    r2_0=pair[1],
-                )
-            )
-        except ValueError as exc:
-            raise InputError(f"inconsistent oracle record in {where}: {exc}") from exc
-    if not records:
-        raise InputError("empty oracle table")
-    return tuple(records)
+    pair = np.array(STRATUM_PAIRS, dtype=np.int8)
+    r2_1, r2_0 = pair[s, 0], pair[s, 1]
+    r2 = np.where(d == 1, r2_1, r2_0).astype(bool)
+    # a responding unit shows its selected potential outcome, any other shows none
+    y2_bad = np.where(r2, y2 != np.where(d == 1, y2_1, y2_0), ~np.isnan(y2))
+    y1_bad = ~np.isnan(y1) & (y1 != y1_true)
+    bad = y2_bad | y1_bad
+    if bad.any():
+        i = int(np.argmax(bad))
+        problem = (
+            "observed y2 does not equal the selected potential outcome"
+            if y2_bad[i]
+            else "observed y1 does not equal the latent first-period outcome"
+        )
+        raise InputError(f"inconsistent oracle record in row {i + 2}: {problem}")
+    return OraclePanel(
+        d=d,
+        y1_true=y1_true,
+        y2_1=y2_1,
+        y2_0=y2_0,
+        s=s,
+        r1=(~np.isnan(y1)).astype(np.int8),
+        r2_1=r2_1,
+        r2_0=r2_0,
+        aux=aux,
+        x=x,
+        unit_ids=ids,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1249,7 +1206,7 @@ def _multi_iv_population(spec: DgpSpec, aux_pair: tuple[int, int]) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# numeric preset solves (cached)
+# numeric preset solves (roots written out, re-checked on every call)
 # ---------------------------------------------------------------------------
 
 
@@ -1267,11 +1224,10 @@ def _couple(p_treated: float, p_control: float) -> tuple[float, float, float, fl
 def _check_solution(residual: float, what: str) -> None:
     if not residual < 1e-10:
         raise RuntimeError(
-            f"preset solve for {what} did not converge (residual {residual!r})"
+            f"preset root for {what} does not solve its equations (residual {residual!r})"
         )
 
 
-@lru_cache(maxsize=1)
 def _solve_homogeneous_cells() -> tuple[float, float, float]:
     """Arm-1 response table with a constant respondent/nonrespondent gap.
 
@@ -1282,6 +1238,9 @@ def _solve_homogeneous_cells() -> tuple[float, float, float]:
     ``(p(0, 1), p(1, 1), trend_coefficient)`` with ``p(0, 0) = 0.15`` and
     ``p(1, 0) = 0.75`` held fixed; the trend coefficient scales V so the
     planted complete-case bias is exactly 0.25.
+
+    The root was found once with a numerical solver (tolerance 1e-13) and is
+    written out to the last bit; ``equations`` re-verifies it on every call.
     """
 
     def v_gap(p_v0: float, p_v1: float) -> float:
@@ -1292,14 +1251,13 @@ def _solve_homogeneous_cells() -> tuple[float, float, float]:
 
     target = v_gap(0.15, 0.75)
 
-    def equations(q: np.ndarray) -> list[float]:
+    def equations(q: Sequence[float]) -> list[float]:
         p01, p11 = q
         rate_gap = (p01 + p11) / 2.0 - (0.15 + 0.75) / 2.0
         return [rate_gap - 0.25, v_gap(p01, p11) - target]
 
-    sol = root(equations, x0=[0.45, 0.95], tol=1e-13)
-    _check_solution(float(np.max(np.abs(equations(sol.x)))), "homogeneous-bias cells")
-    p01, p11 = (float(v) for v in sol.x)
+    p01, p11 = 0.44545454545454544, 0.9545454545454545
+    _check_solution(max(abs(r) for r in equations((p01, p11))), "homogeneous-bias cells")
     if not (0.0 < p01 < 1.0 and 0.0 < p11 < 1.0):
         raise RuntimeError("homogeneous-bias solve left the probability simplex")
     share_v1_respondents = (0.75 + p11) / (0.15 + p01 + 0.75 + p11)
@@ -1307,7 +1265,6 @@ def _solve_homogeneous_cells() -> tuple[float, float, float]:
     return p01, p11, b
 
 
-@lru_cache(maxsize=1)
 def _solve_multi_instrument() -> tuple[float, float, float, float]:
     """Arm-1 response interaction terms for the paired-instrument preset.
 
@@ -1318,10 +1275,13 @@ def _solve_multi_instrument() -> tuple[float, float, float, float]:
     instrument the respondent/nonrespondent trend gap is level-independent,
     the paired-difference correction is exact in population, and the mean
     V-response gap is 0.30.
+
+    The root was found once with a numerical solver (tolerance 1e-13) and is
+    written out to the last bit; ``equations`` re-verifies it on every call.
     """
     cells = [(v, a1, a2) for v in (0, 1) for a1 in (0, 1) for a2 in (0, 1)]
 
-    def response(h: np.ndarray, v: int, a1: int, a2: int) -> float:
+    def response(h: Sequence[float], v: int, a1: int, a2: int) -> float:
         return 0.30 + 0.20 * a1 - 0.15 * a2 + v * (
             h[0] + h[1] * a1 + h[2] * a2 + h[3] * a1 * a2
         )
@@ -1329,7 +1289,7 @@ def _solve_multi_instrument() -> tuple[float, float, float, float]:
     def shift(v: int, a1: int, a2: int) -> float:
         return 1.0 * v + 0.3 * (a1 + a2)
 
-    def equations(h: np.ndarray) -> list[float]:
+    def equations(h: Sequence[float]) -> list[float]:
         p = {c: response(h, *c) for c in cells}
 
         def group(level_of, level, observed: bool):
@@ -1374,13 +1334,8 @@ def _solve_multi_instrument() -> tuple[float, float, float, float]:
             mean_v_gap - 0.30,
         ]
 
-    sol = root(
-        equations,
-        x0=[0.32904874, -0.05795622, -0.08626355, 0.10884955],
-        tol=1e-13,
-    )
-    _check_solution(float(np.max(np.abs(equations(sol.x)))), "paired-instrument cells")
-    h = tuple(float(v) for v in sol.x)
+    h = (0.3422596636831731, -0.056882853652676924, -0.07934081250884106, 0.1034086775903435)
+    _check_solution(max(abs(r) for r in equations(h)), "paired-instrument cells")
     probs = [0.30 + 0.20 * a1 - 0.15 * a2 + v * (h[0] + h[1] * a1 + h[2] * a2 + h[3] * a1 * a2)
              for v in (0, 1) for a1 in (0, 1) for a2 in (0, 1)]
     if min(probs) <= 0.01 or max(probs) >= 0.99:

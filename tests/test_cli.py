@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,8 +80,17 @@ def test_report_envelope_shape(capsys, toy_path):
     assert report["command"] == "cc"
     assert report["status"] == "ok"
     assert report["options"]["input"] == str(toy_path)
-    for key in ("package", "python", "numpy", "scipy", "seed"):
-        assert key in report["environment"]
+    assert list(report["environment"]) == ["package", "python", "numpy", "seed"]
+
+
+def test_cli_import_needs_only_numpy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, didmiss.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_data_fingerprint_matches_hand_counts(capsys, toy_path):
@@ -274,6 +287,23 @@ def test_covariates_on_a_file_without_rows_is_input_error(capsys, tmp_path):
     code, out, err = run(capsys, "pi", "--input", path, "--covariates", "x1")
     assert code == 1 and out == ""
     assert "empty dataset" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["cc", "--input", "."], "cannot read"),
+        (["pi", "--input", ".", "--covariates", "x1"], "cannot read"),
+        (["cc", "--input", "undecodable.csv"], "malformed CSV"),
+        (["pi", "--input", "undecodable.csv", "--covariates", "x1"], "malformed CSV"),
+    ],
+)
+def test_unreadable_input_is_input_error(capsys, tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "undecodable.csv").write_bytes(b"\xffid,d,y1,y2,x1\n1,0,1,\xfe,0\n")
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert message in err
 
 
 def test_refusal_exits_2(capsys, tmp_path):

@@ -1,14 +1,13 @@
-"""Interval arithmetic, clip-with-event policy, JSON coercion."""
+"""Interval arithmetic and the clip-with-event policy."""
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 
 from didmiss import ClipEvent, Interval
-from didmiss.common import as_jsonable, clip01
+from didmiss.common import clip01
 
 
 def test_interval_basics():
@@ -48,26 +47,3 @@ def test_clip01_records_events_only_when_moving():
     assert events[0].raw == -0.2 and events[0].clipped == 0.0
     assert clip01(0.9, "r", events, hi=0.8) == 0.8
     assert events[-1].raw == 0.9
-
-
-def test_as_jsonable_handles_package_types():
-    out = as_jsonable(
-        {
-            "interval": Interval(0.0, 1.0),
-            "event": ClipEvent("p", -0.1, 0.0),
-            "arr": np.array([1.5, 2.5]),
-            "np_int": np.int64(3),
-            "np_bool": np.bool_(True),
-            "tuple": (1, 2),
-        }
-    )
-    assert out["interval"] == {"lo": 0.0, "hi": 1.0}
-    assert out["event"] == {"quantity": "p", "raw": -0.1, "clipped": 0.0}
-    assert out["arr"] == [1.5, 2.5]
-    assert out["np_int"] == 3 and out["np_bool"] is True
-    assert out["tuple"] == [1, 2]
-
-
-def test_as_jsonable_rejects_unknown_types():
-    with pytest.raises(TypeError):
-        as_jsonable(object())

@@ -110,6 +110,30 @@ def test_unparseable_numeric_is_an_error_not_missing():
         load_panel(b"id,d,y1,y2\n1,0,oops,1\n2,1,1,2\n")
 
 
+@pytest.mark.parametrize(
+    "token", ["nan", "NaN", "inf", "-inf", "+Infinity", "infinity", "1_000", "1e999", "\u0661"]
+)
+def test_only_finite_decimal_numbers_are_accepted(token):
+    text = f"id,d,y1,y2\n1,0,1.5,2\n2,1,1,{token}\n3,1,2,3\n"
+    with pytest.raises(InputError, match=r"unparseable numeric.*\(row 3, column y2\)"):
+        load_panel(text.encode())
+
+
+def test_padded_missing_tokens_and_numbers_are_accepted():
+    data = load_panel(b"id,d,y1,y2\n1,0, NA ,  \n2,1, 1.5 ,+2e0\n")
+    assert np.isnan(data.y1[0]) and np.isnan(data.y2[0])
+    assert data.y1[1] == 1.5 and data.y2[1] == 2.0
+
+
+def test_cell_errors_name_the_first_bad_row_and_column():
+    with pytest.raises(InputError, match=r"got '2' \(row 3, column d\)"):
+        load_panel(b"id,d,y1,y2\n1,0,1,1\n2,2,1,2\n3,5,1,2\n")
+    with pytest.raises(InputError, match=r"got ' 7' \(row 2, column aux1\)"):
+        load_panel(b"id,d,y1,y2,aux1\n1,0,1,1, 7\n2,1,1,2,x\n")
+    with pytest.raises(InputError, match=r"got '1_0' \(row 3, column x1\)"):
+        load_panel(b"id,d,y1,y2,x1\n1,0,1,1,10\n2,1,1,2,1_0\n")
+
+
 def test_header_detection_requires_core_columns():
     with pytest.raises(InputError, match="y2"):
         load_panel(b"id,d,y1\n1,0,1\n")
@@ -176,12 +200,19 @@ def test_declared_column_must_exist():
         )
 
 
+def assert_same_columns(a: PanelDataset, b: PanelDataset) -> None:
+    for name in ("d", "y1", "y2", "aux"):
+        assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
+    assert (a.x is None) == (b.x is None)
+    assert a.x is None or np.array_equal(a.x, b.x)
+    assert a.unit_ids == b.unit_ids
+
+
 def test_round_trip_preserves_records(toy):
     buffer = io.StringIO()
     save_panel(toy, buffer)
     reloaded = load_panel(buffer.getvalue().encode())
-    assert reloaded.records == toy.records
-    assert reloaded.unit_ids == toy.unit_ids
+    assert_same_columns(reloaded, toy)
 
 
 def test_save_format_uses_na_and_numbered_columns():
@@ -246,17 +277,11 @@ def test_missing_outcomes_do_not_trip_support_check():
     assert data.outcome_support == (0.0, 1.0)
 
 
-def test_from_records_round_trip(toy):
-    rebuilt = PanelDataset.from_records(toy.records)
-    assert rebuilt.records == toy.records
-    assert np.array_equal(rebuilt.aux, toy.aux)
-
-
 def test_record_view_fields(toy):
-    rec = toy.records[5]  # unit 6: observed pre, missing post
-    assert rec.unit_id == "6"
-    assert rec.d == 1
-    assert rec.y1 == 3.0 and rec.y2 is None
-    assert rec.r1 == 1 and rec.r2 == 0
-    assert not rec.is_complete_case
-    assert toy.records[4].is_complete_case
+    i = 5  # unit 6: observed pre, missing post
+    assert toy.unit_ids[i] == "6"
+    assert toy.d[i] == 1
+    assert toy.y1[i] == 3.0 and np.isnan(toy.y2[i])
+    assert toy.r1[i] and not toy.r2[i]
+    assert not toy.complete_case[i]
+    assert toy.complete_case[4]

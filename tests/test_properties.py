@@ -11,12 +11,16 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from didmiss import (
+    STRATUM_PAIRS,
+    OraclePanel,
     PanelDataset,
     RateTable,
     att_iv,
     compute_rates,
     did_complete_case,
+    load_oracle,
     load_panel,
+    save_oracle,
     save_panel,
     strata_proportions_bounds,
     strata_proportions_monotone,
@@ -102,7 +106,58 @@ def test_csv_round_trip_is_exact(data):
     buffer = io.StringIO()
     save_panel(data, buffer)
     reloaded = load_panel(buffer.getvalue().encode())
-    assert reloaded.records == data.records
+    for name in ("d", "y1", "y2", "aux"):
+        assert np.array_equal(getattr(reloaded, name), getattr(data, name), equal_nan=True)
+    assert reloaded.unit_ids == data.unit_ids
+
+
+@st.composite
+def oracle_panels(draw):
+    """Random consistent oracle: any finite outcomes, strata, ids, aux and covariates."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    n_aux = draw(st.integers(min_value=0, max_value=2))
+    n_x = draw(st.integers(min_value=0, max_value=2))
+    any_float = st.floats(allow_nan=False, allow_infinity=False)
+    s = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=np.int8)
+    pair = np.array(STRATUM_PAIRS, dtype=np.int8)
+    ids = st.text(alphabet='ab1,"\n ', max_size=4).map(str.strip)
+    return OraclePanel(
+        d=np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int8),
+        y1_true=np.array(draw(st.lists(any_float, min_size=n, max_size=n))),
+        y2_1=np.array(draw(st.lists(any_float, min_size=n, max_size=n))),
+        y2_0=np.array(draw(st.lists(any_float, min_size=n, max_size=n))),
+        s=s,
+        r1=np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int8),
+        r2_1=pair[s, 0],
+        r2_0=pair[s, 1],
+        aux=np.array(
+            draw(st.lists(st.lists(st.integers(0, 1), min_size=n_aux, max_size=n_aux),
+                          min_size=n, max_size=n)),
+            dtype=np.int8,
+        ).reshape(n, n_aux),
+        x=None if n_x == 0 else np.array(
+            draw(st.lists(st.lists(st.integers(0, 10**18 - 1), min_size=n_x, max_size=n_x),
+                          min_size=n, max_size=n)),
+            dtype=np.int64,
+        ),
+        unit_ids=tuple(draw(st.lists(ids, min_size=n, max_size=n))),
+    )
+
+
+@given(oracle_panels())
+@settings(deadline=None, max_examples=60)
+def test_oracle_csv_round_trip_is_exact(oracle):
+    buffer = io.StringIO()
+    save_oracle(oracle, buffer)
+    reloaded = load_oracle(buffer.getvalue().encode())
+    for name in ("d", "y1", "y2", "y1_true", "y2_1", "y2_0", "s", "r1", "r2_1", "r2_0", "aux"):
+        want, got = getattr(oracle, name), getattr(reloaded, name)
+        assert np.array_equal(got, want, equal_nan=True), name
+        assert got.dtype == want.dtype, name
+    assert (reloaded.x is None) == (oracle.x is None)
+    assert oracle.x is None or np.array_equal(reloaded.x, oracle.x)
+    assert reloaded.unit_ids == oracle.unit_ids
+    assert reloaded.records == oracle.records
 
 
 # -- complete-case DID invariances ----------------------------------------------

@@ -28,6 +28,7 @@ from didmiss import (
     simulate_panel,
     strip_missingness,
 )
+from didmiss.simulate import _check_solution, _solve_homogeneous_cells, _solve_multi_instrument
 
 
 def plain_spec(**overrides) -> DgpSpec:
@@ -166,18 +167,6 @@ def test_independent_aux_rate():
     assert float(data.aux[:, 1].mean()) == pytest.approx(0.9, abs=0.01)
 
 
-def test_oracle_panel_indexing():
-    _, oracle, _ = simulate_panel(plain_spec(n=50))
-    rec = oracle[0]
-    assert isinstance(rec, OracleRecord)
-    assert oracle[-1].unit_id == "50"
-    with pytest.raises(IndexError):
-        oracle[50]
-    with pytest.raises(TypeError, match="integer"):
-        oracle[0:2]
-    assert len(oracle.records) == 50
-
-
 def test_oracle_record_rejects_inconsistency():
     with pytest.raises(ValueError, match="potential responses"):
         OracleRecord(
@@ -198,7 +187,11 @@ def test_oracle_round_trip():
     _, oracle, _ = simulate_panel(plain_spec(n=200, aux_models=(AuxModel(p=0.5),)))
     buffer = io.StringIO()
     save_oracle(oracle, buffer)
-    assert load_oracle(buffer.getvalue().encode()) == oracle.records
+    reloaded = load_oracle(buffer.getvalue().encode())
+    for name in ("d", "y1", "y2", "y1_true", "y2_1", "y2_0", "s", "r1", "r2_1", "r2_0", "aux"):
+        assert np.array_equal(getattr(reloaded, name), getattr(oracle, name), equal_nan=True)
+    assert reloaded.x is None and oracle.x is None
+    assert reloaded.unit_ids == oracle.unit_ids == tuple(str(i) for i in range(1, 201))
 
 
 def test_tampered_oracle_fails_loudly():
@@ -215,6 +208,54 @@ def test_tampered_oracle_fails_loudly():
     lines[1] = ",".join(row)
     with pytest.raises(InputError, match="inconsistent oracle record in row 2"):
         load_oracle("\n".join(lines).encode())
+
+
+#: Two consistent units: a responding control (AR) and a non-responding
+#: treated unit (NR). Row 3 of the file is the treated unit.
+CLEAN_ORACLE = (
+    "id,d,y1,y2,aux1,s,y1_true,y2_1,y2_0\n"
+    "1,0,1.0,2.0,0,AR,1.0,3.0,2.0\n"
+    "2,1,1.5,NA,1,NR,1.5,4.0,2.5\n"
+)
+
+
+def tamper_row_3(**cells: str) -> bytes:
+    header, row2, row3 = CLEAN_ORACLE.splitlines()
+    names, values = header.split(","), row3.split(",")
+    for name, value in cells.items():
+        values[names.index(name)] = value
+    return "\n".join([header, row2, ",".join(values)]).encode()
+
+
+def test_clean_oracle_fixture_loads():
+    oracle = load_oracle(CLEAN_ORACLE.encode())
+    assert oracle.unit_ids == ("1", "2")
+    assert oracle.y2.tolist()[0] == 2.0 and np.isnan(oracle.y2[1])
+
+
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        ({"y2": "4.0"}, r"inconsistent oracle record in row 3: observed y2"),
+        ({"s": "AR", "y2": "9.0"}, r"inconsistent oracle record in row 3: observed y2"),
+        ({"s": "AR"}, r"inconsistent oracle record in row 3: observed y2"),
+        ({"y1": "7.0"}, r"inconsistent oracle record in row 3: observed y1"),
+        ({"d": "2"}, r"treatment must be 0 or 1, got '2' \(row 3, column d\)"),
+        ({"s": "XX"}, r"unknown stratum label, got 'XX' \(row 3, column s\)"),
+        ({"aux1": "2"}, r"0/1, got '2' \(row 3, column aux1\)"),
+        ({"y2_0": "NA"}, r"must not be missing, got 'NA' \(row 3, column y2_0\)"),
+    ],
+)
+def test_tampered_oracle_names_the_first_bad_row(cells, message):
+    with pytest.raises(InputError, match=message):
+        load_oracle(tamper_row_3(**cells))
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "infinity", "1_000"])
+@pytest.mark.parametrize("column", ["y1", "y2_0"])
+def test_oracle_accepts_only_finite_decimal_numbers(token, column):
+    with pytest.raises(InputError, match=rf"unparseable numeric.*\(row 3, column {column}\)"):
+        load_oracle(tamper_row_3(**{column: token}))
 
 
 def test_oracle_csv_requires_latent_columns():
@@ -373,6 +414,19 @@ def test_bound_presets_plant_unit_att_among_always_respondents():
     for kind in ("monotone", "no-monotone"):
         _, _, truth = simulate_panel(make_preset(kind, n=500, seed=0))
         assert truth.att_ar_population == pytest.approx(1.0, abs=1e-9)
+
+
+def test_preset_roots_are_pinned_and_checked():
+    # the written-out roots reproduce the numerical solves bit for bit, so
+    # presets keep generating identical panels
+    assert _solve_homogeneous_cells() == (
+        0.44545454545454544, 0.9545454545454545, 1.036885245901639
+    )
+    assert _solve_multi_instrument() == (
+        0.3422596636831731, -0.056882853652676924, -0.07934081250884106, 0.1034086775903435
+    )
+    with pytest.raises(RuntimeError, match="does not solve its equations"):
+        _check_solution(1e-9, "a mistyped root")
 
 
 def test_unknown_preset_rejected():
