@@ -5,12 +5,15 @@ subcommand and its options, a fingerprint of the data consumed (row count,
 arm sizes, per-arm missingness rates), the estimator result, any
 diagnostics, and the library versions plus seed that produced it.  Reports
 contain no timestamps or other run-local state, so re-running the same
-command on the same input reproduces the output byte for byte.
+command on the same input reproduces the output byte for byte.  Reports are
+strict JSON: a simulated truth that is undefined for the draw (say, the
+always-respondent ATT when no treated always-respondent was drawn) is null,
+and ``diagnostics.undefined`` says why.
 
 Exit codes: 0 on success; 1 for malformed input (bad CSV, bad flags,
-unknown preset); 2 when a well-posed request is refused on the given data
-(weak instrument, no complete cases, infeasible trimming without declared
-support).
+unknown preset, a simulated draw with an empty arm); 2 when a well-posed
+request is refused on the given data (weak instrument, no complete cases,
+infeasible trimming without declared support, a result that is not finite).
 
 ``--pretty`` switches to an aligned human-readable rendering of the same
 report.  Bootstrap replicate streams are derived from (seed, replicate
@@ -23,6 +26,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import platform
 import sys
 from typing import Any, Mapping, Sequence
@@ -80,7 +84,7 @@ class RunReport:
 
     def to_json(self) -> str:
         payload = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
-        return json.dumps(payload, allow_nan=True)
+        return json.dumps(payload, allow_nan=False)
 
     def to_pretty(self) -> str:
         lines = [f"{self.tool} {self.version} — {self.command} [{self.status}]"]
@@ -513,6 +517,15 @@ def _run_rates(args: argparse.Namespace) -> RunReport:
     )
 
 
+#: The truths that can be undefined (NaN) and why; each is reported as null.
+_UNDEFINED_TRUTH = {
+    "att_ar": "no treated always-respondent was drawn",
+    "att_ar_population": "the design has no treated always-respondents",
+    "cc_population": "an arm has no second-wave respondents in the design",
+    "cc_bias": "an arm has no second-wave respondents in the design",
+}
+
+
 def _run_simulate(args: argparse.Namespace) -> RunReport:
     spec = make_preset(args.preset, n=args.n, seed=args.seed)
     data, oracle, truth = simulate_panel(spec)
@@ -533,6 +546,10 @@ def _run_simulate(args: argparse.Namespace) -> RunReport:
         "out": args.out,
         "truth": args.truth,
     }
+    undefined = {
+        key: why for key, why in _UNDEFINED_TRUTH.items() if not math.isfinite(result[key])
+    }
+    result.update(dict.fromkeys(undefined))
     return RunReport(
         tool="did-miss",
         version=__version__,
@@ -541,7 +558,7 @@ def _run_simulate(args: argparse.Namespace) -> RunReport:
                  "out": args.out, "truth": args.truth},
         data=_fingerprint(data),
         result=result,
-        diagnostics=None,
+        diagnostics={"undefined": undefined} if undefined else None,
         environment=_environment(args.seed),
     )
 
@@ -589,7 +606,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except EstimatorError as exc:
         print(f"did-miss: refused: {exc}", file=sys.stderr)
         return 2
-    print(report.to_pretty() if args.pretty else report.to_json())
+    try:
+        text = report.to_json()
+    except ValueError:  # JSON has no NaN or infinity
+        print("did-miss: refused: the result is not finite (NaN or infinity)", file=sys.stderr)
+        return 2
+    print(report.to_pretty() if args.pretty else text)
     return 0
 
 

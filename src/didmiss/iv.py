@@ -82,17 +82,18 @@ def _instrument_stats(
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Per instrument level v: (mean dY over complete cases, Pr(R2=0 | R1=1)).
 
-    n and s are counts and dY sums over (arm, R1, R2, instrument level).
-    Raises when a level has no complete cases in this arm.
+    n and s are counts and dY sums over (arm, R1, R2, instrument level);
+    counts may be expected masses (floats). Raises when a level has no
+    complete cases in this arm.
     """
     means: list[float] = []
     q: list[float] = []
     for v in (0, 1):
-        n_cc = int(n[d, 1, 1, v])
+        n_cc = float(n[d, 1, 1, v])
         if n_cc == 0:
             raise EstimatorError(f"empty instrument cell (arm {d}, aux={v}): no complete cases")
         means.append(float(s[d, 1, 1, v] / n_cc))
-        q.append(1.0 - n_cc / int(n[d, 1, :, v].sum()))
+        q.append(1.0 - n_cc / float(n[d, 1, :, v].sum()))
     return (means[0], means[1]), (q[0], q[1])
 
 
@@ -106,7 +107,7 @@ def _corrected(
     """
     cc = _complete_case(c)
     arms = c.arms
-    share = [int(arms[d, :, 0].sum()) / int(arms[d].sum()) for d in (0, 1)]
+    share = [float(arms[d, :, 0].sum()) / float(arms[d].sum()) for d in (0, 1)]
     denom = [0.0, 0.0]
     corr = [0.0, 0.0]
     gap = [0.0, 0.0]
@@ -167,8 +168,11 @@ def att_iv_multi(
     k1, k2 = aux_pair
     _check_aux_index(data, k1)
     _check_aux_index(data, k2)
-    c = GroupKey(data, aux=(k1, k2)).counts()
-    # counts over (arm, R1, R2, level of k1, level of k2)
+    return _iv_pair(GroupKey(data, aux=(k1, k2)).counts())
+
+
+def _iv_pair(c: GroupCounts) -> tuple[Estimate, IvDiagnostics]:
+    """``att_iv_multi`` from counts keyed on (arm, R1, R2, level of k1, level of k2)."""
     n, s = c.n[0], c.s[0]
 
     def arm_gap(d: int) -> tuple[float, float]:

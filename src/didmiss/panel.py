@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Any, Sequence
+from typing import IO, Any, Callable, Sequence
 
 import numpy as np
 
@@ -84,6 +84,9 @@ class ColumnMapping:
 class PanelDataset:
     """Validated, immutable two-period panel with missingness.
 
+    d, aux and x are checked value by value before they are cast to
+    integers, so 0.5 or -3 is an error naming its row, not a silent 0.
+
     Parameters
     ----------
     d, y1, y2
@@ -114,6 +117,12 @@ class PanelDataset:
         outcome_support: tuple[float, float] | None = None,
         _validate: bool = True,
     ) -> None:
+        if _validate:  # before the integer casts below, which would hide bad values
+            _check_values(d, _is_binary, "treatment must be 0 or 1")
+            if aux is not None:
+                _check_values(aux, _is_binary, "auxiliary indicator columns must contain only 0/1")
+            if x is not None:
+                _check_values(x, _is_count, "covariate must be a non-negative integer")
         d = np.asarray(d, dtype=np.int8)
         y1 = np.asarray(y1, dtype=np.float64)
         y2 = np.asarray(y2, dtype=np.float64)
@@ -161,12 +170,6 @@ class PanelDataset:
             raise InputError(f"aux has {self.aux.shape[0]} rows, expected {n}")
         if self.x is not None and self.x.shape[0] != n:
             raise InputError(f"x has {self.x.shape[0]} rows, expected {n}")
-        bad_d = (self.d != 0) & (self.d != 1)
-        if bad_d.any():
-            i = int(np.argmax(bad_d))
-            raise InputError(f"treatment must be 0 or 1, got {self.d[i]} (row {i + 1})")
-        if self.aux.size and not np.isin(self.aux, (0, 1)).all():
-            raise InputError("auxiliary indicator columns must contain only 0/1")
         arms = np.bincount(self.d, minlength=2)
         if arms[0] == 0 or arms[1] == 0:
             raise InputError("single-arm dataset: both treated and control units are required")
@@ -229,6 +232,25 @@ class PanelDataset:
             self.d, self.y1, self.y2, aux=self.aux, x=self.x,
             unit_ids=self._unit_ids, outcome_support=(lo, hi),
         )
+
+
+def _is_binary(values: np.ndarray) -> np.ndarray:
+    return (values == 0) | (values == 1)
+
+
+def _is_count(values: np.ndarray) -> np.ndarray:
+    return (values >= 0) & (values == np.floor(values))
+
+
+def _check_values(
+    values: Any, allowed: Callable[[np.ndarray], np.ndarray], message: str
+) -> None:
+    """Raise naming the first row of ``values`` holding a value not ``allowed``."""
+    raw = np.asarray(values)
+    bad = ~allowed(raw)
+    if bad.any():
+        at = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        raise InputError(f"{message}, got {raw[at].item()!r} (row {at[0] + 1})")
 
 
 @dataclass(frozen=True)
@@ -316,6 +338,10 @@ class GroupCounts:
     complete-case Y2 - Y1 total summed in unit order, whatever else the key
     splits on, so every estimator built on it reproduces the complete-case
     DID bit for bit.
+
+    Counts may also be expected masses (floats): the simulator evaluates the
+    estimators' formulas on a design's expected counts to get population
+    values.
     """
 
     n: np.ndarray

@@ -35,11 +35,30 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _no_constant(name):
+    raise ValueError(f"report is not strict JSON: bare {name}")
+
+
+def strict_loads(text):
+    """json.loads that refuses NaN, Infinity and -Infinity."""
+    return json.loads(text, parse_constant=_no_constant)
+
+
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     assert err == ""
-    return json.loads(out)
+    return strict_loads(out)
+
+
+def run_cli(*argv):
+    """Run ``python -m didmiss.cli`` in a subprocess (sees tracebacks and warnings)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-m", "didmiss.cli", *map(str, argv)],
+        env=env, capture_output=True, text=True,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +110,31 @@ def test_cli_import_needs_only_numpy():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_undefined_truth_is_null_with_a_reason(capsys, tmp_path):
+    # four units draw no treated always-respondent, so att_ar is undefined
+    code, out, err = run(
+        capsys, "simulate", "--preset", "monotone", "--n", 4, "--seed", 1,
+        "--out", tmp_path / "tiny.csv",
+    )
+    assert code == 0 and err == ""
+    report = strict_loads(out)
+    assert report["result"]["att_ar"] is None
+    assert report["result"]["att_ar_population"] == pytest.approx(1.0)
+    assert report["diagnostics"] == {
+        "undefined": {"att_ar": "no treated always-respondent was drawn"}
+    }
+
+
+def test_non_finite_result_is_refused(capsys, tmp_path):
+    # y2 - y1 overflows to infinity in both arms, so the complete-case DID is NaN
+    path = tmp_path / "huge.csv"
+    path.write_text("id,d,y1,y2\n1,0,-1e308,1e308\n2,1,-1e308,1e308\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run(capsys, "cc", "--input", path)
+    assert code == 2 and out == ""
+    assert err.startswith("did-miss: refused: the result is not finite")
 
 
 def test_data_fingerprint_matches_hand_counts(capsys, toy_path):
@@ -258,6 +302,17 @@ def test_bad_flag_value_exits_1(capsys, toy_path):
     code, _, err = run(capsys, "bounds", "--input", toy_path, "--mode", "bogus")
     assert code == 1
     assert err.startswith("did-miss: error:")
+
+
+def test_simulated_draw_without_an_arm_exits_1(tmp_path):
+    done = run_cli("simulate", "--preset", "monotone", "--n", 1, "--seed", 1,
+                   "--out", tmp_path / "one.csv")
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr == (
+        "did-miss: error: a draw of n=1 units has no treated unit; both arms are "
+        "required (use a larger n or another seed)\n"
+    )
+    assert not (tmp_path / "one.csv").exists()
 
 
 def test_unknown_preset_exits_1(capsys, tmp_path):

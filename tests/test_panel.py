@@ -257,6 +257,25 @@ def test_aux_values_validated():
         make_panel([0, 1], [1.0, 2.0], [2.0, 3.0], aux=[[2], [0]])
 
 
+@pytest.mark.parametrize(
+    "field, values, message",
+    [
+        ("d", [0, 1, 0.5, 1.7], r"treatment must be 0 or 1, got 0.5 \(row 3\)"),
+        ("d", [0, 1, 1, np.nan], r"treatment must be 0 or 1, got nan \(row 4\)"),
+        ("aux", [0, 1, 1, 0.9], r"only 0/1, got 0.9 \(row 4\)"),
+        ("aux", [[0, 1], [1, 2], [0, 0], [1, -1]], r"only 0/1, got 2 \(row 2\)"),
+        ("x", [0, -3, 2, 1], r"non-negative integer, got -3 \(row 2\)"),
+        ("x", [[0, 1], [1, 1], [2, 2.5], [1, 0]], r"non-negative integer, got 2.5 \(row 3\)"),
+    ],
+)
+def test_values_are_checked_before_the_integer_cast(field, values, message):
+    # an int8/int64 cast would turn each of these into a valid-looking value
+    columns = {"d": [0, 1, 1, 0], "y1": [1.0, 2.0, 3.0, 4.0], "y2": [2.0, 3.0, 4.0, 5.0]}
+    columns[field] = values
+    with pytest.raises(InputError, match=message):
+        PanelDataset(**columns)
+
+
 def test_support_containment_enforced():
     with pytest.raises(InputError, match="outside the declared support"):
         make_panel([0, 1], [0.0, 5.0], [1.0, 1.0], outcome_support=(0.0, 2.0))

@@ -28,7 +28,14 @@ from didmiss import (
     simulate_panel,
     strip_missingness,
 )
-from didmiss.simulate import _check_solution, _solve_homogeneous_cells, _solve_multi_instrument
+from didmiss.iv import _iv_pair, _iv_single
+from didmiss.panel import GroupKey
+from didmiss.simulate import (
+    _check_solution,
+    _expected_counts,
+    _solve_homogeneous_cells,
+    _solve_multi_instrument,
+)
 
 
 def plain_spec(**overrides) -> DgpSpec:
@@ -394,11 +401,11 @@ def test_presets_construct_and_carry_planted_truths():
     planted = {
         "zero-bias": (1.0, 0.0),
         "homogeneous-bias": (1.0, 0.25),
-        "multi-iv": (1.0, None),
+        "multi-iv": (1.0, 0.16319881669174874),
         "pi": (1.0, 0.2),
         "mnar-baseline": (1.01, 47 / 140),
-        "monotone": (1.06, None),
-        "no-monotone": (0.98, None),
+        "monotone": (1.06, 0.20666666666666655),
+        "no-monotone": (0.98, 0.30351648351648286),
     }
     assert set(PRESET_KINDS) == set(planted)
     for kind, (att, cc_bias) in planted.items():
@@ -406,8 +413,40 @@ def test_presets_construct_and_carry_planted_truths():
         assert spec.n == 500 and spec.seed == 4
         _, _, truth = simulate_panel(spec)
         assert truth.att_population == pytest.approx(att, abs=1e-9), kind
-        if cc_bias is not None:
-            assert truth.cc_bias == pytest.approx(cc_bias, abs=1e-9), kind
+        assert truth.cc_bias == pytest.approx(cc_bias, abs=1e-12), kind
+        assert truth.cc_population == pytest.approx(att + cc_bias, abs=1e-9), kind
+
+
+def test_population_instrument_values_are_pinned():
+    # the instrument estimators evaluated on the designs' expected counts
+    est, diag = _iv_single(_expected_counts(make_preset("homogeneous-bias"), (0,)))
+    assert est.point == pytest.approx(0.9829234972677594, abs=1e-12)
+    assert diag.denom == pytest.approx((0.25, 0.25), abs=1e-12)
+    assert diag.bias_correction[0] == pytest.approx(0.0, abs=1e-12)
+
+    multi = make_preset("multi-iv")
+    est, diag = _iv_single(_expected_counts(multi, (0,)))
+    assert est.point == pytest.approx(1.82363113664363, abs=1e-12)
+    assert diag.denom == pytest.approx((0.15000000000000002, 0.19741074257124747), abs=1e-12)
+    est, _ = _iv_pair(_expected_counts(multi, (0, 1)))
+    assert est.point == pytest.approx(1.0, abs=1e-12)
+
+
+def test_expected_counts_match_a_large_draw():
+    spec = make_preset("multi-iv", n=200_000, seed=9)
+    expected = _expected_counts(spec, (0, 1))
+    data, _, _ = simulate_panel(spec)
+    drawn = GroupKey(data, aux=(0, 1)).counts()
+    for d in (0, 1):
+        # Pr(R2, levels | D = d, R1 = 1): all expected mass sits at R1 = 1
+        assert expected.n[0, d, 1].sum() == pytest.approx(1.0, abs=1e-12)
+        assert expected.n[0, d, 0].sum() == 0.0
+        shares = drawn.n[0, d, 1] / drawn.n[0, d, 1].sum()
+        np.testing.assert_allclose(shares, expected.n[0, d, 1], atol=0.006)
+        means = drawn.s[0, d, 1, 1] / drawn.n[0, d, 1, 1]
+        np.testing.assert_allclose(means, expected.s[0, d, 1, 1] / expected.n[0, d, 1, 1], atol=0.03)
+        assert not expected.s[0, d, 1, 0].any()
+    assert expected.cc_sum == pytest.approx(expected.s[0, :, 1, 1].sum(axis=(1, 2)), abs=1e-15)
 
 
 def test_bound_presets_plant_unit_att_among_always_respondents():
