@@ -275,10 +275,10 @@ def att_ar_bounds(data: PanelDataset, mode: Mode = "monotone") -> BoundResult:
     """
     if mode not in ("monotone", "no-monotone"):
         raise InputError(f"mode must be 'monotone' or 'no-monotone', got {mode!r}")
-    cc = data.complete_case
-    deltas = [data.delta_y[cc & (data.d == d)] for d in (0, 1)]
+    groups = GroupKey(data)
+    deltas = [groups.dy[data.complete_case & (data.d == d)] for d in (0, 1)]
     return _bounds(
-        GroupKey(data).counts().arms,
+        groups.counts().arms,
         lambda d, keep, side: trimmed_mean(deltas[d], keep, side),
         mode,
         data.outcome_support,
@@ -392,7 +392,7 @@ def _bounds_replicate(
     """
     groups = GroupKey(data)
     cc = data.complete_case
-    dy = data.delta_y
+    dy = groups.dy
     sorted_dy: list[np.ndarray] = []
     starts = [0]
     rank = np.empty(len(data), dtype=np.intp)

@@ -23,7 +23,7 @@ from typing import IO, Any, Callable, Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import EstimatorError, InputError
 from .table import (
     float_cells,
     parse_binary,
@@ -289,6 +289,10 @@ class GroupKey:
     auxiliary indicators, each binary, so ``counts`` reshapes the bins to
     ``(cells, 2, 2, 2) + (2,) * len(aux)``.
 
+    A complete case whose Y2 - Y1 is not finite (finite outcomes can still
+    overflow) raises ``EstimatorError`` naming its row, so no estimator built
+    on the key returns NaN or infinity for it.
+
     Parameters
     ----------
     aux
@@ -309,8 +313,16 @@ class GroupKey:
         for column in (data.r1, data.r2) + tuple(data.aux[:, k] for k in aux):
             key = 2 * key + column
         self.key = key
-        #: Y2 - Y1 on complete cases, 0 elsewhere (so sums skip other units)
-        self.dy = np.where(data.r1 & data.r2, data.y2 - data.y1, 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            #: Y2 - Y1 on complete cases, 0 elsewhere (so sums skip other units)
+            self.dy = np.where(data.r1 & data.r2, data.y2 - data.y1, 0.0)
+        not_finite = ~np.isfinite(self.dy)
+        if not_finite.any():
+            i = int(np.argmax(not_finite))
+            raise EstimatorError(
+                f"the result is not finite: y2 - y1 is not finite for unit {data.unit_ids[i]!r} "
+                f"(row {i + 1}: y1={float(data.y1[i])!r}, y2={float(data.y2[i])!r})"
+            )
         self.d = data.d
         self.shape = (len(self.cells), 2, 2, 2) + (2,) * len(aux)
 
@@ -456,7 +468,7 @@ def _parse_columns(
         for name in mapping.covariates
     ]
     return (
-        tuple(cell.strip() for cell in table[mapping.id]),
+        tuple(map(str.strip, table[mapping.id])),
         parse_binary(table[mapping.treatment], mapping.treatment, "treatment must be 0 or 1"),
         parse_floats(table[mapping.y1], mapping.y1),
         parse_floats(table[mapping.y2], mapping.y2),

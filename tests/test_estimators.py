@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,11 @@ from didmiss import (
     EstimatorError,
     InputError,
     Interval,
+    att_ar_bounds,
+    att_iv,
+    att_iv_multi,
+    att_principal_ignorability,
+    bootstrap_bounds,
     bootstrap_ci,
     did_complete_case,
     naive_did_all,
@@ -44,6 +51,39 @@ def test_cc_did_refuses_armwise_empty_complete_cases():
     data = make_panel([0, 0, 1], [1.0, np.nan, 1.0], [np.nan, 2.0, 2.0])
     with pytest.raises(EstimatorError, match="no complete cases in arm 0"):
         did_complete_case(data)
+
+
+def test_overflowing_outcome_change_is_refused_naming_its_row():
+    # finite outcomes whose y2 - y1 overflows: row 2 is the first complete case
+    # where it does, and every estimator on Y2 - Y1 refuses without a warning
+    data = make_panel(
+        [0, 1, 0, 1, 0, 1],
+        [1.0, -1e308, 1.0, 2.0, np.nan, 1.0],
+        [2.0, 1e308, 2.0, 4.0, 1e308, 3.0],
+        aux=[[1, 0], [1, 1], [0, 0], [1, 1], [0, 1], [0, 0]],
+        x=[0, 0, 0, 0, 0, 0],
+        outcome_support=(-1e308, 1e308),
+    )
+    cfg = BootstrapConfig(replicates=5, seed=1)
+    estimators = [
+        did_complete_case,
+        naive_did_all,
+        lambda data: att_iv(data, 0),
+        lambda data: att_iv_multi(data, (0, 1)),
+        att_principal_ignorability,
+        lambda data: att_ar_bounds(data, "monotone"),
+        lambda data: bootstrap_ci(data, "cc-did", cfg),
+        lambda data: bootstrap_bounds(data, "no-monotone", cfg),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for estimator in estimators:
+            with pytest.raises(EstimatorError) as refused:
+                estimator(data)
+            assert str(refused.value) == (
+                "the result is not finite: y2 - y1 is not finite for unit '2' "
+                "(row 2: y1=-1e+308, y2=1e+308)"
+            )
 
 
 # -- naive full-sample benchmark ----------------------------------------------

@@ -168,6 +168,23 @@ def test_ragged_row_is_malformed():
         load_panel(b"id,d,y1,y2\n1,0,1,1\n2,1,2\n")
 
 
+def test_ragged_row_far_into_the_file_is_named_by_its_row():
+    rows = [f"{i},{i % 2},1,2" for i in range(1, 599)]  # rows 2..599
+    text = "id,d,y1,y2\n\n" + "\n".join(rows) + "\n600,1,2\n601,0,1,1\n"
+    with pytest.raises(InputError, match=r"^malformed CSV: row 600 has 3 cells, header has 4$"):
+        load_panel(text.encode())
+
+
+def test_undecodable_bytes_late_in_the_file_win_over_an_earlier_ragged_row(tmp_path):
+    # a file decodes as it is read: the ragged row 3 comes 20 kB before the bad
+    # byte, and the decode error still wins, as when the whole file was read first
+    rows = "".join(f"{i},{i % 2},1,2\n" for i in range(3, 2000))
+    path = tmp_path / "faults.csv"
+    path.write_bytes(b"id,d,y1,y2\n1,0,1,1\n2,1,2\n" + rows.encode() + b"2000,0,\xff,1\n")
+    with pytest.raises(InputError, match=r"^malformed CSV: 'utf-8' codec can't decode"):
+        load_panel(path)
+
+
 def test_duplicate_header_rejected():
     with pytest.raises(InputError, match="duplicate column"):
         load_panel(b"id,d,y1,y1\n1,0,1,1\n")

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import csv
 import io
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +28,9 @@ from didmiss import (
     strata_proportions_monotone,
     trimmed_mean,
 )
+from didmiss.errors import InputError
 from didmiss.simulate import _couple
+from didmiss.table import read_table
 
 from _helpers import brute_trimmed_mean, make_panel
 
@@ -158,6 +162,78 @@ def test_oracle_csv_round_trip_is_exact(oracle):
     assert oracle.x is None or np.array_equal(reloaded.x, oracle.x)
     assert reloaded.unit_ids == oracle.unit_ids
     assert reloaded.records == oracle.records
+
+
+def reference_read_table(text: str, what: str) -> dict[str, tuple[str, ...]]:
+    """The reader as one whole-table transposition: every row held at once."""
+    try:
+        rows = list(filter(None, csv.reader(io.StringIO(text))))
+    except csv.Error as exc:
+        raise InputError(f"malformed CSV: {exc}") from exc
+    if not rows:
+        raise InputError(f"empty {what}")
+    header = [cell.strip() for cell in rows[0]]
+    if len(set(header)) != len(header):
+        raise InputError("malformed CSV: duplicate column names in header")
+    if len(set(map(len, rows))) > 1:
+        i = next(i for i, row in enumerate(rows) if len(row) != len(header))
+        raise InputError(
+            f"malformed CSV: row {i + 1} has {len(rows[i])} cells, header has {len(header)}"
+        )
+    return dict(zip(header, list(zip(*rows[1:])) or [()] * len(header)))
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text crossing the reader's chunk boundaries, with the faults it must name.
+
+    Cells hold commas, quotes, CR, LF and spaces; rows end in LF or CRLF; blank
+    lines fall anywhere; some texts have no header row, a ragged row, a
+    duplicate header name, or raw text with a stray quote or CR appended.
+    """
+    rnd = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))  # cell text
+    n_rows = draw(st.integers(min_value=0, max_value=700))
+    width = draw(st.integers(min_value=1, max_value=4))
+    header = [f" c{k} " for k in range(width)]
+    if width > 1 and draw(st.integers(0, 3)) == 0:
+        header[-1] = "c0"
+    tokens = ["a", "b", "1", ".", ",", '"', "\n", "\r\n", " ", "-"]
+    cell = lambda: "".join(rnd.choice(tokens) for _ in range(rnd.randrange(5)))
+    rows = [[cell() for _ in range(width)] for _ in range(n_rows)]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        if rows:
+            i = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+            rows[i] = rows[i][: draw(st.integers(0, width - 1))] or [cell()] * (width + 1)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    lines = []
+    for row in [header] + rows:
+        writer.writerow(row)
+        lines.append(buffer.getvalue())
+        buffer.seek(0)
+        buffer.truncate()
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), "\n")
+    if draw(st.sampled_from([False] * 19 + [True])):  # blank lines only: no header row
+        lines = [line for line in lines if line == "\n"]
+    tail = draw(st.sampled_from(["", "", "", 'x"y\n', 'a,"b\n', "a\rb,1\n", '"open']))
+    return "".join(lines) + tail
+
+
+@given(csv_texts())
+@settings(deadline=None, max_examples=120)
+def test_read_table_matches_a_whole_table_transposition(text):
+    try:
+        want = reference_read_table(text, "table")
+    except InputError as exc:
+        with pytest.raises(InputError) as got:
+            read_table(text.encode(), "table")
+        assert str(got.value) == str(exc)
+        return
+    got = read_table(text.encode(), "table")
+    assert list(got) == list(want)
+    for name, cells in want.items():
+        assert tuple(got[name]) == cells, name
 
 
 # -- complete-case DID invariances ----------------------------------------------
