@@ -23,7 +23,7 @@ from typing import Callable, Literal, Mapping, Sequence
 
 import numpy as np
 
-from .common import ClipEvent, Interval, clip01
+from .common import ClipEvent, Interval, clip01, finite
 from .errors import EstimatorError, InputError
 from .estimators import BootstrapConfig, _replicates
 from .panel import GroupKey, PanelDataset, RateTable, _rate_table
@@ -285,6 +285,7 @@ def att_ar_bounds(data: PanelDataset, mode: Mode = "monotone") -> BoundResult:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing trimmed mean is refused below
 def _bounds(
     arms: np.ndarray,
     trim: Callable[[int, float, str], float],
@@ -344,8 +345,8 @@ def _bounds(
 
     return BoundResult(
         estimand="ATT-AR",
-        lb=float(lb),
-        ub=float(ub),
+        lb=finite(lb, "the lower bound"),
+        ub=finite(ub, "the upper bound"),
         trim_share=(shares[0], shares[1]),
         assumptions_used=_MONOTONE_ASSUMPTIONS if mode == "monotone" else _NO_MONOTONE_ASSUMPTIONS,
         support_fallback=fallback,

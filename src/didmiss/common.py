@@ -12,6 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from .errors import EstimatorError, InputError
+
 #: Weak-instrument threshold on probability-difference denominators. Below
 #: this magnitude the IV estimators refuse rather than return an exploding
 #: value.
@@ -47,6 +51,20 @@ class Interval:
     @staticmethod
     def point(x: float) -> "Interval":
         return Interval(float(x), float(x))
+
+
+def check_seed(seed: object) -> None:
+    """Raise ``InputError`` unless ``seed`` is a non-negative integer."""
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise InputError(f"seed must be a non-negative integer, got {seed!r}")
+
+
+def finite(value: float, what: str) -> float:
+    """``value`` as a float; NaN or infinity raises ``EstimatorError`` naming ``what``."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise EstimatorError(f"the result is not finite: {what} is {value!r}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .common import Interval
+from .common import Interval, check_seed, finite
 from .errors import DidMissError, EstimatorError, InputError
 from .panel import GroupCounts, GroupKey, PanelDataset
 
@@ -84,6 +84,7 @@ class BootstrapConfig:
     def __post_init__(self) -> None:
         if self.replicates < 1:
             raise InputError(f"replicates must be >= 1, got {self.replicates}")
+        check_seed(self.seed)
         if not 0.0 < self.level < 1.0:
             raise InputError(f"level must be in (0, 1), got {self.level}")
 
@@ -94,8 +95,10 @@ def _complete_case(c: GroupCounts) -> Estimate:
     for d in (1, 0):
         if arms[d, 1, 1] == 0:
             raise EstimatorError(f"no complete cases in arm {d}")
+    # Python floats: a sum or difference that overflows gives inf, not a warning
+    point = float(c.cc_sum[1]) / float(arms[1, 1, 1]) - float(c.cc_sum[0]) / float(arms[0, 1, 1])
     return Estimate(
-        point=float(c.cc_sum[1] / arms[1, 1, 1] - c.cc_sum[0] / arms[0, 1, 1]),
+        point=finite(point, "the complete-case DID"),
         n_used=int(arms[1, 1, 1] + arms[0, 1, 1]),
     )
 
@@ -202,9 +205,11 @@ def _replicates(
     summaries = []
     for column in zip(*values):
         arr = np.array(column, dtype=np.float64)
-        se = float(arr.std(ddof=1)) if arr.size >= 2 else 0.0
-        lo, hi = (float(v) for v in np.percentile(arr, [100 * alpha, 100 * (1 - alpha)]))
-        summaries.append((se, lo, hi))
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
+            se = float(arr.std(ddof=1)) if arr.size >= 2 else 0.0
+            lo, hi = np.percentile(arr, [100 * alpha, 100 * (1 - alpha)])
+        se = finite(se, "the bootstrap standard error")
+        summaries.append((se, finite(lo, "the lower percentile"), finite(hi, "the upper percentile")))
     return summaries, len(values), len(failures)
 
 

@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .common import EPS_DENOM
+from .common import EPS_DENOM, finite
 from .errors import EstimatorError, InputError
 from .estimators import Estimate, _complete_case
 from .panel import GroupCounts, GroupKey, PanelDataset
@@ -92,7 +92,7 @@ def _instrument_stats(
         n_cc = float(n[d, 1, 1, v])
         if n_cc == 0:
             raise EstimatorError(f"empty instrument cell (arm {d}, aux={v}): no complete cases")
-        means.append(float(s[d, 1, 1, v] / n_cc))
+        means.append(float(s[d, 1, 1, v]) / n_cc)
         q.append(1.0 - n_cc / float(n[d, 1, :, v].sum()))
     return (means[0], means[1]), (q[0], q[1])
 
@@ -121,7 +121,7 @@ def _corrected(
 
     point = cc.point + corr[1] - corr[0]
     notes = (_R1_NOTE,) if arms[:, 0].any() else ()
-    est = Estimate(point=point, n_used=cc.n_used, notes=notes)
+    est = Estimate(point=finite(point, "the instrumented DID"), n_used=cc.n_used, notes=notes)
     diag = IvDiagnostics(
         denom=(denom[0], denom[1]),
         missing_share=(share[0], share[1]),
@@ -174,14 +174,16 @@ def att_iv_multi(
 def _iv_pair(c: GroupCounts) -> tuple[Estimate, IvDiagnostics]:
     """``att_iv_multi`` from counts keyed on (arm, R1, R2, level of k1, level of k2)."""
     n, s = c.n[0], c.s[0]
+    with np.errstate(over="ignore"):  # a sum that overflows is refused by _corrected
+        s1, s2 = s.sum(axis=4), s.sum(axis=3)
 
     def arm_gap(d: int) -> tuple[float, float]:
         if not (n[:, 1, 1, 0, 1].any() or n[:, 1, 1, 1, 0].any()):
             raise EstimatorError(
                 "degenerate instrument pair: indicators are identical on complete cases"
             )
-        (m1_0, m1_1), (q1_0, q1_1) = _instrument_stats(n.sum(axis=4), s.sum(axis=4), d)
-        (m2_0, m2_1), (q2_0, q2_1) = _instrument_stats(n.sum(axis=3), s.sum(axis=3), d)
+        (m1_0, m1_1), (q1_0, q1_1) = _instrument_stats(n.sum(axis=4), s1, d)
+        (m2_0, m2_1), (q2_0, q2_1) = _instrument_stats(n.sum(axis=3), s2, d)
         return (m1_1 - m1_0) - (m2_1 - m2_0), (q2_1 - q2_0) - (q1_1 - q1_0)
 
     return _corrected(c, arm_gap)

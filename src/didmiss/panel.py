@@ -24,15 +24,7 @@ from typing import IO, Any, Callable, Sequence
 import numpy as np
 
 from .errors import EstimatorError, InputError
-from .table import (
-    float_cells,
-    parse_binary,
-    parse_counts,
-    parse_floats,
-    read_table,
-    require_columns,
-    write_table,
-)
+from .table import IDS, Parser, binary, counts, floats, read_columns, require_columns, write_table
 
 __all__ = [
     "PanelDataset",
@@ -177,6 +169,8 @@ class PanelDataset:
             raise InputError(f"{len(self._unit_ids)} unit ids for {n} rows")
         if self.outcome_support is not None:
             lo, hi = self.outcome_support
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise InputError(f"outcome support endpoints are not finite: [{lo}, {hi}]")
             if not lo <= hi:
                 raise InputError(f"outcome support endpoints out of order: [{lo}, {hi}]")
             observed = np.concatenate([self.y1[self.r1], self.y2[self.r2]])
@@ -442,37 +436,51 @@ def load_panel(
     indicator columns must contain only 0/1; auxiliary *variable* columns
     (schema.aux_variables) contribute the indicator 1{cell present} instead.
     """
-    table = read_table(source, "dataset")
-    mapping = schema if schema is not None else ColumnMapping.detect(list(table))
-    ids, d, y1, y2, aux, x = _parse_columns(table, mapping)
+
+    def fields(header: list[str]) -> list[tuple[str, Parser]]:
+        return _panel_fields(header, schema or ColumnMapping.detect(header))
+
+    header, values = read_columns(source, "dataset", fields)
+    ids, d, y1, y2, aux, x = _panel_values(schema or ColumnMapping.detect(header), values)
     return PanelDataset(d, y1, y2, aux=aux, x=x, unit_ids=ids, outcome_support=outcome_support)
 
 
-def _parse_columns(
-    table: dict[str, Sequence[str]], mapping: ColumnMapping
-) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    """The panel fields of a table read by ``read_table``: ids, d, y1, y2, aux, x."""
-    require_columns(table, (mapping.id, mapping.treatment, mapping.y1, mapping.y2))
+_AUX = binary("auxiliary indicator column must contain only 0/1")
+_TREATMENT = binary("treatment must be 0 or 1")
+_COVARIATE = counts("covariate must be a non-negative integer")
+
+
+def _panel_fields(header: Sequence[str], mapping: ColumnMapping) -> list[tuple[str, Parser]]:
+    """The columns ``mapping`` names, with their parsers, for ``read_columns``.
+
+    Raises for a column missing from ``header``. Cell errors are reported
+    for aux, w and x columns first, then for d, y1 and y2.
+    """
+    require_columns(header, (mapping.id, mapping.treatment, mapping.y1, mapping.y2))
     require_columns(
-        table, mapping.aux_indicators + mapping.aux_variables + mapping.covariates,
+        header, mapping.aux_indicators + mapping.aux_variables + mapping.covariates,
         "declared columns",
     )
-    n = len(table[mapping.id])
-    aux = [
-        parse_binary(table[name], name, "auxiliary indicator column must contain only 0/1")
-        for name in mapping.aux_indicators
-    ]
-    aux += [~np.isnan(parse_floats(table[name], name)) for name in mapping.aux_variables]
-    x = [
-        parse_counts(table[name], name, "covariate must be a non-negative integer")
-        for name in mapping.covariates
-    ]
     return (
-        tuple(map(str.strip, table[mapping.id])),
-        parse_binary(table[mapping.treatment], mapping.treatment, "treatment must be 0 or 1"),
-        parse_floats(table[mapping.y1], mapping.y1),
-        parse_floats(table[mapping.y2], mapping.y2),
-        np.column_stack(aux).astype(np.int8) if aux else np.zeros((n, 0), dtype=np.int8),
+        [(name, _AUX) for name in mapping.aux_indicators]
+        + [(name, floats()) for name in mapping.aux_variables]
+        + [(name, _COVARIATE) for name in mapping.covariates]
+        + [(mapping.id, IDS), (mapping.treatment, _TREATMENT)]
+        + [(mapping.y1, floats()), (mapping.y2, floats())]
+    )
+
+
+def _panel_values(
+    mapping: ColumnMapping, values: Sequence[Any]
+) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """ids, d, y1, y2, aux and x from the values of ``_panel_fields``' columns."""
+    k, w = len(mapping.aux_indicators), len(mapping.aux_variables)
+    *columns, ids, d, y1, y2 = values
+    aux = columns[:k] + [~np.isnan(v) for v in columns[k : k + w]]
+    x = columns[k + w :]
+    return (
+        ids, d, y1, y2,
+        np.column_stack(aux).astype(np.int8) if aux else np.zeros((len(ids), 0), dtype=np.int8),
         np.column_stack(x) if x else None,
     )
 
@@ -487,19 +495,19 @@ def save_panel(data: PanelDataset, dest: str | Path | IO[str]) -> None:
 
 
 def _table_columns(data: Any) -> tuple[list[str], list[Sequence[object]]]:
-    """Header and cell columns of the panel fields, in save order.
+    """Header and columns of the panel fields, in save order, for ``write_table``.
 
-    ``data`` is a PanelDataset or anything with the same ``unit_ids``, ``d``,
+    ``data`` is a PanelDataset or anything with the same ``_unit_ids``, ``d``,
     ``y1``, ``y2``, ``aux`` and ``x`` fields, such as an ``OraclePanel``.
+    Default ids are written as 1..n without building them.
     """
     n_aux = int(data.aux.shape[1])
     n_x = 0 if data.x is None else int(data.x.shape[1])
     header = ["id", "d", "y1", "y2"]
     header += [f"aux{k + 1}" for k in range(n_aux)]
     header += [f"x{j + 1}" for j in range(n_x)]
-    columns: list[Sequence[object]] = [
-        data.unit_ids, data.d.tolist(), float_cells(data.y1), float_cells(data.y2)
-    ]
-    columns += [data.aux[:, k].tolist() for k in range(n_aux)]
-    columns += [data.x[:, j].tolist() for j in range(n_x)]
+    ids = range(1, len(data.d) + 1) if data._unit_ids is None else data._unit_ids
+    columns: list[Sequence[object]] = [ids, data.d, data.y1, data.y2]
+    columns += [data.aux[:, k] for k in range(n_aux)]
+    columns += [data.x[:, j] for j in range(n_x)]
     return header, columns

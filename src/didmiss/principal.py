@@ -46,7 +46,7 @@ from typing import Mapping
 import numpy as np
 
 from .bounds import INCONSISTENT_FLAG
-from .common import ClipEvent
+from .common import ClipEvent, finite
 from .errors import EstimatorError
 from .estimators import Estimate
 from .iv import _R1_NOTE
@@ -238,6 +238,7 @@ def att_principal_ignorability(data: PanelDataset) -> Estimate:
     return _principal_ignorability(GroupKey(data, cells=True).counts())
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing mean is refused below
 def _principal_ignorability(c: GroupCounts) -> Estimate:
     """``att_principal_ignorability`` from counts keyed on (cell, arm, R1, R2)."""
     cells, counts, sums = _occupied(c)
@@ -269,7 +270,7 @@ def _principal_ignorability(c: GroupCounts) -> Estimate:
     if (scores[(1, 1)] != raw).any():
         notes.append("principal scores clipped")
     return Estimate(
-        point=float(point),
+        point=finite(point, "the stratum-weighted DID"),
         n_used=int(n_cc.sum()),
         notes=tuple(notes),
     )

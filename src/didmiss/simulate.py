@@ -42,11 +42,19 @@ from typing import IO, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
+from .common import check_seed
 from .errors import EstimatorError, InputError
 from .estimators import _complete_case
 from .iv import _iv_pair, _iv_single
-from .panel import ColumnMapping, GroupCounts, PanelDataset, _parse_columns, _table_columns
-from .table import parse_floats, read_table, reject, require_columns, write_table
+from .panel import (
+    ColumnMapping,
+    GroupCounts,
+    PanelDataset,
+    _panel_fields,
+    _panel_values,
+    _table_columns,
+)
+from .table import Parser, floats, labels, read_columns, require_columns, write_table
 
 __all__ = [
     "AttDecomposition",
@@ -251,6 +259,7 @@ class DgpSpec:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise InputError(f"sample size must be at least 1, got {self.n!r}")
+        check_seed(self.seed)
         if self.noise_sd < 0:
             raise InputError(f"noise scale must be nonnegative, got {self.noise_sd!r}")
         if len(self.joint_sd) != 2 or any(len(row) != 4 for row in self.joint_sd):
@@ -1078,12 +1087,25 @@ def save_oracle(oracle: OraclePanel, dest: str | Path | IO[str]) -> None:
     header, columns = _table_columns(oracle)
     header += list(_LATENT_COLUMNS)
     columns += [
-        [STRATUM_LABELS[code] for code in oracle.s.tolist()],
-        oracle.y1_true.tolist(),
-        oracle.y2_1.tolist(),
-        oracle.y2_0.tolist(),
+        np.array(STRATUM_LABELS, dtype=object)[oracle.s],
+        oracle.y1_true,
+        oracle.y2_1,
+        oracle.y2_0,
     ]
     write_table(dest, header, columns)
+
+
+_STRATUM = labels(
+    {label: code for code, label in enumerate(STRATUM_LABELS)}, "unknown stratum label"
+)
+_LATENT = floats(missing="latent outcome must not be missing")
+
+
+def _oracle_fields(header: list[str]) -> list[tuple[str, Parser]]:
+    """The oracle table's columns with their parsers, for ``read_columns``."""
+    require_columns(header, ("id", "d", "y1", "y2") + _LATENT_COLUMNS)
+    fields = _panel_fields(header, ColumnMapping.detect(header)) + [("s", _STRATUM)]
+    return fields + [(name, _LATENT) for name in _LATENT_COLUMNS[1:]]
 
 
 def load_oracle(source: str | Path | bytes | IO[str] | IO[bytes]) -> OraclePanel:
@@ -1093,20 +1115,11 @@ def load_oracle(source: str | Path | bytes | IO[str] | IO[bytes]) -> OraclePanel
     response, observable outcomes vs. latent values) is re-validated on
     load; a corrupted file fails loudly and names its first bad row.
     """
-    table = read_table(source, "oracle table")
-    require_columns(table, ("id", "d", "y1", "y2") + _LATENT_COLUMNS)
-    ids, d, y1, y2, aux, x = _parse_columns(table, ColumnMapping.detect(list(table)))
+    header, values = read_columns(source, "oracle table", _oracle_fields)
+    *panel, s, y1_true, y2_1, y2_0 = values
+    ids, d, y1, y2, aux, x = _panel_values(ColumnMapping.detect(header), panel)
     if not ids:
         raise InputError("empty oracle table")
-    codes = {label: code for code, label in enumerate(STRATUM_LABELS)}
-    s = np.array([codes.get(cell.strip(), -1) for cell in table["s"]], dtype=np.int8)
-    reject(s < 0, table["s"], "s", "unknown stratum label")
-    latent = []
-    for name in _LATENT_COLUMNS[1:]:
-        values = parse_floats(table[name], name)
-        reject(np.isnan(values), table[name], name, "latent outcome must not be missing")
-        latent.append(values)
-    y1_true, y2_1, y2_0 = latent
 
     pair = np.array(STRATUM_PAIRS, dtype=np.int8)
     r2_1, r2_0 = pair[s, 0], pair[s, 1]

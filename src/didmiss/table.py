@@ -2,21 +2,25 @@
 
 A table is a header row plus one row per unit. Blank lines are skipped; in
 messages the header is row 1 and blank lines are not counted. The reader
-streams rows from one ``csv.reader`` straight into one list of raw cells per
-header name, a few hundred rows at a time, so its memory is that of the
-parsed columns; each column is then parsed as a whole by one of three
-parsers:
+takes rows from one ``csv.reader`` a few hundred at a time and passes each
+column of the chunk straight through that column's parser into a typed
+piece, so no cell string outlives its chunk (ids are kept, stripped) and the
+reader's memory is that of the typed columns. The parsers:
 
 - floats: finite decimal numbers. An empty cell or ``NA`` (any case,
   surrounding whitespace ignored) is missing and becomes NaN. ``nan``,
   ``inf``, digit separators such as ``1_000`` and non-ASCII characters are
   errors.
-- binary values: ``0`` or ``1``.
-- non-negative integers, written in ASCII digits.
+- labels: one of a fixed set of tokens, such as ``0``/``1`` or a stratum
+  label, surrounding whitespace ignored.
+- counts: non-negative integers, written in ASCII digits.
+- ids: any text, surrounding whitespace stripped.
 
-Every error about a single cell names its row and column. The writer prints
-floats with ``repr``, so reading a written table back gives every value bit
-for bit, and prints missing floats as ``NA``.
+Every error about a single cell names its row and column. Faults are
+reported in one order wherever they sit in the file (see ``read_columns``).
+The writer formats and writes a few hundred rows at a time. It prints floats
+with ``repr``, so reading a written table back gives every value bit for
+bit, and prints missing floats as ``NA``.
 """
 
 from __future__ import annotations
@@ -25,8 +29,9 @@ import csv
 import io
 import itertools
 import math
+from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -41,39 +46,156 @@ _MISSING_TOKENS = frozenset({"", "na"})
 #: The common spellings of a missing cell, which skip float() altogether.
 _MISSING_CELLS = frozenset({"", "NA", "na"})
 
-_BINARY = {"0": 0, "1": 1}
+_UNPARSEABLE = "unparseable numeric value: expected a finite decimal number or NA"
 
-#: Rows the reader moves into columns at a time. A chunk's row lists are freed
-#: before the cyclic garbage collector promotes them, so it never walks a whole
-#: table of rows. On a 2-vCPU host a 200k-row panel reads in 0.27 s in chunks
-#: of 256 rows and in 0.42 s in chunks of 4096.
+#: Rows the reader parses, and the writer formats, at a time. A chunk's rows
+#: and cells are freed before the cyclic garbage collector promotes them, so it
+#: never walks a whole table of rows. On a 2-vCPU host a 200k-row panel reads
+#: in 0.27 s in chunks of 256 rows and in 0.42 s in chunks of 4096.
 _CHUNK_ROWS = 256
 
 
-def read_table(
-    source: str | Path | bytes | IO[str] | IO[bytes], what: str
-) -> dict[str, Sequence[str]]:
-    """Header name -> the raw cells of that column, in header order.
+@dataclass(frozen=True)
+class Parser:
+    """How the cells of one column become values.
+
+    ``parse`` takes the cells of one chunk and returns their values (a numpy
+    array, or a tuple of strings) and, for each check, the index of the first
+    cell failing it, or None. ``messages`` says what each check requires, in
+    the order their failures are reported.
+    """
+
+    parse: Callable[[Sequence[str]], tuple[Any, Sequence[int | None]]]
+    messages: tuple[str, ...] = ()
+
+
+def _first(bad: np.ndarray) -> int | None:
+    return int(np.argmax(bad)) if bad.any() else None
+
+
+def _float_or_nan(cell: str) -> float:
+    """``float(cell)``, or NaN where float() refuses; the grammar is checked after."""
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan
+
+
+def _floats(cells: Sequence[str]) -> tuple[np.ndarray, tuple[int | None, int | None]]:
+    """Float values, the first cell outside the grammar and the first missing cell."""
+    try:
+        floats = [math.nan if cell in _MISSING_CELLS else float(cell) for cell in cells]
+    except ValueError:  # a cell float() refuses: " NA " or a bad one
+        floats = [math.nan if cell in _MISSING_CELLS else _float_or_nan(cell) for cell in cells]
+    values = np.array(floats, dtype=np.float64)
+    # float() also takes nan, inf, 1_000 and non-ASCII digits; those cells
+    # and the missing tokens are the only ones that need a second look
+    suspect = ~np.isfinite(values)
+    joined = "".join(cells)
+    if "_" in joined or not joined.isascii():
+        suspect |= np.array([not cell.isascii() or "_" in cell for cell in cells], dtype=bool)
+    missing = None
+    for i in np.flatnonzero(suspect).tolist():
+        cell = cells[i]
+        if cell not in _MISSING_CELLS and cell.strip().lower() not in _MISSING_TOKENS:
+            return values, (i, missing)
+        if missing is None:
+            missing = i
+    return values, (None, missing)
+
+
+def floats(missing: str | None = None) -> Parser:
+    """Float64 values; a missing cell is NaN, or an error saying ``missing``."""
+    return Parser(_floats, (_UNPARSEABLE,) if missing is None else (_UNPARSEABLE, missing))
+
+
+def labels(codes: Mapping[str, int], message: str) -> Parser:
+    """Int8 codes of cells that must be keys of ``codes``; ``message`` says so."""
+
+    def parse(cells: Sequence[str]) -> tuple[np.ndarray, tuple[int | None]]:
+        values = np.array([codes.get(cell.strip(), -1) for cell in cells], dtype=np.int8)
+        return values, (_first(values < 0),)
+
+    return Parser(parse, (message,))
+
+
+def binary(message: str) -> Parser:
+    """A 0/1 column as int8; ``message`` says what the column must hold."""
+    return labels({"0": 0, "1": 1}, message)
+
+
+def counts(message: str) -> Parser:
+    """A non-negative integer column as int64 (at most 18 digits per cell)."""
+
+    def parse(cells: Sequence[str]) -> tuple[np.ndarray, tuple[int | None]]:
+        values = np.array(
+            [
+                int(cell) if cell.isascii() and cell.isdigit() and len(cell) < 19 else -1
+                for cell in map(str.strip, cells)
+            ],
+            dtype=np.int64,
+        )
+        return values, (_first(values < 0),)
+
+    return Parser(parse, (message,))
+
+
+#: Cell text with surrounding whitespace stripped, as a tuple of strings.
+IDS = Parser(lambda cells: (tuple(map(str.strip, cells)), ()))
+
+
+def read_columns(
+    source: str | Path | bytes | IO[str] | IO[bytes],
+    what: str,
+    spec: Callable[[list[str]], Sequence[tuple[str, Parser]]],
+) -> tuple[list[str], list[Any]]:
+    """The header, and the values of each field ``spec(header)`` names.
 
     ``source`` is a path (str or Path), or bytes or a file object holding
     the CSV text. ``what`` names the table in the error for a source without
-    a header row ("empty <what>"). Faults are reported in this order: text
-    that does not decode or parse, a missing header row, duplicate header
-    names, then the first row whose cell count differs from the header's.
+    a header row ("empty <what>"). ``spec`` gets the stripped header names
+    and returns the fields to parse, (column name, parser) pairs in the
+    order their cell errors are reported (a column may appear twice); it
+    raises ``InputError`` for a header that lacks a column. Values are
+    returned in field order.
+
+    The whole file is read before any fault is reported, and faults are
+    reported in this order: text that does not decode or parse, a missing
+    header row, duplicate header names, the first row whose cell count
+    differs from the header's, the error of ``spec``, then the first cell
+    failing the first failed check of the first field with one.
     """
     ragged: tuple[int, int] | None = None  # (row number, cell count)
+    unfit: InputError | None = None  # what spec raised
+    faults: dict[tuple[int, int], str] = {}  # (field, check) -> its first failure
+    fields: list[tuple[int, str, Parser]] = []
     try:
         with open_text(source) as handle:
             rows = filter(None, csv.reader(handle))
             header = [cell.strip() for cell in next(rows, ())]
-            columns: list[list[str]] = [[] for _ in header]
+            if header and len(set(header)) == len(header):
+                try:
+                    fields = [(header.index(name), name, parser) for name, parser in spec(header)]
+                except InputError as exc:
+                    unfit = exc
+            pieces: list[list[Any]] = [[] for _ in fields]
             seen = 1  # non-blank rows read so far, the header included
             while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
                 if ragged is None and set(map(len, chunk)) != {len(header)}:
                     i, bad = next((i, r) for i, r in enumerate(chunk) if len(r) != len(header))
                     ragged = (seen + i + 1, len(bad))
-                for column, cells in zip(columns, zip(*chunk)):
-                    column.extend(cells)
+                if ragged is None:
+                    columns = list(zip(*chunk))
+                    for f, (index, name, parser) in enumerate(fields):
+                        cells = columns[index]
+                        values, first = parser.parse(cells)
+                        pieces[f].append(values)
+                        for check, (message, i) in enumerate(zip(parser.messages, first)):
+                            if i is not None and (f, check) not in faults:
+                                faults[f, check] = (
+                                    f"{message}, got {cells[i]!r} "
+                                    f"(row {seen + i + 1}, column {name})"
+                                )
                 seen += len(chunk)
     except (csv.Error, UnicodeDecodeError) as exc:
         raise InputError(f"malformed CSV: {exc}") from exc
@@ -85,7 +207,20 @@ def read_table(
         raise InputError(
             f"malformed CSV: row {ragged[0]} has {ragged[1]} cells, header has {len(header)}"
         )
-    return dict(zip(header, columns))
+    if unfit is not None:
+        raise unfit
+    if faults:
+        raise InputError(faults[min(faults)])
+    return header, [_join(parser, piece) for (_, _, parser), piece in zip(fields, pieces)]
+
+
+def _join(parser: Parser, pieces: list[Any]) -> Any:
+    """One column's values from its chunks' pieces."""
+    if not pieces:
+        return parser.parse(())[0]
+    if isinstance(pieces[0], np.ndarray):
+        return np.concatenate(pieces)
+    return tuple(itertools.chain.from_iterable(pieces))
 
 
 def open_text(source: str | Path | bytes | IO[str] | IO[bytes]) -> IO[str]:
@@ -112,85 +247,37 @@ def require_columns(
         raise InputError(f"CSV header is missing {kind}: {', '.join(missing)}")
 
 
-def reject(bad: np.ndarray, cells: Sequence[str], column: str, message: str) -> None:
-    """Raise for the first cell of ``column`` where ``bad`` holds, if any."""
-    if bad.any():
-        raise _cell_error(message, cells, int(np.argmax(bad)), column)
-
-
-def _cell_error(message: str, cells: Sequence[str], i: int, column: str) -> InputError:
-    return InputError(f"{message}, got {cells[i]!r} (row {i + 2}, column {column})")
-
-
-def _float_or_nan(cell: str) -> float:
-    """``float(cell)``, or NaN where float() refuses; the grammar is checked after."""
-    try:
-        return float(cell)
-    except ValueError:
-        return math.nan
-
-
-def parse_floats(cells: Sequence[str], column: str) -> np.ndarray:
-    """A float column; missing cells become NaN."""
-    try:
-        floats = [math.nan if cell in _MISSING_CELLS else float(cell) for cell in cells]
-    except ValueError:  # a cell float() refuses: " NA " or a bad one
-        floats = [math.nan if cell in _MISSING_CELLS else _float_or_nan(cell) for cell in cells]
-    values = np.array(floats, dtype=np.float64)
-    # float() also takes nan, inf, 1_000 and non-ASCII digits; those cells
-    # and the missing tokens are the only ones that need a second look
-    suspect = ~np.isfinite(values)
-    joined = "".join(cells)
-    if "_" in joined or not joined.isascii():
-        suspect |= np.array([not cell.isascii() or "_" in cell for cell in cells], dtype=bool)
-    for i in np.flatnonzero(suspect).tolist():
-        cell = cells[i]
-        if cell not in _MISSING_CELLS and cell.strip().lower() not in _MISSING_TOKENS:
-            raise _cell_error(
-                "unparseable numeric value: expected a finite decimal number or NA",
-                cells, i, column,
-            )
-    return values
-
-
-def parse_binary(cells: Sequence[str], column: str, message: str) -> np.ndarray:
-    """A 0/1 column as int8; ``message`` says what the column must hold."""
-    values = np.array([_BINARY.get(cell.strip(), -1) for cell in cells], dtype=np.int8)
-    reject(values < 0, cells, column, message)
-    return values
-
-
-def parse_counts(cells: Sequence[str], column: str, message: str) -> np.ndarray:
-    """A non-negative integer column as int64 (at most 18 digits per cell)."""
-    values = np.array(
-        [
-            int(cell) if cell.isascii() and cell.isdigit() and len(cell) < 19 else -1
-            for cell in map(str.strip, cells)
-        ],
-        dtype=np.int64,
-    )
-    reject(values < 0, cells, column, message)
-    return values
-
-
-def float_cells(values: np.ndarray) -> list[float | str]:
-    """``values`` as Python floats for the writer, with ``NA`` in place of NaN."""
-    cells: list[float | str] = values.tolist()
-    for i in np.flatnonzero(np.isnan(values)).tolist():
-        cells[i] = MISSING
+def _cells(values: Sequence[object]) -> Sequence[object]:
+    """A slice of a column as cells: numpy values as Python ones, NaN as ``NA``."""
+    if not isinstance(values, np.ndarray):
+        return values
+    cells: list[object] = values.tolist()
+    if values.dtype.kind == "f":
+        for i in np.flatnonzero(np.isnan(values)).tolist():
+            cells[i] = MISSING
     return cells
 
 
 def write_table(
     dest: str | Path | IO[str], header: Sequence[str], columns: Sequence[Sequence[object]]
 ) -> None:
-    """Write ``header`` and the rows of ``columns``; floats are written with repr."""
+    """Write ``header`` and the rows of ``columns``, a few hundred rows at a time.
+
+    A column is a numpy array or a sequence of cells of equal length; floats
+    are written with repr and NaN as ``NA``. A path that cannot be opened for
+    writing is an ``InputError`` naming it.
+    """
     own = isinstance(dest, (str, Path))
-    handle: IO[str] = open(dest, "w", newline="") if own else dest  # type: ignore[assignment]
+    try:
+        handle: IO[str] = open(dest, "w", newline="") if own else dest  # type: ignore[assignment]
+    except OSError as exc:
+        raise InputError(f"cannot write {dest}: {exc.strerror}") from None
     try:
         writer = csv.writer(handle)
         writer.writerow(header)
-        writer.writerows(zip(*columns))
+        for start in range(0, len(columns[0]) if columns else 0, _CHUNK_ROWS):
+            stop = start + _CHUNK_ROWS
+            writer.writerows(zip(*(_cells(column[start:stop]) for column in columns)))
     finally:
         if own:
             handle.close()

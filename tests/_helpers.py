@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import csv
+import io
+
 import numpy as np
 
 from didmiss import PanelDataset
+from didmiss.errors import InputError
 
 
 def make_panel(
@@ -65,3 +69,22 @@ def block_panel(blocks, aux_width: int = 0, outcome_support=None) -> PanelDatase
         aux=aux if aux_width else None,
         outcome_support=outcome_support,
     )
+
+
+def reference_read_table(text: str, what: str) -> dict[str, tuple[str, ...]]:
+    """The CSV reader as one whole-table transposition: every row held at once."""
+    try:
+        rows = list(filter(None, csv.reader(io.StringIO(text))))
+    except csv.Error as exc:
+        raise InputError(f"malformed CSV: {exc}") from exc
+    if not rows:
+        raise InputError(f"empty {what}")
+    header = [cell.strip() for cell in rows[0]]
+    if len(set(header)) != len(header):
+        raise InputError("malformed CSV: duplicate column names in header")
+    if len(set(map(len, rows))) > 1:
+        i = next(i for i, row in enumerate(rows) if len(row) != len(header))
+        raise InputError(
+            f"malformed CSV: row {i + 1} has {len(rows[i])} cells, header has {len(header)}"
+        )
+    return dict(zip(header, list(zip(*rows[1:])) or [()] * len(header)))

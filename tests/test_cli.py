@@ -315,6 +315,29 @@ def test_simulated_draw_without_an_arm_exits_1(tmp_path):
     assert not (tmp_path / "one.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["cc", "--bootstrap", 5, "--seed", -2], "seed must be a non-negative integer, got -2"),
+        (["bounds", "--support", "nan", 1], "outcome support endpoints are not finite: [nan, 1.0]"),
+        (["simulate", "--preset", "pi", "--n", 50, "--seed", -1, "--out", "x.csv"],
+         "seed must be a non-negative integer, got -1"),
+        (["simulate", "--preset", "pi", "--n", 50, "--out", "/nonexistent/x.csv"],
+         "cannot write /nonexistent/x.csv: No such file or directory"),
+        (["simulate", "--preset", "pi", "--n", 50, "--out", "p.csv", "--truth", "/nonexistent/o.csv"],
+         "cannot write /nonexistent/o.csv: No such file or directory"),
+    ],
+)
+def test_bad_seeds_support_and_output_paths_exit_1_with_one_line(
+    capsys, tmp_path, monkeypatch, toy_path, argv, message
+):
+    monkeypatch.chdir(tmp_path)
+    if argv[0] != "simulate":
+        argv = [argv[0], "--input", toy_path, *argv[1:]]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"did-miss: error: {message}\n")
+
+
 def test_unknown_preset_exits_1(capsys, tmp_path):
     code, _, err = run(
         capsys, "simulate", "--preset", "nope", "--out", tmp_path / "x.csv"

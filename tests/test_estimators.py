@@ -86,6 +86,68 @@ def test_overflowing_outcome_change_is_refused_naming_its_row():
             )
 
 
+@pytest.mark.parametrize(
+    "d, y2",
+    [([0, 1, 1], [1.0, 1e308, 1e308]), ([0, 1], [-1e308, 1e308])],
+    ids=["a sum overflows", "a difference overflows"],
+)
+def test_a_finite_panel_whose_estimate_overflows_is_refused_without_a_warning(d, y2):
+    data = make_panel(d, [0.0] * len(d), y2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = r"^the result is not finite: the complete-case DID is inf$"
+        with pytest.raises(EstimatorError, match=message):
+            did_complete_case(data)
+
+
+def test_every_estimate_over_overflowing_sums_is_refused_without_a_warning():
+    # every y2 - y1 is finite; the treated sums of y2 - y1 overflow
+    data = make_panel(
+        [0, 0, 0, 0, 1, 1, 1, 1, 1],
+        [0.0] * 9,
+        [1.0, 2.0, np.nan, np.nan, 1e308, 1e308, 1e308, np.nan, 1e308],
+        aux=[[0, 0], [1, 1], [0, 1], [1, 0], [0, 0], [1, 1], [0, 1], [1, 0], [1, 0]],
+        x=[0, 0, 0, 0, 0, 0, 0, 0, 0],
+    )
+    estimators = [
+        did_complete_case,
+        lambda data: att_iv(data, 0),
+        lambda data: att_iv_multi(data, (0, 1)),
+        att_principal_ignorability,
+        lambda data: att_ar_bounds(data, "monotone"),
+    ]
+    # the treated changes cancel in the complete-case sum, not in the IV correction
+    cancelling = make_panel(
+        [0, 0, 1, 1, 1, 1, 1],
+        [0.0] * 7,
+        [1.0, 2.0, 1e308, -1e308, np.nan, np.nan, np.nan],
+        aux=[[0], [1], [1], [0], [1], [0], [0]],
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for estimator in estimators:
+            with pytest.raises(EstimatorError, match="^the result is not finite: "):
+                estimator(data)
+        assert np.isfinite(did_complete_case(cancelling).point)
+        with pytest.raises(EstimatorError, match="^the result is not finite: the instrumented DID"):
+            att_iv(cancelling, 0)
+
+
+def test_an_overflowing_replicate_is_a_counted_failure(medium_panel):
+    huge = make_panel([0, 1, 1], [0.0, 0.0, 0.0], [1.0, 1e308, 1e308])
+    calls = []
+
+    def every_third_overflows(sample):
+        calls.append(None)
+        return did_complete_case(huge if len(calls) % 3 == 0 else sample)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = bootstrap_ci(medium_panel, every_third_overflows, BootstrapConfig(30, seed=2))
+    assert "replicates_failed=10" in est.notes
+    assert est.se is not None and np.isfinite(est.se)
+
+
 # -- naive full-sample benchmark ----------------------------------------------
 
 
@@ -117,6 +179,12 @@ def test_bootstrap_config_validation():
         BootstrapConfig(replicates=0, seed=1)
     with pytest.raises(InputError, match="level"):
         BootstrapConfig(replicates=10, seed=1, level=1.0)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, None])
+def test_a_seed_that_is_not_a_non_negative_integer_is_an_input_error(seed):
+    with pytest.raises(InputError, match=rf"^seed must be a non-negative integer, got {seed!r}$"):
+        BootstrapConfig(replicates=5, seed=seed)
 
 
 # -- bootstrap ------------------------------------------------------------------

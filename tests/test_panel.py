@@ -300,6 +300,12 @@ def test_support_containment_enforced():
         make_panel([0, 1], [1.0, 1.0], [1.0, 1.0], outcome_support=(2.0, 0.0))
 
 
+@pytest.mark.parametrize("support", [(np.nan, 1.0), (0.0, np.inf), (-np.inf, 1.0)])
+def test_non_finite_support_says_so(support):
+    with pytest.raises(InputError, match=r"^outcome support endpoints are not finite: "):
+        make_panel([0, 1], [1.0, 1.0], [1.0, 1.0], outcome_support=support)
+
+
 def test_with_support_revalidates(toy):
     widened = toy.with_support(-10.0, 10.0)
     assert widened.outcome_support == (-10.0, 10.0)

@@ -30,9 +30,9 @@ from didmiss import (
 )
 from didmiss.errors import InputError
 from didmiss.simulate import _couple
-from didmiss.table import read_table
+from didmiss.table import Parser, read_columns
 
-from _helpers import brute_trimmed_mean, make_panel
+from _helpers import brute_trimmed_mean, make_panel, reference_read_table
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_subnormal=False)
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, allow_subnormal=False)
@@ -164,25 +164,6 @@ def test_oracle_csv_round_trip_is_exact(oracle):
     assert reloaded.records == oracle.records
 
 
-def reference_read_table(text: str, what: str) -> dict[str, tuple[str, ...]]:
-    """The reader as one whole-table transposition: every row held at once."""
-    try:
-        rows = list(filter(None, csv.reader(io.StringIO(text))))
-    except csv.Error as exc:
-        raise InputError(f"malformed CSV: {exc}") from exc
-    if not rows:
-        raise InputError(f"empty {what}")
-    header = [cell.strip() for cell in rows[0]]
-    if len(set(header)) != len(header):
-        raise InputError("malformed CSV: duplicate column names in header")
-    if len(set(map(len, rows))) > 1:
-        i = next(i for i, row in enumerate(rows) if len(row) != len(header))
-        raise InputError(
-            f"malformed CSV: row {i + 1} has {len(rows[i])} cells, header has {len(header)}"
-        )
-    return dict(zip(header, list(zip(*rows[1:])) or [()] * len(header)))
-
-
 @st.composite
 def csv_texts(draw):
     """CSV text crossing the reader's chunk boundaries, with the faults it must name.
@@ -220,6 +201,15 @@ def csv_texts(draw):
     return "".join(lines) + tail
 
 
+#: Each cell as it is, so ``read_columns`` returns the raw cells of every column.
+RAW = Parser(lambda cells: (tuple(cells), ()))
+
+
+def read_table(source: bytes, what: str) -> dict[str, tuple[str, ...]]:
+    header, columns = read_columns(source, what, lambda header: [(name, RAW) for name in header])
+    return dict(zip(header, columns))
+
+
 @given(csv_texts())
 @settings(deadline=None, max_examples=120)
 def test_read_table_matches_a_whole_table_transposition(text):
@@ -233,7 +223,7 @@ def test_read_table_matches_a_whole_table_transposition(text):
     got = read_table(text.encode(), "table")
     assert list(got) == list(want)
     for name, cells in want.items():
-        assert tuple(got[name]) == cells, name
+        assert got[name] == cells, name
 
 
 # -- complete-case DID invariances ----------------------------------------------

@@ -471,3 +471,8 @@ def test_preset_roots_are_pinned_and_checked():
 def test_unknown_preset_rejected():
     with pytest.raises(InputError, match="unknown preset"):
         make_preset("bogus")
+
+
+def test_a_negative_seed_is_rejected_where_the_spec_is_built():
+    with pytest.raises(InputError, match=r"^seed must be a non-negative integer, got -1$"):
+        make_preset("pi", n=50, seed=-1)

@@ -1,0 +1,391 @@
+"""The typed streaming CSV reader and the chunked writer against the
+whole-column code they replaced, which is kept here as the reference.
+
+The reference reads every row of a table at once, parses each column as a
+whole and raises the first fault in the order the package promises: text
+that does not decode or parse, an empty table, duplicate header names, a
+ragged row, missing columns, then the column checks (aux, w, x, d, y1, y2,
+then the oracle's s and latent columns), then the whole-array checks.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import math
+import random
+import sys
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from didmiss import (
+    STRATUM_LABELS,
+    STRATUM_PAIRS,
+    ColumnMapping,
+    OraclePanel,
+    PanelDataset,
+    load_oracle,
+    load_panel,
+    make_preset,
+    save_oracle,
+    save_panel,
+    simulate_panel,
+)
+from didmiss.errors import InputError
+from didmiss.table import require_columns
+
+from _helpers import reference_read_table
+
+# -- the reference: whole-column parsing -----------------------------------------
+
+UNPARSEABLE = "unparseable numeric value: expected a finite decimal number or NA"
+LATENT = ("s", "y1_true", "y2_1", "y2_0")
+
+
+def cell_error(message: str, cells, i: int, column: str) -> InputError:
+    return InputError(f"{message}, got {cells[i]!r} (row {i + 2}, column {column})")
+
+
+def ref_floats(cells, column: str) -> np.ndarray:
+    values = []
+    for i, cell in enumerate(cells):
+        if cell.strip().lower() in ("", "na"):
+            values.append(math.nan)
+            continue
+        try:
+            value = float(cell)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value) or "_" in cell or not cell.isascii():
+            raise cell_error(UNPARSEABLE, cells, i, column)
+        values.append(value)
+    return np.array(values, dtype=np.float64)
+
+
+def ref_codes(cells, column: str, codes: dict, message: str) -> np.ndarray:
+    values = np.array([codes.get(cell.strip(), -1) for cell in cells], dtype=np.int8)
+    if (values < 0).any():
+        raise cell_error(message, cells, int(np.argmax(values < 0)), column)
+    return values
+
+
+def ref_counts(cells, column: str) -> np.ndarray:
+    values = [
+        int(cell) if cell.isascii() and cell.isdigit() and len(cell) < 19 else -1
+        for cell in map(str.strip, cells)
+    ]
+    if min(values, default=0) < 0:
+        raise cell_error(
+            "covariate must be a non-negative integer", cells, values.index(-1), column
+        )
+    return np.array(values, dtype=np.int64)
+
+
+BINARY = {"0": 0, "1": 1}
+
+
+def ref_panel_columns(table, mapping: ColumnMapping):
+    require_columns(table, (mapping.id, mapping.treatment, mapping.y1, mapping.y2))
+    require_columns(
+        table, mapping.aux_indicators + mapping.aux_variables + mapping.covariates,
+        "declared columns",
+    )
+    n = len(table[mapping.id])
+    aux = [
+        ref_codes(table[k], k, BINARY, "auxiliary indicator column must contain only 0/1")
+        for k in mapping.aux_indicators
+    ]
+    aux += [~np.isnan(ref_floats(table[k], k)) for k in mapping.aux_variables]
+    x = [ref_counts(table[k], k) for k in mapping.covariates]
+    d = ref_codes(table[mapping.treatment], mapping.treatment, BINARY, "treatment must be 0 or 1")
+    y1 = ref_floats(table[mapping.y1], mapping.y1)
+    y2 = ref_floats(table[mapping.y2], mapping.y2)
+    return (
+        tuple(map(str.strip, table[mapping.id])), d, y1, y2,
+        np.column_stack(aux).astype(np.int8) if aux else np.zeros((n, 0), dtype=np.int8),
+        np.column_stack(x) if x else None,
+    )
+
+
+def ref_table(raw: bytes, what: str):
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"malformed CSV: {exc}") from exc
+    return reference_read_table(text, what)
+
+
+def ref_load_panel(raw: bytes, schema: ColumnMapping | None) -> PanelDataset:
+    table = ref_table(raw, "dataset")
+    mapping = schema if schema is not None else ColumnMapping.detect(list(table))
+    ids, d, y1, y2, aux, x = ref_panel_columns(table, mapping)
+    return PanelDataset(d, y1, y2, aux=aux, x=x, unit_ids=ids)
+
+
+def ref_load_oracle(raw: bytes) -> dict:
+    table = ref_table(raw, "oracle table")
+    require_columns(table, ("id", "d", "y1", "y2") + LATENT)
+    ids, d, y1, y2, aux, x = ref_panel_columns(table, ColumnMapping.detect(list(table)))
+    if not ids:
+        raise InputError("empty oracle table")
+    codes = {label: code for code, label in enumerate(STRATUM_LABELS)}
+    s = ref_codes(table["s"], "s", codes, "unknown stratum label")
+    latent = []
+    for name in LATENT[1:]:
+        values = ref_floats(table[name], name)
+        if np.isnan(values).any():
+            raise cell_error(
+                "latent outcome must not be missing", table[name],
+                int(np.argmax(np.isnan(values))), name,
+            )
+        latent.append(values)
+    y1_true, y2_1, y2_0 = latent
+    pair = np.array(STRATUM_PAIRS, dtype=np.int8)
+    r2 = np.where(d == 1, pair[s, 0], pair[s, 1]).astype(bool)
+    y2_bad = np.where(r2, y2 != np.where(d == 1, y2_1, y2_0), ~np.isnan(y2))
+    y1_bad = ~np.isnan(y1) & (y1 != y1_true)
+    bad = y2_bad | y1_bad
+    if bad.any():
+        i = int(np.argmax(bad))
+        problem = (
+            "observed y2 does not equal the selected potential outcome"
+            if y2_bad[i]
+            else "observed y1 does not equal the latent first-period outcome"
+        )
+        raise InputError(f"inconsistent oracle record in row {i + 2}: {problem}")
+    return {"ids": ids, "d": d, "y1": y1, "y2": y2, "aux": aux, "x": x, "s": s,
+            "y1_true": y1_true, "y2_1": y2_1, "y2_0": y2_0}
+
+
+# -- generated tables that cross chunk boundaries ---------------------------------
+
+#: Cells that break one column's grammar or another's, or only look odd.
+ODD_CELLS = [
+    "x", "nan", "inf", "-inf", "1_0", "2", "-1", " 7", " 1 ", "1.5", "", "NA", " na ",
+    "AR", "ZZ", "١", "1e999", '"', "0 ", "1" * 20, "a,b", "line\nbreak",
+]
+
+
+def number(rnd: random.Random) -> str:
+    return rnd.choice([repr(rnd.gauss(0, 3)), str(rnd.randint(-9, 9)), " 2.5 ", "-3e2"])
+
+
+def missing(rnd: random.Random) -> str:
+    return rnd.choice(["NA", "", "na", " NA "])
+
+
+@st.composite
+def tables(draw, oracle: bool):
+    """CSV bytes of a panel or oracle table with 0-700 rows and its faults.
+
+    Rows end in LF or CRLF, cells are sometimes all quoted, blank lines fall
+    anywhere; faults are odd cells in any column, ragged rows, a missing or
+    duplicate header name, a stray quote at the end, or undecodable bytes
+    late in the file.
+    """
+    rnd = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    n = draw(st.sampled_from([0, 1, 255, 256, 257, 511, 512, 513]) | st.integers(0, 700))
+    n_aux, n_x = draw(st.integers(0, 2)), draw(st.integers(0, 1))
+    n_w = 0 if oracle else draw(st.integers(0, 1))
+    header = ["id", "d", "y1", "y2"] + [f"aux{k + 1}" for k in range(n_aux)]
+    header += [f"w{k + 1}" for k in range(n_w)] + [f"x{j + 1}" for j in range(n_x)]
+    header += list(LATENT) if oracle else []
+    rows = []
+    for i in range(n):
+        d, s = rnd.randint(0, 1), rnd.randint(0, 3)
+        y1_true, y2_1, y2_0 = number(rnd), number(rnd), number(rnd)
+        if oracle:
+            y1 = y1_true if rnd.random() < 0.8 else missing(rnd)
+            y2 = (y2_1 if d else y2_0) if STRATUM_PAIRS[s][1 - d] else missing(rnd)
+        else:
+            y1 = number(rnd) if rnd.random() < 0.8 else missing(rnd)
+            y2 = number(rnd) if rnd.random() < 0.7 else missing(rnd)
+        row = [rnd.choice([str(i + 1), f" u{i} ", f"u,{i}"]), str(d), y1, y2]
+        row += [rnd.choice("01") for _ in range(n_aux)]
+        row += [number(rnd) if rnd.random() < 0.5 else missing(rnd) for _ in range(n_w)]
+        row += [str(rnd.randint(0, 3)) for _ in range(n_x)]
+        row += [STRATUM_LABELS[s], y1_true, y2_1, y2_0] if oracle else []
+        rows.append(row)
+    for _ in range(rnd.choice([0, 0, 1, 2, 3])):  # odd cells
+        if rows:
+            rows[rnd.randrange(n)][rnd.randrange(len(header))] = rnd.choice(ODD_CELLS)
+    if rows and rnd.random() < 0.1:  # a ragged row
+        i = rnd.randrange(n)
+        rows[i] = rows[i][:-1] if rnd.random() < 0.5 else rows[i] + ["1"]
+    fault = rnd.randrange(24)
+    if fault == 0:  # a missing column
+        header[rnd.randrange(len(header))] = "zz"
+    elif fault == 1 and len(header) > 4:  # a duplicate name
+        header[-1] = header[1]
+    buffer = io.StringIO()
+    writer = csv.writer(
+        buffer,
+        lineterminator=rnd.choice(["\n", "\r\n"]),
+        quoting=rnd.choice([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]),
+    )
+    lines = []
+    for row in [header] + rows:
+        writer.writerow(row)
+        lines.append(buffer.getvalue())
+        buffer.seek(0)
+        buffer.truncate()
+    for _ in range(rnd.randrange(5)):
+        lines.insert(rnd.randrange(len(lines) + 1), "\n")
+    raw = "".join(lines).encode()
+    if fault == 2:
+        raw += b'a,"b\n'
+    elif fault == 3:  # undecodable bytes near the end
+        at = max(0, len(raw) - rnd.randrange(1, 64))
+        raw = raw[:at] + b"\xff" + raw[at:]
+    return raw
+
+
+def same_error(load, reference) -> bool:
+    """Run ``reference``; if it raises, ``load`` must raise the same message."""
+    try:
+        reference()
+    except InputError as exc:
+        with pytest.raises(InputError) as got:
+            load()
+        assert str(got.value) == str(exc)
+        return True
+    return False
+
+
+SCHEMAS = [None, None, None, ColumnMapping(id="d"), ColumnMapping(y1="y2", y2="y2")]
+
+
+@given(tables(oracle=False), st.sampled_from(SCHEMAS))
+@settings(deadline=None, max_examples=150)
+def test_load_panel_matches_the_whole_column_parse(raw, schema):
+    if same_error(lambda: load_panel(raw, schema), lambda: ref_load_panel(raw, schema)):
+        return
+    want, got = ref_load_panel(raw, schema), load_panel(raw, schema)
+    for name in ("d", "y1", "y2", "aux"):
+        assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
+        assert getattr(got, name).dtype == getattr(want, name).dtype, name
+    assert (got.x is None) == (want.x is None)
+    assert got.x is None or np.array_equal(got.x, want.x)
+    assert got.unit_ids == want.unit_ids
+
+
+@given(tables(oracle=True))
+@settings(deadline=None, max_examples=150)
+def test_load_oracle_matches_the_whole_column_parse(raw):
+    if same_error(lambda: load_oracle(raw), lambda: ref_load_oracle(raw)):
+        return
+    want, got = ref_load_oracle(raw), load_oracle(raw)
+    for name in ("d", "y1", "y2", "aux", "s", "y1_true", "y2_1", "y2_0"):
+        assert np.array_equal(getattr(got, name), want[name], equal_nan=True), name
+        assert getattr(got, name).dtype == want[name].dtype, name
+    assert (got.x is None) == (want["x"] is None)
+    assert got.x is None or np.array_equal(got.x, want["x"])
+    assert got.unit_ids == want["ids"]
+
+
+def test_undecodable_bytes_late_in_a_file_win_over_every_other_fault(tmp_path):
+    rows = "".join(f"{i},{i % 2},oops,1,ZZ,1,1,1\n" for i in range(1, 1000))
+    path = tmp_path / "oracle.csv"
+    path.write_bytes(b"id,d,y1,y2,s,y1_true,y2_1\n" + rows.encode() + b"1000,0,\xff,1\n")
+    with pytest.raises(InputError, match=r"^malformed CSV: 'utf-8' codec can't decode"):
+        load_oracle(path)
+
+
+def test_a_column_that_is_both_missing_and_unparseable_reports_the_unparseable_cell():
+    text = "id,d,y1,y2,s,y1_true,y2_1,y2_0\n1,0,1,1,AR,NA,1,1\n" + "".join(
+        f"{i},0,1,1,AR,1,1,1\n" for i in range(2, 600)
+    ) + "600,0,1,1,AR,oops,1,1\n"
+    message = r"^unparseable numeric.*got 'oops' \(row 601, column y1_true\)$"
+    with pytest.raises(InputError, match=message):
+        load_oracle(text.encode())
+
+
+# -- the writer -----------------------------------------------------------------
+
+
+def reference_write(data, latent: bool) -> str:
+    """The writer as whole ``.tolist()`` columns, NaN as NA in y1 and y2."""
+
+    def float_cells(values):
+        cells = values.tolist()
+        for i in np.flatnonzero(np.isnan(values)).tolist():
+            cells[i] = "NA"
+        return cells
+
+    n_aux = data.aux.shape[1]
+    n_x = 0 if data.x is None else data.x.shape[1]
+    header = ["id", "d", "y1", "y2"] + [f"aux{k + 1}" for k in range(n_aux)]
+    header += [f"x{j + 1}" for j in range(n_x)]
+    columns = [data.unit_ids, data.d.tolist(), float_cells(data.y1), float_cells(data.y2)]
+    columns += [data.aux[:, k].tolist() for k in range(n_aux)]
+    columns += [data.x[:, j].tolist() for j in range(n_x)]
+    if latent:
+        header += list(LATENT)
+        columns += [[STRATUM_LABELS[c] for c in data.s.tolist()], data.y1_true.tolist(),
+                    data.y2_1.tolist(), data.y2_0.tolist()]
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(zip(*columns))
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 1000])
+@pytest.mark.parametrize("ids", [False, True])
+@pytest.mark.parametrize("extra", [False, True])  # NaN outcomes, aux and x columns
+def test_writer_is_byte_identical_to_the_whole_column_writer(n, ids, extra):
+    rng = np.random.default_rng(n)
+    unit_ids = tuple(f" u,{i}\n" for i in range(n)) if ids else None
+    y1, y2 = rng.normal(size=n) * 1e3, rng.normal(size=n) / 7
+    if extra:
+        y1[rng.random(n) < 0.2] = np.nan
+        y2[rng.random(n) < 0.3] = np.nan
+    aux = rng.integers(0, 2, size=(n, 2 if extra else 0)).astype(np.int8)
+    x = rng.integers(0, 10**18, size=(n, 1)) if extra else None
+    d = rng.integers(0, 2, size=n).astype(np.int8)
+    data = PanelDataset(d, y1, y2, aux=aux, x=x, unit_ids=unit_ids, _validate=False)
+    s = rng.integers(0, 4, size=n).astype(np.int8)
+    pair = np.array(STRATUM_PAIRS, dtype=np.int8)
+    oracle = OraclePanel(
+        d=d, y1_true=rng.normal(size=n), y2_1=rng.normal(size=n), y2_0=rng.normal(size=n),
+        s=s, r1=rng.integers(0, 2, size=n).astype(np.int8), r2_1=pair[s, 0], r2_0=pair[s, 1],
+        aux=aux, x=x, unit_ids=unit_ids,
+    )
+    panel_text, oracle_text = io.StringIO(), io.StringIO()
+    save_panel(data, panel_text)  # before the reference, which builds default ids
+    save_oracle(oracle, oracle_text)
+    assert panel_text.getvalue() == reference_write(data, latent=False)
+    assert oracle_text.getvalue() == reference_write(oracle, latent=True)
+
+
+def test_an_unwritable_path_is_an_input_error(tmp_path):
+    data = simulate_panel(make_preset("zero-bias", n=50, seed=1))[0]
+    with pytest.raises(InputError, match=r"^cannot write .*absent.x\.csv: No such file"):
+        save_panel(data, tmp_path / "absent" / "x.csv")
+    with pytest.raises(InputError, match="^cannot write "):
+        save_panel(data, tmp_path)
+
+
+# -- memory ------------------------------------------------------------------------
+
+
+def test_load_oracle_holds_about_its_typed_columns(tmp_path):
+    # every cell string freed with its chunk: the peak stays near the parsed
+    # arrays and ids, where holding all raw cells first takes several times that
+    _, oracle, _ = simulate_panel(make_preset("monotone", n=20_000, seed=5))
+    path = tmp_path / "oracle.csv"
+    save_oracle(oracle, path)
+    tracemalloc.start()
+    try:
+        loaded = load_oracle(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = ("d", "y1_true", "y2_1", "y2_0", "s", "r1", "r2_1", "r2_0", "aux")
+    parsed = sum(getattr(loaded, name).nbytes for name in arrays)
+    ids = loaded.unit_ids
+    parsed += sys.getsizeof(ids) + sum(map(sys.getsizeof, ids))
+    assert peak < 3 * parsed, (peak, parsed)
