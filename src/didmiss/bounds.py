@@ -197,7 +197,11 @@ def trimmed_mean(
         raise InputError(f"side must be 'bottom' or 'top', got {side!r}")
     if keep == 1.0:
         return float(v.mean())
-    v = np.sort(v, kind="stable")
+    return _trimmed_sorted(np.sort(v, kind="stable"), keep, side)
+
+
+def _trimmed_sorted(v: np.ndarray, keep: float, side: str) -> float:
+    """``trimmed_mean`` with keep < 1 of the values ``v``, sorted ascending."""
     if side == "top":
         v = v[::-1]
     t = keep * v.size
@@ -277,12 +281,16 @@ def att_ar_bounds(data: PanelDataset, mode: Mode = "monotone") -> BoundResult:
         raise InputError(f"mode must be 'monotone' or 'no-monotone', got {mode!r}")
     groups = GroupKey(data)
     deltas = [groups.dy[data.complete_case & (data.d == d)] for d in (0, 1)]
-    return _bounds(
-        groups.counts().arms,
-        lambda d, keep, side: trimmed_mean(deltas[d], keep, side),
-        mode,
-        data.outcome_support,
-    )
+    ordered: dict[int, np.ndarray] = {}  # each arm sorted at most once, for both sides
+
+    def trim(d: int, keep: float, side: str) -> float:
+        if keep == 1.0:
+            return float(deltas[d].mean())
+        if d not in ordered:
+            ordered[d] = np.sort(deltas[d], kind="stable")
+        return _trimmed_sorted(ordered[d], keep, side)
+
+    return _bounds(groups.counts().arms, trim, mode, data.outcome_support)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing trimmed mean is refused below

@@ -23,7 +23,6 @@ index) and run in one thread; setting ``DIDMISS_THREADS`` has no effect.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
@@ -61,7 +60,6 @@ from .simulate import (
     save_oracle,
     simulate_panel,
 )
-from .table import open_text
 
 __all__ = ["RunReport", "main"]
 
@@ -461,9 +459,12 @@ def _run_pi(args: argparse.Namespace) -> RunReport:
         data = load_panel(args.input)
     else:
         names = tuple(s.strip() for s in args.covariates.split(",") if s.strip())
-        header = _csv_header(args.input)
-        mapping = dataclasses.replace(ColumnMapping.detect(header), covariates=names)
-        data = load_panel(args.input, schema=mapping)
+        data = load_panel(
+            args.input,
+            schema=lambda header: dataclasses.replace(
+                ColumnMapping.detect(header), covariates=names
+            ),
+        )
     table = principal_scores(data)
     cfg = _bootstrap_cfg(args)
     est = (
@@ -489,18 +490,6 @@ def _run_pi(args: argparse.Namespace) -> RunReport:
         },
         environment=_environment(args.seed if cfg else None),
     )
-
-
-def _csv_header(path: str) -> list[str]:
-    """The first non-empty CSV row of the file at ``path``; reads no further."""
-    with open_text(path) as handle:
-        try:
-            for row in csv.reader(handle):
-                if row:
-                    return [cell.strip() for cell in row]
-        except (csv.Error, UnicodeDecodeError) as exc:
-            raise InputError(f"malformed CSV: {exc}") from exc
-    raise InputError("empty dataset")
 
 
 def _run_rates(args: argparse.Namespace) -> RunReport:

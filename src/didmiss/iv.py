@@ -174,7 +174,8 @@ def att_iv_multi(
 def _iv_pair(c: GroupCounts) -> tuple[Estimate, IvDiagnostics]:
     """``att_iv_multi`` from counts keyed on (arm, R1, R2, level of k1, level of k2)."""
     n, s = c.n[0], c.s[0]
-    with np.errstate(over="ignore"):  # a sum that overflows is refused by _corrected
+    # a sum that overflows, or meets one that overflowed the other way, is refused by _corrected
+    with np.errstate(over="ignore", invalid="ignore"):
         s1, s2 = s.sum(axis=4), s.sum(axis=3)
 
     def arm_gap(d: int) -> tuple[float, float]:

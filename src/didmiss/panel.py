@@ -363,13 +363,13 @@ class GroupCounts:
 
 def _factorize(x: np.ndarray) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
     """Covariate rows to (distinct rows in lexicographic order, per-unit index)."""
-    index = np.zeros(x.shape[0], dtype=np.intp)
+    index = None
     for column in x.T:
-        _, level = np.unique(column, return_inverse=True)
-        # re-rank after each column so codes stay below n squared
-        _, first, index = np.unique(
-            index * (int(level.max()) + 1) + level, return_index=True, return_inverse=True
-        )
+        if index is not None:
+            # pair with the codes so far, re-ranked so they stay below n squared
+            _, level = np.unique(column, return_inverse=True)
+            column = index * (int(level.max()) + 1) + level
+        _, first, index = np.unique(column, return_index=True, return_inverse=True)
     return tuple(tuple(row) for row in x[first].tolist()), index.reshape(-1)
 
 
@@ -426,22 +426,29 @@ def _rate_table(arms: np.ndarray, aux_counts: Sequence[np.ndarray] = ()) -> Rate
 
 def load_panel(
     source: str | Path | bytes | IO[str] | IO[bytes],
-    schema: ColumnMapping | None = None,
+    schema: ColumnMapping | Callable[[list[str]], ColumnMapping] | None = None,
     outcome_support: tuple[float, float] | None = None,
 ) -> PanelDataset:
     """Read a CSV panel (header row required) into a validated PanelDataset.
 
-    Empty cells and the literal "NA" (case-insensitive) denote missing
-    outcomes; any other cell must be a finite decimal number. Auxiliary
-    indicator columns must contain only 0/1; auxiliary *variable* columns
-    (schema.aux_variables) contribute the indicator 1{cell present} instead.
+    ``schema`` is a ColumnMapping, or a function of the stripped header
+    names that returns one; by default the mapping is detected from the
+    header. Empty cells and the literal "NA" (case-insensitive) denote
+    missing outcomes; any other cell must be a finite decimal number.
+    Auxiliary indicator columns must contain only 0/1; auxiliary *variable*
+    columns (schema.aux_variables) contribute the indicator 1{cell present}
+    instead.
     """
+    mappings: list[ColumnMapping] = []  # the one mapping, resolved from the header
 
     def fields(header: list[str]) -> list[tuple[str, Parser]]:
-        return _panel_fields(header, schema or ColumnMapping.detect(header))
+        mappings.append(
+            schema(header) if callable(schema) else schema or ColumnMapping.detect(header)
+        )
+        return _panel_fields(header, mappings[0])
 
-    header, values = read_columns(source, "dataset", fields)
-    ids, d, y1, y2, aux, x = _panel_values(schema or ColumnMapping.detect(header), values)
+    _, values = read_columns(source, "dataset", fields)
+    ids, d, y1, y2, aux, x = _panel_values(mappings[0], values)
     return PanelDataset(d, y1, y2, aux=aux, x=x, unit_ids=ids, outcome_support=outcome_support)
 
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence, Union
 
@@ -327,15 +328,33 @@ class DgpSpec:
 
     def cells(self) -> tuple[Cell, ...]:
         """The cell layer, or a single implicit cell built from ``joint_sd``."""
-        if self.covariate_model:
-            return self.covariate_model
-        return (
-            Cell(
-                label="all",
-                share=(1.0, 1.0),
-                strata=(self.pi(0), self.pi(1)),
-            ),
-        )
+        return self.covariate_model or self._implicit_cells
+
+    @cached_property
+    def _implicit_cells(self) -> tuple[Cell, ...]:
+        return (Cell(label="all", share=(1.0, 1.0), strata=(self.pi(0), self.pi(1))),)
+
+    @cached_property
+    def _population(self) -> tuple[float, float, float]:
+        """Population ATT, always-respondent ATT and complete-case DID.
+
+        Evaluated once per spec, for the preset check and the oracle truth.
+        The complete-case DID is NaN when an arm has no second-wave respondents.
+        """
+        att = ar_num = ar_den = 0.0
+        for cell in self.cells():
+            for st in range(4):
+                w = cell.share[1] * cell.strata[1][st]
+                effect = self.effect[st] + cell.effect_shift
+                att += w * effect
+                if st == _AR:
+                    ar_num += w * effect
+                    ar_den += w
+        try:
+            cc = _complete_case(_expected_counts(self)).point
+        except EstimatorError:
+            cc = math.nan
+        return att, ar_num / ar_den if ar_den > 0 else math.nan, cc
 
 
 # ---------------------------------------------------------------------------
@@ -580,27 +599,6 @@ def _expected_counts(spec: DgpSpec, aux: Sequence[int] = ()) -> GroupCounts:
     )
 
 
-def _population(spec: DgpSpec) -> tuple[float, float, float]:
-    """Population ATT, always-respondent ATT and complete-case DID.
-
-    The complete-case DID is NaN when an arm has no second-wave respondents.
-    """
-    att = ar_num = ar_den = 0.0
-    for cell in spec.cells():
-        for st in range(4):
-            w = cell.share[1] * cell.strata[1][st]
-            effect = spec.effect[st] + cell.effect_shift
-            att += w * effect
-            if st == _AR:
-                ar_num += w * effect
-                ar_den += w
-    try:
-        cc = _complete_case(_expected_counts(spec)).point
-    except EstimatorError:
-        cc = math.nan
-    return att, ar_num / ar_den if ar_den > 0 else math.nan, cc
-
-
 # ---------------------------------------------------------------------------
 # simulation
 # ---------------------------------------------------------------------------
@@ -639,7 +637,6 @@ def simulate_panel(spec: DgpSpec) -> tuple[PanelDataset, OraclePanel, OracleTrut
     rng = np.random.default_rng(spec.seed)
     n = spec.n
     cells = spec.cells()
-    n_cells = len(cells)
 
     d = (rng.random(n) < spec.arm_share(1)).astype(np.int8)
     n_treated = int(d.sum())
@@ -649,41 +646,46 @@ def simulate_panel(spec: DgpSpec) -> tuple[PanelDataset, OraclePanel, OracleTrut
             f"a draw of n={n} units has no {empty} unit; both arms are required "
             "(use a larger n or another seed)"
         )
-    d_idx = d.astype(np.intp)
+    treated = d.view(bool)
+    arm = d.astype(np.intp)
 
-    shares = np.array([[c.share[arm] for c in cells] for arm in (0, 1)], dtype=np.float64)
-    cum_shares = np.cumsum(shares, axis=1)
+    # A unit's cell (stratum) is the number of cumulative-share edges its
+    # uniform reaches, the last edge left out: searchsorted(side="right")
+    # capped at the last bin, since the edges never decrease.
     u_cell = rng.random(n)
-    cell_idx = np.empty(n, dtype=np.intp)
-    for arm in (0, 1):
-        mask = d == arm
-        cell_idx[mask] = np.searchsorted(cum_shares[arm], u_cell[mask], side="right")
-    np.minimum(cell_idx, n_cells - 1, out=cell_idx)
+    cell = np.zeros(n, dtype=np.intp)
+    for edge in np.cumsum([c.share for c in cells], axis=0, dtype=np.float64)[:-1]:
+        cell += u_cell >= edge.take(arm)
+    group = 2 * cell + arm  # (cell, arm)
+    del u_cell, cell, arm
 
-    strata = np.array([[c.strata[arm] for arm in (0, 1)] for c in cells], dtype=np.float64)
-    cum_strata = np.cumsum(strata, axis=2)
+    cum_strata = np.cumsum([c.strata for c in cells], axis=2, dtype=np.float64)
     u_strat = rng.random(n)
-    s = (u_strat[:, None] >= cum_strata[cell_idx, d_idx]).sum(axis=1)
-    s = np.minimum(s, 3).astype(np.int8)
-    s_idx = s.astype(np.intp)
+    s = np.zeros(n, dtype=np.int8)
+    for edge in cum_strata.reshape(-1, 4).T[:3]:
+        s += u_strat >= edge.take(group)
+    del u_strat
+    code = 4 * group + s  # (cell, arm, stratum)
 
     eps1 = rng.normal(0.0, spec.noise_sd, n)
     eps2 = rng.normal(0.0, spec.noise_sd, n)
 
-    base = np.array(spec.baseline, dtype=np.float64)  # (4, 2) indexed [s][d]
-    base_shift = np.array([c.baseline_shift for c in cells], dtype=np.float64)
-    y1 = base[s_idx, d_idx] + base_shift[cell_idx, d_idx] + eps1
+    # Each (cell, arm, stratum) term, summed in the order of the per-unit
+    # outcome expressions, so every outcome keeps its bits.
+    def per_cell(name: str) -> np.ndarray:
+        return np.array([getattr(c, name) for c in cells], dtype=np.float64)
 
-    trend = np.array(spec.trend, dtype=np.float64)[s_idx]
-    trend = trend + np.array([c.trend_shift for c in cells], dtype=np.float64)[cell_idx, d_idx]
-    trend = trend + np.array(spec.arm_trend_delta, dtype=np.float64)[s_idx] * (d == 1)
-    y2_0 = y1 + trend + eps2
-    effect = np.array(spec.effect, dtype=np.float64)[s_idx]
-    effect = effect + np.array([c.effect_shift for c in cells], dtype=np.float64)[cell_idx]
-    y2_1 = y2_0 + effect
+    base = np.array(spec.baseline, dtype=np.float64).T + per_cell("baseline_shift")[:, :, None]
+    trend = np.array(spec.trend, dtype=np.float64) + per_cell("trend_shift")[:, :, None]
+    trend = trend + np.array(spec.arm_trend_delta, dtype=np.float64) * np.array([[False], [True]])
+    effect = np.array(spec.effect, dtype=np.float64) + per_cell("effect_shift")[:, None, None]
+    y1 = base.take(code) + eps1
+    y2_0 = y1 + trend.take(code) + eps2
+    y2_1 = y2_0 + np.broadcast_to(effect, base.shape).take(code)
+    del code, eps1, eps2
 
-    r2_1 = np.array([pair[0] for pair in STRATUM_PAIRS], dtype=np.int8)[s_idx]
-    r2_0 = np.array([pair[1] for pair in STRATUM_PAIRS], dtype=np.int8)[s_idx]
+    r2_1 = np.array([pair[0] for pair in STRATUM_PAIRS], dtype=np.int8)[s]
+    r2_0 = np.array([pair[1] for pair in STRATUM_PAIRS], dtype=np.int8)[s]
 
     if spec.r1_model.kind == "mcar":
         r1 = (rng.random(n) < spec.r1_model.rate).astype(np.int8)
@@ -691,26 +693,21 @@ def simulate_panel(spec: DgpSpec) -> tuple[PanelDataset, OraclePanel, OracleTrut
         r1 = np.ones(n, dtype=np.int8)
 
     aux = np.zeros((n, len(spec.aux_models)), dtype=np.int8)
-    pattern_values = [
-        np.array([c.aux_pattern[j] for c in cells], dtype=np.int8)
-        for j in range(0 if not cells[0].aux_pattern else len(cells[0].aux_pattern))
-    ]
-    pattern_slot = 0
+    patterns = iter(np.repeat([c.aux_pattern or () for c in cells], 2, axis=0).T)
     for k, model in enumerate(spec.aux_models):
         if model.kind == "independent":
             aux[:, k] = rng.random(n) < model.p
         else:
-            aux[:, k] = pattern_values[pattern_slot][cell_idx]
-            pattern_slot += 1
+            aux[:, k] = next(patterns).take(group)
 
     if cells[0].x_label is not None:
-        labels = np.array([c.x_label for c in cells], dtype=np.int64)
-        x = labels[cell_idx].reshape(n, 1)
+        x = np.repeat([c.x_label for c in cells], 2).astype(np.int64).take(group).reshape(n, 1)
     else:
         x = None
+    del group
 
-    r2 = np.where(d == 1, r2_1, r2_0)
-    y2_obs = np.where(r2.astype(bool), np.where(d == 1, y2_1, y2_0), np.nan)
+    y2_obs = np.where(treated, y2_1, y2_0)
+    y2_obs[np.where(treated, r2_1, r2_0) == 0] = np.nan
     y1_obs = np.where(r1.astype(bool), y1, np.nan)
 
     data = PanelDataset(
@@ -734,16 +731,13 @@ def simulate_panel(spec: DgpSpec) -> tuple[PanelDataset, OraclePanel, OracleTrut
         x=x,
     )
 
-    treated = d == 1
-    att = float(np.mean(y2_1[treated] - y2_0[treated]))
+    direct = y2_1 - y2_0
+    att = float(np.mean(direct[treated]))
     ar_treated = treated & (s == _AR)
-    att_ar = (
-        float(np.mean(y2_1[ar_treated] - y2_0[ar_treated])) if ar_treated.any() else math.nan
-    )
-    att_population, att_ar_population, cc_population = _population(spec)
-    pi_table = tuple(
-        {STRATUM_PAIRS[code]: spec.pi(arm)[code] for code in range(4)} for arm in (0, 1)
-    )
+    att_ar = float(np.mean(direct[ar_treated])) if ar_treated.any() else math.nan
+    att_population, att_ar_population, cc_population = spec._population
+    pis = (spec.pi(0), spec.pi(1))
+    pi_table = tuple({STRATUM_PAIRS[code]: pis[arm][code] for code in range(4)} for arm in (0, 1))
     truth = OracleTruth(
         att=att,
         att_ar=att_ar,
@@ -785,6 +779,25 @@ def _as_oracle(records: OracleInput) -> OraclePanel:
         if seq[0].x is None
         else np.array([r.x for r in seq], dtype=np.int64).reshape(len(seq), -1),
     )
+
+
+def _group_stats(
+    code: np.ndarray, values: np.ndarray, size: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Count, mean and sum of squared deviations from the mean of ``values``
+    in each group ``code`` of ``range(size)``; an empty group's mean is 0.
+
+    Corrected two-pass sums: the second pass adds each group's mean
+    deviation from the first-pass mean, so the means are as accurate as
+    pairwise ``np.mean`` although ``bincount`` sums one unit at a time.
+    """
+    code = code.astype(np.intp)  # an int8 index gathers several times slower
+    counts = np.bincount(code, minlength=size)
+    n = np.maximum(counts, 1)
+    means = np.bincount(code, values, minlength=size) / n
+    dev = values - means.take(code)
+    shift = np.bincount(code, dev, minlength=size) / n
+    return counts, means + shift, np.bincount(code, dev * dev, minlength=size) - shift**2 * n
 
 
 #: Labels of the five decomposition terms, in reported order.
@@ -843,44 +856,45 @@ def decompose_att(records: OracleInput) -> AttDecomposition:
         errors — the generating spec violated shared trends.
     """
     oracle = _as_oracle(records)
-    d = oracle.d
-    s = oracle.s
-    treated = d == 1
-    control = ~treated
-    n1 = int(treated.sum())
-    if n1 == 0 or int(control.sum()) == 0:
-        raise EstimatorError("decomposition requires units in both arms")
-
-    shares = {
-        STRATUM_PAIRS[code]: float((treated & (s == code)).sum()) / n1 for code in range(4)
-    }
     delta0 = oracle.y2_0 - oracle.y1_true  # untreated change, all units
     direct = oracle.y2_1 - oracle.y2_0
+    code = 2 * oracle.s + oracle.d
+    n, trend, ss = (v.reshape(4, 2).tolist() for v in _group_stats(code, delta0, 8))
+    effect = _group_stats(code, direct, 8)[1].reshape(4, 2).tolist()
+    del code
+    n1 = sum(row[1] for row in n)
+    if n1 == 0 or sum(row[0] for row in n) == 0:
+        raise EstimatorError("decomposition requires units in both arms")
+    share = [row[1] / n1 for row in n]
+    shares = {STRATUM_PAIRS[code]: share[code] for code in range(4)}
 
-    responds_if_treated = (s == _AR) | (s == _ITR)
-    term1 = float(np.mean((oracle.y2_1 - oracle.y1_true)[treated] * responds_if_treated[treated]))
-
-    def _stratum_mean(values: np.ndarray, mask: np.ndarray, code: int, role: str) -> float:
-        group = mask & (s == code)
-        if not group.any():
+    # the treated respondents' mean change, stratum by stratum: effect plus trend
+    term1 = sum(
+        (
+            share[code] * (effect[code][1] + trend[code][1])
+            for code in (_AR, _ITR)
+            if share[code] > 0
+        ),
+        0.0,
+    )
+    terms = [term1]
+    # control-arm trends of the strata that respond if treated (subtracted),
+    # direct effects of those that do not (added; share > 0 means treated units)
+    for code, arm in ((_AR, 0), (_ITR, 0), (_NR, 1), (_ICR, 1)):
+        if share[code] == 0:
+            terms.append(0.0)
+        elif n[code][arm] == 0:
             raise EstimatorError(
-                f"no {role} units in stratum {STRATUM_LABELS[code]}: "
+                f"no control units in stratum {STRATUM_LABELS[code]}: "
                 "its decomposition term is undefined"
             )
-        return float(values[group].mean())
-
-    terms = [term1, 0.0, 0.0, 0.0, 0.0]
-    if shares[STRATUM_PAIRS[_AR]] > 0:
-        terms[1] = -shares[STRATUM_PAIRS[_AR]] * _stratum_mean(delta0, control, _AR, "control")
-    if shares[STRATUM_PAIRS[_ITR]] > 0:
-        terms[2] = -shares[STRATUM_PAIRS[_ITR]] * _stratum_mean(delta0, control, _ITR, "control")
-    if shares[STRATUM_PAIRS[_NR]] > 0:
-        terms[3] = shares[STRATUM_PAIRS[_NR]] * _stratum_mean(direct, treated, _NR, "treated")
-    if shares[STRATUM_PAIRS[_ICR]] > 0:
-        terms[4] = shares[STRATUM_PAIRS[_ICR]] * _stratum_mean(direct, treated, _ICR, "treated")
+        elif arm:
+            terms.append(share[code] * effect[code][1])
+        else:
+            terms.append(-share[code] * trend[code][0])
 
     total = float(sum(terms))
-    att = float(np.mean(direct[treated]))
+    att = float(np.mean(direct[oracle.d == 1]))
     deviation = total - att
 
     # The deviation equals the share-weighted cross-arm gap in untreated
@@ -888,18 +902,15 @@ def decompose_att(records: OracleInput) -> AttDecomposition:
     # treats the shares as fixed.
     var = 0.0
     for code in (_AR, _ITR):
-        share = shares[STRATUM_PAIRS[code]]
-        if share == 0:
+        if share[code] == 0:
             continue
-        for mask in (treated, control):
-            group = mask & (s == code)
-            n_g = int(group.sum())
-            if n_g < 2:
-                raise EstimatorError(
-                    f"stratum {STRATUM_LABELS[code]} needs at least two units per arm "
-                    "for the decomposition tolerance"
-                )
-            var += share**2 * float(np.var(delta0[group], ddof=1)) / n_g
+        if min(n[code]) < 2:
+            raise EstimatorError(
+                f"stratum {STRATUM_LABELS[code]} needs at least two units per arm "
+                "for the decomposition tolerance"
+            )
+        for arm in (1, 0):
+            var += share[code] ** 2 * (ss[code][arm] / (n[code][arm] - 1)) / n[code][arm]
     se = math.sqrt(var)
 
     if abs(deviation) > 6.0 * se + 1e-12:
@@ -957,35 +968,24 @@ def check_trend_mixture(records: OracleInput) -> TrendMixtureReport:
     """
     oracle = _as_oracle(records)
     delta0 = oracle.y2_0 - oracle.y1_true
-    d = oracle.d
-    s = oracle.s
+    n_arm, direct, arm_ss = (v.tolist() for v in _group_stats(oracle.d, delta0, 2))
+    if min(n_arm) == 0:
+        raise EstimatorError("trend comparison requires units in both arms")
+    code = 2 * oracle.s + oracle.d
+    n, means, _ = (v.reshape(4, 2).tolist() for v in _group_stats(code, delta0, 8))
+    del code
 
-    direct: list[float] = []
     mixture: list[float] = []
     shares: list[dict[tuple[int, int], float]] = []
     trends: list[dict[tuple[int, int], float | None]] = []
     for arm in (0, 1):
-        mask = d == arm
-        n_arm = int(mask.sum())
-        if n_arm == 0:
-            raise EstimatorError("trend comparison requires units in both arms")
-        direct.append(float(delta0[mask].mean()))
-        arm_shares: dict[tuple[int, int], float] = {}
-        arm_trends: dict[tuple[int, int], float | None] = {}
-        mix = 0.0
-        for code in range(4):
-            group = mask & (s == code)
-            n_g = int(group.sum())
-            arm_shares[STRATUM_PAIRS[code]] = n_g / n_arm
-            if n_g:
-                m = float(delta0[group].mean())
-                arm_trends[STRATUM_PAIRS[code]] = m
-                mix += (n_g / n_arm) * m
-            else:
-                arm_trends[STRATUM_PAIRS[code]] = None
-        mixture.append(mix)
-        shares.append(arm_shares)
-        trends.append(arm_trends)
+        shares.append({STRATUM_PAIRS[code]: n[code][arm] / n_arm[arm] for code in range(4)})
+        trends.append(
+            {STRATUM_PAIRS[code]: means[code][arm] if n[code][arm] else None for code in range(4)}
+        )
+        mixture.append(
+            sum(n[code][arm] / n_arm[arm] * means[code][arm] for code in range(4) if n[code][arm])
+        )
 
     scale = max(1.0, max(abs(v) for v in direct))
     residual = max(abs(direct[arm] - mixture[arm]) for arm in (0, 1))
@@ -995,12 +995,7 @@ def check_trend_mixture(records: OracleInput) -> TrendMixtureReport:
             "exceeds floating-point tolerance"
         )
 
-    var = 0.0
-    for arm in (0, 1):
-        mask = d == arm
-        n_arm = int(mask.sum())
-        if n_arm >= 2:
-            var += float(np.var(delta0[mask], ddof=1)) / n_arm
+    var = sum(arm_ss[arm] / (n_arm[arm] - 1) / n_arm[arm] for arm in (0, 1) if n_arm[arm] >= 2)
     return TrendMixtureReport(
         direct=(direct[0], direct[1]),
         mixture=(mixture[0], mixture[1]),
@@ -1341,7 +1336,7 @@ def _preset_zero_bias(n: int, seed: int) -> DgpSpec:
 
 def _verify_zero_bias(spec: DgpSpec) -> None:
     kind = "zero-bias"
-    att, _, cc = _population(spec)
+    att, _, cc = spec._population
     _, iv = _iv_single(_expected_counts(spec, (0,)))
     _require(abs(cc - att) < 1e-12, kind, "complete-case bias is not zero")
     _require(abs(att - 1.0) < 1e-12, kind, "ATT is not 1.0")
@@ -1391,7 +1386,7 @@ def _verify_homogeneous_bias(spec: DgpSpec) -> None:
         gaps.append(b * (obs - miss))
     _require(abs(gaps[0] - gaps[1]) < 1e-10, kind, "trend gap differs across instrument groups")
 
-    att, _, cc = _population(spec)
+    att, _, cc = spec._population
     est, iv = _iv_single(_expected_counts(spec, (0,)))
     _require(abs(cc - att - 0.25) < 1e-9, kind, "planted complete-case bias is not 0.25")
     _require(abs(att - 1.0) < 1e-12, kind, "ATT is not 1.0")
@@ -1441,7 +1436,7 @@ def _preset_multi_iv(n: int, seed: int) -> DgpSpec:
 
 def _verify_multi_iv(spec: DgpSpec) -> None:
     kind = "multi-iv"
-    att, _, _ = _population(spec)
+    att, _, _ = spec._population
     _require(abs(att - 1.0) < 1e-12, kind, "ATT is not 1.0")
     one, _ = _iv_single(_expected_counts(spec, (0,)))
     pair, _ = _iv_pair(_expected_counts(spec, (0, 1)))
@@ -1502,7 +1497,7 @@ def _preset_pi(n: int, seed: int) -> DgpSpec:
 
 def _verify_pi(spec: DgpSpec) -> None:
     kind = "pi"
-    att, _, cc = _population(spec)
+    att, _, cc = spec._population
     _require(abs(att - 1.0) < 1e-12, kind, "ATT is not 1.0")
     _require(abs(cc - att - 0.2) < 1e-9, kind, "planted complete-case bias is not 0.2")
     for cell in spec.covariate_model:
@@ -1552,7 +1547,7 @@ def _preset_mnar_baseline(n: int, seed: int) -> DgpSpec:
 
 def _verify_mnar_baseline(spec: DgpSpec) -> None:
     kind = "mnar-baseline"
-    att, _, cc = _population(spec)
+    att, _, cc = spec._population
     _require(abs(att - 1.01) < 1e-12, kind, "ATT is not 1.01")
     _require(abs(cc - att - 47.0 / 140.0) < 1e-12, kind, "complete-case bias moved")
 
@@ -1578,7 +1573,7 @@ def _preset_monotone(n: int, seed: int) -> DgpSpec:
 
 def _verify_monotone(spec: DgpSpec) -> None:
     kind = "monotone"
-    _, att_ar, _ = _population(spec)
+    _, att_ar, _ = spec._population
     _require(spec.pi(0)[_ICR] == 0.0 and spec.pi(1)[_ICR] == 0.0, kind, "if-control mass present")
     _require(abs(att_ar - 1.0) < 1e-12, kind, "always-respondent ATT is not 1.0")
     _require(
@@ -1609,7 +1604,7 @@ def _preset_no_monotone(n: int, seed: int) -> DgpSpec:
 
 def _verify_no_monotone(spec: DgpSpec) -> None:
     kind = "no-monotone"
-    _, att_ar, _ = _population(spec)
+    _, att_ar, _ = spec._population
     _require(abs(att_ar - 1.0) < 1e-12, kind, "always-respondent ATT is not 1.0")
     pi = {d: spec.pi(d) for d in (0, 1)}
     _require(min(min(pi[0]), min(pi[1])) > 0.0, kind, "all four strata must be populated")

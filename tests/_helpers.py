@@ -4,11 +4,30 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 
 import numpy as np
 
-from didmiss import PanelDataset
-from didmiss.errors import InputError
+from didmiss import PanelDataset, trimmed_mean
+from didmiss.bounds import _bounds
+from didmiss.errors import EstimatorError, InputError
+from didmiss.panel import GroupKey
+from didmiss.simulate import (
+    _AR,
+    _ICR,
+    _ITR,
+    _NR,
+    DECOMPOSITION_LABELS,
+    STRATUM_LABELS,
+    STRATUM_PAIRS,
+    AttDecomposition,
+    DgpSpec,
+    OracleInput,
+    OraclePanel,
+    OracleTruth,
+    TrendMixtureReport,
+    _as_oracle,
+)
 
 
 def make_panel(
@@ -88,3 +107,289 @@ def reference_read_table(text: str, what: str) -> dict[str, tuple[str, ...]]:
             f"malformed CSV: row {i + 1} has {len(rows[i])} cells, header has {len(header)}"
         )
     return dict(zip(header, list(zip(*rows[1:])) or [()] * len(header)))
+
+
+def reference_att_ar_bounds(data: PanelDataset, mode: str):
+    """``att_ar_bounds`` sorting an arm's changes again for each trimmed mean."""
+    groups = GroupKey(data)
+    deltas = [groups.dy[data.complete_case & (data.d == d)] for d in (0, 1)]
+    return _bounds(
+        groups.counts().arms,
+        lambda d, keep, side: trimmed_mean(deltas[d], keep, side),
+        mode,
+        data.outcome_support,
+    )
+
+
+def reference_factorize(x: np.ndarray):
+    """``panel._factorize`` re-ranking every column, the first one included."""
+    index = np.zeros(x.shape[0], dtype=np.intp)
+    for column in x.T:
+        _, level = np.unique(column, return_inverse=True)
+        _, first, index = np.unique(
+            index * (int(level.max()) + 1) + level, return_index=True, return_inverse=True
+        )
+    return tuple(tuple(row) for row in x[first].tolist()), index.reshape(-1)
+
+
+# -- the simulator and the oracle identities as one pass per unit group --------
+
+
+def reference_simulate_panel(spec: DgpSpec) -> tuple[PanelDataset, OraclePanel, OracleTruth]:
+    """``simulate_panel`` with per-unit masked searchsorted and gathers."""
+    rng = np.random.default_rng(spec.seed)
+    n = spec.n
+    cells = spec.cells()
+    n_cells = len(cells)
+
+    d = (rng.random(n) < spec.arm_share(1)).astype(np.int8)
+    n_treated = int(d.sum())
+    if not 0 < n_treated < n:
+        empty = "treated" if n_treated == 0 else "control"
+        raise InputError(
+            f"a draw of n={n} units has no {empty} unit; both arms are required "
+            "(use a larger n or another seed)"
+        )
+    d_idx = d.astype(np.intp)
+
+    shares = np.array([[c.share[arm] for c in cells] for arm in (0, 1)], dtype=np.float64)
+    cum_shares = np.cumsum(shares, axis=1)
+    u_cell = rng.random(n)
+    cell_idx = np.empty(n, dtype=np.intp)
+    for arm in (0, 1):
+        mask = d == arm
+        cell_idx[mask] = np.searchsorted(cum_shares[arm], u_cell[mask], side="right")
+    np.minimum(cell_idx, n_cells - 1, out=cell_idx)
+
+    strata = np.array([[c.strata[arm] for arm in (0, 1)] for c in cells], dtype=np.float64)
+    cum_strata = np.cumsum(strata, axis=2)
+    u_strat = rng.random(n)
+    s = (u_strat[:, None] >= cum_strata[cell_idx, d_idx]).sum(axis=1)
+    s = np.minimum(s, 3).astype(np.int8)
+    s_idx = s.astype(np.intp)
+
+    eps1 = rng.normal(0.0, spec.noise_sd, n)
+    eps2 = rng.normal(0.0, spec.noise_sd, n)
+
+    base = np.array(spec.baseline, dtype=np.float64)  # (4, 2) indexed [s][d]
+    base_shift = np.array([c.baseline_shift for c in cells], dtype=np.float64)
+    y1 = base[s_idx, d_idx] + base_shift[cell_idx, d_idx] + eps1
+
+    trend = np.array(spec.trend, dtype=np.float64)[s_idx]
+    trend = trend + np.array([c.trend_shift for c in cells], dtype=np.float64)[cell_idx, d_idx]
+    trend = trend + np.array(spec.arm_trend_delta, dtype=np.float64)[s_idx] * (d == 1)
+    y2_0 = y1 + trend + eps2
+    effect = np.array(spec.effect, dtype=np.float64)[s_idx]
+    effect = effect + np.array([c.effect_shift for c in cells], dtype=np.float64)[cell_idx]
+    y2_1 = y2_0 + effect
+
+    r2_1 = np.array([pair[0] for pair in STRATUM_PAIRS], dtype=np.int8)[s_idx]
+    r2_0 = np.array([pair[1] for pair in STRATUM_PAIRS], dtype=np.int8)[s_idx]
+
+    if spec.r1_model.kind == "mcar":
+        r1 = (rng.random(n) < spec.r1_model.rate).astype(np.int8)
+    else:
+        r1 = np.ones(n, dtype=np.int8)
+
+    aux = np.zeros((n, len(spec.aux_models)), dtype=np.int8)
+    pattern_values = [
+        np.array([c.aux_pattern[j] for c in cells], dtype=np.int8)
+        for j in range(0 if not cells[0].aux_pattern else len(cells[0].aux_pattern))
+    ]
+    pattern_slot = 0
+    for k, model in enumerate(spec.aux_models):
+        if model.kind == "independent":
+            aux[:, k] = rng.random(n) < model.p
+        else:
+            aux[:, k] = pattern_values[pattern_slot][cell_idx]
+            pattern_slot += 1
+
+    if cells[0].x_label is not None:
+        labels = np.array([c.x_label for c in cells], dtype=np.int64)
+        x = labels[cell_idx].reshape(n, 1)
+    else:
+        x = None
+
+    r2 = np.where(d == 1, r2_1, r2_0)
+    y2_obs = np.where(r2.astype(bool), np.where(d == 1, y2_1, y2_0), np.nan)
+    y1_obs = np.where(r1.astype(bool), y1, np.nan)
+
+    data = PanelDataset(
+        d=d,
+        y1=y1_obs,
+        y2=y2_obs,
+        aux=aux,
+        x=None if x is None else x.copy(),
+        _validate=False,  # well-formed by construction; both arms checked above
+    )
+    oracle = OraclePanel(
+        d=d.copy(),
+        y1_true=y1,
+        y2_1=y2_1,
+        y2_0=y2_0,
+        s=s,
+        r1=r1,
+        r2_1=r2_1,
+        r2_0=r2_0,
+        aux=aux.copy(),
+        x=x,
+    )
+
+    treated = d == 1
+    att = float(np.mean(y2_1[treated] - y2_0[treated]))
+    ar_treated = treated & (s == _AR)
+    att_ar = (
+        float(np.mean(y2_1[ar_treated] - y2_0[ar_treated])) if ar_treated.any() else math.nan
+    )
+    att_population, att_ar_population, cc_population = spec._population
+    pi_table = tuple(
+        {STRATUM_PAIRS[code]: spec.pi(arm)[code] for code in range(4)} for arm in (0, 1)
+    )
+    truth = OracleTruth(
+        att=att,
+        att_ar=att_ar,
+        pi_table=pi_table,
+        cc_bias=cc_population - att_population,
+        att_population=att_population,
+        att_ar_population=att_ar_population,
+        cc_population=cc_population,
+    )
+    return data, oracle, truth
+
+
+def reference_decompose_att(records: OracleInput) -> AttDecomposition:
+    """``decompose_att`` with one boolean-mask pass per group."""
+    oracle = _as_oracle(records)
+    d = oracle.d
+    s = oracle.s
+    treated = d == 1
+    control = ~treated
+    n1 = int(treated.sum())
+    if n1 == 0 or int(control.sum()) == 0:
+        raise EstimatorError("decomposition requires units in both arms")
+
+    shares = {
+        STRATUM_PAIRS[code]: float((treated & (s == code)).sum()) / n1 for code in range(4)
+    }
+    delta0 = oracle.y2_0 - oracle.y1_true  # untreated change, all units
+    direct = oracle.y2_1 - oracle.y2_0
+
+    responds_if_treated = (s == _AR) | (s == _ITR)
+    term1 = float(np.mean((oracle.y2_1 - oracle.y1_true)[treated] * responds_if_treated[treated]))
+
+    def _stratum_mean(values: np.ndarray, mask: np.ndarray, code: int, role: str) -> float:
+        group = mask & (s == code)
+        if not group.any():
+            raise EstimatorError(
+                f"no {role} units in stratum {STRATUM_LABELS[code]}: "
+                "its decomposition term is undefined"
+            )
+        return float(values[group].mean())
+
+    terms = [term1, 0.0, 0.0, 0.0, 0.0]
+    if shares[STRATUM_PAIRS[_AR]] > 0:
+        terms[1] = -shares[STRATUM_PAIRS[_AR]] * _stratum_mean(delta0, control, _AR, "control")
+    if shares[STRATUM_PAIRS[_ITR]] > 0:
+        terms[2] = -shares[STRATUM_PAIRS[_ITR]] * _stratum_mean(delta0, control, _ITR, "control")
+    if shares[STRATUM_PAIRS[_NR]] > 0:
+        terms[3] = shares[STRATUM_PAIRS[_NR]] * _stratum_mean(direct, treated, _NR, "treated")
+    if shares[STRATUM_PAIRS[_ICR]] > 0:
+        terms[4] = shares[STRATUM_PAIRS[_ICR]] * _stratum_mean(direct, treated, _ICR, "treated")
+
+    total = float(sum(terms))
+    att = float(np.mean(direct[treated]))
+    deviation = total - att
+
+    # The deviation equals the share-weighted cross-arm gap in untreated
+    # changes over the two treated-respondent strata; its standard error
+    # treats the shares as fixed.
+    var = 0.0
+    for code in (_AR, _ITR):
+        share = shares[STRATUM_PAIRS[code]]
+        if share == 0:
+            continue
+        for mask in (treated, control):
+            group = mask & (s == code)
+            n_g = int(group.sum())
+            if n_g < 2:
+                raise EstimatorError(
+                    f"stratum {STRATUM_LABELS[code]} needs at least two units per arm "
+                    "for the decomposition tolerance"
+                )
+            var += share**2 * float(np.var(delta0[group], ddof=1)) / n_g
+    se = math.sqrt(var)
+
+    if abs(deviation) > 6.0 * se + 1e-12:
+        raise RuntimeError(
+            "decomposition identity violated: terms total "
+            f"{total:.6f} vs ATT {att:.6f} (deviation {deviation:.6f}, se {se:.6f}); "
+            "the generating process does not share trends across arms"
+        )
+    return AttDecomposition(
+        terms=tuple(terms),
+        labels=DECOMPOSITION_LABELS,
+        total=total,
+        att=att,
+        deviation=deviation,
+        se=se,
+        treated_shares=shares,
+    )
+
+
+def reference_check_trend_mixture(records: OracleInput) -> TrendMixtureReport:
+    """``check_trend_mixture`` with one boolean-mask pass per group."""
+    oracle = _as_oracle(records)
+    delta0 = oracle.y2_0 - oracle.y1_true
+    d = oracle.d
+    s = oracle.s
+
+    direct: list[float] = []
+    mixture: list[float] = []
+    shares: list[dict[tuple[int, int], float]] = []
+    trends: list[dict[tuple[int, int], float | None]] = []
+    for arm in (0, 1):
+        mask = d == arm
+        n_arm = int(mask.sum())
+        if n_arm == 0:
+            raise EstimatorError("trend comparison requires units in both arms")
+        direct.append(float(delta0[mask].mean()))
+        arm_shares: dict[tuple[int, int], float] = {}
+        arm_trends: dict[tuple[int, int], float | None] = {}
+        mix = 0.0
+        for code in range(4):
+            group = mask & (s == code)
+            n_g = int(group.sum())
+            arm_shares[STRATUM_PAIRS[code]] = n_g / n_arm
+            if n_g:
+                m = float(delta0[group].mean())
+                arm_trends[STRATUM_PAIRS[code]] = m
+                mix += (n_g / n_arm) * m
+            else:
+                arm_trends[STRATUM_PAIRS[code]] = None
+        mixture.append(mix)
+        shares.append(arm_shares)
+        trends.append(arm_trends)
+
+    scale = max(1.0, max(abs(v) for v in direct))
+    residual = max(abs(direct[arm] - mixture[arm]) for arm in (0, 1))
+    if residual > 1e-9 * scale:
+        raise RuntimeError(
+            f"stratum-mixture identity violated: residual {residual!r} "
+            "exceeds floating-point tolerance"
+        )
+
+    var = 0.0
+    for arm in (0, 1):
+        mask = d == arm
+        n_arm = int(mask.sum())
+        if n_arm >= 2:
+            var += float(np.var(delta0[mask], ddof=1)) / n_arm
+    return TrendMixtureReport(
+        direct=(direct[0], direct[1]),
+        mixture=(mixture[0], mixture[1]),
+        mixture_residual=residual,
+        stratum_shares=(shares[0], shares[1]),
+        stratum_trends=(trends[0], trends[1]),
+        pt_gap=direct[1] - direct[0],
+        pt_gap_se=math.sqrt(var),
+    )

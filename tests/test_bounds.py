@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -15,12 +17,14 @@ from didmiss import (
     RateTable,
     att_ar_bounds,
     bootstrap_bounds,
+    make_preset,
+    simulate_panel,
     strata_proportions_bounds,
     strata_proportions_monotone,
     trimmed_mean,
 )
 
-from _helpers import block_panel, brute_trimmed_mean, make_panel
+from _helpers import block_panel, brute_trimmed_mean, make_panel, reference_att_ar_bounds
 
 
 def plain_rates(p_r1, p_r2) -> RateTable:
@@ -326,3 +330,29 @@ def test_bootstrap_bounds_deterministic_and_enveloping(bootable_panel):
     assert a.outer.lo <= a.lb_ci.hi and a.ub_ci.lo <= a.outer.hi
     assert a.replicates_used + a.replicates_failed == 40
     assert a.level == 0.95
+
+
+def test_bounds_are_bit_identical_to_sorting_per_trimmed_mean():
+    rng = np.random.default_rng(11)
+    panels = [simulate_panel(make_preset(kind, n=3000, seed=2))[0]
+              for kind in ("monotone", "no-monotone", "mnar-baseline")]
+    for _ in range(300):
+        n = int(rng.integers(4, 40))
+        y1 = np.round(rng.normal(size=n), int(rng.integers(0, 3)))  # ties
+        y2 = np.round(rng.normal(size=n) + rng.integers(0, 2, n), int(rng.integers(0, 3)))
+        y1[rng.random(n) < 0.3 * rng.random()] = np.nan
+        y2[rng.random(n) < 0.8 * rng.random()] = np.nan
+        panels.append(make_panel(np.arange(n) % 2, y1, y2, outcome_support=(-10.0, 10.0)))
+    fallbacks = 0
+    for data in panels:
+        for mode in ("monotone", "no-monotone"):
+            try:
+                want = repr(reference_att_ar_bounds(data, mode))
+            except EstimatorError as exc:
+                want = str(exc)
+                with pytest.raises(EstimatorError, match=f"^{re.escape(want)}$"):
+                    att_ar_bounds(data, mode)
+                continue
+            assert repr(att_ar_bounds(data, mode)) == want
+            fallbacks += "support_fallback=True" in want
+    assert fallbacks > 10

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from didmiss import did_complete_case, load_panel, save_panel
-from didmiss.cli import _csv_header, main
+from didmiss.cli import main
 
 from _helpers import make_panel
 
@@ -352,11 +352,22 @@ def test_aux_index_out_of_range_exits_1(capsys, toy_path):
     assert "aux index" in err
 
 
-def test_covariate_header_read_stops_at_the_first_row(tmp_path):
-    # the undecodable tail lies far past the header; reading it would fail
+def test_pi_covariates_reports_a_late_undecodable_byte_like_every_command(capsys, tmp_path):
+    # y2 is missing from the header, but the whole file is read first, so the
+    # undecodable byte in the last of 3000 rows wins, as it does for cc
     path = tmp_path / "panel.csv"
-    path.write_bytes(b"\n id ,d,y1,y2,x1\n" + b"1,0,1.0,2.0,0\n" * 20_000 + b"\xff\xfe")
-    assert _csv_header(str(path)) == ["id", "d", "y1", "y2", "x1"]
+    rows = b"".join(b"%d,%d,%d.5,%d\n" % (i, i % 2, i, i % 3) for i in range(1, 3000))
+    path.write_bytes(b"id,d,y1,x1\n" + rows + b"3000,1,\xff,0\n")
+    errors = []
+    for argv in (["pi", "--input", path, "--covariates", "x1"], ["cc", "--input", path]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        errors.append(err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(
+        "did-miss: error: malformed CSV: 'utf-8' codec can't decode byte 0xff"
+    )
+    assert errors[0].count("\n") == 1
 
 
 def test_covariates_on_a_file_without_rows_is_input_error(capsys, tmp_path):

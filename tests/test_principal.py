@@ -13,7 +13,9 @@ from didmiss import (
     principal_scores,
 )
 
-from _helpers import make_panel
+from didmiss.panel import _factorize
+
+from _helpers import make_panel, reference_factorize
 
 
 def two_cell_fixture():
@@ -153,3 +155,14 @@ def test_first_wave_gaps_annotate_the_estimand():
     )
     est = att_principal_ignorability(data)
     assert any("R1 = 1" in note for note in est.notes)
+
+
+def test_covariate_cells_match_a_rerank_of_every_column():
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        n, k = int(rng.integers(1, 40)), int(rng.integers(1, 4))
+        x = rng.integers(0, [2, 7, 2**62][int(rng.integers(0, 3))], (n, k), dtype=np.int64)
+        cells, index = _factorize(x)
+        want_cells, want_index = reference_factorize(x)
+        assert cells == want_cells
+        assert index.dtype == want_index.dtype and np.array_equal(index, want_index)

@@ -6,6 +6,7 @@ import csv
 import io
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,10 @@ from didmiss import (
     OraclePanel,
     PanelDataset,
     RateTable,
+    att_ar_bounds,
     att_iv,
+    att_iv_multi,
+    att_principal_ignorability,
     compute_rates,
     did_complete_case,
     load_oracle,
@@ -28,7 +32,7 @@ from didmiss import (
     strata_proportions_monotone,
     trimmed_mean,
 )
-from didmiss.errors import InputError
+from didmiss.errors import DidMissError, InputError
 from didmiss.simulate import _couple
 from didmiss.table import Parser, read_columns
 
@@ -386,3 +390,63 @@ def test_couple_is_a_coupling_of_its_margins(p1, p0):
     assert math.fsum(cell) == pytest.approx(1.0, abs=1e-9)
     assert cell[0] + cell[1] == pytest.approx(p1, abs=1e-9)
     assert cell[0] + cell[2] == pytest.approx(p0, abs=1e-9)
+
+
+# -- finite or an explicit error ------------------------------------------------
+
+#: any finite outcome, often one whose sums overflow, or missing
+outcomes = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, 1e308, -1e308, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.just(math.nan),
+)
+
+
+@st.composite
+def finite_valued_panels(draw):
+    """Small two-arm panels with any finite outcomes, either arm possibly
+    without complete cases, two auxiliary indicators, one covariate and
+    sometimes a declared support."""
+    d = [0, 1] + draw(st.lists(st.integers(0, 1), max_size=14))
+    n = len(d)
+    y = [[draw(outcomes) for _ in range(n)] for _ in range(2)]
+    aux = draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=n, max_size=n))
+    x = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    seen = [v for v in y[0] + y[1] if not math.isnan(v)]
+    support = (min(seen), max(seen)) if seen and draw(st.booleans()) else None
+    return make_panel(d, y[0], y[1], aux=aux, x=[[v] for v in x], outcome_support=support)
+
+
+def _numbers(result) -> list[float]:
+    """The float fields of an estimator's result, nested tuples included."""
+    found: list[float] = []
+    for value in result if isinstance(result, tuple) else (result,):
+        if isinstance(value, float):
+            found.append(value)
+        elif isinstance(value, tuple):
+            found += _numbers(value)
+        elif value is not None and hasattr(value, "__dataclass_fields__"):
+            found += _numbers(tuple(getattr(value, name) for name in value.__dataclass_fields__))
+    return found
+
+
+@given(finite_valued_panels())
+@settings(deadline=None, max_examples=150)
+def test_every_estimator_is_finite_or_raises_a_package_error(data):
+    estimators = {
+        "cc": did_complete_case,
+        "iv": lambda p: att_iv(p, 0),
+        "iv-multi": lambda p: att_iv_multi(p, (0, 1)),
+        "pi": att_principal_ignorability,
+        "bounds-monotone": lambda p: att_ar_bounds(p, "monotone"),
+        "bounds-no-monotone": lambda p: att_ar_bounds(p, "no-monotone"),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, estimator in estimators.items():
+            try:
+                result = estimator(data)
+            except DidMissError:
+                continue
+            numbers = _numbers(result)
+            assert numbers and all(map(math.isfinite, numbers)), (name, result)

@@ -31,10 +31,17 @@ from didmiss import (
 from didmiss.iv import _iv_pair, _iv_single
 from didmiss.panel import GroupKey
 from didmiss.simulate import (
+    _aggregate_joint,
     _check_solution,
     _expected_counts,
     _solve_homogeneous_cells,
     _solve_multi_instrument,
+)
+
+from _helpers import (
+    reference_check_trend_mixture,
+    reference_decompose_att,
+    reference_simulate_panel,
 )
 
 
@@ -476,3 +483,154 @@ def test_unknown_preset_rejected():
 def test_a_negative_seed_is_rejected_where_the_spec_is_built():
     with pytest.raises(InputError, match=r"^seed must be a non-negative integer, got -1$"):
         make_preset("pi", n=50, seed=-1)
+
+
+# -- the draw and the identities against their one-pass-per-group references ---
+
+
+def _design(n_cells: int, seed: int, n: int) -> DgpSpec:
+    """A random cell design: zero shares and strata, shifts of both signs,
+    pattern and independent auxiliaries, and exported or latent cells."""
+    rng = np.random.default_rng(seed)
+
+    def row(k: int, zeros: float) -> tuple[float, ...]:
+        v = rng.random(k) * (rng.random(k) >= zeros)
+        v[0] += v.sum() == 0
+        return tuple(map(float, v / v.sum()))
+
+    shares = [row(n_cells, 0.15) for _ in (0, 1)]
+    n_pattern = int(rng.integers(0, 3))
+    cells = tuple(
+        Cell(
+            label=f"c{c}",
+            share=(shares[0][c], shares[1][c]),
+            strata=(row(4, 0.3), row(4, 0.3)),
+            trend_shift=tuple(map(float, rng.normal(size=2))),
+            effect_shift=float(rng.normal()),
+            baseline_shift=tuple(map(float, rng.normal(size=2))),
+            x_label=c if seed % 2 else None,
+            aux_pattern=tuple(map(int, rng.integers(0, 2, n_pattern))) if n_pattern else None,
+        )
+        for c in range(n_cells)
+    )
+    return DgpSpec(
+        n=n,
+        seed=seed,
+        joint_sd=_aggregate_joint(float(rng.uniform(0.2, 0.8)), cells),
+        trend=tuple(map(float, rng.normal(size=4))),
+        baseline=tuple(map(tuple, rng.normal(size=(4, 2)).tolist())),
+        effect=tuple(map(float, rng.normal(size=4))),
+        noise_sd=float(rng.uniform(0.0, 1.0)),
+        r1_model=R1Model("mcar", 0.7) if seed % 3 else R1Model(),
+        aux_models=(AuxModel("pattern"),) * n_pattern + (AuxModel("independent", 0.3),),
+        covariate_model=cells,
+        arm_trend_delta=tuple(map(float, rng.normal(size=4) * (rng.random(4) < 0.5))),
+    )
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the type and text of the error it raised."""
+    try:
+        return fn(*args)
+    except (EstimatorError, InputError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def _failed(outcome) -> bool:
+    return isinstance(outcome, tuple) and isinstance(outcome[0], type)
+
+
+def _draw_bytes(draw) -> list[bytes]:
+    data, oracle, truth = draw
+    fields = [data.d, data.y1, data.y2, data.aux, data.x, data.r1, data.r2]
+    fields += [oracle.d, oracle.y1_true, oracle.y2_1, oracle.y2_0, oracle.s, oracle.r1,
+               oracle.r2_1, oracle.r2_0, oracle.aux, oracle.x]
+    return [b"none" if a is None else repr((a.dtype, a.shape)).encode() + a.tobytes()
+            for a in fields] + [repr(truth).encode()]
+
+
+def _same_draw(spec: DgpSpec) -> bool:
+    """Whether ``spec`` draws; the draw or the error equals the reference's."""
+    got, want = _outcome(simulate_panel, spec), _outcome(reference_simulate_panel, spec)
+    if _failed(want):
+        assert got == want
+        return False
+    assert _draw_bytes(got) == _draw_bytes(want)
+    return True
+
+
+@pytest.mark.parametrize("kind", PRESET_KINDS)
+def test_preset_draws_are_byte_identical_to_the_per_unit_reference(kind):
+    drawn = [
+        _same_draw(make_preset(kind, n=n, seed=seed))
+        for n in (1, 4, 50, 2000)
+        for seed in range(4)
+    ]
+    assert not all(drawn) and any(drawn)  # the empty-arm error is among them
+
+
+def test_cell_design_draws_are_byte_identical_to_the_per_unit_reference():
+    specs = [_design(cells, seed, n) for cells in (1, 2, 7, 48)
+             for seed in range(3) for n in (40, 500)]
+    # 48 cells, two with no share in either arm, whose cumulative shares
+    # fall short of 1 in the last bits
+    shares = np.full(48, 1 / 46)
+    shares[[5, 47]] = 0.0
+    assert np.cumsum(shares)[-1] < 1.0
+    strata = ((0.5, 0.2, 0.1, 0.2), (0.25, 0.25, 0.25, 0.25))
+    cells = tuple(
+        Cell(label=f"c{c}", share=(s, s), strata=strata, trend_shift=(0.01 * c, -0.02 * c),
+             x_label=c)
+        for c, s in enumerate(shares.tolist())
+    )
+    specs += [
+        plain_spec(n=3000, seed=seed, joint_sd=_aggregate_joint(0.4, cells), covariate_model=cells)
+        for seed in range(3)
+    ]
+    assert all(map(_same_draw, specs))
+
+
+def _close(a, b) -> bool:
+    """Equal structure, with floats equal within 1e-12 relative."""
+    if isinstance(b, dict):
+        return a.keys() == b.keys() and all(_close(a[k], b[k]) for k in b)
+    if isinstance(b, tuple):
+        return len(a) == len(b) and all(map(_close, a, b))
+    if isinstance(b, float):
+        return a == pytest.approx(b, rel=1e-12, abs=1e-12)
+    return a == b
+
+
+def test_decomposition_and_trend_mixture_match_the_per_unit_reference():
+    oracles = []
+    for kind in PRESET_KINDS:  # multi-iv and pi do not share trends
+        for n in (4, 12, 50, 2000):
+            for seed in range(3):
+                draw = _outcome(simulate_panel, make_preset(kind, n=n, seed=seed))
+                if not _failed(draw):
+                    oracles.append(draw[1])
+    unshared = plain_spec(n=20_000, arm_trend_delta=(1.0, 1.0, 1.0, 1.0))
+    oracles += [simulate_panel(spec)[1] for spec in (unshared, _design(7, 1, 300))]
+    no_control_ar = [(1, "AR", 0.0, 0.5, 1.5)] * 3 + [(0, "NR", 0.0, 0.5, 1.5)] * 3
+    one_treated_itr = [
+        (1, "AR", 0.0, 0.5, 1.5), (1, "AR", 0.1, 0.2, 1.0), (1, "ITR", 0.0, 1.0, 2.0),
+        (0, "AR", 0.3, 0.7, 1.0), (0, "AR", 0.0, 0.1, 0.9), (0, "ITR", 0.2, 0.6, 1.1),
+        (0, "ITR", 0.0, 0.9, 1.4),
+    ]
+    oracles += [oracle_rows(no_control_ar), oracle_rows(one_treated_itr)]
+    errors = set()
+    for oracle in oracles:
+        for fn, reference in ((decompose_att, reference_decompose_att),
+                              (check_trend_mixture, reference_check_trend_mixture)):
+            got, want = _outcome(fn, oracle), _outcome(reference, oracle)
+            if _failed(want):
+                assert got == want
+                errors.add(want[1].split(":")[0])
+            else:
+                for name in want.__dataclass_fields__:
+                    assert _close(getattr(got, name), getattr(want, name)), name
+    assert errors >= {
+        "no control units in stratum AR",
+        "stratum ITR needs at least two units per arm for the decomposition tolerance",
+        "decomposition identity violated",
+    }, errors
