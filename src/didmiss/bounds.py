@@ -59,8 +59,8 @@ class StrataProportions:
     rates" flag.
     """
 
-    pi: tuple[Mapping[tuple[int, int], Interval], Mapping[tuple[int, int], Interval]]
     mode: Mode
+    pi: tuple[Mapping[tuple[int, int], Interval], Mapping[tuple[int, int], Interval]]
     clip_events: tuple[ClipEvent, ...] = ()
     flags: tuple[str, ...] = ()
 
@@ -120,7 +120,7 @@ def strata_proportions_monotone(rates: RateTable) -> StrataProportions:
 
     flags = (INCONSISTENT_FLAG,) if events else ()
     return StrataProportions(
-        pi=(control, treated), mode="monotone", clip_events=tuple(events), flags=flags
+        mode="monotone", pi=(control, treated), clip_events=tuple(events), flags=flags
     )
 
 
@@ -169,7 +169,7 @@ def strata_proportions_bounds(rates: RateTable) -> StrataProportions:
 
     flags = (INCONSISTENT_FLAG,) if events else ()
     return StrataProportions(
-        pi=(control, treated), mode="no-monotone", clip_events=tuple(events), flags=flags
+        mode="no-monotone", pi=(control, treated), clip_events=tuple(events), flags=flags
     )
 
 
@@ -229,10 +229,10 @@ class BoundResult:
     trim_share: tuple[float, float]
     assumptions_used: tuple[str, ...]
     support_fallback: bool = False
-    proportions: StrataProportions | None = None
-    clip_events: tuple[ClipEvent, ...] = ()
     flags: tuple[str, ...] = ()
     n_used: int = 0
+    clip_events: tuple[ClipEvent, ...] = ()
+    proportions: StrataProportions | None = None
 
     def __post_init__(self) -> None:
         if self.lb > self.ub:
@@ -358,10 +358,10 @@ def _bounds(
         trim_share=(shares[0], shares[1]),
         assumptions_used=_MONOTONE_ASSUMPTIONS if mode == "monotone" else _NO_MONOTONE_ASSUMPTIONS,
         support_fallback=fallback,
-        proportions=props,
-        clip_events=tuple(events),
         flags=tuple(flags),
         n_used=int(arms[0, 1, 1] + arms[1, 1, 1]),
+        clip_events=tuple(events),
+        proportions=props,
     )
 
 

@@ -28,31 +28,22 @@ import json
 import math
 import platform
 import sys
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
 from . import __version__
-from .bounds import BoundResult, BoundsBootstrap, StrataProportions, att_ar_bounds, bootstrap_bounds
-from .common import ClipEvent, Interval
+from .bounds import att_ar_bounds, bootstrap_bounds
+from .common import Interval
 from .errors import EstimatorError, InputError
-from .estimators import BootstrapConfig, Estimate, bootstrap_ci, did_complete_case
-from .iv import IvDiagnostics, att_iv, att_iv_multi
-from .panel import (
-    ColumnMapping,
-    PanelDataset,
-    RateTable,
-    compute_rates,
-    load_panel,
-    save_panel,
-)
+from .estimators import BootstrapConfig, Estimate, _percentile_ci, bootstrap_ci, did_complete_case
+from .iv import IvDiagnostics, _iv_groups
+from .panel import ColumnMapping, PanelDataset, compute_rates, load_panel, save_panel
 from .principal import att_principal_ignorability, principal_scores
 from .simulate import (
     PRESET_KINDS,
     STRATUM_LABELS,
     STRATUM_PAIRS,
-    AttDecomposition,
-    TrendMixtureReport,
     check_trend_mixture,
     decompose_att,
     load_oracle,
@@ -63,7 +54,7 @@ from .simulate import (
 
 __all__ = ["RunReport", "main"]
 
-_PAIR_LABEL = {pair: label for pair, label in zip(STRATUM_PAIRS, STRATUM_LABELS)}
+_PAIR_LABEL = dict(zip(STRATUM_PAIRS, STRATUM_LABELS))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -135,123 +126,50 @@ def _pretty_scalar(value: Any) -> str:
 
 
 # ---------------------------------------------------------------------------
-# serializers (explicit, so the JSON shape is a stable contract)
+# report: library results as JSON values, in dataclass field order
 # ---------------------------------------------------------------------------
 
 
-def _interval_json(iv: Interval | None) -> list[float] | None:
-    return None if iv is None else [iv.lo, iv.hi]
+def _json(value: Any) -> Any:
+    """A result as JSON values: an Interval as [lo, hi], a dataclass as its
+    fields in order, stratum-pair keys as labels, a per-arm pair of mappings
+    as {"control", "treated"}, any other tuple as a list."""
+    if isinstance(value, Interval):
+        return [value.lo, value.hi]
+    if dataclasses.is_dataclass(value):
+        return {f.name: _json(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, Mapping):
+        return {_PAIR_LABEL.get(key, key): _json(item) for key, item in value.items()}
+    if isinstance(value, tuple) and len(value) == 2 and all(isinstance(v, Mapping) for v in value):
+        return {"control": _json(value[0]), "treated": _json(value[1])}
+    if isinstance(value, (tuple, list)):
+        return [_json(item) for item in value]
+    return value
 
 
-def _estimate_json(est: Estimate) -> dict[str, Any]:
-    return {
-        "point": est.point,
-        "n_used": est.n_used,
-        "se": est.se,
-        "ci": _interval_json(est.ci),
-        "ci_level": est.ci_level,
-        "notes": list(est.notes),
-    }
-
-
-def _iv_diag_json(diag: IvDiagnostics) -> dict[str, Any]:
-    return {
-        "denom": list(diag.denom),
-        "missing_share": list(diag.missing_share),
-        "bias_correction": list(diag.bias_correction),
-        "trend_gap": list(diag.trend_gap),
-    }
-
-
-def _clip_events_json(events: Sequence[ClipEvent]) -> list[dict[str, Any]]:
-    return [
-        {"quantity": e.quantity, "raw": e.raw, "clipped": e.clipped} for e in events
-    ]
-
-
-def _proportions_json(props: StrataProportions) -> dict[str, Any]:
-    return {
-        "mode": props.mode,
-        "pi": {
-            arm_name: {
-                _PAIR_LABEL[pair]: _interval_json(props.pi[d][pair]) for pair in STRATUM_PAIRS
-            }
-            for d, arm_name in ((0, "control"), (1, "treated"))
+def _report(
+    args: argparse.Namespace, data: Mapping[str, Any], result: Any, diagnostics: Any
+) -> RunReport:
+    """The one report envelope: options echo every flag but --pretty; seed
+    and level are null when no bootstrap was asked for."""
+    options = {k: v for k, v in vars(args).items() if k not in ("command", "pretty")}
+    if "bootstrap" in options and options["bootstrap"] is None:
+        options.update(seed=None, level=None)
+    return RunReport(
+        tool="did-miss",
+        version=__version__,
+        command=args.command,
+        options=options,
+        data=data,
+        result=_json(result),
+        diagnostics=_json(diagnostics),
+        environment={
+            "package": __version__,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "seed": options.get("seed"),
         },
-        "clip_events": _clip_events_json(props.clip_events),
-        "flags": list(props.flags),
-    }
-
-
-def _bounds_json(result: BoundResult) -> dict[str, Any]:
-    return {
-        "estimand": result.estimand,
-        "lb": result.lb,
-        "ub": result.ub,
-        "trim_share": list(result.trim_share),
-        "assumptions_used": list(result.assumptions_used),
-        "support_fallback": result.support_fallback,
-        "flags": list(result.flags),
-        "n_used": result.n_used,
-        "clip_events": _clip_events_json(result.clip_events),
-        "proportions": None if result.proportions is None else _proportions_json(result.proportions),
-    }
-
-
-def _bounds_bootstrap_json(boot: BoundsBootstrap) -> dict[str, Any]:
-    return {
-        "lb_ci": _interval_json(boot.lb_ci),
-        "ub_ci": _interval_json(boot.ub_ci),
-        "outer": _interval_json(boot.outer),
-        "se_lb": boot.se_lb,
-        "se_ub": boot.se_ub,
-        "level": boot.level,
-        "replicates_used": boot.replicates_used,
-        "replicates_failed": boot.replicates_failed,
-    }
-
-
-def _rates_json(rates: RateTable) -> dict[str, Any]:
-    return {
-        "n": list(rates.n),
-        "p_r1": list(rates.p_r1),
-        "p_r2": list(rates.p_r2),
-        "p_r2_given_r1": list(rates.p_r2_given_r1),
-        "p_r2_given_aux": [
-            [list(level) for level in arm] for arm in rates.p_r2_given_aux
-        ],
-    }
-
-
-def _strata_map_json(table: Mapping[tuple[int, int], float]) -> dict[str, float]:
-    return {_PAIR_LABEL[pair]: table[pair] for pair in STRATUM_PAIRS}
-
-
-def _decomposition_json(dec: AttDecomposition) -> dict[str, Any]:
-    return {
-        "terms": [
-            {"label": label, "value": value} for label, value in zip(dec.labels, dec.terms)
-        ],
-        "total": dec.total,
-        "att": dec.att,
-        "deviation": dec.deviation,
-        "se": dec.se,
-        "treated_shares": _strata_map_json(dec.treated_shares),
-    }
-
-
-def _mixture_json(rep: TrendMixtureReport) -> dict[str, Any]:
-    return {
-        "direct": list(rep.direct),
-        "mixture": list(rep.mixture),
-        "mixture_residual": rep.mixture_residual,
-        "pt_gap": rep.pt_gap,
-        "pt_gap_se": rep.pt_gap_se,
-        "stratum_shares": {
-            arm_name: _strata_map_json(rep.stratum_shares[d])
-            for d, arm_name in ((0, "control"), (1, "treated"))
-        },
-    }
+    )
 
 
 def _fingerprint(data: PanelDataset) -> dict[str, Any]:
@@ -263,15 +181,6 @@ def _fingerprint(data: PanelDataset) -> dict[str, Any]:
         "missing_y2": [float(np.isnan(data.y2[a]).mean()) if a.any() else 0.0 for a in arms],
         "n_aux": data.n_aux,
         "n_covariates": data.n_covariates,
-    }
-
-
-def _environment(seed: int | None) -> dict[str, Any]:
-    return {
-        "package": __version__,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "seed": seed,
     }
 
 
@@ -369,92 +278,47 @@ def _bootstrap_cfg(args: argparse.Namespace) -> BootstrapConfig | None:
     return BootstrapConfig(replicates=args.bootstrap, seed=args.seed, level=args.level)
 
 
-def _bootstrap_options(args: argparse.Namespace) -> dict[str, Any]:
-    return {
-        "bootstrap": args.bootstrap,
-        "seed": args.seed if args.bootstrap is not None else None,
-        "level": args.level if args.bootstrap is not None else None,
-    }
+Run = tuple[Mapping[str, Any], Any, Any]  # data fingerprint, result, diagnostics
 
 
-def _run_cc(args: argparse.Namespace) -> RunReport:
+def _run_cc(args: argparse.Namespace) -> Run:
     data = load_panel(args.input)
     cfg = _bootstrap_cfg(args)
     est = bootstrap_ci(data, "cc-did", cfg) if cfg else did_complete_case(data)
-    return RunReport(
-        tool="did-miss",
-        version=__version__,
-        command="cc",
-        options={"input": args.input, **_bootstrap_options(args)},
-        data=_fingerprint(data),
-        result=_estimate_json(est),
-        diagnostics=None,
-        environment=_environment(args.seed if cfg else None),
-    )
+    return _fingerprint(data), est, None
 
 
-def _run_iv(args: argparse.Namespace) -> RunReport:
+def _iv_engine(
+    data: PanelDataset, aux: tuple[int, ...]
+) -> tuple[Estimate, IvDiagnostics, Callable[[np.ndarray], tuple[float]]]:
+    """``att_iv`` (one index) or ``att_iv_multi`` (a pair), and the point of
+    the resample at given row indices, from the same group counts."""
+    groups, formula = _iv_groups(data, aux)
+    est, diag = formula(groups.counts())
+    return est, diag, lambda idx: (formula(groups.counts(idx))[0].point,)
+
+
+def _run_iv(args: argparse.Namespace) -> Run:
     data = load_panel(args.input)
-    if args.aux2 is None:
-        est, diag = att_iv(data, aux_index=args.aux)
-
-        def estimator(d: PanelDataset) -> Estimate:
-            return att_iv(d, aux_index=args.aux)[0]
-
-    else:
-        est, diag = att_iv_multi(data, aux_pair=(args.aux, args.aux2))
-
-        def estimator(d: PanelDataset) -> Estimate:
-            return att_iv_multi(d, aux_pair=(args.aux, args.aux2))[0]
-
+    aux = (args.aux,) if args.aux2 is None else (args.aux, args.aux2)
+    est, diag, replicate = _iv_engine(data, aux)
     cfg = _bootstrap_cfg(args)
     if cfg:
-        est = bootstrap_ci(data, estimator, cfg)
-    return RunReport(
-        tool="did-miss",
-        version=__version__,
-        command="iv",
-        options={
-            "input": args.input,
-            "aux": args.aux,
-            "aux2": args.aux2,
-            **_bootstrap_options(args),
-        },
-        data=_fingerprint(data),
-        result=_estimate_json(est),
-        diagnostics=_iv_diag_json(diag),
-        environment=_environment(args.seed if cfg else None),
-    )
+        est = _percentile_ci(est, replicate, len(data), cfg)
+    return _fingerprint(data), est, diag
 
 
-def _run_bounds(args: argparse.Namespace) -> RunReport:
+def _run_bounds(args: argparse.Namespace) -> Run:
     support = None if args.support is None else (args.support[0], args.support[1])
     data = load_panel(args.input, outcome_support=support)
     cfg = _bootstrap_cfg(args)
-    if cfg:
-        boot = bootstrap_bounds(data, args.mode, cfg)
-        result: dict[str, Any] = _bounds_json(boot.point)
-        result["bootstrap"] = _bounds_bootstrap_json(boot)
-    else:
-        result = _bounds_json(att_ar_bounds(data, args.mode))
-    return RunReport(
-        tool="did-miss",
-        version=__version__,
-        command="bounds",
-        options={
-            "input": args.input,
-            "mode": args.mode,
-            "support": None if support is None else list(support),
-            **_bootstrap_options(args),
-        },
-        data=_fingerprint(data),
-        result=result,
-        diagnostics=None,
-        environment=_environment(args.seed if cfg else None),
-    )
+    if not cfg:
+        return _fingerprint(data), att_ar_bounds(data, args.mode), None
+    boot = _json(bootstrap_bounds(data, args.mode, cfg))
+    return _fingerprint(data), {**boot.pop("point"), "bootstrap": boot}, None
 
 
-def _run_pi(args: argparse.Namespace) -> RunReport:
+def _run_pi(args: argparse.Namespace) -> Run:
     if args.covariates is None:
         data = load_panel(args.input)
     else:
@@ -467,43 +331,18 @@ def _run_pi(args: argparse.Namespace) -> RunReport:
         )
     table = principal_scores(data)
     cfg = _bootstrap_cfg(args)
-    est = (
-        bootstrap_ci(data, "pi", cfg) if cfg else att_principal_ignorability(data)
-    )
-    return RunReport(
-        tool="did-miss",
-        version=__version__,
-        command="pi",
-        options={
-            "input": args.input,
-            "covariates": None if args.covariates is None else args.covariates,
-            **_bootstrap_options(args),
-        },
-        data=_fingerprint(data),
-        result=_estimate_json(est),
-        diagnostics={
-            "stratum_shares_treated": {
-                _PAIR_LABEL[pair]: table.normalizers[pair] for pair in table.normalizers
-            },
-            "clip_events": _clip_events_json(table.clip_events),
-            "flags": list(table.flags),
-        },
-        environment=_environment(args.seed if cfg else None),
-    )
+    est = bootstrap_ci(data, "pi", cfg) if cfg else att_principal_ignorability(data)
+    diagnostics = {
+        "stratum_shares_treated": table.normalizers,
+        "clip_events": table.clip_events,
+        "flags": table.flags,
+    }
+    return _fingerprint(data), est, diagnostics
 
 
-def _run_rates(args: argparse.Namespace) -> RunReport:
+def _run_rates(args: argparse.Namespace) -> Run:
     data = load_panel(args.input)
-    return RunReport(
-        tool="did-miss",
-        version=__version__,
-        command="rates",
-        options={"input": args.input},
-        data=_fingerprint(data),
-        result=_rates_json(compute_rates(data)),
-        diagnostics=None,
-        environment=_environment(None),
-    )
+    return _fingerprint(data), compute_rates(data), None
 
 
 #: The truths that can be undefined (NaN) and why; each is reported as null.
@@ -515,61 +354,31 @@ _UNDEFINED_TRUTH = {
 }
 
 
-def _run_simulate(args: argparse.Namespace) -> RunReport:
+def _run_simulate(args: argparse.Namespace) -> Run:
     spec = make_preset(args.preset, n=args.n, seed=args.seed)
     data, oracle, truth = simulate_panel(spec)
     save_panel(data, args.out)
     if args.truth is not None:
         save_oracle(oracle, args.truth)
-    result = {
-        "att": truth.att,
-        "att_ar": truth.att_ar,
-        "att_population": truth.att_population,
-        "att_ar_population": truth.att_ar_population,
-        "cc_population": truth.cc_population,
-        "cc_bias": truth.cc_bias,
-        "pi_table": {
-            arm_name: _strata_map_json(truth.pi_table[d])
-            for d, arm_name in ((0, "control"), (1, "treated"))
-        },
-        "out": args.out,
-        "truth": args.truth,
-    }
+    result = {**_json(truth), "out": args.out, "truth": args.truth}
     undefined = {
         key: why for key, why in _UNDEFINED_TRUTH.items() if not math.isfinite(result[key])
     }
     result.update(dict.fromkeys(undefined))
-    return RunReport(
-        tool="did-miss",
-        version=__version__,
-        command="simulate",
-        options={"preset": args.preset, "n": args.n, "seed": args.seed,
-                 "out": args.out, "truth": args.truth},
-        data=_fingerprint(data),
-        result=result,
-        diagnostics={"undefined": undefined} if undefined else None,
-        environment=_environment(args.seed),
-    )
+    return _fingerprint(data), result, {"undefined": undefined} if undefined else None
 
 
-def _run_decompose(args: argparse.Namespace) -> RunReport:
+def _run_decompose(args: argparse.Namespace) -> Run:
     oracle = load_oracle(args.truth)
     try:
-        dec = decompose_att(oracle)
-        mixture = check_trend_mixture(oracle)
+        dec = _json(decompose_att(oracle))
+        mixture = _json(check_trend_mixture(oracle))
     except RuntimeError as exc:
         # identity violations on user-supplied oracles are refusals, not crashes
         raise EstimatorError(str(exc)) from exc
-    return RunReport(
-        tool="did-miss",
-        version=__version__,
-        command="decompose",
-        options={"truth": args.truth},
-        data={"rows": len(oracle)},
-        result=_decomposition_json(dec),
-        diagnostics={"trend_mixture": _mixture_json(mixture)},
-        environment=_environment(None),
-    )
+    dec["terms"] = [{"label": k, "value": v} for k, v in zip(dec.pop("labels"), dec["terms"])]
+    del mixture["stratum_trends"]
+    return {"rows": len(oracle)}, dec, {"trend_mixture": mixture}
 
 
 _RUNNERS = {
@@ -588,7 +397,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        report = _RUNNERS[args.command](args)
+        report = _report(args, *_RUNNERS[args.command](args))
     except InputError as exc:
         print(f"did-miss: error: {exc}", file=sys.stderr)
         return 1

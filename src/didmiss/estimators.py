@@ -153,10 +153,10 @@ def _replicate_fn(
     if estimator == "cc-did":
         groups, formula = GroupKey(data), _complete_case
     elif estimator == "iv":
-        from .iv import _check_aux_index, _iv_single
+        from .iv import _iv_groups
 
-        _check_aux_index(data, 0)
-        groups, formula = GroupKey(data, aux=(0,)), lambda c: _iv_single(c)[0]
+        groups, iv = _iv_groups(data, (0,))
+        formula = lambda c: iv(c)[0]
     elif estimator == "pi":
         from .principal import _principal_ignorability
 
@@ -228,7 +228,14 @@ def bootstrap_ci(
     error propagates.
     """
     full, replicate = _replicate_fn(data, estimator)
-    [(se, lo, hi)], _, failed = _replicates(len(data), cfg, replicate)
+    return _percentile_ci(full, replicate, len(data), cfg)
+
+
+def _percentile_ci(
+    full: Estimate, replicate: Callable[[np.ndarray], tuple[float]], n: int, cfg: BootstrapConfig
+) -> Estimate:
+    """``full`` with the replicate SD as se and the percentile CI (see ``bootstrap_ci``)."""
+    [(se, lo, hi)], _, failed = _replicates(n, cfg, replicate)
     notes: list[str] = list(full.notes)
     if failed:
         notes.append(f"replicates_failed={failed}")

@@ -139,8 +139,18 @@ def att_iv(data: PanelDataset, aux_index: int) -> tuple[Estimate, IvDiagnostics]
     must contain complete cases and the missingness-gap denominator must
     clear the weak-instrument threshold.
     """
-    _check_aux_index(data, aux_index)
-    return _iv_single(GroupKey(data, aux=(aux_index,)).counts())
+    groups, formula = _iv_groups(data, (aux_index,))
+    return formula(groups.counts())
+
+
+def _iv_groups(
+    data: PanelDataset, aux: tuple[int, ...]
+) -> tuple[GroupKey, Callable[[GroupCounts], tuple[Estimate, IvDiagnostics]]]:
+    """Counts keyed on the instrument(s) ``aux`` and the formula over them:
+    ``_iv_single`` for one index, ``_iv_pair`` for a pair."""
+    for k in aux:
+        _check_aux_index(data, k)
+    return GroupKey(data, aux=aux), _iv_single if len(aux) == 1 else _iv_pair
 
 
 def _iv_single(c: GroupCounts) -> tuple[Estimate, IvDiagnostics]:
@@ -166,9 +176,8 @@ def att_iv_multi(
     what licenses using instruments that individually shift the trend.
     """
     k1, k2 = aux_pair
-    _check_aux_index(data, k1)
-    _check_aux_index(data, k2)
-    return _iv_pair(GroupKey(data, aux=(k1, k2)).counts())
+    groups, formula = _iv_groups(data, (k1, k2))
+    return formula(groups.counts())
 
 
 def _iv_pair(c: GroupCounts) -> tuple[Estimate, IvDiagnostics]:

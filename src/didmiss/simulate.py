@@ -104,6 +104,20 @@ _AR, _ITR, _ICR, _NR = range(4)
 # ---------------------------------------------------------------------------
 
 
+def _check_finite(owner: object, names: tuple[str, ...], where: str = "") -> None:
+    """Refuse a NaN or infinity anywhere in each named number or nested tuple
+    of ``owner``; the range checks compare, and NaN compares false."""
+    for name in names:
+        value = getattr(owner, name)
+        stack = [value]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, (tuple, list)):
+                stack.extend(item)
+            elif not math.isfinite(item):
+                raise InputError(f"{where}{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class R1Model:
     """First-wave response behaviour.
@@ -189,6 +203,8 @@ class Cell:
     aux_pattern: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
+        numbers = ("share", "strata", "trend_shift", "effect_shift", "baseline_shift")
+        _check_finite(self, numbers, where=f"cell {self.label!r}: ")
         if len(self.share) != 2 or any(s < 0 for s in self.share):
             raise InputError(f"cell {self.label!r}: share must be two nonnegative numbers")
         if len(self.strata) != 2:
@@ -261,6 +277,8 @@ class DgpSpec:
         if self.n < 1:
             raise InputError(f"sample size must be at least 1, got {self.n!r}")
         check_seed(self.seed)
+        numbers = ("joint_sd", "trend", "baseline", "effect", "arm_trend_delta", "noise_sd")
+        _check_finite(self, numbers)
         if self.noise_sd < 0:
             raise InputError(f"noise scale must be nonnegative, got {self.noise_sd!r}")
         if len(self.joint_sd) != 2 or any(len(row) != 4 for row in self.joint_sd):
@@ -528,22 +546,22 @@ class OracleTruth:
         Sample mean of ``Y2(1) - Y2(0)`` over treated units.
     att_ar : float
         Same, restricted to treated always-respondents (NaN when none).
+    att_population, att_ar_population, cc_population : float
+        The corresponding closed-form population values.
+    cc_bias : float
+        Population complete-case DID minus the population ATT.
     pi_table : tuple of mapping
         Exact ``Pr(S = s | D = d)`` per arm (control first), keyed by the
         ``(r_treated, r_control)`` stratum pair.
-    cc_bias : float
-        Population complete-case DID minus the population ATT.
-    att_population, att_ar_population, cc_population : float
-        The corresponding closed-form population values.
     """
 
     att: float
     att_ar: float
-    pi_table: tuple[Mapping[tuple[int, int], float], Mapping[tuple[int, int], float]]
-    cc_bias: float
     att_population: float
     att_ar_population: float
     cc_population: float
+    cc_bias: float
+    pi_table: tuple[Mapping[tuple[int, int], float], Mapping[tuple[int, int], float]]
 
 
 # ---------------------------------------------------------------------------
@@ -741,11 +759,11 @@ def simulate_panel(spec: DgpSpec) -> tuple[PanelDataset, OraclePanel, OracleTrut
     truth = OracleTruth(
         att=att,
         att_ar=att_ar,
-        pi_table=pi_table,
-        cc_bias=cc_population - att_population,
         att_population=att_population,
         att_ar_population=att_ar_population,
         cc_population=cc_population,
+        cc_bias=cc_population - att_population,
+        pi_table=pi_table,
     )
     return data, oracle, truth
 
@@ -759,8 +777,18 @@ OracleInput = Union[OraclePanel, Iterable[OracleRecord]]
 
 
 def _as_oracle(records: OracleInput) -> OraclePanel:
-    if isinstance(records, OraclePanel):
-        return records
+    """The oracle both identities read, with its arm and stratum codes checked."""
+    oracle = records if isinstance(records, OraclePanel) else _from_records(records)
+    for name, codes, top in (("treatment", oracle.d, 1), ("stratum code", oracle.s, 3)):
+        bad = np.flatnonzero((codes < 0) | (codes > top))
+        if bad.size:
+            raise InputError(
+                f"oracle {name} {codes[bad[0]]} in row {bad[0]} (0-based) is outside 0-{top}"
+            )
+    return oracle
+
+
+def _from_records(records: Iterable[OracleRecord]) -> OraclePanel:
     seq = list(records)
     if not seq:
         raise InputError("no oracle records supplied")
@@ -945,12 +973,12 @@ class TrendMixtureReport:
     direct: tuple[float, float]
     mixture: tuple[float, float]
     mixture_residual: float
+    pt_gap: float
+    pt_gap_se: float
     stratum_shares: tuple[Mapping[tuple[int, int], float], Mapping[tuple[int, int], float]]
     stratum_trends: tuple[
         Mapping[tuple[int, int], float | None], Mapping[tuple[int, int], float | None]
     ]
-    pt_gap: float
-    pt_gap_se: float
 
 
 def check_trend_mixture(records: OracleInput) -> TrendMixtureReport:
@@ -1000,10 +1028,10 @@ def check_trend_mixture(records: OracleInput) -> TrendMixtureReport:
         direct=(direct[0], direct[1]),
         mixture=(mixture[0], mixture[1]),
         mixture_residual=residual,
-        stratum_shares=(shares[0], shares[1]),
-        stratum_trends=(trends[0], trends[1]),
         pt_gap=direct[1] - direct[0],
         pt_gap_se=math.sqrt(var),
+        stratum_shares=(shares[0], shares[1]),
+        stratum_trends=(trends[0], trends[1]),
     )
 
 

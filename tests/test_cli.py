@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from didmiss import did_complete_case, load_panel, save_panel
+from didmiss import PanelDataset, did_complete_case, load_panel, save_panel
 from didmiss.cli import main
+from didmiss.simulate import PRESET_KINDS
 
 from _helpers import make_panel
 
@@ -176,6 +181,21 @@ def test_bootstrap_is_reproducible_and_thread_invariant(capsys, monkeypatch, sim
     assert report["result"]["ci"] is not None
     assert report["result"]["ci_level"] == 0.95
     assert report["environment"]["seed"] == 3
+
+
+@pytest.mark.parametrize("aux", [("--aux", 1), ("--aux", 0, "--aux2", 1)])
+def test_iv_bootstrap_resamples_counts_without_rebuilding_the_dataset(
+    capsys, tmp_path, monkeypatch, aux
+):
+    panel = tmp_path / "multi-iv.csv"
+    run_json(capsys, "simulate", "--preset", "multi-iv", "--n", 2000, "--seed", 3, "--out", panel)
+
+    def no_rebuild(self, idx):
+        raise AssertionError("iv resampled through PanelDataset._take")
+
+    monkeypatch.setattr(PanelDataset, "_take", no_rebuild)
+    report = run_json(capsys, "iv", "--input", panel, *aux, "--bootstrap", 5)
+    assert report["result"]["ci"] is not None
 
 
 def test_different_seed_changes_simulated_panel(capsys, tmp_path):
@@ -422,3 +442,121 @@ def test_pretty_renders_human_readable_report(capsys, toy_path):
     assert any(line == "result:" for line in lines)
     with pytest.raises(json.JSONDecodeError):
         json.loads(out)
+
+
+# -- the contract under fuzzing ---------------------------------------------------------
+
+CELLS = ["0", "1"] * 6 + ["2", "-1", "0.5", "3.25", "NA", "NA", "", "nan", "inf", "1e308",
+                         "-1e308", "x", '"1"', '"a\nb"']
+HEADERS = ["id,d,y1,y2", "id,d,y1,y2,a1,a2", "id,d,y1,y2,x1", "id,d,y1,y2,a1,x1",
+           "id,d,y1", "d,y1,y2", "id,d,y1,y2,a1,a1", ""]
+
+
+@st.composite
+def small_csvs(draw):
+    """A small panel CSV: valid header and cells often, malformed ones sometimes."""
+    header = draw(st.sampled_from(HEADERS))
+    lines = [header]
+    for i in range(draw(st.integers(0, 12))):
+        width = header.count(",") + draw(st.sampled_from([0, 0, 0, 0, 0, -1, 1]))
+        lines.append(",".join([str(i + 1)] + [draw(st.sampled_from(CELLS)) for _ in range(width)]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for preset, n in (("multi-iv", 300), ("pi", 300), ("monotone", 60)):
+        code = main(["simulate", "--preset", preset, "--n", str(n), "--seed", "2",
+                     "--out", str(root / f"{preset}.csv"), "--truth", str(root / f"{preset}-o.csv")])
+        assert code == 0
+    # no control unit is observed in both waves: every estimator refuses
+    (root / "refused.csv").write_text(
+        "id,d,y1,y2,a1\n1,0,1,NA,0\n2,0,2,NA,1\n3,0,NA,3,0\n4,1,0,1,1\n5,1,1,2,0\n6,1,2,3,1\n"
+    )
+    (root / "ragged.csv").write_text("id,d,y1,y2\n1,0,1,2\n2,1,2\n")
+    (root / "undecodable.csv").write_bytes(b"id,d,y1,y2\n1,0,1,\xff\n")
+    (root / "empty.csv").write_text("")
+    tampered = (root / "monotone-o.csv").read_text().splitlines()
+    tampered[3] = tampered[3].replace(",AR,", ",NR,").replace(",ITR,", ",AR,")
+    (root / "tampered-o.csv").write_text("\n".join(tampered) + "\n")
+    return root
+
+
+def _flag_values(root):
+    """Per flag: values that pass argparse and the value checks, then values that do not."""
+    inputs = [root / name for name in ("multi-iv.csv", "pi.csv", "monotone.csv", "refused.csv",
+                                       "generated.csv")]
+    bad_inputs = [root / name for name in ("ragged.csv", "undecodable.csv", "empty.csv",
+                                           "absent.csv")] + [root]
+    outputs = [root / "out.csv", root / "out-o.csv"]
+    truths = [root / "monotone-o.csv", root / "pi-o.csv", root / "tampered-o.csv"]
+    return {
+        "--input": (inputs, bad_inputs),
+        "--bootstrap": (["1", "2", "5", "12"], ["-3", "0", "nan", "abc", "1.5", ""]),
+        "--seed": (["0", "3", str(2**70)], ["-1", "nan", "x"]),
+        "--level": (["0.9", "0.5", "0.999"], ["0", "1", "-0.5", "nan", "inf", "1e308", "x"]),
+        "--aux": (["0", "1"], ["2", "-1", str(10**20), "nan", "x"]),
+        "--aux2": (["0", "1"], ["3", "-2", "nan"]),
+        "--mode": (["monotone", "no-monotone"], ["other"]),
+        "--support": ([("-10", "10"), ("-1e308", "1e308"), ("5", "5")],
+                      [("10", "-10"), ("nan", "1"), ("-inf", "1"), ("1", "inf"), ("x", "1")]),
+        "--covariates": (["x1", " x1 "], ["x1,x2", "", "nope", ",", "y1"]),
+        "--preset": (list(PRESET_KINDS), ["nope"]),
+        "--n": (["2", "10", "300"], ["-1", "0", "nan", "x", "1.5"]),
+        "--out": (outputs, [root, "/nonexistent/x.csv"]),
+        "--truth": (truths, [root / "pi.csv", root / "generated.csv", root / "absent.csv", root]),
+    }
+
+
+REQUIRED = ("--input", "--preset", "--out", "--truth")
+BOOTSTRAP_FLAGS = ("--bootstrap", "--seed", "--level")
+FLAGS = {
+    "cc": ("--input",) + BOOTSTRAP_FLAGS,
+    "iv": ("--input", "--aux", "--aux2") + BOOTSTRAP_FLAGS,
+    "bounds": ("--input", "--mode", "--support") + BOOTSTRAP_FLAGS,
+    "pi": ("--input", "--covariates") + BOOTSTRAP_FLAGS,
+    "rates": ("--input",),
+    "simulate": ("--preset", "--n", "--seed", "--out", "--truth"),
+    "decompose": ("--truth",),
+}
+
+
+@st.composite
+def argvs(draw, root):
+    """A subcommand with each of its flags present or not, drawn values, and
+    now and then --pretty, an unknown flag or a stray word."""
+    values = _flag_values(root)
+    command = draw(st.sampled_from(sorted(FLAGS) * 4 + ["nope"]))
+    argv = [command]
+    for flag in FLAGS.get(command, ()):
+        # required flags are mostly present, the others half the time; values mostly good
+        if draw(st.integers(0, 9)) >= (1 if flag in REQUIRED else 5):
+            good, bad = values["--out" if (command, flag) == ("simulate", "--truth") else flag]
+            value = draw(st.sampled_from(good if draw(st.integers(0, 5)) else bad))
+            argv += [flag, *map(str, value if isinstance(value, tuple) else (value,))]
+    argv += draw(st.sampled_from([[]] * 12 + [["--pretty"]] * 2 + [["--bogus"], ["stray"]]))
+    return argv
+
+
+@settings(deadline=None, max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_main_keeps_the_exit_code_and_output_contract(fuzz_files, data):
+    (fuzz_files / "generated.csv").write_text(data.draw(small_csvs()))
+    argv = data.draw(argvs(fuzz_files))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err == ""
+        if "--pretty" in argv:
+            assert out.startswith("did-miss ")
+        else:
+            strict_loads(out)
+    else:
+        assert out == ""
+        assert err.startswith("did-miss: ") and err.endswith("\n") and err.count("\n") == 1

@@ -18,6 +18,7 @@ from didmiss import (
     DidMissError,
     att_ar_bounds,
     att_iv,
+    att_iv_multi,
     att_principal_ignorability,
     bootstrap_bounds,
     bootstrap_ci,
@@ -25,18 +26,19 @@ from didmiss import (
     trimmed_mean,
 )
 from didmiss.bounds import _bounds_replicate, _trimmed_mean_counts
-from didmiss.estimators import _replicate_fn
+from didmiss.cli import _iv_engine
+from didmiss.estimators import _percentile_ci, _replicate_fn
 
 from _helpers import make_panel
 
 REPLICATES = 200
 
 
-def _panel(arms, seed, with_aux=False, cells=None):
+def _panel(arms, seed, n_aux=0, cells=None):
     """Panel from (d, complete?, r1?) rows with random outcomes.
 
-    ``cells`` gives each row's covariate value; with_aux draws a random
-    instrument column.
+    ``cells`` gives each row's covariate value; n_aux random instrument
+    columns are drawn.
     """
     rng = np.random.default_rng(seed)
     n = len(arms)
@@ -48,7 +50,7 @@ def _panel(arms, seed, with_aux=False, cells=None):
             y2[i] = np.nan
         if not first:
             y1[i] = np.nan
-    aux = rng.integers(0, 2, size=(n, 1)) if with_aux else None
+    aux = rng.integers(0, 2, size=(n, n_aux)) if n_aux else None
     return make_panel(d, y1, y2, aux=aux, x=cells)
 
 
@@ -91,7 +93,11 @@ def cc_panel():
 
 
 def iv_panel():
-    return _panel(_rows(0, 5, 4, 1) + _rows(1, 6, 4), seed=2, with_aux=True)
+    return _panel(_rows(0, 5, 4, 1) + _rows(1, 6, 4), seed=2, n_aux=1)
+
+
+def two_aux_panel():
+    return _panel(_rows(0, 7, 5, 1) + _rows(1, 8, 5), seed=6, n_aux=2)
 
 
 def pi_panel():
@@ -105,18 +111,29 @@ def pi_panel():
     return _panel(arms, seed=4, cells=cells)
 
 
+def _cli_iv(aux):
+    return lambda data: _iv_engine(data, aux)[::2]
+
+
+#: Each count path: the panel it runs on, its (full estimate, replicate) pair,
+#: and the estimator that a user callable would run on the rebuilt resample.
+#: "cli-iv-*" are ``did-miss iv --aux K [--aux2 J]``.
 HANDLES = {
-    "cc-did": (cc_panel, did_complete_case),
-    "iv": (iv_panel, lambda data: att_iv(data, 0)[0]),
-    "pi": (pi_panel, att_principal_ignorability),
+    "cc-did": (cc_panel, lambda data: _replicate_fn(data, "cc-did"), did_complete_case),
+    "iv": (iv_panel, lambda data: _replicate_fn(data, "iv"), lambda data: att_iv(data, 0)[0]),
+    "pi": (pi_panel, lambda data: _replicate_fn(data, "pi"), att_principal_ignorability),
+    "cli-iv-aux1": (two_aux_panel, _cli_iv((1,)), lambda data: att_iv(data, 1)[0]),
+    "cli-iv-pair": (
+        two_aux_panel, _cli_iv((0, 1)), lambda data: att_iv_multi(data, (0, 1))[0]
+    ),
 }
 
 
 @pytest.mark.parametrize("handle", sorted(HANDLES))
 def test_handle_replicates_match_rebuilt_resamples(handle):
-    build, fn = HANDLES[handle]
+    build, count_path, fn = HANDLES[handle]
     data = build()
-    full, engine = _replicate_fn(data, handle)
+    full, engine = count_path(data)
     full_ref, reference = _replicate_fn(data, fn)
     assert full.point == pytest.approx(full_ref.point, abs=1e-12)
     assert full.notes == full_ref.notes and full.n_used == full_ref.n_used
@@ -125,7 +142,7 @@ def test_handle_replicates_match_rebuilt_resamples(handle):
 
     cfg = BootstrapConfig(replicates=REPLICATES, seed=3)
     if _failures(outcomes) * 2 <= REPLICATES:
-        by_handle = bootstrap_ci(data, handle, cfg)
+        by_handle = _percentile_ci(full, engine, len(data), cfg)
         by_callable = bootstrap_ci(data, fn, cfg)
         assert by_handle.notes == by_callable.notes
         assert by_handle.se == pytest.approx(by_callable.se, abs=1e-12)

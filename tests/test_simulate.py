@@ -13,6 +13,7 @@ from didmiss import (
     DgpSpec,
     EstimatorError,
     InputError,
+    OraclePanel,
     OracleRecord,
     PRESET_KINDS,
     R1Model,
@@ -80,6 +81,41 @@ def test_spec_validates_shapes():
         plain_spec(baseline=((0.0, 0.0),))
     with pytest.raises(InputError, match="noise"):
         plain_spec(noise_sd=-1.0)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("joint_sd", ((0.20, 0.15, 0.05, NAN), (0.25, 0.15, 0.02, 0.08))),
+        ("trend", (0.4, NAN, 0.1, 0.6)),
+        ("baseline", ((5.0, 5.2), (4.0, INF), (4.5, 4.4), (3.0, 3.1))),
+        ("effect", (1.0, 1.5, -INF, 0.8)),
+        ("arm_trend_delta", (0.0, 0.0, NAN, 0.0)),
+        ("noise_sd", NAN),
+    ],
+)
+def test_spec_refuses_non_finite_numbers_naming_the_field(field, value):
+    with pytest.raises(InputError, match=rf"^{field} must be finite, got "):
+        plain_spec(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("share", (NAN, 0.5)),
+        ("strata", ((NAN, 0.5, 0.25, 0.25), (1.0, 0.0, 0.0, 0.0))),
+        ("trend_shift", (0.0, INF)),
+        ("effect_shift", NAN),
+        ("baseline_shift", (-INF, 0.0)),
+    ],
+)
+def test_cell_refuses_non_finite_numbers_naming_the_field(field, value):
+    fields = dict(label="c", share=(1.0, 1.0), strata=((1.0, 0.0, 0.0, 0.0),) * 2)
+    with pytest.raises(InputError, match=rf"^cell 'c': {field} must be finite, got "):
+        Cell(**{**fields, field: value})
 
 
 def test_model_layers_validated():
@@ -349,6 +385,19 @@ def test_decomposition_flags_unshared_trends():
     _, oracle, _ = simulate_panel(spec)
     with pytest.raises(RuntimeError, match="does not share trends"):
         decompose_att(oracle)
+
+
+@pytest.mark.parametrize("column, code", [("s", 7), ("s", -1), ("d", 2)])
+def test_identities_refuse_out_of_range_oracle_codes_naming_the_row(column, code):
+    _, oracle, _ = simulate_panel(plain_spec(n=50))
+    names = ("d", "y1_true", "y2_1", "y2_0", "s", "r1", "r2_1", "r2_0", "aux")
+    columns = {name: getattr(oracle, name).copy() for name in names}
+    columns[column][[3, 7]] = code
+    tampered = OraclePanel(**columns, x=None)
+    name = "stratum code" if column == "s" else "treatment"
+    for identity in (decompose_att, check_trend_mixture):
+        with pytest.raises(InputError, match=rf"^oracle {name} {code} in row 3 \(0-based\)"):
+            identity(tampered)
 
 
 def test_trend_mixture_identity_holds_exactly():
