@@ -28,7 +28,7 @@ import json
 import math
 import platform
 import sys
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -36,8 +36,8 @@ from . import __version__
 from .bounds import att_ar_bounds, bootstrap_bounds
 from .common import Interval
 from .errors import EstimatorError, InputError
-from .estimators import BootstrapConfig, Estimate, _percentile_ci, bootstrap_ci, did_complete_case
-from .iv import IvDiagnostics, _iv_groups
+from .estimators import BootstrapConfig, _percentile_ci, bootstrap_ci, did_complete_case
+from .iv import _iv_engine
 from .panel import ColumnMapping, PanelDataset, compute_rates, load_panel, save_panel
 from .principal import att_principal_ignorability, principal_scores
 from .simulate import (
@@ -286,16 +286,6 @@ def _run_cc(args: argparse.Namespace) -> Run:
     cfg = _bootstrap_cfg(args)
     est = bootstrap_ci(data, "cc-did", cfg) if cfg else did_complete_case(data)
     return _fingerprint(data), est, None
-
-
-def _iv_engine(
-    data: PanelDataset, aux: tuple[int, ...]
-) -> tuple[Estimate, IvDiagnostics, Callable[[np.ndarray], tuple[float]]]:
-    """``att_iv`` (one index) or ``att_iv_multi`` (a pair), and the point of
-    the resample at given row indices, from the same group counts."""
-    groups, formula = _iv_groups(data, aux)
-    est, diag = formula(groups.counts())
-    return est, diag, lambda idx: (formula(groups.counts(idx))[0].point,)
 
 
 def _run_iv(args: argparse.Namespace) -> Run:

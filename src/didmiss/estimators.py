@@ -149,14 +149,15 @@ def _replicate_fn(
             )
         return full, lambda idx: (float(estimator(data._take(idx)).point),)
 
+    if estimator == "iv":
+        from .iv import _iv_engine
+
+        full, _, replicate = _iv_engine(data, (0,))
+        return full, replicate
+
     formula: Callable[[GroupCounts], Estimate]
     if estimator == "cc-did":
         groups, formula = GroupKey(data), _complete_case
-    elif estimator == "iv":
-        from .iv import _iv_groups
-
-        groups, iv = _iv_groups(data, (0,))
-        formula = lambda c: iv(c)[0]
     elif estimator == "pi":
         from .principal import _principal_ignorability
 

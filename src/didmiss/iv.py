@@ -153,6 +153,16 @@ def _iv_groups(
     return GroupKey(data, aux=aux), _iv_single if len(aux) == 1 else _iv_pair
 
 
+def _iv_engine(
+    data: PanelDataset, aux: tuple[int, ...]
+) -> tuple[Estimate, IvDiagnostics, Callable[[np.ndarray], tuple[float]]]:
+    """``att_iv`` (one index) or ``att_iv_multi`` (a pair), and the point of
+    the resample at given row indices, from the same group counts."""
+    groups, formula = _iv_groups(data, aux)
+    est, diag = formula(groups.counts())
+    return est, diag, lambda idx: (formula(groups.counts(idx))[0].point,)
+
+
 def _iv_single(c: GroupCounts) -> tuple[Estimate, IvDiagnostics]:
     """``att_iv`` from counts keyed on (arm, R1, R2, instrument level)."""
     n, s = c.n[0], c.s[0]

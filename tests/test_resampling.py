@@ -26,8 +26,8 @@ from didmiss import (
     trimmed_mean,
 )
 from didmiss.bounds import _bounds_replicate, _trimmed_mean_counts
-from didmiss.cli import _iv_engine
-from didmiss.estimators import _percentile_ci, _replicate_fn
+from didmiss.estimators import ESTIMATOR_HANDLES, _percentile_ci, _replicate_fn
+from didmiss.iv import _iv_engine
 
 from _helpers import make_panel
 
@@ -142,7 +142,10 @@ def test_handle_replicates_match_rebuilt_resamples(handle):
 
     cfg = BootstrapConfig(replicates=REPLICATES, seed=3)
     if _failures(outcomes) * 2 <= REPLICATES:
-        by_handle = _percentile_ci(full, engine, len(data), cfg)
+        if handle in ESTIMATOR_HANDLES:
+            by_handle = bootstrap_ci(data, handle, cfg)
+        else:
+            by_handle = _percentile_ci(full, engine, len(data), cfg)
         by_callable = bootstrap_ci(data, fn, cfg)
         assert by_handle.notes == by_callable.notes
         assert by_handle.se == pytest.approx(by_callable.se, abs=1e-12)
