@@ -23,7 +23,7 @@ from typing import Callable, Literal, Mapping, Sequence
 
 import numpy as np
 
-from .common import ClipEvent, Interval, clip01, finite
+from .common import STRATUM_PAIRS, ClipEvent, Interval, clip01, finite
 from .errors import EstimatorError, InputError
 from .estimators import BootstrapConfig, _replicates
 from .panel import GroupKey, PanelDataset, RateTable, _rate_table
@@ -38,9 +38,6 @@ __all__ = [
     "att_ar_bounds",
     "bootstrap_bounds",
 ]
-
-#: Strata keys (r1, r0) = (R2(1), R2(0)).
-STRATA = ((1, 1), (1, 0), (0, 1), (0, 0))
 
 #: Flag raised whenever a probability formula needed clipping: the observed
 #: rates contradict the assumption set that produced the formula.
@@ -66,14 +63,14 @@ class StrataProportions:
 
     def __post_init__(self) -> None:
         for d in (0, 1):
-            for key in STRATA:
+            for key in STRATUM_PAIRS:
                 iv = self.pi[d][key]
                 if iv.lo < -1e-12 or iv.hi > 1 + 1e-12:
                     raise ValueError(f"pi[{d}][{key}] = [{iv.lo}, {iv.hi}] outside [0, 1]")
 
 
 def _pi_dict(cells: dict[tuple[int, int], Interval]) -> Mapping[tuple[int, int], Interval]:
-    missing = [k for k in STRATA if k not in cells]
+    missing = [k for k in STRATUM_PAIRS if k not in cells]
     if missing:
         raise ValueError(f"strata dictionary missing cells {missing}")
     return dict(cells)

@@ -1,4 +1,4 @@
-"""Small shared utilities: intervals and probability clipping.
+"""Small shared utilities: stratum order, intervals and probability clipping.
 
 The clipping policy is package-wide: every probability produced by a formula
 is pushed into its legal range *with a recorded event*, never silently.
@@ -20,6 +20,13 @@ from .errors import EstimatorError, InputError
 #: this magnitude the IV estimators refuse rather than return an exploding
 #: value.
 EPS_DENOM = 1e-8
+
+#: Stratum order used everywhere: always-, if-treated-, if-control-,
+#: never-respondents.
+STRATUM_LABELS = ("AR", "ITR", "ICR", "NR")
+
+#: ``(R2(treated), R2(control))`` pair for each stratum, same order.
+STRATUM_PAIRS = ((1, 1), (1, 0), (0, 1), (0, 0))
 
 
 @dataclass(frozen=True)

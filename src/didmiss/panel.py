@@ -501,20 +501,16 @@ def save_panel(data: PanelDataset, dest: str | Path | IO[str]) -> None:
     write_table(dest, *_table_columns(data))
 
 
-def _table_columns(data: Any) -> tuple[list[str], list[Sequence[object]]]:
+def _table_columns(data: PanelDataset) -> tuple[list[str], list[Sequence[object]]]:
     """Header and columns of the panel fields, in save order, for ``write_table``.
 
-    ``data`` is a PanelDataset or anything with the same ``_unit_ids``, ``d``,
-    ``y1``, ``y2``, ``aux`` and ``x`` fields, such as an ``OraclePanel``.
     Default ids are written as 1..n without building them.
     """
-    n_aux = int(data.aux.shape[1])
-    n_x = 0 if data.x is None else int(data.x.shape[1])
     header = ["id", "d", "y1", "y2"]
-    header += [f"aux{k + 1}" for k in range(n_aux)]
-    header += [f"x{j + 1}" for j in range(n_x)]
-    ids = range(1, len(data.d) + 1) if data._unit_ids is None else data._unit_ids
+    header += [f"aux{k + 1}" for k in range(data.n_aux)]
+    header += [f"x{j + 1}" for j in range(data.n_covariates)]
+    ids = range(1, len(data) + 1) if data._unit_ids is None else data._unit_ids
     columns: list[Sequence[object]] = [ids, data.d, data.y1, data.y2]
-    columns += [data.aux[:, k] for k in range(n_aux)]
-    columns += [data.x[:, j] for j in range(n_x)]
+    columns += [data.aux[:, k] for k in range(data.n_aux)]
+    columns += [data.x[:, j] for j in range(data.n_covariates)]
     return header, columns

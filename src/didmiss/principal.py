@@ -64,8 +64,6 @@ __all__ = [
 #: ``(r_treated, r_control)``.
 SCORE_STRATA = ((1, 1), (1, 0), (0, 0))
 
-_STRATUM_NAMES = {(1, 1): "always", (1, 0): "if-treated", (0, 0): "never"}
-
 
 @dataclass(frozen=True)
 class CellScores:

@@ -4,9 +4,13 @@ Each simulated unit carries a latent stratum ``S = (R2(treated), R2(control))``
 — the pair of potential second-period response indicators — together with
 both potential outcomes.  The observable :class:`~didmiss.panel.PanelDataset`
 is produced by masking: the realized arm selects which potential outcome and
-response are visible.  The oracle side (latent strata, both potentials) is
-returned alongside, so every estimator in the package can be validated
-against exact finite-sample truth.
+response are visible.  The oracle, an :class:`OraclePanel`, is that
+observable panel plus four latent columns: the stratum ``s``, the unmasked
+first-period outcome ``y1_true`` and both potential second-period outcomes
+``y2_1`` and ``y2_0``.  The potential responses ``r2_1`` and ``r2_0`` are
+derived from ``s``, and ``r1`` and ``r2`` are boolean, as in any panel.  So
+every estimator in the package runs on the oracle as on the panel, and can
+be validated against exact finite-sample truth.
 
 Strata are labelled ``AR`` (always-respondents, ``(1, 1)``), ``ITR``
 (if-treated respondents, ``(1, 0)``), ``ICR`` (if-control respondents,
@@ -43,7 +47,7 @@ from typing import IO, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .common import check_seed
+from .common import STRATUM_LABELS, STRATUM_PAIRS, check_seed
 from .errors import EstimatorError, InputError
 from .estimators import _complete_case
 from .iv import _iv_pair, _iv_single
@@ -79,13 +83,6 @@ __all__ = [
     "strip_missingness",
 ]
 
-#: Stratum order used everywhere: always-, if-treated-, if-control-,
-#: never-respondents.
-STRATUM_LABELS = ("AR", "ITR", "ICR", "NR")
-
-#: ``(R2(treated), R2(control))`` pair for each stratum, same order.
-STRATUM_PAIRS = ((1, 1), (1, 0), (0, 1), (0, 0))
-
 PRESET_KINDS = (
     "zero-bias",
     "homogeneous-bias",
@@ -97,6 +94,9 @@ PRESET_KINDS = (
 )
 
 _AR, _ITR, _ICR, _NR = range(4)
+
+#: ``STRATUM_PAIRS`` as an array: row ``s`` is stratum ``s``'s potential responses.
+_RESPONSE = np.array(STRATUM_PAIRS, dtype=np.int8)
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +274,8 @@ class DgpSpec:
     # -- validation -------------------------------------------------------
 
     def __post_init__(self) -> None:
+        if not isinstance(self.n, (int, np.integer)):
+            raise InputError(f"sample size must be an integer, got {self.n!r}")
         if self.n < 1:
             raise InputError(f"sample size must be at least 1, got {self.n!r}")
         check_seed(self.seed)
@@ -430,77 +432,52 @@ class OracleRecord:
             raise ValueError("y1 must be None when r1 = 0")
 
 
-class OraclePanel:
-    """Column-oriented oracle of one simulated panel.
+class OraclePanel(PanelDataset):
+    """Observable panel of one simulated draw plus its latent columns.
 
-    One numpy array per field: the latent arrays (stratum codes, both
-    potential outcomes and responses, the unmasked first-period outcome)
-    next to the observable treatment, auxiliary and covariate columns, so
-    every check is vectorized.  ``records`` builds a row-wise tuple of
-    :class:`OracleRecord` on first access.
+    The panel fields (``d``, ``y1``, ``y2``, ``r1``, ``r2``, ``aux``, ``x``,
+    ``unit_ids``) are those of the :class:`~didmiss.panel.PanelDataset` the
+    draw shows; the oracle adds the stratum code ``s`` (an index into
+    :data:`STRATUM_LABELS`), the unmasked first-period outcome ``y1_true``
+    and both potential second-period outcomes ``y2_1`` and ``y2_0``.  The
+    potential responses ``r2_1`` and ``r2_0`` are read from ``s``.  The
+    arrays are taken as given, unchecked; ``records`` builds a row-wise
+    tuple of :class:`OracleRecord` on first access.
     """
 
-    __slots__ = (
-        "d", "y1_true", "y2_1", "y2_0", "s", "r1", "r2_1", "r2_0", "aux", "x",
-        "_unit_ids", "_records",
-    )
+    __slots__ = ("s", "y1_true", "y2_1", "y2_0", "_records")
 
     def __init__(
         self,
         d: np.ndarray,
+        y1: np.ndarray,
+        y2: np.ndarray,
+        aux: np.ndarray,
+        x: np.ndarray | None,
+        s: np.ndarray,
         y1_true: np.ndarray,
         y2_1: np.ndarray,
         y2_0: np.ndarray,
-        s: np.ndarray,
-        r1: np.ndarray,
-        r2_1: np.ndarray,
-        r2_0: np.ndarray,
-        aux: np.ndarray,
-        x: np.ndarray | None,
         unit_ids: tuple[str, ...] | None = None,
     ) -> None:
-        self.d = d
+        super().__init__(d, y1, y2, aux=aux, x=x, unit_ids=unit_ids, _validate=False)
+        self.s = s
         self.y1_true = y1_true
         self.y2_1 = y2_1
         self.y2_0 = y2_0
-        self.s = s
-        self.r1 = r1
-        self.r2_1 = r2_1
-        self.r2_0 = r2_0
-        self.aux = aux
-        self.x = x
-        self._unit_ids = unit_ids
         self._records: tuple[OracleRecord, ...] | None = None
-        for arr in (d, y1_true, y2_1, y2_0, s, r1, r2_1, r2_0, aux):
+        for arr in (s, y1_true, y2_1, y2_0):
             arr.setflags(write=False)
-        if x is not None:
-            x.setflags(write=False)
 
     @property
-    def unit_ids(self) -> tuple[str, ...]:
-        """Opaque unit identifiers; "1".."n" unless given."""
-        if self._unit_ids is None:
-            self._unit_ids = tuple(str(i + 1) for i in range(len(self)))
-        return self._unit_ids
+    def r2_1(self) -> np.ndarray:
+        """Second-period response if treated, from the stratum."""
+        return _RESPONSE[:, 0].take(self.s)
 
     @property
-    def r2(self) -> np.ndarray:
-        """Realized second-period response."""
-        return np.where(self.d == 1, self.r2_1, self.r2_0)
-
-    @property
-    def y1(self) -> np.ndarray:
-        """Observed first-period outcome, NaN where unobserved."""
-        return np.where(self.r1.astype(bool), self.y1_true, np.nan)
-
-    @property
-    def y2(self) -> np.ndarray:
-        """Realized second-period outcome, NaN where unobserved."""
-        realized = np.where(self.d == 1, self.y2_1, self.y2_0)
-        return np.where(self.r2.astype(bool), realized, np.nan)
-
-    def __len__(self) -> int:
-        return int(self.d.shape[0])
+    def r2_0(self) -> np.ndarray:
+        """Second-period response if untreated, from the stratum."""
+        return _RESPONSE[:, 1].take(self.s)
 
     @property
     def records(self) -> tuple[OracleRecord, ...]:
@@ -521,8 +498,8 @@ class OraclePanel:
                     self.y1_true.tolist(),
                     self.y2_1.tolist(),
                     self.y2_0.tolist(),
-                    self.r1.tolist(),
-                    self.r2.tolist(),
+                    self.r1.view(np.int8).tolist(),
+                    self.r2.view(np.int8).tolist(),
                     self.r2_1.tolist(),
                     self.r2_0.tolist(),
                 )
@@ -640,8 +617,9 @@ def simulate_panel(spec: DgpSpec) -> tuple[PanelDataset, OraclePanel, OracleTrut
     Returns
     -------
     (PanelDataset, OraclePanel, OracleTruth)
-        The masked observable panel, the latent per-unit oracle (one array
-        per field, see :class:`OraclePanel`), and the implied ground truth.
+        The masked observable panel, the oracle (that panel's own arrays
+        plus the latent columns, see :class:`OraclePanel`), and the implied
+        ground truth.
 
     Raises
     ------
@@ -702,13 +680,10 @@ def simulate_panel(spec: DgpSpec) -> tuple[PanelDataset, OraclePanel, OracleTrut
     y2_1 = y2_0 + np.broadcast_to(effect, base.shape).take(code)
     del code, eps1, eps2
 
-    r2_1 = np.array([pair[0] for pair in STRATUM_PAIRS], dtype=np.int8)[s]
-    r2_0 = np.array([pair[1] for pair in STRATUM_PAIRS], dtype=np.int8)[s]
-
+    # every first-period outcome is observed unless first-wave response is drawn
+    y1_obs = y1
     if spec.r1_model.kind == "mcar":
-        r1 = (rng.random(n) < spec.r1_model.rate).astype(np.int8)
-    else:
-        r1 = np.ones(n, dtype=np.int8)
+        y1_obs = np.where(rng.random(n) < spec.r1_model.rate, y1, np.nan)
 
     aux = np.zeros((n, len(spec.aux_models)), dtype=np.int8)
     patterns = iter(np.repeat([c.aux_pattern or () for c in cells], 2, axis=0).T)
@@ -725,29 +700,12 @@ def simulate_panel(spec: DgpSpec) -> tuple[PanelDataset, OraclePanel, OracleTrut
     del group
 
     y2_obs = np.where(treated, y2_1, y2_0)
-    y2_obs[np.where(treated, r2_1, r2_0) == 0] = np.nan
-    y1_obs = np.where(r1.astype(bool), y1, np.nan)
+    y2_obs[_RESPONSE[s, 1 - d] == 0] = np.nan
 
-    data = PanelDataset(
-        d=d,
-        y1=y1_obs,
-        y2=y2_obs,
-        aux=aux,
-        x=None if x is None else x.copy(),
-        _validate=False,  # well-formed by construction; both arms checked above
-    )
-    oracle = OraclePanel(
-        d=d.copy(),
-        y1_true=y1,
-        y2_1=y2_1,
-        y2_0=y2_0,
-        s=s,
-        r1=r1,
-        r2_1=r2_1,
-        r2_0=r2_0,
-        aux=aux.copy(),
-        x=x,
-    )
+    # well-formed by construction, both arms checked above; the oracle shows
+    # the same observable arrays
+    data = PanelDataset(d, y1_obs, y2_obs, aux=aux, x=x, _validate=False)
+    oracle = OraclePanel(d, y1_obs, y2_obs, aux, x, s=s, y1_true=y1, y2_1=y2_1, y2_0=y2_0)
 
     direct = y2_1 - y2_0
     att = float(np.mean(direct[treated]))
@@ -795,17 +753,16 @@ def _from_records(records: Iterable[OracleRecord]) -> OraclePanel:
     codes = {label: i for i, label in enumerate(STRATUM_LABELS)}
     return OraclePanel(
         d=np.array([r.d for r in seq], dtype=np.int8),
-        y1_true=np.array([r.y1_true for r in seq], dtype=np.float64),
-        y2_1=np.array([r.y2_1 for r in seq], dtype=np.float64),
-        y2_0=np.array([r.y2_0 for r in seq], dtype=np.float64),
-        s=np.array([codes[r.s] for r in seq], dtype=np.int8),
-        r1=np.array([r.r1 for r in seq], dtype=np.int8),
-        r2_1=np.array([r.r2_1 for r in seq], dtype=np.int8),
-        r2_0=np.array([r.r2_0 for r in seq], dtype=np.int8),
+        y1=np.array([r.y1 for r in seq], dtype=np.float64),
+        y2=np.array([r.y2 for r in seq], dtype=np.float64),
         aux=np.array([r.aux for r in seq], dtype=np.int8).reshape(len(seq), -1),
         x=None
         if seq[0].x is None
         else np.array([r.x for r in seq], dtype=np.int64).reshape(len(seq), -1),
+        s=np.array([codes[r.s] for r in seq], dtype=np.int8),
+        y1_true=np.array([r.y1_true for r in seq], dtype=np.float64),
+        y2_1=np.array([r.y2_1 for r in seq], dtype=np.float64),
+        y2_0=np.array([r.y2_0 for r in seq], dtype=np.float64),
     )
 
 
@@ -1144,9 +1101,7 @@ def load_oracle(source: str | Path | bytes | IO[str] | IO[bytes]) -> OraclePanel
     if not ids:
         raise InputError("empty oracle table")
 
-    pair = np.array(STRATUM_PAIRS, dtype=np.int8)
-    r2_1, r2_0 = pair[s, 0], pair[s, 1]
-    r2 = np.where(d == 1, r2_1, r2_0).astype(bool)
+    r2 = _RESPONSE[s, 1 - d].astype(bool)
     # a responding unit shows its selected potential outcome, any other shows none
     y2_bad = np.where(r2, y2 != np.where(d == 1, y2_1, y2_0), ~np.isnan(y2))
     y1_bad = ~np.isnan(y1) & (y1 != y1_true)
@@ -1159,19 +1114,7 @@ def load_oracle(source: str | Path | bytes | IO[str] | IO[bytes]) -> OraclePanel
             else "observed y1 does not equal the latent first-period outcome"
         )
         raise InputError(f"inconsistent oracle record in row {i + 2}: {problem}")
-    return OraclePanel(
-        d=d,
-        y1_true=y1_true,
-        y2_1=y2_1,
-        y2_0=y2_0,
-        s=s,
-        r1=(~np.isnan(y1)).astype(np.int8),
-        r2_1=r2_1,
-        r2_0=r2_0,
-        aux=aux,
-        x=x,
-        unit_ids=ids,
-    )
+    return OraclePanel(d, y1, y2, aux, x, s, y1_true, y2_1, y2_0, unit_ids=ids)
 
 
 # ---------------------------------------------------------------------------
@@ -1234,6 +1177,12 @@ def _solve_homogeneous_cells() -> tuple[float, float, float]:
     return p01, p11, b
 
 
+def _multi_iv_response(h: Sequence[float], v: int, a1: int, a2: int) -> float:
+    """Treated-arm response probability of the paired-instrument preset's
+    cell ``(v, a1, a2)`` under the interaction terms ``h``."""
+    return 0.30 + 0.20 * a1 - 0.15 * a2 + v * (h[0] + h[1] * a1 + h[2] * a2 + h[3] * a1 * a2)
+
+
 def _solve_multi_instrument() -> tuple[float, float, float, float]:
     """Arm-1 response interaction terms for the paired-instrument preset.
 
@@ -1250,16 +1199,11 @@ def _solve_multi_instrument() -> tuple[float, float, float, float]:
     """
     cells = [(v, a1, a2) for v in (0, 1) for a1 in (0, 1) for a2 in (0, 1)]
 
-    def response(h: Sequence[float], v: int, a1: int, a2: int) -> float:
-        return 0.30 + 0.20 * a1 - 0.15 * a2 + v * (
-            h[0] + h[1] * a1 + h[2] * a2 + h[3] * a1 * a2
-        )
-
     def shift(v: int, a1: int, a2: int) -> float:
         return 1.0 * v + 0.3 * (a1 + a2)
 
     def equations(h: Sequence[float]) -> list[float]:
-        p = {c: response(h, *c) for c in cells}
+        p = {c: _multi_iv_response(h, *c) for c in cells}
 
         def group(level_of, level, observed: bool):
             mass = mean_sum = 0.0
@@ -1305,8 +1249,7 @@ def _solve_multi_instrument() -> tuple[float, float, float, float]:
 
     h = (0.3422596636831731, -0.056882853652676924, -0.07934081250884106, 0.1034086775903435)
     _check_solution(max(abs(r) for r in equations(h)), "paired-instrument cells")
-    probs = [0.30 + 0.20 * a1 - 0.15 * a2 + v * (h[0] + h[1] * a1 + h[2] * a2 + h[3] * a1 * a2)
-             for v in (0, 1) for a1 in (0, 1) for a2 in (0, 1)]
+    probs = [_multi_iv_response(h, *c) for c in cells]
     if min(probs) <= 0.01 or max(probs) >= 0.99:
         raise RuntimeError("paired-instrument solve left the probability simplex")
     return h
@@ -1404,16 +1347,6 @@ def _preset_homogeneous_bias(n: int, seed: int) -> DgpSpec:
 
 def _verify_homogeneous_bias(spec: DgpSpec) -> None:
     kind = "homogeneous-bias"
-    p01, p11, b = _solve_homogeneous_cells()
-    treated_response = {(0, 0): 0.15, (1, 0): 0.75, (0, 1): p01, (1, 1): p11}
-    gaps = []
-    for a in (0, 1):
-        p_v0, p_v1 = treated_response[(0, a)], treated_response[(1, a)]
-        obs = p_v1 / (p_v0 + p_v1)
-        miss = (1.0 - p_v1) / (2.0 - p_v0 - p_v1)
-        gaps.append(b * (obs - miss))
-    _require(abs(gaps[0] - gaps[1]) < 1e-10, kind, "trend gap differs across instrument groups")
-
     att, _, cc = spec._population
     est, iv = _iv_single(_expected_counts(spec, (0,)))
     _require(abs(cc - att - 0.25) < 1e-9, kind, "planted complete-case bias is not 0.25")
@@ -1431,9 +1364,7 @@ def _preset_multi_iv(n: int, seed: int) -> DgpSpec:
     for v in (0, 1):
         for a1 in (0, 1):
             for a2 in (0, 1):
-                p_treated = 0.30 + 0.20 * a1 - 0.15 * a2 + v * (
-                    h[0] + h[1] * a1 + h[2] * a2 + h[3] * a1 * a2
-                )
+                p_treated = _multi_iv_response(h, v, a1, a2)
                 p_control = 0.60 + 0.15 * a1 - 0.10 * a2
                 cells.append(
                     Cell(
@@ -1732,9 +1663,7 @@ def make_preset(kind: str, n: int = 10_000, seed: int = 0) -> DgpSpec:
     if kind not in _PRESETS:
         known = ", ".join(PRESET_KINDS)
         raise InputError(f"unknown preset {kind!r}; expected one of: {known}")
-    if n < 1:
-        raise InputError(f"sample size must be at least 1, got {n!r}")
     builder, verifier = _PRESETS[kind]
-    spec = builder(int(n), int(seed))
+    spec = builder(n, seed)
     verifier(spec)
     return spec

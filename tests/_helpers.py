@@ -224,15 +224,14 @@ def reference_simulate_panel(spec: DgpSpec) -> tuple[PanelDataset, OraclePanel, 
     )
     oracle = OraclePanel(
         d=d.copy(),
+        y1=y1_obs.copy(),
+        y2=y2_obs.copy(),
+        aux=aux.copy(),
+        x=x,
+        s=s,
         y1_true=y1,
         y2_1=y2_1,
         y2_0=y2_0,
-        s=s,
-        r1=r1,
-        r2_1=r2_1,
-        r2_0=r2_0,
-        aux=aux.copy(),
-        x=x,
     )
 
     treated = d == 1

@@ -129,15 +129,20 @@ def oracle_panels(draw):
     s = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=np.int8)
     pair = np.array(STRATUM_PAIRS, dtype=np.int8)
     ids = st.text(alphabet='ab1,"\n ', max_size=4).map(str.strip)
+    d = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int8)
+    y1_true = np.array(draw(st.lists(any_float, min_size=n, max_size=n)))
+    y2_1 = np.array(draw(st.lists(any_float, min_size=n, max_size=n)))
+    y2_0 = np.array(draw(st.lists(any_float, min_size=n, max_size=n)))
+    r1 = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=bool)
+    r2 = pair[s, 1 - d].astype(bool)
     return OraclePanel(
-        d=np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int8),
-        y1_true=np.array(draw(st.lists(any_float, min_size=n, max_size=n))),
-        y2_1=np.array(draw(st.lists(any_float, min_size=n, max_size=n))),
-        y2_0=np.array(draw(st.lists(any_float, min_size=n, max_size=n))),
+        d=d,
+        y1=np.where(r1, y1_true, np.nan),
+        y2=np.where(r2, np.where(d == 1, y2_1, y2_0), np.nan),
         s=s,
-        r1=np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int8),
-        r2_1=pair[s, 0],
-        r2_0=pair[s, 1],
+        y1_true=y1_true,
+        y2_1=y2_1,
+        y2_0=y2_0,
         aux=np.array(
             draw(st.lists(st.lists(st.integers(0, 1), min_size=n_aux, max_size=n_aux),
                           min_size=n, max_size=n)),

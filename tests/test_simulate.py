@@ -16,13 +16,17 @@ from didmiss import (
     OraclePanel,
     OracleRecord,
     PRESET_KINDS,
+    PanelDataset,
     R1Model,
     STRATUM_LABELS,
     STRATUM_PAIRS,
+    att_ar_bounds,
     check_trend_mixture,
+    compute_rates,
     decompose_att,
     did_complete_case,
     load_oracle,
+    load_panel,
     make_preset,
     naive_did_all,
     save_oracle,
@@ -100,6 +104,29 @@ NAN, INF = float("nan"), float("inf")
 def test_spec_refuses_non_finite_numbers_naming_the_field(field, value):
     with pytest.raises(InputError, match=rf"^{field} must be finite, got "):
         plain_spec(**{field: value})
+
+
+SPEC_BUILDERS = {
+    "make_preset": lambda **size: make_preset("pi", **{"n": 50, "seed": 1, **size}),
+    "DgpSpec": plain_spec,
+}
+
+
+@pytest.mark.parametrize("builder", SPEC_BUILDERS)
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("n", 2.5, "sample size must be an integer, got 2.5"),
+        ("n", NAN, "sample size must be an integer, got nan"),
+        ("n", 0, "sample size must be at least 1, got 0"),
+        ("seed", 2.5, "seed must be a non-negative integer, got 2.5"),
+    ],
+    ids=["n=2.5", "n=nan", "n=0", "seed=2.5"],
+)
+def test_spec_refuses_a_fractional_or_non_positive_size_or_seed(builder, field, value, message):
+    # never cast: 2.5 units or seed 2.5 would silently run 2
+    with pytest.raises(InputError, match=rf"^{message}$"):
+        SPEC_BUILDERS[builder](**{field: value})
 
 
 @pytest.mark.parametrize(
@@ -189,6 +216,27 @@ def test_observable_view_consistent_with_oracle():
     )
     for d in (0, 1):
         assert sum(truth.pi_table[d].values()) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["pi", "monotone"])  # a covariate column; y1 missing at random
+def test_the_oracle_is_the_observable_panel_plus_latent_columns(kind, tmp_path):
+    data, oracle, _ = simulate_panel(make_preset(kind, n=2_000, seed=4))
+    assert isinstance(oracle, PanelDataset)
+    observable = ("d", "y1", "y2", "aux") + (("x",) if kind == "pi" else ())
+    for name in observable:
+        assert np.shares_memory(getattr(oracle, name), getattr(data, name)), name
+    assert did_complete_case(oracle) == did_complete_case(data)
+    assert att_ar_bounds(oracle) == att_ar_bounds(data)
+    assert compute_rates(oracle) == compute_rates(data)
+    # an oracle file is a panel file with four more columns
+    path = tmp_path / "oracle.csv"
+    save_oracle(oracle, path)
+    panel, loaded = load_panel(path), load_oracle(path)
+    for name in observable + ("r1", "r2"):
+        want, got = getattr(loaded, name), getattr(panel, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True), name
+    assert (panel.x is None) == (loaded.x is None) == (kind != "pi")
+    assert panel.unit_ids == loaded.unit_ids
 
 
 def test_stratum_shares_concentrate_at_design_values():
@@ -390,7 +438,7 @@ def test_decomposition_flags_unshared_trends():
 @pytest.mark.parametrize("column, code", [("s", 7), ("s", -1), ("d", 2)])
 def test_identities_refuse_out_of_range_oracle_codes_naming_the_row(column, code):
     _, oracle, _ = simulate_panel(plain_spec(n=50))
-    names = ("d", "y1_true", "y2_1", "y2_0", "s", "r1", "r2_1", "r2_0", "aux")
+    names = ("d", "y1", "y2", "aux", "s", "y1_true", "y2_1", "y2_0")
     columns = {name: getattr(oracle, name).copy() for name in names}
     columns[column][[3, 7]] = code
     tampered = OraclePanel(**columns, x=None)

@@ -349,10 +349,12 @@ def test_writer_is_byte_identical_to_the_whole_column_writer(n, ids, extra):
     data = PanelDataset(d, y1, y2, aux=aux, x=x, unit_ids=unit_ids, _validate=False)
     s = rng.integers(0, 4, size=n).astype(np.int8)
     pair = np.array(STRATUM_PAIRS, dtype=np.int8)
+    y1_true, y2_1, y2_0 = rng.normal(size=n), rng.normal(size=n), rng.normal(size=n)
+    r1 = rng.integers(0, 2, size=n).astype(bool)
     oracle = OraclePanel(
-        d=d, y1_true=rng.normal(size=n), y2_1=rng.normal(size=n), y2_0=rng.normal(size=n),
-        s=s, r1=rng.integers(0, 2, size=n).astype(np.int8), r2_1=pair[s, 0], r2_0=pair[s, 1],
-        aux=aux, x=x, unit_ids=unit_ids,
+        d=d, y1=np.where(r1, y1_true, np.nan),
+        y2=np.where(pair[s, 1 - d] == 1, np.where(d == 1, y2_1, y2_0), np.nan),
+        aux=aux, x=x, s=s, y1_true=y1_true, y2_1=y2_1, y2_0=y2_0, unit_ids=unit_ids,
     )
     panel_text, oracle_text = io.StringIO(), io.StringIO()
     save_panel(data, panel_text)  # before the reference, which builds default ids
