@@ -44,11 +44,11 @@ from .simulate import (
     PRESET_KINDS,
     STRATUM_LABELS,
     STRATUM_PAIRS,
+    _save_panel_and_oracle,
     check_trend_mixture,
     decompose_att,
     load_oracle,
     make_preset,
-    save_oracle,
     simulate_panel,
 )
 
@@ -347,9 +347,10 @@ _UNDEFINED_TRUTH = {
 def _run_simulate(args: argparse.Namespace) -> Run:
     spec = make_preset(args.preset, n=args.n, seed=args.seed)
     data, oracle, truth = simulate_panel(spec)
-    save_panel(data, args.out)
-    if args.truth is not None:
-        save_oracle(oracle, args.truth)
+    if args.truth is None:
+        save_panel(data, args.out)
+    else:
+        _save_panel_and_oracle(oracle, args.out, args.truth)
     result = {**_json(truth), "out": args.out, "truth": args.truth}
     undefined = {
         key: why for key, why in _UNDEFINED_TRUTH.items() if not math.isfinite(result[key])

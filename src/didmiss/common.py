@@ -60,9 +60,14 @@ class Interval:
         return Interval(float(x), float(x))
 
 
+def is_integer(value: object) -> bool:
+    """Whether ``value`` is a Python or numpy integer; ``bool`` is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_seed(seed: object) -> None:
-    """Raise ``InputError`` unless ``seed`` is a non-negative integer."""
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+    """Raise ``InputError`` unless ``seed`` is a non-negative integer (not a bool)."""
+    if not (is_integer(seed) and seed >= 0):
         raise InputError(f"seed must be a non-negative integer, got {seed!r}")
 
 

@@ -26,7 +26,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .common import Interval, check_seed, finite
+from .common import Interval, check_seed, finite, is_integer
 from .errors import DidMissError, EstimatorError, InputError
 from .panel import GroupCounts, GroupKey, PanelDataset
 
@@ -82,6 +82,8 @@ class BootstrapConfig:
     level: float = 0.95
 
     def __post_init__(self) -> None:
+        if not is_integer(self.replicates):
+            raise InputError(f"replicates must be an integer, got {self.replicates!r}")
         if self.replicates < 1:
             raise InputError(f"replicates must be >= 1, got {self.replicates}")
         check_seed(self.seed)

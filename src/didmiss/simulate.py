@@ -47,7 +47,7 @@ from typing import IO, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .common import STRATUM_LABELS, STRATUM_PAIRS, check_seed
+from .common import STRATUM_LABELS, STRATUM_PAIRS, check_seed, is_integer
 from .errors import EstimatorError, InputError
 from .estimators import _complete_case
 from .iv import _iv_pair, _iv_single
@@ -59,7 +59,7 @@ from .panel import (
     _panel_values,
     _table_columns,
 )
-from .table import Parser, floats, labels, read_columns, require_columns, write_table
+from .table import Parser, floats, labels, read_columns, require_columns, write_table, write_tables
 
 __all__ = [
     "AttDecomposition",
@@ -274,7 +274,7 @@ class DgpSpec:
     # -- validation -------------------------------------------------------
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, (int, np.integer)):
+        if not is_integer(self.n):
             raise InputError(f"sample size must be an integer, got {self.n!r}")
         if self.n < 1:
             raise InputError(f"sample size must be at least 1, got {self.n!r}")
@@ -1064,6 +1064,23 @@ def save_oracle(oracle: OraclePanel, dest: str | Path | IO[str]) -> None:
     missing observable outcomes are written as "NA".  :func:`load_oracle`
     reproduces every column bit for bit.
     """
+    write_table(dest, *_oracle_table(oracle))
+
+
+def _save_panel_and_oracle(oracle: OraclePanel, out: str | Path, truth: str | Path) -> None:
+    """``save_panel(oracle, out)`` then ``save_oracle(oracle, truth)``, in one pass.
+
+    The panel's columns are the oracle's first ones, so their cells are
+    formatted once for both files; what the two calls leave on disk, on
+    error too, is left the same (see ``write_tables``).
+    """
+    header, columns = _oracle_table(oracle)
+    panel_width = len(header) - len(_LATENT_COLUMNS)
+    write_tables([(out, panel_width), (truth, len(header))], header, columns)
+
+
+def _oracle_table(oracle: OraclePanel) -> tuple[list[str], list[Sequence[object]]]:
+    """Header and columns of the oracle table: the panel's, then the latent ones."""
     header, columns = _table_columns(oracle)
     header += list(_LATENT_COLUMNS)
     columns += [
@@ -1072,7 +1089,7 @@ def save_oracle(oracle: OraclePanel, dest: str | Path | IO[str]) -> None:
         oracle.y2_1,
         oracle.y2_0,
     ]
-    write_table(dest, header, columns)
+    return header, columns
 
 
 _STRATUM = labels(

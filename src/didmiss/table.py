@@ -18,9 +18,16 @@ reader's memory is that of the typed columns. The parsers:
 
 Every error about a single cell names its row and column. Faults are
 reported in one order wherever they sit in the file (see ``read_columns``).
-The writer formats and writes a few hundred rows at a time. It prints floats
-with ``repr``, so reading a written table back gives every value bit for
-bit, and prints missing floats as ``NA``.
+The writer formats a few hundred rows at a time, each cell once, and writes
+the lines itself. It prints floats with ``repr``, so reading a written table
+back gives every value bit for bit, missing floats as ``NA`` and integers
+with ``str``; these cells never need quoting. Ids, labels and header names
+go through one quoting rule, that of ``csv.writer``'s default
+``QUOTE_MINIMAL``: a cell holding a comma, a quote, a carriage return or a
+line feed is wrapped in quotes with its quotes doubled, and an empty cell
+alone on its row is written as ``""``. Lines end in CRLF. One pass can feed
+several files, each the first columns of the same table, so
+``simulate --truth`` formats the cells its panel and oracle files share once.
 """
 
 from __future__ import annotations
@@ -29,6 +36,8 @@ import csv
 import io
 import itertools
 import math
+import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Any, Callable, Iterable, Mapping, Sequence
@@ -39,6 +48,9 @@ from .errors import InputError
 
 #: How the writer spells a missing float.
 MISSING = "NA"
+
+#: What makes the writer quote a text cell, as ``csv.writer`` does by default.
+_QUOTED = re.compile('[,"\r\n]')
 
 #: Missing-value cells after stripping whitespace and lower-casing.
 _MISSING_TOKENS = frozenset({"", "na"})
@@ -110,13 +122,33 @@ def floats(missing: str | None = None) -> Parser:
 
 
 def labels(codes: Mapping[str, int], message: str) -> Parser:
-    """Int8 codes of cells that must be keys of ``codes``; ``message`` says so."""
+    """Int8 codes of cells that must be keys of ``codes``; ``message`` says so.
+
+    When every key is one ASCII character other than whitespace, a chunk of
+    one-character cells is looked up byte by byte; any other chunk, and any
+    chunk with a byte that is not a key, is parsed cell by cell, so values and
+    messages are the same either way.
+    """
 
     def parse(cells: Sequence[str]) -> tuple[np.ndarray, tuple[int | None]]:
         values = np.array([codes.get(cell.strip(), -1) for cell in cells], dtype=np.int8)
         return values, (_first(values < 0),)
 
-    return Parser(parse, (message,))
+    if not all(len(key) == 1 and key.isascii() and not key.isspace() for key in codes):
+        return Parser(parse, (message,))
+    lookup = np.full(256, -1, dtype=np.int8)
+    lookup[[ord(key) for key in codes]] = list(codes.values())
+
+    def parse_bytes(cells: Sequence[str]) -> tuple[np.ndarray, tuple[int | None]]:
+        joined = "".join(cells)
+        # no empty cell and one character per cell: every cell is one character
+        if len(joined) == len(cells) and joined.isascii() and "" not in cells:
+            values = lookup[np.frombuffer(joined.encode("ascii"), dtype=np.uint8)]
+            if values.min(initial=0) >= 0:
+                return values, (None,)
+        return parse(cells)
+
+    return Parser(parse_bytes, (message,))
 
 
 def binary(message: str) -> Parser:
@@ -247,37 +279,106 @@ def require_columns(
         raise InputError(f"CSV header is missing {kind}: {', '.join(missing)}")
 
 
-def _cells(values: Sequence[object]) -> Sequence[object]:
-    """A slice of a column as cells: numpy values as Python ones, NaN as ``NA``."""
-    if not isinstance(values, np.ndarray):
-        return values
-    cells: list[object] = values.tolist()
-    if values.dtype.kind == "f":
-        for i in np.flatnonzero(np.isnan(values)).tolist():
-            cells[i] = MISSING
+def _quote(cell: str) -> str:
+    return '"' + cell.replace('"', '""') + '"' if _QUOTED.search(cell) else cell
+
+
+def _text(cells: Iterable[object]) -> list[str]:
+    """Text cells, each quoted where it holds a comma, a quote or a line break."""
+    text = list(map(str, cells))
+    return list(map(_quote, text)) if _QUOTED.search("".join(text)) else text
+
+
+def _format(values: Sequence[object]) -> list[str]:
+    """A slice of a column as cell text: floats by repr, NaN as ``NA``, text quoted."""
+    if isinstance(values, range):
+        return list(map(str, values))
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "biuf"):
+        return _text(values)
+    if values.dtype.kind != "f":
+        return list(map(str, values.tolist()))
+    cells = list(map(float.__repr__, values.tolist()))
+    for i in np.flatnonzero(np.isnan(values)).tolist():
+        cells[i] = MISSING
     return cells
+
+
+def _lines(rows: list[str], width: int) -> str:
+    """Joined rows as CSV lines; a one-column row holding an empty cell is ``""``."""
+    if width == 1:
+        rows = [row or '""' for row in rows]
+    return "\r\n".join(rows) + "\r\n" if rows else ""
 
 
 def write_table(
     dest: str | Path | IO[str], header: Sequence[str], columns: Sequence[Sequence[object]]
 ) -> None:
-    """Write ``header`` and the rows of ``columns``, a few hundred rows at a time.
+    """Write ``header`` and the rows of ``columns`` to ``dest`` (see ``write_tables``)."""
+    write_tables([(dest, len(header))], header, columns)
 
-    A column is a numpy array or a sequence of cells of equal length; floats
-    are written with repr and NaN as ``NA``. A path that cannot be opened for
-    writing is an ``InputError`` naming it.
+
+def write_tables(
+    dests: Sequence[tuple[str | Path | IO[str], int]],
+    header: Sequence[str],
+    columns: Sequence[Sequence[object]],
+) -> None:
+    """Write the first ``width`` columns of one table to each ``(dest, width)``.
+
+    A column is a numpy array, a ``range`` of ids or a sequence of text
+    cells, all of one length; each cell is formatted once (see the module
+    docstring), however many destinations take it. Destinations are opened
+    in order. One that cannot be opened is an ``InputError`` naming it,
+    raised after those before it are written in full; those after it are
+    not opened. A path naming the same file as an earlier one replaces it,
+    as a second write would.
     """
-    own = isinstance(dest, (str, Path))
+    targets: list[tuple[IO[str], int]] = []
+    owned: list[IO[str]] = []
+    failure: InputError | None = None
     try:
-        handle: IO[str] = open(dest, "w", newline="") if own else dest  # type: ignore[assignment]
-    except OSError as exc:
-        raise InputError(f"cannot write {dest}: {exc.strerror}") from None
-    try:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for start in range(0, len(columns[0]) if columns else 0, _CHUNK_ROWS):
-            stop = start + _CHUNK_ROWS
-            writer.writerows(zip(*(_cells(column[start:stop]) for column in columns)))
+        for dest, width in dests:
+            if not isinstance(dest, (str, Path)):
+                targets.append((dest, width))  # type: ignore[arg-type]
+                continue
+            try:
+                handle = open(dest, "w", newline="")
+            except OSError as exc:
+                failure = InputError(f"cannot write {dest}: {exc.strerror}")
+                break
+            owned.append(handle)
+            opened = os.fstat(handle.fileno())
+            targets = [  # an earlier path to this file is written over: drop it
+                (h, w) for h, w in targets
+                if h not in owned or not os.path.samestat(os.fstat(h.fileno()), opened)
+            ]
+            targets.append((handle, width))
+        if targets:
+            _write(targets, header, columns)
     finally:
-        if own:
+        for handle in owned:
             handle.close()
+    if failure is not None:
+        raise failure
+
+
+def _write(
+    targets: Sequence[tuple[IO[str], int]],
+    header: Sequence[str],
+    columns: Sequence[Sequence[object]],
+) -> None:
+    """Format each chunk of the table once; write each handle its first columns."""
+    widths = sorted({width for _, width in targets})
+    columns = columns[: widths[-1]]
+    chunks = (
+        [_format(column[start : start + _CHUNK_ROWS]) for column in columns]
+        for start in range(0, len(columns[0]) if columns else 0, _CHUNK_ROWS)
+    )
+    head = [[cell] for cell in _text(header[: widths[-1]])]
+    for cells in itertools.chain([head], chunks):
+        text, rows, done = {}, [], 0
+        for width in widths:  # each row's first columns are joined once
+            more = map(",".join, zip(*cells[done:width]))
+            rows = [a + "," + b for a, b in zip(rows, more)] if done else list(more)
+            text[width], done = _lines(rows, width), width
+        for handle, width in targets:
+            handle.write(text[width])

@@ -109,6 +109,20 @@ def reference_read_table(text: str, what: str) -> dict[str, tuple[str, ...]]:
     return dict(zip(header, list(zip(*rows[1:])) or [()] * len(header)))
 
 
+def reference_write_table(header, columns) -> str:
+    """A table as ``csv.writer`` writes it: whole columns, floats by repr, NaN as NA."""
+
+    def cells(column):
+        values = column.tolist() if isinstance(column, np.ndarray) else list(column)
+        return ["NA" if isinstance(v, float) and math.isnan(v) else v for v in values]
+
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(zip(*map(cells, columns)))
+    return buffer.getvalue()
+
+
 def reference_att_ar_bounds(data: PanelDataset, mode: str):
     """``att_ar_bounds`` sorting an arm's changes again for each trimmed mean."""
     groups = GroupKey(data)

@@ -15,7 +15,15 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from didmiss import PanelDataset, did_complete_case, load_panel, save_panel
+from didmiss import (
+    PanelDataset,
+    did_complete_case,
+    load_panel,
+    make_preset,
+    save_oracle,
+    save_panel,
+    simulate_panel,
+)
 from didmiss.cli import main
 from didmiss.simulate import PRESET_KINDS
 
@@ -306,6 +314,38 @@ def test_simulate_truth_matches_preset_plan(capsys, sim_files):
     shares = sim["result"]["pi_table"]["treated"]
     assert set(shares) == {"AR", "ITR", "ICR", "NR"}
     assert sum(shares.values()) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "argv, code, files",
+    [
+        # one file named twice ends up holding the oracle, as after a second write
+        (["--out", "x.csv", "--truth", "sub/../x.csv"], 0, {"x.csv": "oracle"}),
+        (["--out", "x.csv", "--truth", "link.csv"], 0, {"x.csv": "oracle"}),
+        # --out is written in full before the error about --truth
+        (["--out", "p.csv", "--truth", "absent/o.csv"], 1, {"p.csv": "panel"}),
+        (["--out", "absent/p.csv", "--truth", "o.csv"], 1, {}),
+    ],
+    ids=["same-path", "symlink", "truth-unwritable", "out-unwritable"],
+)
+def test_simulate_truth_leaves_the_files_two_separate_saves_leave(
+    capsys, tmp_path, monkeypatch, argv, code, files
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.csv").symlink_to("x.csv")
+    data, oracle, _ = simulate_panel(make_preset("monotone", n=300, seed=2))
+    saved = {"panel": io.StringIO(), "oracle": io.StringIO()}
+    save_panel(data, saved["panel"])
+    save_oracle(oracle, saved["oracle"])
+    got, out, err = run(capsys, "simulate", "--preset", "monotone", "--n", 300, "--seed", 2, *argv)
+    assert got == code
+    if code:
+        unwritable = next(path for path in argv if path.startswith("absent/"))
+        message = f"cannot write {unwritable}: No such file or directory"
+        assert (out, err) == ("", f"did-miss: error: {message}\n")
+    on_disk = {p.name: p.read_bytes() for p in tmp_path.glob("*.csv") if not p.is_symlink()}
+    assert on_disk == {name: saved[table].getvalue().encode() for name, table in files.items()}
 
 
 # -- failure channels ---------------------------------------------------------------

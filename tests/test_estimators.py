@@ -194,11 +194,14 @@ def test_estimate_validation():
 def test_bootstrap_config_validation():
     with pytest.raises(InputError, match="replicates"):
         BootstrapConfig(replicates=0, seed=1)
+    for replicates in (True, 2.5):  # never cast: True would run 1 replicate
+        with pytest.raises(InputError, match=rf"^replicates must be an integer, got {replicates}$"):
+            BootstrapConfig(replicates=replicates, seed=1)
     with pytest.raises(InputError, match="level"):
         BootstrapConfig(replicates=10, seed=1, level=1.0)
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, None])
+@pytest.mark.parametrize("seed", [-1, 1.5, None, False, True])
 def test_a_seed_that_is_not_a_non_negative_integer_is_an_input_error(seed):
     with pytest.raises(InputError, match=rf"^seed must be a non-negative integer, got {seed!r}$"):
         BootstrapConfig(replicates=5, seed=seed)

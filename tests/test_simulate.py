@@ -120,11 +120,13 @@ SPEC_BUILDERS = {
         ("n", NAN, "sample size must be an integer, got nan"),
         ("n", 0, "sample size must be at least 1, got 0"),
         ("seed", 2.5, "seed must be a non-negative integer, got 2.5"),
+        ("n", True, "sample size must be an integer, got True"),
+        ("seed", True, "seed must be a non-negative integer, got True"),
     ],
-    ids=["n=2.5", "n=nan", "n=0", "seed=2.5"],
+    ids=["n=2.5", "n=nan", "n=0", "seed=2.5", "n=True", "seed=True"],
 )
 def test_spec_refuses_a_fractional_or_non_positive_size_or_seed(builder, field, value, message):
-    # never cast: 2.5 units or seed 2.5 would silently run 2
+    # never cast: 2.5 units or seed 2.5 would silently run 2, and True would run 1
     with pytest.raises(InputError, match=rf"^{message}$"):
         SPEC_BUILDERS[builder](**{field: value})
 
