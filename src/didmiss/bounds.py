@@ -29,6 +29,7 @@ from .estimators import BootstrapConfig, _replicates
 from .panel import GroupKey, PanelDataset, RateTable, _rate_table
 
 __all__ = [
+    "INCONSISTENT_FLAG",
     "StrataProportions",
     "BoundResult",
     "BoundsBootstrap",
@@ -69,13 +70,6 @@ class StrataProportions:
                     raise ValueError(f"pi[{d}][{key}] = [{iv.lo}, {iv.hi}] outside [0, 1]")
 
 
-def _pi_dict(cells: dict[tuple[int, int], Interval]) -> Mapping[tuple[int, int], Interval]:
-    missing = [k for k in STRATUM_PAIRS if k not in cells]
-    if missing:
-        raise ValueError(f"strata dictionary missing cells {missing}")
-    return dict(cells)
-
-
 def strata_proportions_monotone(rates: RateTable) -> StrataProportions:
     """Point-identify strata shares assuming response monotonicity and
     parallel trends of missingness.
@@ -95,25 +89,21 @@ def strata_proportions_monotone(rates: RateTable) -> StrataProportions:
     pi11_1 = clip01(p_r2[0] - p_r1[0] + p_r1[1], "pi_11(1)", events)
     pi10_1 = clip01((p_r2[1] - p_r2[0]) - (p_r1[1] - p_r1[0]), "pi_10(1)", events)
     pi00_1 = clip01(1.0 - pi11_1 - pi10_1, "pi_00(1)", events)
-    treated = _pi_dict(
-        {
-            (1, 1): Interval.point(pi11_1),
-            (1, 0): Interval.point(pi10_1),
-            (0, 1): Interval.point(0.0),
-            (0, 0): Interval.point(pi00_1),
-        }
-    )
+    treated = {
+        (1, 1): Interval.point(pi11_1),
+        (1, 0): Interval.point(pi10_1),
+        (0, 1): Interval.point(0.0),
+        (0, 0): Interval.point(pi00_1),
+    }
 
     pi11_0 = clip01(p_r2[0], "pi_11(0)", events)
     rest_0 = 1.0 - pi11_0
-    control = _pi_dict(
-        {
-            (1, 1): Interval.point(pi11_0),
-            (1, 0): Interval(0.0, rest_0),
-            (0, 1): Interval.point(0.0),
-            (0, 0): Interval(0.0, rest_0),
-        }
-    )
+    control = {
+        (1, 1): Interval.point(pi11_0),
+        (1, 0): Interval(0.0, rest_0),
+        (0, 1): Interval.point(0.0),
+        (0, 0): Interval(0.0, rest_0),
+    }
 
     flags = (INCONSISTENT_FLAG,) if events else ()
     return StrataProportions(
@@ -135,14 +125,12 @@ def _frechet_cells(
     q = counterfactual if arm == 1 else observed  # Pr(R2(0) = 1 | D = arm)
     lo11 = max(0.0, c + q - 1.0)
     hi11 = min(c, q)
-    return _pi_dict(
-        {
-            (1, 1): Interval(lo11, hi11),
-            (1, 0): Interval(c - hi11, c - lo11),
-            (0, 1): Interval(q - hi11, q - lo11),
-            (0, 0): Interval(max(0.0, 1.0 - c - q), min(1.0 - c, 1.0 - q)),
-        }
-    )
+    return {
+        (1, 1): Interval(lo11, hi11),
+        (1, 0): Interval(c - hi11, c - lo11),
+        (0, 1): Interval(q - hi11, q - lo11),
+        (0, 0): Interval(max(0.0, 1.0 - c - q), min(1.0 - c, 1.0 - q)),
+    }
 
 
 def strata_proportions_bounds(rates: RateTable) -> StrataProportions:

@@ -17,7 +17,7 @@ infeasible trimming without declared support, a result that is not finite).
 
 ``--pretty`` switches to an aligned human-readable rendering of the same
 report.  Bootstrap replicate streams are derived from (seed, replicate
-index) and run in one thread; setting ``DIDMISS_THREADS`` has no effect.
+index) and run in one thread.
 """
 
 from __future__ import annotations

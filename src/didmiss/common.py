@@ -16,6 +16,8 @@ import numpy as np
 
 from .errors import EstimatorError, InputError
 
+__all__ = ["EPS_DENOM", "ClipEvent", "Interval"]
+
 #: Weak-instrument threshold on probability-difference denominators. Below
 #: this magnitude the IV estimators refuse rather than return an exploding
 #: value.

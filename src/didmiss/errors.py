@@ -8,6 +8,8 @@ infeasible trimming, missing complete cases).
 
 from __future__ import annotations
 
+__all__ = ["DidMissError", "InputError", "EstimatorError"]
+
 
 class DidMissError(Exception):
     """Base class for all package-specific errors."""

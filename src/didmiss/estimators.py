@@ -12,11 +12,10 @@ weighting in the sibling modules are for.
 
 Bootstrap inference resamples units with replacement. Each replicate draws
 its random stream from (seed, replicate index), so results are bit-identical
-for a given seed. Replicates run one after another in the calling thread;
-setting ``DIDMISS_THREADS`` has no effect. A named estimator handle never
-rebuilds a dataset: its replicate is the same count formula as the
-full-sample estimate, evaluated on the group counts of the resampled rows
-(``panel.GroupKey``).
+for a given seed. Replicates run one after another in the calling thread.
+A named estimator handle never rebuilds a dataset: its replicate is the same
+count formula as the full-sample estimate, evaluated on the group counts of
+the resampled rows (``panel.GroupKey``).
 """
 
 from __future__ import annotations

@@ -70,17 +70,10 @@ class IvDiagnostics:
     trend_gap: tuple[float, float]
 
 
-def _check_aux_index(data: PanelDataset, k: int) -> None:
-    if not 0 <= k < data.n_aux:
-        raise InputError(
-            f"aux index {k} out of range: dataset has {data.n_aux} auxiliary indicator(s)"
-        )
-
-
-def _instrument_stats(
-    n: np.ndarray, s: np.ndarray, d: int
-) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Per instrument level v: (mean dY over complete cases, Pr(R2=0 | R1=1)).
+def _instrument_gap(n: np.ndarray, s: np.ndarray, d: int) -> tuple[float, float]:
+    """Arm d's (trend gap, missingness gap) across one instrument's levels:
+    mean dY over complete cases at level 1 minus level 0, and
+    Pr(R2=0 | R1=1) at level 0 minus level 1.
 
     n and s are counts and dY sums over (arm, R1, R2, instrument level);
     counts may be expected masses (floats). Raises when a level has no
@@ -94,7 +87,7 @@ def _instrument_stats(
             raise EstimatorError(f"empty instrument cell (arm {d}, aux={v}): no complete cases")
         means.append(float(s[d, 1, 1, v]) / n_cc)
         q.append(1.0 - n_cc / float(n[d, 1, :, v].sum()))
-    return (means[0], means[1]), (q[0], q[1])
+    return means[1] - means[0], q[0] - q[1]
 
 
 def _corrected(
@@ -131,6 +124,22 @@ def _corrected(
     return est, diag
 
 
+def _iv_engine(
+    data: PanelDataset, aux: tuple[int, ...]
+) -> tuple[Estimate, IvDiagnostics, Callable[[np.ndarray], tuple[float]]]:
+    """``att_iv`` (one index) or ``att_iv_multi`` (a pair), and the point of
+    the resample at given row indices, from the same group counts."""
+    for k in aux:
+        if not 0 <= k < data.n_aux:
+            raise InputError(
+                f"aux index {k} out of range: dataset has {data.n_aux} auxiliary indicator(s)"
+            )
+    groups = GroupKey(data, aux=aux)
+    formula = _iv_single if len(aux) == 1 else _iv_pair
+    est, diag = formula(groups.counts())
+    return est, diag, lambda idx: (formula(groups.counts(idx))[0].point,)
+
+
 def att_iv(data: PanelDataset, aux_index: int) -> tuple[Estimate, IvDiagnostics]:
     """Single-instrument corrected DID.
 
@@ -139,39 +148,13 @@ def att_iv(data: PanelDataset, aux_index: int) -> tuple[Estimate, IvDiagnostics]
     must contain complete cases and the missingness-gap denominator must
     clear the weak-instrument threshold.
     """
-    groups, formula = _iv_groups(data, (aux_index,))
-    return formula(groups.counts())
-
-
-def _iv_groups(
-    data: PanelDataset, aux: tuple[int, ...]
-) -> tuple[GroupKey, Callable[[GroupCounts], tuple[Estimate, IvDiagnostics]]]:
-    """Counts keyed on the instrument(s) ``aux`` and the formula over them:
-    ``_iv_single`` for one index, ``_iv_pair`` for a pair."""
-    for k in aux:
-        _check_aux_index(data, k)
-    return GroupKey(data, aux=aux), _iv_single if len(aux) == 1 else _iv_pair
-
-
-def _iv_engine(
-    data: PanelDataset, aux: tuple[int, ...]
-) -> tuple[Estimate, IvDiagnostics, Callable[[np.ndarray], tuple[float]]]:
-    """``att_iv`` (one index) or ``att_iv_multi`` (a pair), and the point of
-    the resample at given row indices, from the same group counts."""
-    groups, formula = _iv_groups(data, aux)
-    est, diag = formula(groups.counts())
-    return est, diag, lambda idx: (formula(groups.counts(idx))[0].point,)
+    return _iv_engine(data, (aux_index,))[:2]
 
 
 def _iv_single(c: GroupCounts) -> tuple[Estimate, IvDiagnostics]:
     """``att_iv`` from counts keyed on (arm, R1, R2, instrument level)."""
     n, s = c.n[0], c.s[0]
-
-    def arm_gap(d: int) -> tuple[float, float]:
-        (m0, m1), (q0, q1) = _instrument_stats(n, s, d)
-        return m1 - m0, q0 - q1
-
-    return _corrected(c, arm_gap)
+    return _corrected(c, lambda d: _instrument_gap(n, s, d))
 
 
 def att_iv_multi(
@@ -186,12 +169,13 @@ def att_iv_multi(
     what licenses using instruments that individually shift the trend.
     """
     k1, k2 = aux_pair
-    groups, formula = _iv_groups(data, (k1, k2))
-    return formula(groups.counts())
+    return _iv_engine(data, (k1, k2))[:2]
 
 
 def _iv_pair(c: GroupCounts) -> tuple[Estimate, IvDiagnostics]:
-    """``att_iv_multi`` from counts keyed on (arm, R1, R2, level of k1, level of k2)."""
+    """``att_iv_multi`` from counts keyed on (arm, R1, R2, level of k1, level of k2):
+    the difference of the two instruments' trend gaps over the difference of
+    their missingness gaps."""
     n, s = c.n[0], c.s[0]
     # a sum that overflows, or meets one that overflowed the other way, is refused by _corrected
     with np.errstate(over="ignore", invalid="ignore"):
@@ -202,8 +186,8 @@ def _iv_pair(c: GroupCounts) -> tuple[Estimate, IvDiagnostics]:
             raise EstimatorError(
                 "degenerate instrument pair: indicators are identical on complete cases"
             )
-        (m1_0, m1_1), (q1_0, q1_1) = _instrument_stats(n.sum(axis=4), s1, d)
-        (m2_0, m2_1), (q2_0, q2_1) = _instrument_stats(n.sum(axis=3), s2, d)
-        return (m1_1 - m1_0) - (m2_1 - m2_0), (q2_1 - q2_0) - (q1_1 - q1_0)
+        gap1, denom1 = _instrument_gap(n.sum(axis=4), s1, d)
+        gap2, denom2 = _instrument_gap(n.sum(axis=3), s2, d)
+        return gap1 - gap2, denom1 - denom2
 
     return _corrected(c, arm_gap)

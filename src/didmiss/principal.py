@@ -84,13 +84,6 @@ class CellScores:
     e00: float
     n: tuple[int, int]
 
-    def score(self, stratum: tuple[int, int]) -> float:
-        """Return the score for ``stratum`` given as ``(r_treated, r_control)``."""
-        try:
-            return {(1, 1): self.e11, (1, 0): self.e10, (0, 0): self.e00}[stratum]
-        except KeyError:
-            raise KeyError(f"no principal score for stratum {stratum!r}") from None
-
 
 @dataclass(frozen=True)
 class PrincipalScoreTable:

@@ -47,6 +47,7 @@ from typing import IO, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
+from .bounds import _frechet_cells
 from .common import STRATUM_LABELS, STRATUM_PAIRS, check_seed, is_integer
 from .errors import EstimatorError, InputError
 from .estimators import _complete_case
@@ -83,16 +84,6 @@ __all__ = [
     "strip_missingness",
 ]
 
-PRESET_KINDS = (
-    "zero-bias",
-    "homogeneous-bias",
-    "multi-iv",
-    "pi",
-    "mnar-baseline",
-    "monotone",
-    "no-monotone",
-)
-
 _AR, _ITR, _ICR, _NR = range(4)
 
 #: ``STRATUM_PAIRS`` as an array: row ``s`` is stratum ``s``'s potential responses.
@@ -124,7 +115,8 @@ class R1Model:
 
     ``kind = "always-observed"`` records every first-period outcome;
     ``kind = "mcar"`` drops each independently with probability
-    ``1 - rate``, independent of everything else in the draw.
+    ``1 - rate``, independent of everything else in the draw; the rate of
+    ``"always-observed"`` can only be 1.0.
     """
 
     kind: str = "always-observed"
@@ -138,6 +130,11 @@ class R1Model:
             )
         if not 0.0 < self.rate <= 1.0:
             raise InputError(f"first-wave response rate must be in (0, 1], got {self.rate!r}")
+        if self.kind != "mcar" and self.rate != 1.0:
+            raise InputError(
+                f"first-wave response rate {self.rate!r} applies only to kind 'mcar'; "
+                f"{self.kind!r} observes every first-period outcome (rate 1.0)"
+            )
 
 
 @dataclass(frozen=True)
@@ -735,7 +732,8 @@ OracleInput = Union[OraclePanel, Iterable[OracleRecord]]
 
 
 def _as_oracle(records: OracleInput) -> OraclePanel:
-    """The oracle both identities read, with its arm and stratum codes checked."""
+    """The oracle both identities read, with its arm and stratum codes checked
+    and every unit's untreated change and treatment effect finite."""
     oracle = records if isinstance(records, OraclePanel) else _from_records(records)
     for name, codes, top in (("treatment", oracle.d, 1), ("stratum code", oracle.s, 3)):
         bad = np.flatnonzero((codes < 0) | (codes > top))
@@ -743,6 +741,16 @@ def _as_oracle(records: OracleInput) -> OraclePanel:
             raise InputError(
                 f"oracle {name} {codes[bad[0]]} in row {bad[0]} (0-based) is outside 0-{top}"
             )
+    y1, y2_1, y2_0 = oracle.y1_true, oracle.y2_1, oracle.y2_0
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok = np.isfinite(y2_0 - y1) & np.isfinite(y2_1 - y2_0)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise EstimatorError(
+            "the result is not finite: y2_0 - y1_true or y2_1 - y2_0 is not finite for unit "
+            f"{oracle.unit_ids[i]!r} (row {i + 1}: y1_true={float(y1[i])!r}, "
+            f"y2_1={float(y2_1[i])!r}, y2_0={float(y2_0[i])!r})"
+        )
     return oracle
 
 
@@ -763,6 +771,7 @@ def _from_records(records: Iterable[OracleRecord]) -> OraclePanel:
         y1_true=np.array([r.y1_true for r in seq], dtype=np.float64),
         y2_1=np.array([r.y2_1 for r in seq], dtype=np.float64),
         y2_0=np.array([r.y2_0 for r in seq], dtype=np.float64),
+        unit_ids=tuple(r.unit_id for r in seq),
     )
 
 
@@ -1603,12 +1612,12 @@ def _verify_no_monotone(spec: DgpSpec) -> None:
     # the true always-respondent share sits inside the population interval
     # with room to spare for sampling noise
     for d in (0, 1):
-        counter = control_resp[d] if d == 1 else treated_resp[d]
-        own = treated_resp[d] if d == 1 else control_resp[d]
-        lo = max(0.0, own + counter - 1.0)
-        hi = min(own, counter)
+        own, counter = treated_resp[d], control_resp[d]
+        if not d:  # the control arm observes its R2(0) margin
+            own, counter = counter, own
+        ar = _frechet_cells(observed=own, counterfactual=counter, arm=d)[(1, 1)]
         _require(
-            lo + 0.05 <= pi[d][_AR] <= hi - 0.05,
+            ar.lo + 0.05 <= pi[d][_AR] <= ar.hi - 0.05,
             kind,
             f"true always-respondent share is not interior in arm {d}",
         )
@@ -1623,6 +1632,8 @@ _PRESETS = {
     "monotone": (_preset_monotone, _verify_monotone),
     "no-monotone": (_preset_no_monotone, _verify_no_monotone),
 }
+
+PRESET_KINDS = tuple(_PRESETS)
 
 
 def make_preset(kind: str, n: int = 10_000, seed: int = 0) -> DgpSpec:

@@ -30,6 +30,17 @@ from didmiss.simulate import (
 )
 
 
+#: An oracle table that loads: every value is finite, but the first unit's
+#: untreated change y2_0 - y1_true overflows.
+OVERFLOWING_ORACLE = (
+    "id,d,y1,y2,s,y1_true,y2_1,y2_0\r\n"
+    "1,1,-1.7e308,1.7e308,AR,-1.7e308,1.7e308,1.7e308\r\n"
+    "2,1,0.5,2.5,AR,0.5,2.5,1.5\r\n"
+    "3,0,0.2,1.1,AR,0.2,2.1,1.1\r\n"
+    "4,0,0.4,1.3,AR,0.4,2.3,1.3\r\n"
+)
+
+
 def make_panel(
     d,
     y1,

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from didmiss import (
+    DgpSpec,
     PanelDataset,
     did_complete_case,
     load_panel,
@@ -27,7 +28,7 @@ from didmiss import (
 from didmiss.cli import main
 from didmiss.simulate import PRESET_KINDS
 
-from _helpers import make_panel
+from _helpers import OVERFLOWING_ORACLE, make_panel
 
 ENVELOPE_KEYS = [
     "tool",
@@ -299,6 +300,34 @@ def test_decompose_reads_the_oracle_table(capsys, sim_files):
     assert abs(result["deviation"]) <= 6 * result["se"] + 1e-12
     mixture = report["diagnostics"]["trend_mixture"]
     assert abs(mixture["mixture_residual"]) < 1e-9
+
+
+def test_decompose_refuses_an_overflowing_oracle_in_one_line(capsys, tmp_path):
+    path = tmp_path / "overflow.csv"
+    path.write_bytes(OVERFLOWING_ORACLE.encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "decompose", "--truth", path)
+    assert (code, out, err.count("\n")) == (2, "", 1)
+    assert err.startswith("did-miss: refused: the result is not finite: y2_0 - y1_true ")
+
+
+def test_decompose_refuses_an_oracle_that_violates_the_identity(capsys, tmp_path):
+    spec = DgpSpec(
+        n=20_000,
+        seed=0,
+        joint_sd=((0.20, 0.15, 0.05, 0.10), (0.25, 0.15, 0.02, 0.08)),
+        trend=(0.4, 0.9, 0.1, 0.6),
+        baseline=((5.0, 5.2), (4.0, 4.1), (4.5, 4.4), (3.0, 3.1)),
+        effect=(1.0, 1.5, 0.5, 0.8),
+        noise_sd=0.5,
+        arm_trend_delta=(1.0,) * 4,
+    )
+    path = tmp_path / "unshared.csv"
+    save_oracle(simulate_panel(spec)[1], path)
+    code, out, err = run(capsys, "decompose", "--truth", path)
+    assert (code, out, err.count("\n")) == (2, "", 1)
+    assert err.startswith("did-miss: refused: decomposition identity violated")
 
 
 def test_simulate_truth_matches_preset_plan(capsys, sim_files):

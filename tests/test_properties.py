@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 import random
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +17,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from didmiss import (
     STRATUM_PAIRS,
+    BootstrapConfig,
+    BoundResult,
     OraclePanel,
     PanelDataset,
     RateTable,
@@ -22,12 +26,16 @@ from didmiss import (
     att_iv,
     att_iv_multi,
     att_principal_ignorability,
+    bootstrap_bounds,
+    bootstrap_ci,
     compute_rates,
     did_complete_case,
     load_oracle,
     load_panel,
+    make_preset,
     save_oracle,
     save_panel,
+    simulate_panel,
     strata_proportions_bounds,
     strata_proportions_monotone,
     trimmed_mean,
@@ -273,6 +281,162 @@ def test_iv_instrument_relabeling_is_exactly_neutral(data):
     flipped = make_panel(data.d, data.y1, data.y2, aux=1 - data.aux)
     b, _ = att_iv(flipped, 0)
     assert a.point == b.point
+
+
+# -- invariances of every estimator and of the bootstrap ---------------------------
+
+#: Each estimator with the preset whose draws it is checked on.
+ESTIMATORS = {
+    "iv": ("homogeneous-bias", lambda p: att_iv(p, 0)),
+    "iv-multi": ("multi-iv", lambda p: att_iv_multi(p, (0, 1))),
+    "pi": ("pi", att_principal_ignorability),
+    "bounds-monotone": ("monotone", lambda p: att_ar_bounds(p, "monotone")),
+    "bounds-no-monotone": ("no-monotone", lambda p: att_ar_bounds(p, "no-monotone")),
+}
+
+#: y -> a*y + b with |a| in [0.1, 10] and |b| <= 100
+slopes = st.floats(min_value=0.1, max_value=10.0) | st.floats(min_value=-10.0, max_value=-0.1)
+shifts = st.floats(min_value=-100.0, max_value=100.0)
+
+
+@functools.lru_cache(maxsize=None)
+def preset_panel(kind: str, seed: int) -> PanelDataset:
+    return simulate_panel(make_preset(kind, n=300, seed=seed))[0]
+
+
+def rebuild(data, y1=None, y2=None, rows=None, support=None) -> PanelDataset:
+    """``data`` with outcomes ``y1``, ``y2`` (default: its own), rows taken in
+    the order ``rows`` and the declared ``support``."""
+    rows = np.arange(len(data)) if rows is None else rows
+    y1 = data.y1 if y1 is None else y1
+    y2 = data.y2 if y2 is None else y2
+    x = None if data.x is None else data.x[rows]
+    return make_panel(data.d[rows], y1[rows], y2[rows], data.aux[rows], x, support)
+
+
+def ends(result) -> list[float]:
+    """[lb, ub] of a bound, or [point, point] of an estimate."""
+    result = result[0] if isinstance(result, tuple) else result
+    if isinstance(result, BoundResult):
+        return [result.lb, result.ub]
+    return [result.point, result.point]
+
+
+def image(lo: float, hi: float, a: float) -> list[float]:
+    """The ends of [lo, hi] scaled by ``a``: swapped when ``a`` is negative."""
+    return sorted((a * lo, a * hi))
+
+
+def assert_close(got: list[float], want: list[float], scale: float) -> None:
+    """Equal within 1e-12 relative to each value, or to ``scale`` (the
+    outcomes' magnitude) for a value near zero."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g == pytest.approx(w, rel=1e-12, abs=1e-12 * scale)
+
+
+def magnitude(data: PanelDataset) -> float:
+    return float(np.nanmax(np.abs(np.concatenate([data.y1, data.y2]))))
+
+
+@given(st.sampled_from(sorted(ESTIMATORS)), st.integers(0, 2), st.integers(0, 2**32 - 1))
+@settings(deadline=None, max_examples=30)
+def test_a_unit_fixed_effect_leaves_every_result_unchanged(name, seed, effect_seed):
+    kind, estimator = ESTIMATORS[name]
+    data = preset_panel(kind, seed)
+    c = np.random.default_rng(effect_seed).uniform(-100.0, 100.0, len(data))
+    moved = rebuild(data, data.y1 + c, data.y2 + c)
+    assert_close(_numbers(estimator(moved)), _numbers(estimator(data)), magnitude(moved))
+
+
+@given(st.sampled_from(sorted(ESTIMATORS)), st.integers(0, 2), slopes, shifts)
+@settings(deadline=None, max_examples=30)
+def test_an_affine_outcome_map_scales_every_point(name, seed, a, b):
+    kind, estimator = ESTIMATORS[name]
+    data = preset_panel(kind, seed)
+    mapped = rebuild(data, a * data.y1 + b, a * data.y2 + b)
+    assert_close(ends(estimator(mapped)), image(*ends(estimator(data)), a), magnitude(mapped))
+
+
+@given(panels(), st.sampled_from(["monotone", "no-monotone"]), slopes, shifts)
+@settings(deadline=None, max_examples=40)
+def test_bounds_map_with_their_declared_support(data, mode, a, b):
+    hi = magnitude(data) + 1.0
+    support = [v + b for v in image(-hi, hi, a)]
+    mapped = rebuild(data, a * data.y1 + b, a * data.y2 + b, support=support)
+    base = att_ar_bounds(rebuild(data, support=(-hi, hi)), mode)
+    got = att_ar_bounds(mapped, mode)
+    assert got.support_fallback == base.support_fallback
+    assert_close(ends(got), image(base.lb, base.ub, a), abs(a) * hi + abs(b))
+
+
+@given(st.sampled_from(sorted(ESTIMATORS)), st.integers(0, 2), st.randoms(use_true_random=False))
+@settings(deadline=None, max_examples=30)
+def test_permuting_or_duplicating_the_units_leaves_every_point_unchanged(name, seed, rnd):
+    kind, estimator = ESTIMATORS[name]
+    data = preset_panel(kind, seed)
+    order = np.array(rnd.sample(range(len(data)), len(data)))
+    want = ends(estimator(data))
+    for rows in (order, np.concatenate([order, order])):
+        assert_close(ends(estimator(rebuild(data, rows=rows))), want, magnitude(data))
+
+
+@given(panels(n_aux=1), slopes, shifts, st.randoms(use_true_random=False))
+@settings(deadline=None, max_examples=40)
+def test_response_rates_ignore_outcome_values_and_row_order(data, a, b, rnd):
+    c = np.array([rnd.uniform(-100.0, 100.0) for _ in range(len(data))])
+    order = np.array(rnd.sample(range(len(data)), len(data)))
+    want = compute_rates(data)
+    assert compute_rates(rebuild(data, data.y1 + c, data.y2 + c)) == want
+    assert compute_rates(rebuild(data, a * data.y1 + b, a * data.y2 + b)) == want
+    assert compute_rates(rebuild(data, rows=order)) == want
+    doubled = compute_rates(rebuild(data, rows=np.concatenate([order, order])))
+    assert doubled.n == (2 * want.n[0], 2 * want.n[1])
+    assert replace(doubled, n=want.n) == want
+
+
+#: Each bootstrapped handle (or bounds mode) with the preset it is checked on.
+BOOTSTRAPPED = {
+    "cc-did": "zero-bias",
+    "iv": "homogeneous-bias",
+    "pi": "pi",
+    "monotone": "monotone",
+    "no-monotone": "no-monotone",
+}
+
+
+@given(st.sampled_from(sorted(BOOTSTRAPPED)), st.integers(0, 2), slopes, shifts)
+@settings(deadline=None, max_examples=25)
+def test_bootstrap_intervals_scale_with_an_affine_outcome_map(handle, seed, a, b):
+    """Resample indices depend only on (seed, replicate, n), so every
+    replicate, and hence every percentile, maps with the outcomes."""
+    data = preset_panel(BOOTSTRAPPED[handle], seed)
+    mapped = rebuild(data, a * data.y1 + b, a * data.y2 + b)
+    cfg = BootstrapConfig(replicates=30, seed=seed)
+    if handle in ("monotone", "no-monotone"):
+        base, boot = (bootstrap_bounds(p, handle, cfg) for p in (data, mapped))
+        lb_ci, ub_ci, se_lb, se_ub = base.lb_ci, base.ub_ci, base.se_lb, base.se_ub
+        if a < 0:  # the lower bound's replicates become the upper bound's
+            lb_ci, ub_ci, se_lb, se_ub = ub_ci, lb_ci, se_ub, se_lb
+        want = [
+            *image(base.point.lb, base.point.ub, a),
+            *image(lb_ci.lo, lb_ci.hi, a),
+            *image(ub_ci.lo, ub_ci.hi, a),
+            *image(base.outer.lo, base.outer.hi, a),
+            abs(a) * se_lb,
+            abs(a) * se_ub,
+        ]
+        got = [
+            boot.point.lb, boot.point.ub, boot.lb_ci.lo, boot.lb_ci.hi,
+            boot.ub_ci.lo, boot.ub_ci.hi, boot.outer.lo, boot.outer.hi, boot.se_lb, boot.se_ub,
+        ]
+        assert boot.replicates_failed == base.replicates_failed
+    else:
+        base, boot = (bootstrap_ci(p, handle, cfg) for p in (data, mapped))
+        want = [a * base.point, *image(base.ci.lo, base.ci.hi, a), abs(a) * base.se]
+        got = [boot.point, boot.ci.lo, boot.ci.hi, boot.se]
+        assert boot.notes == base.notes
+    assert_close(got, want, magnitude(mapped))
 
 
 # -- trimmed mean ------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -44,6 +45,7 @@ from didmiss.simulate import (
 )
 
 from _helpers import (
+    OVERFLOWING_ORACLE,
     reference_check_trend_mixture,
     reference_decompose_att,
     reference_simulate_panel,
@@ -152,6 +154,8 @@ def test_model_layers_validated():
         R1Model(kind="sometimes")
     with pytest.raises(InputError, match="rate"):
         R1Model(kind="mcar", rate=0.0)
+    with pytest.raises(InputError, match="rate 0.5 applies only to kind 'mcar'"):
+        R1Model(kind="always-observed", rate=0.5)
     with pytest.raises(InputError, match="auxiliary model"):
         AuxModel(kind="magic")
     with pytest.raises(InputError, match="probability"):
@@ -399,6 +403,20 @@ def oracle_rows(rows) -> list[OracleRecord]:
             )
         )
     return records
+
+
+def test_the_oracle_identities_refuse_a_change_that_overflows():
+    oracle = load_oracle(OVERFLOWING_ORACLE.encode())
+    message = (
+        r"^the result is not finite: y2_0 - y1_true or y2_1 - y2_0 is not finite for unit '1' "
+        r"\(row 1: y1_true=-1.7e\+308, y2_1=1.7e\+308, y2_0=1.7e\+308\)$"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for identity in (decompose_att, check_trend_mixture):
+            for given in (oracle, oracle.records):
+                with pytest.raises(EstimatorError, match=message):
+                    identity(given)
 
 
 def test_decomposition_identity_on_simulated_data():
