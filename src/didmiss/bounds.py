@@ -182,7 +182,34 @@ def trimmed_mean(
         raise InputError(f"side must be 'bottom' or 'top', got {side!r}")
     if keep == 1.0:
         return float(v.mean())
-    return _trimmed_sorted(np.sort(v, kind="stable"), keep, side)
+    return _trimmed_sorted(_sorted(v), keep, side)
+
+
+def _sorted(v: np.ndarray) -> np.ndarray:
+    """The bytes of ``np.sort(v, kind="stable")`` for a float64 ``v``.
+
+    Equal float64 values have equal bits unless they are zeros of either
+    sign or NaNs, so without those every sort returns the same bytes and the
+    default one, several times faster than the stable one, is used.
+    """
+    out = np.sort(v)
+    zero = int(np.searchsorted(out, 0.0))
+    if (zero < out.size and out[zero] == 0.0) or (out.size and np.isnan(out[-1])):
+        return np.sort(v, kind="stable")
+    return out
+
+
+def _stable_order(v: np.ndarray) -> np.ndarray:
+    """``np.argsort(v, kind="stable")`` for a float64 ``v``.
+
+    Only among equal values (or NaNs) can two sorts order the positions
+    differently, so the stable sort runs only when the default one finds such.
+    """
+    order = np.argsort(v)
+    ordered = v[order]
+    if (ordered[1:] == ordered[:-1]).any() or (v.size and np.isnan(ordered[-1])):
+        return np.argsort(v, kind="stable")
+    return order
 
 
 def _trimmed_sorted(v: np.ndarray, keep: float, side: str) -> float:
@@ -272,7 +299,7 @@ def att_ar_bounds(data: PanelDataset, mode: Mode = "monotone") -> BoundResult:
         if keep == 1.0:
             return float(deltas[d].mean())
         if d not in ordered:
-            ordered[d] = np.sort(deltas[d], kind="stable")
+            ordered[d] = _sorted(deltas[d])
         return _trimmed_sorted(ordered[d], keep, side)
 
     return _bounds(groups.counts().arms, trim, mode, data.outcome_support)
@@ -392,7 +419,8 @@ def _bounds_replicate(
     rank = np.empty(len(data), dtype=np.intp)
     for d in (0, 1):
         units = np.flatnonzero(cc & (data.d == d))
-        units = units[np.argsort(dy[units], kind="stable")]
+        order = _stable_order(dy[units])
+        units = units[order]
         rank[units] = starts[-1] + np.arange(units.size)
         sorted_dy.append(dy[units])
         starts.append(starts[-1] + units.size)

@@ -367,10 +367,24 @@ def _factorize(x: np.ndarray) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
     for column in x.T:
         if index is not None:
             # pair with the codes so far, re-ranked so they stay below n squared
-            _, level = np.unique(column, return_inverse=True)
+            level = _ranks(column)
             column = index * (int(level.max()) + 1) + level
-        _, first, index = np.unique(column, return_index=True, return_inverse=True)
-    return tuple(tuple(row) for row in x[first].tolist()), index.reshape(-1)
+        index = _ranks(column)
+    first = np.empty(int(index.max(initial=-1)) + 1, dtype=np.intp)
+    first[index] = np.arange(index.size)  # a unit of each distinct row
+    return tuple(tuple(row) for row in x[first].tolist()), index
+
+
+def _ranks(codes: np.ndarray) -> np.ndarray:
+    """Each code's rank among the distinct ``codes``, as ``np.unique`` gives it.
+
+    Small non-negative codes are ranked by counting, without a sort.
+    """
+    if codes.size and 0 <= codes.min() and codes.max() < 4 * codes.size:
+        rank = np.cumsum(np.bincount(codes) > 0)
+        rank -= 1
+        return rank.take(codes)
+    return np.unique(codes, return_inverse=True)[1].reshape(-1)
 
 
 def compute_rates(data: PanelDataset) -> RateTable:

@@ -48,7 +48,7 @@ from typing import IO, Iterable, Mapping, Sequence, Union
 import numpy as np
 
 from .bounds import _frechet_cells
-from .common import STRATUM_LABELS, STRATUM_PAIRS, check_seed, is_integer
+from .common import STRATUM_LABELS, STRATUM_PAIRS, check_seed, finite, is_integer
 from .errors import EstimatorError, InputError
 from .estimators import _complete_case
 from .iv import _iv_pair, _iv_single
@@ -88,6 +88,9 @@ _AR, _ITR, _ICR, _NR = range(4)
 
 #: ``STRATUM_PAIRS`` as an array: row ``s`` is stratum ``s``'s potential responses.
 _RESPONSE = np.array(STRATUM_PAIRS, dtype=np.int8)
+
+#: Entry ``[d, s]``: whether a unit of arm ``d`` in stratum ``s`` hides its ``y2``.
+_MISSING_Y2 = _RESPONSE.T[::-1] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +445,7 @@ class OraclePanel(PanelDataset):
     tuple of :class:`OracleRecord` on first access.
     """
 
-    __slots__ = ("s", "y1_true", "y2_1", "y2_0", "_records")
+    __slots__ = ("s", "y1_true", "y2_1", "y2_0", "_records", "_summary")
 
     def __init__(
         self,
@@ -463,6 +466,7 @@ class OraclePanel(PanelDataset):
         self.y2_1 = y2_1
         self.y2_0 = y2_0
         self._records: tuple[OracleRecord, ...] | None = None
+        self._summary: _OracleSummary | None = None
         for arr in (s, y1_true, y2_1, y2_0):
             arr.setflags(write=False)
 
@@ -672,10 +676,17 @@ def simulate_panel(spec: DgpSpec) -> tuple[PanelDataset, OraclePanel, OracleTrut
     trend = np.array(spec.trend, dtype=np.float64) + per_cell("trend_shift")[:, :, None]
     trend = trend + np.array(spec.arm_trend_delta, dtype=np.float64) * np.array([[False], [True]])
     effect = np.array(spec.effect, dtype=np.float64) + per_cell("effect_shift")[:, None, None]
-    y1 = base.take(code) + eps1
-    y2_0 = y1 + trend.take(code) + eps2
-    y2_1 = y2_0 + np.broadcast_to(effect, base.shape).take(code)
-    del code, eps1, eps2
+    # built in place (y1 in the noise's buffer): each sum keeps its two
+    # operands, so its bits
+    y1 = eps1
+    y1 += base.take(code)
+    y2_0 = trend.take(code)
+    y2_0 += y1
+    y2_0 += eps2
+    y2_1 = np.broadcast_to(effect, base.shape).take(code)
+    y2_1 += y2_0
+    missing_y2 = np.broadcast_to(_MISSING_Y2, base.shape).take(code)
+    del code, eps2
 
     # every first-period outcome is observed unless first-wave response is drawn
     y1_obs = y1
@@ -697,7 +708,8 @@ def simulate_panel(spec: DgpSpec) -> tuple[PanelDataset, OraclePanel, OracleTrut
     del group
 
     y2_obs = np.where(treated, y2_1, y2_0)
-    y2_obs[_RESPONSE[s, 1 - d] == 0] = np.nan
+    np.copyto(y2_obs, np.nan, where=missing_y2)
+    del missing_y2
 
     # well-formed by construction, both arms checked above; the oracle shows
     # the same observable arrays
@@ -735,6 +747,13 @@ def _as_oracle(records: OracleInput) -> OraclePanel:
     """The oracle both identities read, with its arm and stratum codes checked
     and every unit's untreated change and treatment effect finite."""
     oracle = records if isinstance(records, OraclePanel) else _from_records(records)
+    _changes(oracle)
+    return oracle
+
+
+def _changes(oracle: OraclePanel) -> tuple[np.ndarray, np.ndarray]:
+    """Every unit's untreated change ``y2_0 - y1_true`` and treatment effect
+    ``y2_1 - y2_0``, once the codes and both changes are checked (see ``_as_oracle``)."""
     for name, codes, top in (("treatment", oracle.d, 1), ("stratum code", oracle.s, 3)):
         bad = np.flatnonzero((codes < 0) | (codes > top))
         if bad.size:
@@ -743,7 +762,9 @@ def _as_oracle(records: OracleInput) -> OraclePanel:
             )
     y1, y2_1, y2_0 = oracle.y1_true, oracle.y2_1, oracle.y2_0
     with np.errstate(over="ignore", invalid="ignore"):
-        ok = np.isfinite(y2_0 - y1) & np.isfinite(y2_1 - y2_0)
+        delta0 = y2_0 - y1
+        direct = y2_1 - y2_0
+    ok = np.isfinite(delta0) & np.isfinite(direct)
     if not ok.all():
         i = int(np.argmin(ok))
         raise EstimatorError(
@@ -751,7 +772,7 @@ def _as_oracle(records: OracleInput) -> OraclePanel:
             f"{oracle.unit_ids[i]!r} (row {i + 1}: y1_true={float(y1[i])!r}, "
             f"y2_1={float(y2_1[i])!r}, y2_0={float(y2_0[i])!r})"
         )
-    return oracle
+    return delta0, direct
 
 
 def _from_records(records: Iterable[OracleRecord]) -> OraclePanel:
@@ -785,13 +806,84 @@ def _group_stats(
     deviation from the first-pass mean, so the means are as accurate as
     pairwise ``np.mean`` although ``bincount`` sums one unit at a time.
     """
-    code = code.astype(np.intp)  # an int8 index gathers several times slower
+    code = np.asarray(code, dtype=np.intp)  # an int8 index gathers several times slower
     counts = np.bincount(code, minlength=size)
     n = np.maximum(counts, 1)
     means = np.bincount(code, values, minlength=size) / n
-    dev = values - means.take(code)
+    dev = means.take(code)
+    np.subtract(values, dev, out=dev)
     shift = np.bincount(code, dev, minlength=size) / n
-    return counts, means + shift, np.bincount(code, dev * dev, minlength=size) - shift**2 * n
+    np.multiply(dev, dev, out=dev)
+    return counts, means + shift, np.bincount(code, dev, minlength=size) - shift**2 * n
+
+
+@dataclass(frozen=True)
+class _OracleSummary:
+    """What both oracle identities read, from one pass over a checked oracle.
+
+    Indexed ``[stratum][arm]``: unit counts ``n``, mean untreated changes
+    ``trend`` and their sums of squared deviations ``ss``, and mean treatment
+    effects ``effect``. Indexed by arm: ``n_arm``, ``direct`` and ``arm_ss``,
+    the same for each arm as a whole. ``att`` is the treated arm's mean
+    effect, NaN without treated units. It holds no reference to the oracle.
+    """
+
+    n: tuple[tuple[int, int], ...]
+    trend: tuple[tuple[float, float], ...]
+    ss: tuple[tuple[float, float], ...]
+    effect: tuple[tuple[float, float], ...]
+    n_arm: tuple[int, int]
+    direct: tuple[float, float]
+    arm_ss: tuple[float, float]
+    att: float
+
+
+def _summary(records: OracleInput) -> _OracleSummary:
+    """The identities' summary of an oracle, kept on an ``OraclePanel`` once
+    computed; an iterable of records is summarised afresh on every call."""
+    if not isinstance(records, OraclePanel):
+        return _summarize(_from_records(records))
+    if records._summary is None:
+        records._summary = _summarize(records)
+    return records._summary
+
+
+def _summarize(oracle: OraclePanel) -> _OracleSummary:
+    delta0, direct = _changes(oracle)
+    code = oracle.s.astype(np.intp)
+    code *= 2
+    code += oracle.d  # (stratum, arm)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        n, trend, ss = _group_stats(code, delta0, 8)
+        effect = _group_stats(code, direct, 8)[1]
+        n_arm, arm_trend, arm_ss = _group_stats(oracle.d, delta0, 2)
+        att = float(np.mean(direct[oracle.d == 1])) if n_arm[1] else math.nan
+    strata = [f"stratum {label}, arm {d}" for label in STRATUM_LABELS for d in (0, 1)]
+    for what, groups, stats in (
+        ("mean or spread of y2_0 - y1_true", strata, (trend, ss)),
+        ("mean of y2_1 - y2_0", strata, (effect,)),
+        ("mean or spread of y2_0 - y1_true", ["arm 0", "arm 1"], (arm_trend, arm_ss)),
+    ):
+        bad = ~np.isfinite(stats).all(axis=0)
+        if bad.any():
+            group = groups[int(np.argmax(bad))]
+            raise EstimatorError(f"the result is not finite: the {what} in {group} overflows")
+    if n_arm[1]:
+        finite(att, "the mean of y2_1 - y2_0 over treated units")
+
+    def pairs(v: np.ndarray) -> tuple[tuple, ...]:
+        return tuple(map(tuple, v.reshape(4, 2).tolist()))
+
+    return _OracleSummary(
+        n=pairs(n),
+        trend=pairs(trend),
+        ss=pairs(ss),
+        effect=pairs(effect),
+        n_arm=tuple(n_arm.tolist()),
+        direct=tuple(arm_trend.tolist()),
+        arm_ss=tuple(arm_ss.tolist()),
+        att=att,
+    )
 
 
 #: Labels of the five decomposition terms, in reported order.
@@ -842,20 +934,16 @@ def decompose_att(records: OracleInput) -> AttDecomposition:
 
     Raises
     ------
-    InputError
+    EstimatorError
         If a stratum with positive treated share has no control units, so
-        its trend term cannot be evaluated.
+        its trend term cannot be evaluated; or if a unit's change, or the
+        mean or spread of a (stratum, arm) group or of an arm, is not finite.
     RuntimeError
         If the terms fail to reconstruct the sample ATT within six standard
         errors — the generating spec violated shared trends.
     """
-    oracle = _as_oracle(records)
-    delta0 = oracle.y2_0 - oracle.y1_true  # untreated change, all units
-    direct = oracle.y2_1 - oracle.y2_0
-    code = 2 * oracle.s + oracle.d
-    n, trend, ss = (v.reshape(4, 2).tolist() for v in _group_stats(code, delta0, 8))
-    effect = _group_stats(code, direct, 8)[1].reshape(4, 2).tolist()
-    del code
+    summary = _summary(records)
+    n, trend, ss, effect = summary.n, summary.trend, summary.ss, summary.effect
     n1 = sum(row[1] for row in n)
     if n1 == 0 or sum(row[0] for row in n) == 0:
         raise EstimatorError("decomposition requires units in both arms")
@@ -888,7 +976,7 @@ def decompose_att(records: OracleInput) -> AttDecomposition:
             terms.append(-share[code] * trend[code][0])
 
     total = float(sum(terms))
-    att = float(np.mean(direct[oracle.d == 1]))
+    att = summary.att
     deviation = total - att
 
     # The deviation equals the share-weighted cross-arm gap in untreated
@@ -957,17 +1045,17 @@ def check_trend_mixture(records: OracleInput) -> TrendMixtureReport:
 
     Raises
     ------
+    EstimatorError
+        If a unit's change, or the mean or spread of a (stratum, arm) group
+        or of an arm, is not finite.
     RuntimeError
         If the mixture identity fails beyond floating-point tolerance.
     """
-    oracle = _as_oracle(records)
-    delta0 = oracle.y2_0 - oracle.y1_true
-    n_arm, direct, arm_ss = (v.tolist() for v in _group_stats(oracle.d, delta0, 2))
+    summary = _summary(records)
+    n_arm, direct, arm_ss = summary.n_arm, summary.direct, summary.arm_ss
     if min(n_arm) == 0:
         raise EstimatorError("trend comparison requires units in both arms")
-    code = 2 * oracle.s + oracle.d
-    n, means, _ = (v.reshape(4, 2).tolist() for v in _group_stats(code, delta0, 8))
-    del code
+    n, means = summary.n, summary.trend
 
     mixture: list[float] = []
     shares: list[dict[tuple[int, int], float]] = []

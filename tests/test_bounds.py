@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import inspect
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from didmiss import (
     INCONSISTENT_FLAG,
@@ -23,6 +26,7 @@ from didmiss import (
     strata_proportions_monotone,
     trimmed_mean,
 )
+from didmiss.bounds import _bounds_replicate, _sorted, _stable_order
 
 from _helpers import block_panel, brute_trimmed_mean, make_panel, reference_att_ar_bounds
 
@@ -356,3 +360,51 @@ def test_bounds_are_bit_identical_to_sorting_per_trimmed_mean():
             assert repr(att_ar_bounds(data, mode)) == want
             fallbacks += "support_fallback=True" in want
     assert fallbacks > 10
+
+
+# -- exact fast sorts: the default sort where it gives the stable sort's bytes --
+
+TIED_FLOATS = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, -0.0, math.nan, -math.nan, 1.0, -1.0, 2.5, math.inf, -math.inf]),
+        st.floats(allow_nan=True, allow_infinity=True, width=64),
+    ),
+    max_size=41,
+)
+
+
+@given(TIED_FLOATS)
+@settings(deadline=None, max_examples=300)
+def test_the_sort_helper_returns_the_stable_sorts_bytes(values):
+    v = np.array(values, dtype=np.float64)
+    assert _sorted(v).tobytes() == np.sort(v, kind="stable").tobytes()
+    assert np.array_equal(_stable_order(v), np.argsort(v, kind="stable"))
+
+
+def test_the_sort_helpers_on_sizes_zero_one_and_odd():
+    rng = np.random.default_rng(3)
+    for v in (np.zeros(0), np.array([-0.0]), np.array([math.nan]), rng.normal(size=101),
+              np.round(rng.normal(size=1001), 1), np.where(rng.random(999) < 0.5, -0.0, 0.0)):
+        assert _sorted(v).tobytes() == np.sort(v, kind="stable").tobytes()
+        assert np.array_equal(_stable_order(v), np.argsort(v, kind="stable"))
+
+
+def test_replicate_ranks_are_the_stable_argsorts_when_changes_tie():
+    rng = np.random.default_rng(7)
+    n = 400
+    y1 = np.round(rng.normal(size=n), 1)
+    y2 = np.round(rng.normal(size=n) + 1.0, 1)
+    y2[rng.random(n) < 0.2] = np.nan
+    data = make_panel(np.arange(n) % 2, y1, y2)
+    rank = inspect.getclosurevars(_bounds_replicate(data, "monotone")).nonlocals["rank"]
+    dy = y2 - y1
+    want = np.empty(n, dtype=np.intp)
+    start = 0
+    for d in (0, 1):
+        units = np.flatnonzero(~np.isnan(dy) & (np.arange(n) % 2 == d))
+        changes = dy[units]
+        assert np.unique(changes).size < changes.size  # the changes tie
+        want[units[np.argsort(changes, kind="stable")]] = start + np.arange(units.size)
+        start += units.size
+    want[np.isnan(dy)] = start
+    assert np.array_equal(rank, want)

@@ -312,6 +312,30 @@ def test_decompose_refuses_an_overflowing_oracle_in_one_line(capsys, tmp_path):
     assert err.startswith("did-miss: refused: the result is not finite: y2_0 - y1_true ")
 
 
+GROUP_OVERFLOWING_ORACLE = (
+    "id,d,y1,y2,s,y1_true,y2_1,y2_0\n"
+    "1,1,-6e307,6e307,AR,-6e307,6e307,6e307\n"
+    "2,1,-6e307,6e307,AR,-6e307,6e307,6e307\n"
+    "3,1,0.5,2.5,AR,0.5,2.5,1.5\n"
+    "4,0,0.2,1.1,AR,0.2,2.1,1.1\n"
+    "5,0,0.4,1.3,AR,0.4,2.3,1.3\n"
+)
+
+
+def test_decompose_refuses_an_oracle_whose_group_sum_overflows_in_one_line(capsys, tmp_path):
+    # every unit's change is finite; the treated always-respondents' sum is not
+    path = tmp_path / "group_overflow.csv"
+    path.write_text(GROUP_OVERFLOWING_ORACLE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "decompose", "--truth", path)
+    assert (code, out) == (2, "")
+    assert err == (
+        "did-miss: refused: the result is not finite: the mean or spread of "
+        "y2_0 - y1_true in stratum AR, arm 1 overflows\n"
+    )
+
+
 def test_decompose_refuses_an_oracle_that_violates_the_identity(capsys, tmp_path):
     spec = DgpSpec(
         n=20_000,

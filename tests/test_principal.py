@@ -166,3 +166,17 @@ def test_covariate_cells_match_a_rerank_of_every_column():
         want_cells, want_index = reference_factorize(x)
         assert cells == want_cells
         assert index.dtype == want_index.dtype and np.array_equal(index, want_index)
+
+
+def test_covariate_cells_match_numpy_unique_on_small_and_huge_codes():
+    # small codes are ranked by counting, others through np.unique
+    rng = np.random.default_rng(9)
+    for _ in range(200):
+        n, k = int(rng.integers(1, 60)), int(rng.integers(1, 3))
+        low = [0, 10**17 - 3][int(rng.integers(0, 2))]
+        high = low + [2, 5, 4 * n, 4 * n + 2, 10**6][int(rng.integers(0, 5))]
+        x = rng.integers(low, high, (n, k), dtype=np.int64)
+        cells, index = _factorize(x)
+        rows, inverse = np.unique(x, axis=0, return_inverse=True)
+        assert cells == tuple(map(tuple, rows.tolist()))
+        assert np.array_equal(index, inverse.reshape(-1))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import sys
 import warnings
 
 import numpy as np
@@ -751,3 +752,80 @@ def test_decomposition_and_trend_mixture_match_the_per_unit_reference():
         "stratum ITR needs at least two units per arm for the decomposition tolerance",
         "decomposition identity violated",
     }, errors
+
+
+# -- one shared summary for both identities ------------------------------------
+
+
+def _group_overflowing_oracle() -> OraclePanel:
+    """A monotone draw whose two first treated always-respondents change by
+    1.2e308 each: every unit's change is finite, their group's sum is not."""
+    _, oracle, _ = simulate_panel(make_preset("monotone", n=200, seed=1))
+    names = ("d", "y1", "y2", "aux", "s", "y1_true", "y2_1", "y2_0")
+    columns = {name: getattr(oracle, name).copy() for name in names}
+    units = np.flatnonzero((oracle.d == 1) & (oracle.s == 0))[:2]
+    columns["y1_true"][units] = -6e307
+    columns["y1"][units] = np.where(oracle.r1[units], -6e307, np.nan)
+    for name in ("y2_1", "y2_0", "y2"):
+        columns[name][units] = 6e307
+    return OraclePanel(**columns, x=oracle.x)
+
+
+def test_the_identities_refuse_a_group_sum_that_overflows():
+    oracle = _group_overflowing_oracle()
+    message = (
+        r"^the result is not finite: the mean or spread of y2_0 - y1_true "
+        r"in stratum AR, arm 1 overflows$"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for identity in (decompose_att, check_trend_mixture):
+            for given in (oracle, oracle.records):
+                with pytest.raises(EstimatorError, match=message):
+                    identity(given)
+
+
+def test_the_identities_summary_holds_no_reference_to_the_oracle():
+    _, oracle, _ = simulate_panel(make_preset("monotone", n=2000, seed=4))
+    before = sys.getrefcount(oracle)
+    decompose_att(oracle)
+    check_trend_mixture(oracle)
+    assert oracle._summary is not None
+    assert sys.getrefcount(oracle) == before
+
+
+@pytest.mark.parametrize("kind", ["zero-bias", "monotone", "no-monotone"])
+def test_the_identities_give_the_same_bits_on_a_panel_and_its_records(kind):
+    draws = [simulate_panel(make_preset(kind, n=1500, seed=6))[1] for _ in range(2)]
+    orders = ((decompose_att, check_trend_mixture), (check_trend_mixture, decompose_att))
+    reports = []
+    for oracle, order in zip(draws, orders):
+        got = {fn.__name__: repr(fn(oracle)) for fn in order}
+        got.update({"records " + fn.__name__: repr(fn(oracle.records)) for fn in order})
+        reports.append(got)
+    for report in reports:
+        for name in ("decompose_att", "check_trend_mixture"):
+            assert report[name] == report["records " + name] == reports[0][name]
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # each treated always-respondent's effect 1.2e308: their sum overflows
+        ([(1, "AR", 0.0, -6e307, 6e307)] * 2, "mean of y2_1 - y2_0 in stratum AR, arm 1"),
+        # one unit per treated group, each finite: the treated arm's sum is not
+        ([(1, "AR", -6e307, 6e307, 6e307), (1, "ITR", -6e307, 6e307, 6e307)],
+         "mean or spread of y2_0 - y1_true in arm 1"),
+        # each treated group's effects sum to 1.2e308: the treated arm's do not
+        ([(1, "AR", 0.0, -6e307, 6e307), (1, "ITR", 0.0, -6e307, 6e307)],
+         "mean of y2_1 - y2_0 over treated units is inf"),
+    ],
+)
+def test_the_identities_name_the_group_whose_sum_overflows(rows, message):
+    control = [(0, "AR", 0.2, 1.1, 2.1), (0, "ITR", 0.4, 1.3, 2.3)]
+    records = oracle_rows(rows + control)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for identity in (decompose_att, check_trend_mixture):
+            with pytest.raises(EstimatorError, match=f"^the result is not finite: the {message}"):
+                identity(records)
