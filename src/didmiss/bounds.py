@@ -199,19 +199,6 @@ def _sorted(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stable_order(v: np.ndarray) -> np.ndarray:
-    """``np.argsort(v, kind="stable")`` for a float64 ``v``.
-
-    Only among equal values (or NaNs) can two sorts order the positions
-    differently, so the stable sort runs only when the default one finds such.
-    """
-    order = np.argsort(v)
-    ordered = v[order]
-    if (ordered[1:] == ordered[:-1]).any() or (v.size and np.isnan(ordered[-1])):
-        return np.argsort(v, kind="stable")
-    return order
-
-
 def _trimmed_sorted(v: np.ndarray, keep: float, side: str) -> float:
     """``trimmed_mean`` with keep < 1 of the values ``v``, sorted ascending."""
     if side == "top":
@@ -419,8 +406,7 @@ def _bounds_replicate(
     rank = np.empty(len(data), dtype=np.intp)
     for d in (0, 1):
         units = np.flatnonzero(cc & (data.d == d))
-        order = _stable_order(dy[units])
-        units = units[order]
+        units = units[np.argsort(dy[units], kind="stable")]
         rank[units] = starts[-1] + np.arange(units.size)
         sorted_dy.append(dy[units])
         starts.append(starts[-1] + units.size)

@@ -677,7 +677,8 @@ def simulate_panel(spec: DgpSpec) -> tuple[PanelDataset, OraclePanel, OracleTrut
     trend = trend + np.array(spec.arm_trend_delta, dtype=np.float64) * np.array([[False], [True]])
     effect = np.array(spec.effect, dtype=np.float64) + per_cell("effect_shift")[:, None, None]
     # built in place (y1 in the noise's buffer): each sum keeps its two
-    # operands, so its bits
+    # operands, so its bits are the per-unit expressions' (IEEE addition is
+    # commutative)
     y1 = eps1
     y1 += base.take(code)
     y2_0 = trend.take(code)
@@ -747,13 +748,6 @@ def _as_oracle(records: OracleInput) -> OraclePanel:
     """The oracle both identities read, with its arm and stratum codes checked
     and every unit's untreated change and treatment effect finite."""
     oracle = records if isinstance(records, OraclePanel) else _from_records(records)
-    _changes(oracle)
-    return oracle
-
-
-def _changes(oracle: OraclePanel) -> tuple[np.ndarray, np.ndarray]:
-    """Every unit's untreated change ``y2_0 - y1_true`` and treatment effect
-    ``y2_1 - y2_0``, once the codes and both changes are checked (see ``_as_oracle``)."""
     for name, codes, top in (("treatment", oracle.d, 1), ("stratum code", oracle.s, 3)):
         bad = np.flatnonzero((codes < 0) | (codes > top))
         if bad.size:
@@ -762,9 +756,7 @@ def _changes(oracle: OraclePanel) -> tuple[np.ndarray, np.ndarray]:
             )
     y1, y2_1, y2_0 = oracle.y1_true, oracle.y2_1, oracle.y2_0
     with np.errstate(over="ignore", invalid="ignore"):
-        delta0 = y2_0 - y1
-        direct = y2_1 - y2_0
-    ok = np.isfinite(delta0) & np.isfinite(direct)
+        ok = np.isfinite(y2_0 - y1) & np.isfinite(y2_1 - y2_0)
     if not ok.all():
         i = int(np.argmin(ok))
         raise EstimatorError(
@@ -772,7 +764,7 @@ def _changes(oracle: OraclePanel) -> tuple[np.ndarray, np.ndarray]:
             f"{oracle.unit_ids[i]!r} (row {i + 1}: y1_true={float(y1[i])!r}, "
             f"y2_1={float(y2_1[i])!r}, y2_0={float(y2_0[i])!r})"
         )
-    return delta0, direct
+    return oracle
 
 
 def _from_records(records: Iterable[OracleRecord]) -> OraclePanel:
@@ -840,41 +832,30 @@ class _OracleSummary:
 
 def _summary(records: OracleInput) -> _OracleSummary:
     """The identities' summary of an oracle, kept on an ``OraclePanel`` once
-    computed; an iterable of records is summarised afresh on every call."""
-    if not isinstance(records, OraclePanel):
-        return _summarize(_from_records(records))
-    if records._summary is None:
-        records._summary = _summarize(records)
-    return records._summary
+    computed; an iterable of records is summarised afresh on every call.
 
-
-def _summarize(oracle: OraclePanel) -> _OracleSummary:
-    delta0, direct = _changes(oracle)
+    A group sum may overflow although every unit's change is finite; the
+    summary then holds the non-finite figure, and each identity refuses the
+    figures it reads (see ``_refuse_overflow``).
+    """
+    if isinstance(records, OraclePanel) and records._summary is not None:
+        return records._summary
+    oracle = _as_oracle(records)
+    delta0 = oracle.y2_0 - oracle.y1_true  # untreated change, all units
+    direct = oracle.y2_1 - oracle.y2_0
     code = oracle.s.astype(np.intp)
     code *= 2
     code += oracle.d  # (stratum, arm)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
         n, trend, ss = _group_stats(code, delta0, 8)
         effect = _group_stats(code, direct, 8)[1]
         n_arm, arm_trend, arm_ss = _group_stats(oracle.d, delta0, 2)
         att = float(np.mean(direct[oracle.d == 1])) if n_arm[1] else math.nan
-    strata = [f"stratum {label}, arm {d}" for label in STRATUM_LABELS for d in (0, 1)]
-    for what, groups, stats in (
-        ("mean or spread of y2_0 - y1_true", strata, (trend, ss)),
-        ("mean of y2_1 - y2_0", strata, (effect,)),
-        ("mean or spread of y2_0 - y1_true", ["arm 0", "arm 1"], (arm_trend, arm_ss)),
-    ):
-        bad = ~np.isfinite(stats).all(axis=0)
-        if bad.any():
-            group = groups[int(np.argmax(bad))]
-            raise EstimatorError(f"the result is not finite: the {what} in {group} overflows")
-    if n_arm[1]:
-        finite(att, "the mean of y2_1 - y2_0 over treated units")
 
     def pairs(v: np.ndarray) -> tuple[tuple, ...]:
         return tuple(map(tuple, v.reshape(4, 2).tolist()))
 
-    return _OracleSummary(
+    summary = _OracleSummary(
         n=pairs(n),
         trend=pairs(trend),
         ss=pairs(ss),
@@ -884,6 +865,23 @@ def _summarize(oracle: OraclePanel) -> _OracleSummary:
         arm_ss=tuple(arm_ss.tolist()),
         att=att,
     )
+    if oracle is records:
+        oracle._summary = summary
+    return summary
+
+
+#: The summary's (stratum, arm) groups and arms, in its order, as refusals name them.
+_GROUPS = tuple(f"stratum {label}, arm {d}" for label in STRATUM_LABELS for d in (0, 1))
+_ARMS = ("arm 0", "arm 1")
+
+
+def _refuse_overflow(what: str, groups: Sequence[str], *stats: tuple) -> None:
+    """Refuse the first of ``groups`` for which a figure in ``stats`` (each
+    one per group, in the summary's layout) is not finite."""
+    bad = ~np.isfinite(stats).all(axis=0).reshape(-1)
+    if bad.any():
+        group = groups[int(np.argmax(bad))]
+        raise EstimatorError(f"the result is not finite: the {what} in {group} overflows")
 
 
 #: Labels of the five decomposition terms, in reported order.
@@ -936,17 +934,24 @@ def decompose_att(records: OracleInput) -> AttDecomposition:
     ------
     EstimatorError
         If a stratum with positive treated share has no control units, so
-        its trend term cannot be evaluated; or if a unit's change, or the
-        mean or spread of a (stratum, arm) group or of an arm, is not finite.
+        its trend term cannot be evaluated; or if a unit's change, the mean
+        or spread of ``y2_0 - y1_true`` in an AR or ITR group, the mean of
+        ``y2_1 - y2_0`` in a treated group, or the treated arm's mean effect
+        is not finite.
     RuntimeError
         If the terms fail to reconstruct the sample ATT within six standard
         errors — the generating spec violated shared trends.
     """
     summary = _summary(records)
     n, trend, ss, effect = summary.n, summary.trend, summary.ss, summary.effect
+    # the terms read the two treated-respondent strata's trends and spreads
+    # (AR and ITR, the first four groups) and the treated groups' effects
+    _refuse_overflow("mean or spread of y2_0 - y1_true", _GROUPS[:4], trend[:2], ss[:2])
+    _refuse_overflow("mean of y2_1 - y2_0", _GROUPS[1::2], [row[1] for row in effect])
     n1 = sum(row[1] for row in n)
     if n1 == 0 or sum(row[0] for row in n) == 0:
         raise EstimatorError("decomposition requires units in both arms")
+    att = finite(summary.att, "the mean of y2_1 - y2_0 over treated units")
     share = [row[1] / n1 for row in n]
     shares = {STRATUM_PAIRS[code]: share[code] for code in range(4)}
 
@@ -976,7 +981,6 @@ def decompose_att(records: OracleInput) -> AttDecomposition:
             terms.append(-share[code] * trend[code][0])
 
     total = float(sum(terms))
-    att = summary.att
     deviation = total - att
 
     # The deviation equals the share-weighted cross-arm gap in untreated
@@ -1046,13 +1050,15 @@ def check_trend_mixture(records: OracleInput) -> TrendMixtureReport:
     Raises
     ------
     EstimatorError
-        If a unit's change, or the mean or spread of a (stratum, arm) group
-        or of an arm, is not finite.
+        If a unit's change, a (stratum, arm) group's mean of ``y2_0 - y1_true``,
+        or an arm's mean or spread of it is not finite.
     RuntimeError
         If the mixture identity fails beyond floating-point tolerance.
     """
     summary = _summary(records)
     n_arm, direct, arm_ss = summary.n_arm, summary.direct, summary.arm_ss
+    _refuse_overflow("mean of y2_0 - y1_true", _GROUPS, summary.trend)
+    _refuse_overflow("mean or spread of y2_0 - y1_true", _ARMS, direct, arm_ss)
     if min(n_arm) == 0:
         raise EstimatorError("trend comparison requires units in both arms")
     n, means = summary.n, summary.trend

@@ -121,15 +121,6 @@ def floats(missing: str | None = None) -> Parser:
     return Parser(_floats, (_UNPARSEABLE,) if missing is None else (_UNPARSEABLE, missing))
 
 
-def _chars(cells: Sequence[str]) -> np.ndarray | None:
-    """The cells as uint8 bytes when every cell is one ASCII character, else None."""
-    joined = "".join(cells)
-    # no empty cell and one character per cell: every cell is one character
-    if len(joined) == len(cells) and joined.isascii() and "" not in cells:
-        return np.frombuffer(joined.encode("ascii"), dtype=np.uint8)
-    return None
-
-
 def labels(codes: Mapping[str, int], message: str) -> Parser:
     """Int8 codes of cells that must be keys of ``codes``; ``message`` says so.
 
@@ -149,9 +140,10 @@ def labels(codes: Mapping[str, int], message: str) -> Parser:
     lookup[[ord(key) for key in codes]] = list(codes.values())
 
     def parse_bytes(cells: Sequence[str]) -> tuple[np.ndarray, tuple[int | None]]:
-        chars = _chars(cells)
-        if chars is not None:
-            values = lookup[chars]
+        joined = "".join(cells)
+        # no empty cell and one character per cell: every cell is one character
+        if len(joined) == len(cells) and joined.isascii() and "" not in cells:
+            values = lookup[np.frombuffer(joined.encode("ascii"), dtype=np.uint8)]
             if values.min(initial=0) >= 0:
                 return values, (None,)
         return parse(cells)
@@ -165,18 +157,9 @@ def binary(message: str) -> Parser:
 
 
 def counts(message: str) -> Parser:
-    """A non-negative integer column as int64 (at most 18 digits per cell).
-
-    A chunk whose cells are all single ASCII digits is read byte by byte;
-    any other chunk is parsed cell by cell, with the same values and messages.
-    """
+    """A non-negative integer column as int64 (at most 18 digits per cell)."""
 
     def parse(cells: Sequence[str]) -> tuple[np.ndarray, tuple[int | None]]:
-        chars = _chars(cells)
-        if chars is not None:
-            digits = chars - ord("0")  # any other byte wraps above 9
-            if digits.max(initial=0) <= 9:
-                return digits.astype(np.int64), (None,)
         values = np.array(
             [
                 int(cell) if cell.isascii() and cell.isdigit() and len(cell) < 19 else -1

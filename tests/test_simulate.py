@@ -773,13 +773,14 @@ def _group_overflowing_oracle() -> OraclePanel:
 
 def test_the_identities_refuse_a_group_sum_that_overflows():
     oracle = _group_overflowing_oracle()
-    message = (
-        r"^the result is not finite: the mean or spread of y2_0 - y1_true "
-        r"in stratum AR, arm 1 overflows$"
-    )
+    figures = {
+        decompose_att: "mean or spread of y2_0 - y1_true",  # each reads its own figures
+        check_trend_mixture: "mean of y2_0 - y1_true",
+    }
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for identity in (decompose_att, check_trend_mixture):
+        for identity, figure in figures.items():
+            message = f"^the result is not finite: the {figure} in stratum AR, arm 1 overflows$"
             for given in (oracle, oracle.records):
                 with pytest.raises(EstimatorError, match=message):
                     identity(given)
@@ -808,24 +809,42 @@ def test_the_identities_give_the_same_bits_on_a_panel_and_its_records(kind):
             assert report[name] == report["records " + name] == reports[0][name]
 
 
+TWO_PER_TREATED_GROUP = [(1, "AR", 0.5, 1.5, 2.5), (1, "AR", 0.6, 1.6, 2.6),
+                         (1, "ITR", 0.5, 1.5, 2.5), (1, "ITR", 0.7, 1.5, 2.5)]
+
+
 @pytest.mark.parametrize(
-    "rows, message",
+    "rows, refusing, message, other",
     [
         # each treated always-respondent's effect 1.2e308: their sum overflows
-        ([(1, "AR", 0.0, -6e307, 6e307)] * 2, "mean of y2_1 - y2_0 in stratum AR, arm 1"),
+        ([(1, "AR", 0.0, -6e307, 6e307)] * 2, decompose_att,
+         "mean of y2_1 - y2_0 in stratum AR, arm 1", None),
         # one unit per treated group, each finite: the treated arm's sum is not
         ([(1, "AR", -6e307, 6e307, 6e307), (1, "ITR", -6e307, 6e307, 6e307)],
-         "mean or spread of y2_0 - y1_true in arm 1"),
+         check_trend_mixture, "mean or spread of y2_0 - y1_true in arm 1",
+         "stratum AR needs at least two units per arm"),
         # each treated group's effects sum to 1.2e308: the treated arm's do not
-        ([(1, "AR", 0.0, -6e307, 6e307), (1, "ITR", 0.0, -6e307, 6e307)],
-         "mean of y2_1 - y2_0 over treated units is inf"),
+        ([(1, "AR", 0.0, -6e307, 6e307), (1, "ITR", 0.0, -6e307, 6e307)], decompose_att,
+         "mean of y2_1 - y2_0 over treated units is inf", None),
+        # control never-respondents: their effects' sum overflows, which no
+        # decomposition term reads, and so does the control arm's spread
+        (TWO_PER_TREATED_GROUP + [(0, "NR", 0.0, -6e307, 6e307)] * 2, check_trend_mixture,
+         "mean or spread of y2_0 - y1_true in arm 0", None),
     ],
 )
-def test_the_identities_name_the_group_whose_sum_overflows(rows, message):
-    control = [(0, "AR", 0.2, 1.1, 2.1), (0, "ITR", 0.4, 1.3, 2.3)]
+def test_the_identities_name_the_group_whose_sum_overflows(rows, refusing, message, other):
+    # only the identity that reads the overflowing figure refuses
+    control = [(0, "AR", 0.2, 1.1, 2.1), (0, "ITR", 0.4, 1.3, 2.3)] * 2
     records = oracle_rows(rows + control)
+    (other_identity,) = {decompose_att, check_trend_mixture} - {refusing}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for identity in (decompose_att, check_trend_mixture):
-            with pytest.raises(EstimatorError, match=f"^the result is not finite: the {message}"):
-                identity(records)
+        with pytest.raises(EstimatorError, match=f"^the result is not finite: the {message}"):
+            refusing(records)
+        if other is not None:
+            with pytest.raises(EstimatorError, match=f"^{other}"):
+                other_identity(records)
+            return
+        report = other_identity(records)
+    figures = [*report.direct, report.pt_gap] if refusing is decompose_att else report.terms
+    assert np.isfinite(figures).all()

@@ -35,7 +35,7 @@ from didmiss import (
     simulate_panel,
 )
 from didmiss.errors import InputError
-from didmiss.table import binary, counts, require_columns, write_table, write_tables
+from didmiss.table import binary, require_columns, write_table, write_tables
 
 from _helpers import reference_read_table, reference_write_table
 
@@ -462,38 +462,3 @@ def test_load_oracle_holds_about_its_typed_columns(tmp_path):
     ids = loaded.unit_ids
     parsed += sys.getsizeof(ids) + sum(map(sys.getsizeof, ids))
     assert peak < 3 * parsed, (peak, parsed)
-
-
-COUNT_CELLS = ["0", "3", "9", "", " ", "10", "07", "/", ":", "a", "٣", " 3", "4 "]
-
-
-@given(st.lists(st.sampled_from(COUNT_CELLS), max_size=300))
-@settings(deadline=None, max_examples=150)
-def test_one_digit_counts_parse_as_the_cell_by_cell_parse(cells):
-    # the byte path takes a chunk only when each cell is one ASCII digit
-    values, (first,) = counts("x must count").parse(tuple(cells))
-    want = [
-        int(cell) if cell.isascii() and cell.isdigit() and len(cell) < 19 else -1
-        for cell in map(str.strip, cells)
-    ]
-    assert values.dtype == np.int64 and values.tolist() == want
-    assert first == (want.index(-1) if -1 in want else None)
-
-
-@pytest.mark.parametrize("bad", ["10", " 1", "", ":"])
-def test_a_covariate_chunk_with_one_cell_off_the_byte_path_parses_cell_by_cell(bad):
-    cells = [str(i % 10) for i in range(700)]
-    cells[600] = bad
-    raw = "id,d,y1,y2,x1\n" + "".join(
-        f"{i},{i % 2},1.0,2.0,{cell}\n" for i, cell in enumerate(cells)
-    )
-    mapping = ColumnMapping(covariates=("x1",))
-    if bad.strip().isdigit():
-        x = load_panel(raw.encode(), mapping).x[:, 0]
-        assert x.tolist() == [int(cell) for cell in cells]
-        return
-    with pytest.raises(InputError) as got:
-        load_panel(raw.encode(), mapping)
-    with pytest.raises(InputError) as want:
-        ref_counts(cells, "x1")
-    assert str(got.value) == str(want.value)
