@@ -279,7 +279,7 @@ def att_ar_bounds(data: PanelDataset, mode: Mode = "monotone") -> BoundResult:
     if mode not in ("monotone", "no-monotone"):
         raise InputError(f"mode must be 'monotone' or 'no-monotone', got {mode!r}")
     groups = GroupKey(data)
-    deltas = [groups.dy[data.complete_case & (data.d == d)] for d in (0, 1)]
+    deltas = [groups.dy.compress(data.complete_case & (data.d == d)) for d in (0, 1)]
     ordered: dict[int, np.ndarray] = {}  # each arm sorted at most once, for both sides
 
     def trim(d: int, keep: float, side: str) -> float:

@@ -177,8 +177,8 @@ def _fingerprint(data: PanelDataset) -> dict[str, Any]:
     return {
         "rows": len(data),
         "arms": [int(a.sum()) for a in arms],
-        "missing_y1": [float(np.isnan(data.y1[a]).mean()) if a.any() else 0.0 for a in arms],
-        "missing_y2": [float(np.isnan(data.y2[a]).mean()) if a.any() else 0.0 for a in arms],
+        "missing_y1": [float(np.isnan(data.y1.compress(a)).mean()) if a.any() else 0.0 for a in arms],
+        "missing_y2": [float(np.isnan(data.y2.compress(a)).mean()) if a.any() else 0.0 for a in arms],
         "n_aux": data.n_aux,
         "n_covariates": data.n_covariates,
     }

@@ -173,7 +173,7 @@ class PanelDataset:
                 raise InputError(f"outcome support endpoints are not finite: [{lo}, {hi}]")
             if not lo <= hi:
                 raise InputError(f"outcome support endpoints out of order: [{lo}, {hi}]")
-            observed = np.concatenate([self.y1[self.r1], self.y2[self.r2]])
+            observed = np.concatenate([self.y1.compress(self.r1), self.y2.compress(self.r2)])
             if observed.size and (observed.min() < lo or observed.max() > hi):
                 raise InputError(
                     "observed outcomes fall outside the declared support "
@@ -305,11 +305,17 @@ class GroupKey:
             self.cells, cell = _factorize(data.x)
             key += 2 * cell
         for column in (data.r1, data.r2) + tuple(data.aux[:, k] for k in aux):
-            key = 2 * key + column
+            key <<= 1
+            key += column
         self.key = key
+        #: Y2 - Y1 on complete cases, 0 elsewhere (so sums skip other units):
+        #: the change's bits ANDed with all ones or all zeros, without a branch
         with np.errstate(over="ignore", invalid="ignore"):
-            #: Y2 - Y1 on complete cases, 0 elsewhere (so sums skip other units)
-            self.dy = np.where(data.r1 & data.r2, data.y2 - data.y1, 0.0)
+            self.dy = data.y2 - data.y1
+        keep = (data.r1 & data.r2).view(np.int8)
+        np.negative(keep, out=keep)  # 1 -> -1, all bits set once widened
+        bits = self.dy.view(np.int64)
+        np.bitwise_and(bits, keep, out=bits)
         not_finite = ~np.isfinite(self.dy)
         if not_finite.any():
             i = int(np.argmax(not_finite))

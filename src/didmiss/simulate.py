@@ -92,6 +92,9 @@ _RESPONSE = np.array(STRATUM_PAIRS, dtype=np.int8)
 #: Entry ``[d, s]``: whether a unit of arm ``d`` in stratum ``s`` hides its ``y2``.
 _MISSING_Y2 = _RESPONSE.T[::-1] == 0
 
+#: What a response indicator (0 or 1) adds to an outcome: NaN hides it, -0.0 keeps its bits.
+_HIDE = np.array([np.nan, -0.0])
+
 
 # ---------------------------------------------------------------------------
 # configuration types
@@ -676,6 +679,13 @@ def simulate_panel(spec: DgpSpec) -> tuple[PanelDataset, OraclePanel, OracleTrut
     trend = np.array(spec.trend, dtype=np.float64) + per_cell("trend_shift")[:, :, None]
     trend = trend + np.array(spec.arm_trend_delta, dtype=np.float64) * np.array([[False], [True]])
     effect = np.array(spec.effect, dtype=np.float64) + per_cell("effect_shift")[:, None, None]
+    effect = np.broadcast_to(effect, base.shape)
+    # What the observed y2 adds to Y2(0): the effect if treated, -0.0 if not
+    # (x + -0.0 is x, bit for bit) and NaN where y2 is hidden, so one gather
+    # and one sum give the observed outcome without a per-unit branch.
+    offset = effect.copy()
+    offset[:, 0] = -0.0
+    offset[:, _MISSING_Y2] = np.nan
     # built in place (y1 in the noise's buffer): each sum keeps its two
     # operands, so its bits are the per-unit expressions' (IEEE addition is
     # commutative)
@@ -684,21 +694,26 @@ def simulate_panel(spec: DgpSpec) -> tuple[PanelDataset, OraclePanel, OracleTrut
     y2_0 = trend.take(code)
     y2_0 += y1
     y2_0 += eps2
-    y2_1 = np.broadcast_to(effect, base.shape).take(code)
+    del eps2
+    y2_1 = effect.take(code)
     y2_1 += y2_0
-    missing_y2 = np.broadcast_to(_MISSING_Y2, base.shape).take(code)
-    del code, eps2
+    y2_obs = offset.take(code)
+    y2_obs += y2_0
+    del code
 
-    # every first-period outcome is observed unless first-wave response is drawn
+    # every first-period outcome is observed unless first-wave response is
+    # drawn; a response indexes [NaN, -0.0] as 0 or 1
     y1_obs = y1
     if spec.r1_model.kind == "mcar":
-        y1_obs = np.where(rng.random(n) < spec.r1_model.rate, y1, np.nan)
+        y1_obs = _HIDE.take((rng.random(n) < spec.r1_model.rate).view(np.int8))
+        y1_obs += y1
 
     aux = np.zeros((n, len(spec.aux_models)), dtype=np.int8)
     patterns = iter(np.repeat([c.aux_pattern or () for c in cells], 2, axis=0).T)
     for k, model in enumerate(spec.aux_models):
         if model.kind == "independent":
-            aux[:, k] = rng.random(n) < model.p
+            # drawn into its column: a separate bool array would raise the draw's peak memory
+            np.less(rng.random(n), model.p, out=aux[:, k])
         else:
             aux[:, k] = next(patterns).take(group)
 
@@ -708,19 +723,18 @@ def simulate_panel(spec: DgpSpec) -> tuple[PanelDataset, OraclePanel, OracleTrut
         x = None
     del group
 
-    y2_obs = np.where(treated, y2_1, y2_0)
-    np.copyto(y2_obs, np.nan, where=missing_y2)
-    del missing_y2
-
     # well-formed by construction, both arms checked above; the oracle shows
     # the same observable arrays
     data = PanelDataset(d, y1_obs, y2_obs, aux=aux, x=x, _validate=False)
     oracle = OraclePanel(d, y1_obs, y2_obs, aux, x, s=s, y1_true=y1, y2_1=y2_1, y2_0=y2_0)
 
-    direct = y2_1 - y2_0
-    att = float(np.mean(direct[treated]))
-    ar_treated = treated & (s == _AR)
-    att_ar = float(np.mean(direct[ar_treated])) if ar_treated.any() else math.nan
+    # each treated unit's effect, gathered before subtracting: half the
+    # temporaries of a full-length difference
+    direct = y2_1.compress(treated)
+    direct -= y2_0.compress(treated)
+    att = float(np.mean(direct))
+    ar = s.compress(treated) == _AR
+    att_ar = float(np.mean(direct.compress(ar))) if ar.any() else math.nan
     att_population, att_ar_population, cc_population = spec._population
     pis = (spec.pi(0), spec.pi(1))
     pi_table = tuple({STRATUM_PAIRS[code]: pis[arm][code] for code in range(4)} for arm in (0, 1))
@@ -747,16 +761,27 @@ OracleInput = Union[OraclePanel, Iterable[OracleRecord]]
 def _as_oracle(records: OracleInput) -> OraclePanel:
     """The oracle both identities read, with its arm and stratum codes checked
     and every unit's untreated change and treatment effect finite."""
+    return _checked(records)[0]
+
+
+def _checked(records: OracleInput) -> tuple[OraclePanel, np.ndarray, np.ndarray]:
+    """``_as_oracle`` with the two changes it checks: every unit's untreated
+    change ``y2_0 - y1_true`` and treatment effect ``y2_1 - y2_0``."""
     oracle = records if isinstance(records, OraclePanel) else _from_records(records)
     for name, codes, top in (("treatment", oracle.d, 1), ("stratum code", oracle.s, 3)):
         bad = np.flatnonzero((codes < 0) | (codes > top))
         if bad.size:
+            i = int(bad[0])
             raise InputError(
-                f"oracle {name} {codes[bad[0]]} in row {bad[0]} (0-based) is outside 0-{top}"
+                f"oracle {name} {codes[i]} for unit {oracle.unit_ids[i]!r} (row {i + 1}) "
+                f"is outside 0-{top}"
             )
     y1, y2_1, y2_0 = oracle.y1_true, oracle.y2_1, oracle.y2_0
     with np.errstate(over="ignore", invalid="ignore"):
-        ok = np.isfinite(y2_0 - y1) & np.isfinite(y2_1 - y2_0)
+        delta0 = y2_0 - y1
+        direct = y2_1 - y2_0
+    ok = np.isfinite(delta0)
+    ok &= np.isfinite(direct)
     if not ok.all():
         i = int(np.argmin(ok))
         raise EstimatorError(
@@ -764,7 +789,7 @@ def _as_oracle(records: OracleInput) -> OraclePanel:
             f"{oracle.unit_ids[i]!r} (row {i + 1}: y1_true={float(y1[i])!r}, "
             f"y2_1={float(y2_1[i])!r}, y2_0={float(y2_0[i])!r})"
         )
-    return oracle
+    return oracle, delta0, direct
 
 
 def _from_records(records: Iterable[OracleRecord]) -> OraclePanel:
@@ -788,25 +813,32 @@ def _from_records(records: Iterable[OracleRecord]) -> OraclePanel:
     )
 
 
-def _group_stats(
-    code: np.ndarray, values: np.ndarray, size: int
+def _group_means(
+    code: np.ndarray, values: np.ndarray, n: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Count, mean and sum of squared deviations from the mean of ``values``
-    in each group ``code`` of ``range(size)``; an empty group's mean is 0.
+    """Mean of ``values`` in each group ``code`` of ``range(n.size)``, where
+    ``n`` holds the group counts raised to at least 1 (an empty group's mean
+    is 0), with each unit's deviation from its group's first-pass mean and
+    the groups' mean deviations.
 
     Corrected two-pass sums: the second pass adds each group's mean
     deviation from the first-pass mean, so the means are as accurate as
     pairwise ``np.mean`` although ``bincount`` sums one unit at a time.
     """
-    code = np.asarray(code, dtype=np.intp)  # an int8 index gathers several times slower
-    counts = np.bincount(code, minlength=size)
-    n = np.maximum(counts, 1)
-    means = np.bincount(code, values, minlength=size) / n
+    means = np.bincount(code, values, minlength=n.size) / n
     dev = means.take(code)
     np.subtract(values, dev, out=dev)
-    shift = np.bincount(code, dev, minlength=size) / n
+    shift = np.bincount(code, dev, minlength=n.size) / n
+    return means + shift, dev, shift
+
+
+def _group_stats(
+    code: np.ndarray, values: np.ndarray, n: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_group_means`` and each group's sum of squared deviations from its mean."""
+    means, dev, shift = _group_means(code, values, n)
     np.multiply(dev, dev, out=dev)
-    return counts, means + shift, np.bincount(code, dev, minlength=size) - shift**2 * n
+    return means, np.bincount(code, dev, minlength=n.size) - shift**2 * n
 
 
 @dataclass(frozen=True)
@@ -840,17 +872,19 @@ def _summary(records: OracleInput) -> _OracleSummary:
     """
     if isinstance(records, OraclePanel) and records._summary is not None:
         return records._summary
-    oracle = _as_oracle(records)
-    delta0 = oracle.y2_0 - oracle.y1_true  # untreated change, all units
-    direct = oracle.y2_1 - oracle.y2_0
+    oracle, delta0, direct = _checked(records)
+    # intp codes: an int8 index gathers several times slower
+    arm = oracle.d.astype(np.intp)
     code = oracle.s.astype(np.intp)
     code *= 2
-    code += oracle.d  # (stratum, arm)
+    code += arm  # (stratum, arm)
+    n = np.bincount(code, minlength=8)
+    n_arm = n.reshape(4, 2).sum(axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
-        n, trend, ss = _group_stats(code, delta0, 8)
-        effect = _group_stats(code, direct, 8)[1]
-        n_arm, arm_trend, arm_ss = _group_stats(oracle.d, delta0, 2)
-        att = float(np.mean(direct[oracle.d == 1])) if n_arm[1] else math.nan
+        trend, ss = _group_stats(code, delta0, np.maximum(n, 1))
+        effect = _group_means(code, direct, np.maximum(n, 1))[0]  # its spread is not read
+        arm_trend, arm_ss = _group_stats(arm, delta0, np.maximum(n_arm, 1))
+        att = float(np.mean(direct.compress(oracle.d.view(bool)))) if n_arm[1] else math.nan
 
     def pairs(v: np.ndarray) -> tuple[tuple, ...]:
         return tuple(map(tuple, v.reshape(4, 2).tolist()))

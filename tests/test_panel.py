@@ -7,15 +7,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from didmiss import (
     ColumnMapping,
+    EstimatorError,
     InputError,
     PanelDataset,
     compute_rates,
     load_panel,
     save_panel,
 )
+from didmiss.panel import GroupKey
 
 from _helpers import make_panel
 
@@ -327,3 +330,36 @@ def test_record_view_fields(toy):
     assert toy.r1[i] and not toy.r2[i]
     assert not toy.complete_case[i]
     assert toy.complete_case[4]
+
+
+# -- complete-case changes ----------------------------------------------------
+
+#: Signed zeros, subnormals, huge finite values (whose differences overflow) and NaN.
+EDGE_OUTCOMES = (
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1.5, -1.5,
+    1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308, math.nan,
+)
+OUTCOME = st.one_of(st.sampled_from(EDGE_OUTCOMES), st.floats(allow_infinity=False))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.tuples(st.integers(0, 1), OUTCOME, OUTCOME), min_size=2, max_size=30))
+@example([(0, 1.0, -0.0), (1, -0.0, -0.0), (1, 0.0, 0.0), (0, math.nan, 5e-324)])
+@example([(0, 0.5, 1.5), (1, -1e308, 1e308), (1, math.nan, 1.7976931348623157e308)])
+def test_group_key_changes_are_the_masked_difference_bit_for_bit(rows):
+    d, y1, y2 = map(list, zip(*rows))
+    d[:2] = [0, 1]
+    data = make_panel(d, y1, y2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = np.where(data.r1 & data.r2, data.y2 - data.y1, 0.0)
+    bad = np.flatnonzero(~np.isfinite(expected))
+    if bad.size == 0:
+        assert GroupKey(data).dy.tobytes() == expected.tobytes()
+        return
+    i = int(bad[0])  # a complete case whose change overflows: refused, naming it
+    with pytest.raises(EstimatorError) as refused:
+        GroupKey(data)
+    assert str(refused.value) == (
+        f"the result is not finite: y2 - y1 is not finite for unit '{i + 1}' "
+        f"(row {i + 1}: y1={float(data.y1[i])!r}, y2={float(data.y2[i])!r})"
+    )
