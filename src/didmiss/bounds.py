@@ -18,6 +18,7 @@ outcome change is bracketed by the bottom-p_d and top-p_d trimmed means.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Literal, Mapping, Sequence
 
@@ -301,8 +302,9 @@ def _bounds(
 ) -> BoundResult:
     """``att_ar_bounds`` from counts over (arm, R1, R2) and a trimmed-mean
     function ``trim(arm, keep, side)`` of each arm's complete-case changes."""
+    complete = [arm[1][1] for arm in arms.tolist()]
     for d in (0, 1):
-        if arms[d, 1, 1] == 0:
+        if complete[d] == 0:
             raise EstimatorError(f"no complete cases in arm {d}")
 
     rates = _rate_table(arms)
@@ -337,7 +339,7 @@ def _bounds(
             fallback = True
             continue
         lower[d] = trim(d, share, "bottom")
-        upper[d] = trim(d, share, "top")
+        upper[d] = lower[d] if share == 1.0 else trim(d, share, "top")  # keep 1: the plain mean
         shares[d] = share
 
     lb = lower[1] - upper[0]
@@ -358,35 +360,42 @@ def _bounds(
         assumptions_used=_MONOTONE_ASSUMPTIONS if mode == "monotone" else _NO_MONOTONE_ASSUMPTIONS,
         support_fallback=fallback,
         flags=tuple(flags),
-        n_used=int(arms[0, 1, 1] + arms[1, 1, 1]),
+        n_used=int(complete[0] + complete[1]),
         clip_events=tuple(events),
         proportions=props,
     )
 
 
 def _trimmed_mean_counts(
-    values: np.ndarray, mult: np.ndarray, keep: float, side: Literal["bottom", "top"]
+    values: np.ndarray,
+    mult: np.ndarray,
+    seen: np.ndarray,
+    keep: float,
+    side: Literal["bottom", "top"],
 ) -> float:
     """``trimmed_mean`` of the sample holding mult[j] copies of values[j].
 
-    ``values`` must be sorted ascending; ``mult`` must have a positive sum.
+    ``values`` must be sorted ascending and ``seen`` must be ``cumsum(mult)``,
+    with a positive last entry: the same prefix serves both sides.
     """
-    size = int(mult.sum())
+    size = int(seen[-1])
     if keep == 1.0:  # the plain mean, identical for both sides
         return float((mult * values).sum() / size)
-    if side == "top":
-        values, mult = values[::-1], mult[::-1]
-    weighted = mult * values
-    t = keep * size
-    k = int(np.floor(t))
+    t = keep * size  # below size for keep < 1, so k < size and values[j] exists
+    k = math.floor(t)
     frac = t - k
-    seen = np.cumsum(mult)
-    j = int(np.searchsorted(seen, k, side="right"))  # values[j] holds the (k+1)-th copy
-    total = float(weighted[:j].sum())
-    if j < values.size:
-        total += (k - (int(seen[j - 1]) if j else 0)) * float(values[j])
-        if frac > 0.0:
-            total += frac * float(values[j])
+    if side == "top":
+        # counted from the top, the prefix at i < last is size - seen[last - 1 - i]
+        last = values.size - 1
+        j = last - int(np.searchsorted(seen[:last], size - k))
+        before = size - int(seen[last - j]) if j else 0
+        values, mult = values[::-1], mult[::-1]
+    else:
+        j = int(np.searchsorted(seen, k, side="right"))  # values[j] holds the (k+1)-th copy
+        before = int(seen[j - 1]) if j else 0
+    total = float((mult * values)[:j].sum()) + (k - before) * float(values[j])
+    if frac > 0.0:
+        total += frac * float(values[j])
     return total / t
 
 
@@ -395,30 +404,37 @@ def _bounds_replicate(
 ) -> Callable[[np.ndarray], tuple[float, float]]:
     """(lb, ub) of ``att_ar_bounds`` on the resample at given row indices.
 
-    Each arm's complete-case changes are sorted once; a resample's trimmed
-    means then come from how often it draws each sorted position.
+    Each arm's complete-case changes are sorted once. Every complete case is
+    ranked by its sorted position and every other unit by its (arm, R1, R2)
+    group past those positions, so one ``bincount`` of a resample's ranks
+    gives both how often it draws each sorted position and its group counts.
     """
     groups = GroupKey(data)
-    cc = data.complete_case
     dy = groups.dy
-    sorted_dy: list[np.ndarray] = []
-    starts = [0]
-    rank = np.empty(len(data), dtype=np.intp)
+    arm_units = []
     for d in (0, 1):
-        units = np.flatnonzero(cc & (data.d == d))
-        units = units[np.argsort(dy[units], kind="stable")]
-        rank[units] = starts[-1] + np.arange(units.size)
+        units = np.flatnonzero(data.complete_case & (data.d == d))
+        arm_units.append(units[np.argsort(dy[units], kind="stable")])
+    starts = [0, arm_units[0].size, arm_units[0].size + arm_units[1].size]
+    top = starts[2]
+    rank = groups.key + top
+    sorted_dy: list[np.ndarray] = []
+    for d, units in enumerate(arm_units):
+        rank[units] = starts[d] + np.arange(units.size)
         sorted_dy.append(dy[units])
-        starts.append(starts[-1] + units.size)
-    rank[~cc] = starts[-1]  # one bin past the sorted positions
 
     def replicate(idx: np.ndarray) -> tuple[float, float]:
-        mult = np.bincount(rank[idx], minlength=starts[-1] + 1)
+        mult = np.bincount(rank.take(idx), minlength=top + 8)
+        arms = mult[top:].reshape(2, 2, 2)  # complete-case groups are empty: filled in below
+        mults = [mult[starts[d] : starts[d + 1]] for d in (0, 1)]
+        seen = [m.cumsum() for m in mults]
+        for d in (0, 1):
+            arms[d, 1, 1] = seen[d][-1] if seen[d].size else 0
 
         def trim(d: int, keep: float, side: str) -> float:
-            return _trimmed_mean_counts(sorted_dy[d], mult[starts[d] : starts[d + 1]], keep, side)
+            return _trimmed_mean_counts(sorted_dy[d], mults[d], seen[d], keep, side)
 
-        b = _bounds(groups.counts(idx).arms, trim, mode, data.outcome_support)
+        b = _bounds(arms, trim, mode, data.outcome_support)
         return b.lb, b.ub
 
     return replicate

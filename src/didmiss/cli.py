@@ -14,6 +14,8 @@ Exit codes: 0 on success; 1 for malformed input (bad CSV, bad flags,
 unknown preset, a simulated draw with an empty arm); 2 when a well-posed
 request is refused on the given data (weak instrument, no complete cases,
 infeasible trimming without declared support, a result that is not finite).
+A report that cannot be written to stdout also exits 1: in silence when the
+reader closed the pipe, with one stderr line for any other write error.
 
 ``--pretty`` switches to an aligned human-readable rendering of the same
 report.  Bootstrap replicate streams are derived from (seed, replicate
@@ -26,6 +28,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import platform
 import sys
 from typing import Any, Mapping, Sequence
@@ -400,7 +403,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError:  # JSON has no NaN or infinity
         print("did-miss: refused: the result is not finite (NaN or infinity)", file=sys.stderr)
         return 2
-    print(report.to_pretty() if args.pretty else text)
+    output = report.to_pretty() if args.pretty else text
+    try:
+        print(output)
+        sys.stdout.flush()
+    except OSError as exc:
+        # send what is left, and the interpreter's own flush at exit, nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):  # a reader that left asked for no more
+            message = f"cannot write standard output: {exc.strerror or exc}"
+            print(f"did-miss: error: {message}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -92,15 +92,16 @@ class BootstrapConfig:
 
 def _complete_case(c: GroupCounts) -> Estimate:
     """Complete-case DID from group counts (see ``did_complete_case``)."""
-    arms = c.arms
+    complete = [arm[1][1] for arm in c.arms.tolist()]
     for d in (1, 0):
-        if arms[d, 1, 1] == 0:
+        if complete[d] == 0:
             raise EstimatorError(f"no complete cases in arm {d}")
+    sums = c.cc_sum.tolist()
     # Python floats: a sum or difference that overflows gives inf, not a warning
-    point = float(c.cc_sum[1]) / float(arms[1, 1, 1]) - float(c.cc_sum[0]) / float(arms[0, 1, 1])
+    point = float(sums[1]) / float(complete[1]) - float(sums[0]) / float(complete[0])
     return Estimate(
         point=finite(point, "the complete-case DID"),
-        n_used=int(arms[1, 1, 1] + arms[0, 1, 1]),
+        n_used=int(complete[1] + complete[0]),
     )
 
 

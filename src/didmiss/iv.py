@@ -79,14 +79,15 @@ def _instrument_gap(n: np.ndarray, s: np.ndarray, d: int) -> tuple[float, float]
     counts may be expected masses (floats). Raises when a level has no
     complete cases in this arm.
     """
+    (missing, complete), sums = n[d, 1].tolist(), s[d, 1, 1].tolist()
     means: list[float] = []
     q: list[float] = []
     for v in (0, 1):
-        n_cc = float(n[d, 1, 1, v])
+        n_cc = float(complete[v])
         if n_cc == 0:
             raise EstimatorError(f"empty instrument cell (arm {d}, aux={v}): no complete cases")
-        means.append(float(s[d, 1, 1, v]) / n_cc)
-        q.append(1.0 - n_cc / float(n[d, 1, :, v].sum()))
+        means.append(float(sums[v]) / n_cc)
+        q.append(1.0 - n_cc / float(missing[v] + complete[v]))
     return means[1] - means[0], q[0] - q[1]
 
 
@@ -99,8 +100,11 @@ def _corrected(
     only for arms with missing second-wave outcomes.
     """
     cc = _complete_case(c)
-    arms = c.arms
-    share = [float(arms[d, :, 0].sum()) / float(arms[d].sum()) for d in (0, 1)]
+    arms = c.arms.tolist()
+    # Python scalars; each sum adds left to right, as numpy does for so few terms
+    share = [
+        float(n00 + n10) / float(n00 + n01 + n10 + n11) for (n00, n01), (n10, n11) in arms
+    ]
     denom = [0.0, 0.0]
     corr = [0.0, 0.0]
     gap = [0.0, 0.0]
@@ -113,7 +117,7 @@ def _corrected(
         corr[d] = gap[d] / denom[d] * share[d]
 
     point = cc.point + corr[1] - corr[0]
-    notes = (_R1_NOTE,) if arms[:, 0].any() else ()
+    notes = (_R1_NOTE,) if any(arms[0][0] + arms[1][0]) else ()
     est = Estimate(point=finite(point, "the instrumented DID"), n_used=cc.n_used, notes=notes)
     diag = IvDiagnostics(
         denom=(denom[0], denom[1]),

@@ -413,21 +413,24 @@ def _rate_table(arms: np.ndarray, aux_counts: Sequence[np.ndarray] = ()) -> Rate
     p_r2: list[float] = []
     p_cond: list[float | None] = []
     p_aux: list[tuple[tuple[float | None, float | None], ...]] = []
-    for d in (0, 1):
-        n_d = int(arms[d].sum())
+    # Python scalars; each sum adds left to right, as numpy does for so few terms
+    by_aux = [counts.tolist() for counts in aux_counts]
+    for d, ((n00, n01), (n10, n11)) in enumerate(arms.tolist()):
+        n_d = int(n00 + n01 + n10 + n11)
         if n_d == 0:
             raise InputError("single-arm dataset: both treated and control units are required")
-        n_r1 = int(arms[d, 1].sum())
+        n_r1 = int(n10 + n11)
         n.append(n_d)
         p_r1.append(n_r1 / n_d)
-        p_r2.append(int(arms[d, :, 1].sum()) / n_d)
-        p_cond.append(int(arms[d, 1, 1]) / n_r1 if n_r1 > 0 else None)
+        p_r2.append(int(n01 + n11) / n_d)
+        p_cond.append(int(n11) / n_r1 if n_r1 > 0 else None)
         per_k: list[tuple[float | None, float | None]] = []
-        for counts in aux_counts:
+        for counts in by_aux:
+            missing, complete = counts[d][1]  # over R2, then aux level
             levels: list[float | None] = []
             for v in (0, 1):
-                n_cell = int(counts[d, 1, :, v].sum())
-                levels.append(int(counts[d, 1, 1, v]) / n_cell if n_cell > 0 else None)
+                n_cell = int(missing[v] + complete[v])
+                levels.append(int(complete[v]) / n_cell if n_cell > 0 else None)
             per_k.append((levels[0], levels[1]))
         p_aux.append(tuple(per_k))
     return RateTable(

@@ -8,10 +8,11 @@ import math
 
 import numpy as np
 
-from didmiss import PanelDataset, trimmed_mean
+from didmiss import Estimate, IvDiagnostics, PanelDataset, RateTable, trimmed_mean
 from didmiss.bounds import _bounds
-from didmiss.errors import EstimatorError, InputError
-from didmiss.panel import GroupKey
+from didmiss.common import EPS_DENOM, finite
+from didmiss.errors import DidMissError, EstimatorError, InputError
+from didmiss.panel import GroupCounts, GroupKey
 from didmiss.simulate import (
     _AR,
     _ICR,
@@ -144,6 +145,90 @@ def reference_att_ar_bounds(data: PanelDataset, mode: str):
         mode,
         data.outcome_support,
     )
+
+
+def repr_or_error(fn, *args) -> str:
+    """repr of ``fn(*args)`` (every float to the bit), or the DidMissError it raised."""
+    try:
+        return repr(fn(*args))
+    except DidMissError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def reference_rate_table(arms: np.ndarray, aux_counts=()) -> RateTable:
+    """``panel._rate_table`` with a numpy reduction or scalar index per figure."""
+    n, p_r1, p_r2, p_cond, p_aux = [], [], [], [], []
+    for d in (0, 1):
+        n_d = int(arms[d].sum())
+        if n_d == 0:
+            raise InputError("single-arm dataset: both treated and control units are required")
+        n_r1 = int(arms[d, 1].sum())
+        n.append(n_d)
+        p_r1.append(n_r1 / n_d)
+        p_r2.append(int(arms[d, :, 1].sum()) / n_d)
+        p_cond.append(int(arms[d, 1, 1]) / n_r1 if n_r1 > 0 else None)
+        per_k = []
+        for counts in aux_counts:
+            levels = []
+            for v in (0, 1):
+                n_cell = int(counts[d, 1, :, v].sum())
+                levels.append(int(counts[d, 1, 1, v]) / n_cell if n_cell > 0 else None)
+            per_k.append((levels[0], levels[1]))
+        p_aux.append(tuple(per_k))
+    return RateTable(
+        n=(n[0], n[1]),
+        p_r1=(p_r1[0], p_r1[1]),
+        p_r2=(p_r2[0], p_r2[1]),
+        p_r2_given_r1=(p_cond[0], p_cond[1]),
+        p_r2_given_aux=(p_aux[0], p_aux[1]),
+    )
+
+
+def reference_instrument_gap(n: np.ndarray, s: np.ndarray, d: int) -> tuple[float, float]:
+    """``iv._instrument_gap`` with a numpy reduction or scalar index per figure."""
+    means, q = [], []
+    for v in (0, 1):
+        n_cc = float(n[d, 1, 1, v])
+        if n_cc == 0:
+            raise EstimatorError(f"empty instrument cell (arm {d}, aux={v}): no complete cases")
+        means.append(float(s[d, 1, 1, v]) / n_cc)
+        q.append(1.0 - n_cc / float(n[d, 1, :, v].sum()))
+    return means[1] - means[0], q[0] - q[1]
+
+
+def reference_corrected(c: GroupCounts, arm_gap) -> tuple[Estimate, IvDiagnostics]:
+    """``iv._corrected``, and the complete-case DID inside it, with a numpy
+    reduction or scalar index per figure."""
+    arms = c.arms
+    for d in (1, 0):
+        if arms[d, 1, 1] == 0:
+            raise EstimatorError(f"no complete cases in arm {d}")
+    cc = finite(
+        float(c.cc_sum[1]) / float(arms[1, 1, 1]) - float(c.cc_sum[0]) / float(arms[0, 1, 1]),
+        "the complete-case DID",
+    )
+    share = [float(arms[d, :, 0].sum()) / float(arms[d].sum()) for d in (0, 1)]
+    denom, corr, gap = [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]
+    for d in (0, 1):
+        if share[d] == 0.0:
+            continue
+        gap[d], denom[d] = arm_gap(d)
+        if abs(denom[d]) < EPS_DENOM:
+            raise EstimatorError(f"weak instrument in arm {d}")
+        corr[d] = gap[d] / denom[d] * share[d]
+    notes = ("estimand: ATT among first-wave respondents (R1 = 1)",) if arms[:, 0].any() else ()
+    est = Estimate(
+        point=finite(cc + corr[1] - corr[0], "the instrumented DID"),
+        n_used=int(arms[1, 1, 1] + arms[0, 1, 1]),
+        notes=notes,
+    )
+    diag = IvDiagnostics(
+        denom=(denom[0], denom[1]),
+        missing_share=(share[0], share[1]),
+        bias_correction=(-corr[0], corr[1]),
+        trend_gap=(gap[0], gap[1]),
+    )
+    return est, diag
 
 
 def reference_factorize(x: np.ndarray):

@@ -65,14 +65,23 @@ def run_json(capsys, *argv):
     return strict_loads(out)
 
 
-def run_cli(*argv):
-    """Run ``python -m didmiss.cli`` in a subprocess (sees tracebacks and warnings)."""
+def cli_process(*argv, run=subprocess.run, **streams):
+    """Start ``python -m didmiss.cli`` in a subprocess (sees tracebacks and warnings).
+
+    ``run`` is ``subprocess.run`` or ``subprocess.Popen``; ``streams`` replace
+    its captured stdout and stderr.
+    """
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    return subprocess.run(
+    return run(
         [sys.executable, "-m", "didmiss.cli", *map(str, argv)],
-        env=env, capture_output=True, text=True,
+        env=env, text=True, **(streams or {"capture_output": True}),
     )
+
+
+def run_cli(*argv):
+    """Run ``python -m didmiss.cli`` to the end, capturing stdout and stderr."""
+    return cli_process(*argv)
 
 
 @pytest.fixture(scope="module")
@@ -449,6 +458,25 @@ def test_bad_seeds_support_and_output_paths_exit_1_with_one_line(
         argv = [argv[0], "--input", toy_path, *argv[1:]]
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", f"did-miss: error: {message}\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_report_to_a_full_device_exits_1_with_one_line(toy_path):
+    with open("/dev/full", "w") as full:
+        done = cli_process("cc", "--input", toy_path, stdout=full, stderr=subprocess.PIPE)
+    assert done.returncode == 1
+    assert done.stderr == "did-miss: error: cannot write standard output: No space left on device\n"
+
+
+def test_report_to_a_closed_pipe_exits_1_in_silence(toy_path):
+    proc = cli_process(
+        "cc", "--input", toy_path, run=subprocess.Popen,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()  # no reader is left before the report is written
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (1, "")
 
 
 def test_unknown_preset_exits_1(capsys, tmp_path):

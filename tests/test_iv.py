@@ -13,9 +13,19 @@ from didmiss import (
     att_iv,
     att_iv_multi,
     did_complete_case,
+    make_preset,
 )
+from didmiss.iv import _instrument_gap, _iv_pair, _iv_single
+from didmiss.panel import GroupCounts
+from didmiss.simulate import PRESET_KINDS, _expected_counts
 
-from _helpers import block_panel, make_panel
+from _helpers import (
+    block_panel,
+    make_panel,
+    reference_corrected,
+    reference_instrument_gap,
+    repr_or_error,
+)
 
 
 def single_iv_fixture():
@@ -282,3 +292,67 @@ def test_degenerate_pair_tolerated_when_nothing_is_missing():
     )
     est, _ = att_iv_multi(data, (0, 1))
     assert est.point == did_complete_case(data).point
+
+
+# -- the scalar formulas keep the bits of numpy's reductions ---------------------
+
+
+def _reference_iv(c: GroupCounts):
+    """``_iv_single`` or ``_iv_pair`` over the reference formulas."""
+    n, s = c.n[0], c.s[0]
+    if n.ndim == 4:
+        return reference_corrected(c, lambda d: reference_instrument_gap(n, s, d))
+
+    def arm_gap(d):
+        if not (n[:, 1, 1, 0, 1].any() or n[:, 1, 1, 1, 0].any()):
+            raise EstimatorError(
+                "degenerate instrument pair: indicators are identical on complete cases"
+            )
+        gap1, denom1 = reference_instrument_gap(n.sum(axis=4), s.sum(axis=4), d)
+        gap2, denom2 = reference_instrument_gap(n.sum(axis=3), s.sum(axis=3), d)
+        return gap1 - gap2, denom1 - denom2
+
+    return reference_corrected(c, arm_gap)
+
+
+def _assert_iv_bits(c: GroupCounts):
+    n, s = c.n[0], c.s[0]
+    if n.ndim == 4:
+        levels = [(n, s)]
+    else:  # each instrument of the pair, summed over the other
+        levels = [(n.sum(axis=4), s.sum(axis=4)), (n.sum(axis=3), s.sum(axis=3))]
+    for n_k, s_k in levels:
+        for d in (0, 1):
+            got = repr_or_error(_instrument_gap, n_k, s_k, d)
+            assert got == repr_or_error(reference_instrument_gap, n_k, s_k, d)
+    formula = _iv_single if n.ndim == 4 else _iv_pair
+    assert repr_or_error(formula, c) == repr_or_error(_reference_iv, c)
+
+
+@pytest.mark.parametrize("kind", PRESET_KINDS)
+def test_iv_formulas_keep_the_bits_of_numpy_reductions_on_expected_masses(kind):
+    spec = make_preset(kind)
+    for aux in [(k,) for k in range(len(spec.aux_models))] + [(0, 1)] * (len(spec.aux_models) > 1):
+        try:
+            c = _expected_counts(spec, aux)
+        except InputError:  # an independent column has no expected counts by level
+            continue
+        _assert_iv_bits(c)
+
+
+@pytest.mark.parametrize("masses", [False, True], ids=["integers", "float-masses"])
+@pytest.mark.parametrize("width", [1, 2])
+def test_iv_formulas_keep_the_bits_of_numpy_reductions_on_random_counts(width, masses):
+    # a design's masses sit at R1 = 1 only, where no sum has more than two terms;
+    # random masses spread over every group make the order of four-term sums show
+    rng = np.random.default_rng(width)
+    shape = (1, 2, 2, 2) + (2,) * width
+    complete = np.zeros(shape, dtype=bool)
+    complete[0, :, 1, 1] = True
+    for _ in range(300):
+        n = rng.integers(0, 5, size=shape)
+        if masses:
+            n = n * 10.0 ** rng.uniform(-3.0, 3.0, size=shape)
+        s = np.where(complete, rng.normal(0.0, 3.0, size=shape) * n, 0.0)
+        cc_sum = s[0, :, 1, 1].reshape(2, -1).sum(axis=1)
+        _assert_iv_bits(GroupCounts(n=n, s=s, cc_sum=cc_sum, cells=((),)))

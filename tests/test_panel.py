@@ -16,11 +16,13 @@ from didmiss import (
     PanelDataset,
     compute_rates,
     load_panel,
+    make_preset,
     save_panel,
 )
-from didmiss.panel import GroupKey
+from didmiss.panel import GroupKey, _rate_table
+from didmiss.simulate import PRESET_KINDS, _expected_counts
 
-from _helpers import make_panel
+from _helpers import make_panel, reference_rate_table, repr_or_error
 
 
 # -- loading the nine-unit example table ------------------------------------
@@ -363,3 +365,30 @@ def test_group_key_changes_are_the_masked_difference_bit_for_bit(rows):
         f"the result is not finite: y2 - y1 is not finite for unit '{i + 1}' "
         f"(row {i + 1}: y1={float(data.y1[i])!r}, y2={float(data.y2[i])!r})"
     )
+
+
+# -- the rate table's scalar formulas keep the bits of numpy's reductions --------
+
+
+@pytest.mark.parametrize("kind", PRESET_KINDS)
+def test_rate_table_keeps_the_bits_of_numpy_reductions_on_expected_masses(kind):
+    spec = make_preset(kind)
+    aux_counts = []
+    for k in range(len(spec.aux_models)):
+        try:
+            aux_counts.append(_expected_counts(spec, (k,)).n[0])
+        except InputError:  # an independent column has no expected counts by level
+            pass
+    arms = _expected_counts(spec).arms
+    for scale in (1.0, float(spec.n)):  # masses per unit, and per sample
+        args = (arms * scale, [counts * scale for counts in aux_counts])
+        assert repr_or_error(_rate_table, *args) == repr_or_error(reference_rate_table, *args)
+
+
+def test_rate_table_keeps_the_bits_of_numpy_reductions_on_integer_counts():
+    rng = np.random.default_rng(4)
+    for _ in range(500):
+        arms = rng.integers(0, 4, size=(2, 2, 2))
+        aux_counts = [rng.integers(0, 3, size=(2, 2, 2, 2)) for _ in range(rng.integers(0, 3))]
+        got = repr_or_error(_rate_table, arms, aux_counts)
+        assert got == repr_or_error(reference_rate_table, arms, aux_counts)

@@ -9,6 +9,8 @@ failure, replicate by replicate.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -25,9 +27,11 @@ from didmiss import (
     did_complete_case,
     trimmed_mean,
 )
+from didmiss import bounds as bounds_module
 from didmiss.bounds import _bounds_replicate, _trimmed_mean_counts
 from didmiss.estimators import ESTIMATOR_HANDLES, _percentile_ci, _replicate_fn
 from didmiss.iv import _iv_engine
+from didmiss.panel import GroupKey
 
 from _helpers import make_panel
 
@@ -62,23 +66,30 @@ def _rows(arm, complete, incomplete, first_wave_gaps=0):
     )
 
 
+def _outcome(fn, idx):
+    """``fn(idx)`` as a tuple, or the message of the DidMissError it raised."""
+    try:
+        return tuple(fn(idx))
+    except DidMissError as exc:
+        return str(exc)
+
+
+def _assert_same(got, want, rep):
+    """The same failure message, or the same values to 1e-12 (relative above 1)."""
+    if isinstance(want, str):
+        assert got == want, (rep, got, want)
+    else:
+        assert not isinstance(got, str), (rep, got)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * max(1.0, *map(abs, want)))
+
+
 def _compare(engine, reference, n, seed=3):
     """Run both replicate functions on the same streams; return the outcomes."""
     outcomes = []
     for rep in range(REPLICATES):
         idx = np.random.default_rng((seed, rep)).integers(0, n, size=n)
-        results = []
-        for fn in (engine, reference):
-            try:
-                results.append(tuple(fn(idx)))
-            except DidMissError as exc:
-                results.append(str(exc))
-        got, want = results
-        if isinstance(want, str):
-            assert got == want, (rep, got, want)
-        else:
-            assert not isinstance(got, str), (rep, got)
-            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * max(1.0, *map(abs, want)))
+        want = _outcome(reference, idx)
+        _assert_same(_outcome(engine, idx), want, rep)
         outcomes.append((idx, want))
     return outcomes
 
@@ -170,16 +181,21 @@ def test_pi_resamples_skip_absent_cells_and_refuse_one_armed_cells():
     assert dropped and one_armed
 
 
-@pytest.mark.parametrize("mode", ["monotone", "no-monotone"])
-def test_bounds_replicates_match_rebuilt_resamples(mode):
-    data = _panel(_rows(0, 3, 5, 1) + _rows(1, 9, 3), seed=5)
-    engine = _bounds_replicate(data, mode)
+def _rebuilt_bounds(data, mode):
+    """(lb, ub) of ``att_ar_bounds`` on the rebuilt resample."""
 
     def reference(idx):
         b = att_ar_bounds(data._take(idx), mode)
         return b.lb, b.ub
 
-    outcomes = _compare(engine, reference, len(data))
+    return reference
+
+
+@pytest.mark.parametrize("mode", ["monotone", "no-monotone"])
+def test_bounds_replicates_match_rebuilt_resamples(mode):
+    data = _panel(_rows(0, 3, 5, 1) + _rows(1, 9, 3), seed=5)
+    engine = _bounds_replicate(data, mode)
+    outcomes = _compare(engine, _rebuilt_bounds(data, mode), len(data))
     failed = _failures(outcomes)
     assert 0 < failed * 2 <= REPLICATES
     boot = bootstrap_bounds(data, mode, BootstrapConfig(replicates=REPLICATES, seed=3))
@@ -188,6 +204,56 @@ def test_bounds_replicates_match_rebuilt_resamples(mode):
     ok = np.array([want for _, want in outcomes if not isinstance(want, str)])
     assert boot.se_lb == pytest.approx(ok[:, 0].std(ddof=1), abs=1e-12)
     assert boot.ub_ci.hi == pytest.approx(np.percentile(ok[:, 1], 97.5), abs=1e-12)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 1),
+            st.booleans(),
+            st.booleans(),
+            st.sampled_from([0.0, -0.0, 1.0]),
+            st.one_of(
+                st.sampled_from([0.0, -0.0, 1.0, 0.5, 2.0]),
+                st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+            ),
+        ),
+        min_size=2,
+        max_size=16,
+    ),
+    st.sampled_from([None, (-1e3, 1e3)]),
+    st.sampled_from(["monotone", "no-monotone"]),
+    st.data(),
+)
+@settings(deadline=None, max_examples=300)
+def test_bounds_replicate_counts_match_the_rebuilt_resample(rows, support, mode, data):
+    # rows are (arm, R1, R2, y1, y2): tied and signed-zero changes, first-wave gaps
+    n, arms = len(rows), [row[0] for row in rows]
+    assume(0 < sum(arms) < n)
+    panel = make_panel(
+        arms,
+        [y1 if r1 else np.nan for _, r1, _, y1, _ in rows],
+        [y2 if r2 else np.nan for _, _, r2, _, y2 in rows],
+        outcome_support=support,
+    )
+    # the resample may leave out whole (arm, R1, R2) groups, an arm's complete cases among them
+    groups = [row[:3] for row in rows]
+    dropped = data.draw(st.sets(st.sampled_from(sorted(set(groups)))))
+    kept = [i for i, group in enumerate(groups) if group not in dropped] or list(range(n))
+    idx = np.array(data.draw(st.lists(st.sampled_from(kept), min_size=n, max_size=n)))
+
+    counts, real = [], bounds_module._bounds
+
+    def spy(arms, *rest):
+        counts.append(arms.copy())
+        return real(arms, *rest)
+
+    engine = _bounds_replicate(panel, mode)
+    with mock.patch.object(bounds_module, "_bounds", spy):
+        got = _outcome(engine, idx)
+    _assert_same(got, _outcome(_rebuilt_bounds(panel, mode), idx), None)
+    want = GroupKey(panel).counts(idx).arms
+    assert counts[0].dtype == want.dtype and counts[0].tolist() == want.tolist()
 
 
 # -- trimmed means from resample counts -----------------------------------------
@@ -213,6 +279,6 @@ def test_count_trimmed_mean_matches_trimmed_mean_of_the_resample(drawn, keep, si
     mult = np.array([m for _, m in drawn])
     assume(mult.sum() > 0)
     order = np.argsort(values, kind="stable")
-    got = _trimmed_mean_counts(values[order], mult[order], keep, side)
+    got = _trimmed_mean_counts(values[order], mult[order], np.cumsum(mult[order]), keep, side)
     want = trimmed_mean(np.repeat(values, mult), keep, side)
     assert got == pytest.approx(want, rel=0.0, abs=1e-12 * (1.0 + np.abs(values).max()))
