@@ -241,10 +241,6 @@ class BoundResult:
             if not 0.0 < self.trim_share[d] <= 1.0:
                 raise ValueError(f"trim_share[{d}] = {self.trim_share[d]} outside (0, 1]")
 
-    @property
-    def interval(self) -> Interval:
-        return Interval(self.lb, self.ub)
-
 
 _MONOTONE_ASSUMPTIONS = (
     "response monotonicity",

@@ -395,6 +395,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InputError as exc:
         print(f"did-miss: error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("did-miss: error: not enough memory for this run", file=sys.stderr)
+        return 1
     except EstimatorError as exc:
         print(f"did-miss: refused: {exc}", file=sys.stderr)
         return 2

@@ -46,14 +46,6 @@ class Interval:
         if self.lo > self.hi:  # tolerate sub-1e-15 float dust, normalise away
             object.__setattr__(self, "hi", self.lo)
 
-    @property
-    def is_point(self) -> bool:
-        return self.lo == self.hi
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
     def contains(self, x: float, slack: float = 0.0) -> bool:
         return self.lo - slack <= x <= self.hi + slack
 
@@ -98,15 +90,9 @@ class ClipEvent:
     clipped: float
 
 
-def clip01(
-    value: float,
-    quantity: str,
-    events: list[ClipEvent],
-    lo: float = 0.0,
-    hi: float = 1.0,
-) -> float:
-    """Clip ``value`` into [lo, hi], appending a ClipEvent when it moved."""
-    clipped = min(max(value, lo), hi)
+def clip01(value: float, quantity: str, events: list[ClipEvent]) -> float:
+    """Clip ``value`` into [0, 1], appending a ClipEvent when it moved."""
+    clipped = min(max(value, 0.0), 1.0)
     if clipped != value:
         events.append(ClipEvent(quantity=quantity, raw=float(value), clipped=float(clipped)))
     return clipped

@@ -204,11 +204,6 @@ class PanelDataset:
         """Boolean mask: both outcomes observed (R1 = 1 and R2 = 1)."""
         return self.r1 & self.r2
 
-    @property
-    def delta_y(self) -> np.ndarray:
-        """Y2 - Y1 (NaN wherever either outcome is missing)."""
-        return self.y2 - self.y1
-
     def _take(self, idx: np.ndarray) -> "PanelDataset":
         """Row-subset without re-validation (bootstrap hot path)."""
         return PanelDataset(
@@ -218,13 +213,6 @@ class PanelDataset:
             unit_ids=None,
             outcome_support=self.outcome_support,
             _validate=False,
-        )
-
-    def with_support(self, lo: float, hi: float) -> "PanelDataset":
-        """Copy of this dataset with a declared outcome support."""
-        return PanelDataset(
-            self.d, self.y1, self.y2, aux=self.aux, x=self.x,
-            unit_ids=self._unit_ids, outcome_support=(lo, hi),
         )
 
 

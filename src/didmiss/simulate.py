@@ -758,15 +758,10 @@ def simulate_panel(spec: DgpSpec) -> tuple[PanelDataset, OraclePanel, OracleTrut
 OracleInput = Union[OraclePanel, Iterable[OracleRecord]]
 
 
-def _as_oracle(records: OracleInput) -> OraclePanel:
-    """The oracle both identities read, with its arm and stratum codes checked
-    and every unit's untreated change and treatment effect finite."""
-    return _checked(records)[0]
-
-
 def _checked(records: OracleInput) -> tuple[OraclePanel, np.ndarray, np.ndarray]:
-    """``_as_oracle`` with the two changes it checks: every unit's untreated
-    change ``y2_0 - y1_true`` and treatment effect ``y2_1 - y2_0``."""
+    """The oracle both identities read, with its arm and stratum codes checked,
+    and the two changes it checks finite: every unit's untreated change
+    ``y2_0 - y1_true`` and treatment effect ``y2_1 - y2_0``."""
     oracle = records if isinstance(records, OraclePanel) else _from_records(records)
     for name, codes, top in (("treatment", oracle.d, 1), ("stratum code", oracle.s, 3)):
         bad = np.flatnonzero((codes < 0) | (codes > top))
@@ -1349,7 +1344,9 @@ def _solve_multi_instrument() -> tuple[float, float, float, float]:
     V-response gap is 0.30.
 
     The root was found once with a numerical solver (tolerance 1e-13) and is
-    written out to the last bit; ``equations`` re-verifies it on every call.
+    written out to the last bit; ``equations`` re-verifies the gap conditions
+    on every call, and ``_verify_multi_iv`` checks the paired estimator's
+    exactness on the design's expected counts.
     """
     cells = [(v, a1, a2) for v in (0, 1) for a1 in (0, 1) for a2 in (0, 1)]
 
@@ -1359,45 +1356,23 @@ def _solve_multi_instrument() -> tuple[float, float, float, float]:
     def equations(h: Sequence[float]) -> list[float]:
         p = {c: _multi_iv_response(h, *c) for c in cells}
 
-        def group(level_of, level, observed: bool):
+        def mean_shift(k: int, level: int, observed: bool) -> float:
             mass = mean_sum = 0.0
             for c in cells:
-                if level_of(c) != level:
+                if c[k] != level:
                     continue
                 w = p[c] if observed else 1.0 - p[c]
                 mass += w
                 mean_sum += w * shift(*c)
-            return mass, mean_sum / mass
+            return mean_sum / mass
 
-        def gap(level_of, level) -> float:
-            _, obs = group(level_of, level, True)
-            _, miss = group(level_of, level, False)
-            return obs - miss
+        def gap(k: int, level: int) -> float:
+            return mean_shift(k, level, True) - mean_shift(k, level, False)
 
-        def numer(level_of) -> float:
-            _, hi = group(level_of, 1, True)
-            _, lo = group(level_of, 0, True)
-            return hi - lo
-
-        def q(level_of, level) -> float:
-            mass, _ = group(level_of, level, True)
-            return 1.0 - mass / 4.0  # four equal-weight cells per level
-
-        def a1_of(c):
-            return c[1]
-
-        def a2_of(c):
-            return c[2]
-        obs_mass = sum(p[c] for c in cells)
-        marg_obs = sum(p[c] * shift(*c) for c in cells) / obs_mass
-        marg_miss = sum((1 - p[c]) * shift(*c) for c in cells) / (8.0 - obs_mass)
-        gamma = marg_obs - marg_miss
-        composite = (q(a2_of, 1) - q(a2_of, 0)) - (q(a1_of, 1) - q(a1_of, 0))
         mean_v_gap = h[0] + (h[1] + h[2]) / 2.0 + h[3] / 4.0
         return [
-            gap(a1_of, 0) - gap(a1_of, 1),
-            gap(a2_of, 0) - gap(a2_of, 1),
-            (numer(a1_of) - numer(a2_of)) + gamma * composite,
+            gap(1, 0) - gap(1, 1),  # cells are (v, a1, a2): k=1 is a1, k=2 is a2
+            gap(2, 0) - gap(2, 1),
             mean_v_gap - 0.30,
         ]
 
@@ -1432,6 +1407,41 @@ def _require(condition: bool, kind: str, message: str) -> None:
         raise RuntimeError(f"preset {kind!r} failed its construction check: {message}")
 
 
+def _instrument_spec(n: int, seed: int, cells: Sequence[Cell]) -> DgpSpec:
+    """The instrument presets' shared design: one pattern column per ``aux_pattern`` entry."""
+    return DgpSpec(
+        n=n,
+        seed=seed,
+        joint_sd=_aggregate_joint(0.5, cells),
+        trend=(0.4,) * 4,
+        baseline=((5.0, 5.0),) * 4,
+        effect=(1.0,) * 4,
+        noise_sd=0.25,
+        r1_model=R1Model("mcar", 0.85),
+        aux_models=(AuxModel("pattern"),) * len(cells[0].aux_pattern),
+        covariate_model=tuple(cells),
+    )
+
+
+def _strata_spec(
+    n: int, seed: int, pi_treated: Sequence[float], pi_control: Sequence[float], **fields
+) -> DgpSpec:
+    """The bounds presets' shared design: no cell layer, each arm half the
+    sample with its ``Pr(S | D)`` row, noise 0.5 and one independent
+    auxiliary column; ``fields`` are the remaining ``DgpSpec`` fields."""
+    return DgpSpec(
+        n=n,
+        seed=seed,
+        joint_sd=(
+            tuple(0.5 * p for p in pi_control),
+            tuple(0.5 * p for p in pi_treated),
+        ),
+        noise_sd=0.5,
+        aux_models=(AuxModel("independent", 0.5),),
+        **fields,
+    )
+
+
 def _preset_zero_bias(n: int, seed: int) -> DgpSpec:
     cells = []
     for a in (0, 1):
@@ -1445,18 +1455,7 @@ def _preset_zero_bias(n: int, seed: int) -> DgpSpec:
                 aux_pattern=(a,),
             )
         )
-    return DgpSpec(
-        n=n,
-        seed=seed,
-        joint_sd=_aggregate_joint(0.5, cells),
-        trend=(0.4,) * 4,
-        baseline=((5.0, 5.0),) * 4,
-        effect=(1.0,) * 4,
-        noise_sd=0.25,
-        r1_model=R1Model("mcar", 0.85),
-        aux_models=(AuxModel("pattern"),),
-        covariate_model=tuple(cells),
-    )
+    return _instrument_spec(n, seed, cells)
 
 
 def _verify_zero_bias(spec: DgpSpec) -> None:
@@ -1485,18 +1484,7 @@ def _preset_homogeneous_bias(n: int, seed: int) -> DgpSpec:
                     aux_pattern=(a,),
                 )
             )
-    return DgpSpec(
-        n=n,
-        seed=seed,
-        joint_sd=_aggregate_joint(0.5, cells),
-        trend=(0.4,) * 4,
-        baseline=((5.0, 5.0),) * 4,
-        effect=(1.0,) * 4,
-        noise_sd=0.25,
-        r1_model=R1Model("mcar", 0.85),
-        aux_models=(AuxModel("pattern"),),
-        covariate_model=tuple(cells),
-    )
+    return _instrument_spec(n, seed, cells)
 
 
 def _verify_homogeneous_bias(spec: DgpSpec) -> None:
@@ -1533,18 +1521,7 @@ def _preset_multi_iv(n: int, seed: int) -> DgpSpec:
                         aux_pattern=(a1, a2),
                     )
                 )
-    return DgpSpec(
-        n=n,
-        seed=seed,
-        joint_sd=_aggregate_joint(0.5, cells),
-        trend=(0.4,) * 4,
-        baseline=((5.0, 5.0),) * 4,
-        effect=(1.0,) * 4,
-        noise_sd=0.25,
-        r1_model=R1Model("mcar", 0.85),
-        aux_models=(AuxModel("pattern"), AuxModel("pattern")),
-        covariate_model=tuple(cells),
-    )
+    return _instrument_spec(n, seed, cells)
 
 
 def _verify_multi_iv(spec: DgpSpec) -> None:
@@ -1640,21 +1617,15 @@ def _verify_pi(spec: DgpSpec) -> None:
 
 
 def _preset_mnar_baseline(n: int, seed: int) -> DgpSpec:
-    pi_treated = (0.50, 0.20, 0.10, 0.20)
-    pi_control = (0.60, 0.10, 0.15, 0.15)
-    return DgpSpec(
-        n=n,
-        seed=seed,
-        joint_sd=(
-            tuple(0.5 * p for p in pi_control),
-            tuple(0.5 * p for p in pi_treated),
-        ),
+    return _strata_spec(
+        n,
+        seed,
+        pi_treated=(0.50, 0.20, 0.10, 0.20),
+        pi_control=(0.60, 0.10, 0.15, 0.15),
         trend=(0.5, 1.0, 0.2, 0.8),
         baseline=((5.0, 5.0), (4.0, 4.0), (4.5, 4.5), (3.0, 3.0)),
         effect=(1.0, 1.5, 0.5, 0.8),
-        noise_sd=0.5,
         r1_model=R1Model("always-observed"),
-        aux_models=(AuxModel("independent", 0.5),),
     )
 
 
@@ -1666,21 +1637,15 @@ def _verify_mnar_baseline(spec: DgpSpec) -> None:
 
 
 def _preset_monotone(n: int, seed: int) -> DgpSpec:
-    pi_treated = (0.7, 0.2, 0.0, 0.1)
-    pi_control = (0.7, 0.1, 0.0, 0.2)
-    return DgpSpec(
-        n=n,
-        seed=seed,
-        joint_sd=(
-            tuple(0.5 * p for p in pi_control),
-            tuple(0.5 * p for p in pi_treated),
-        ),
+    return _strata_spec(
+        n,
+        seed,
+        pi_treated=(0.7, 0.2, 0.0, 0.1),
+        pi_control=(0.7, 0.1, 0.0, 0.2),
         trend=(0.3, 0.9, 0.0, 0.6),
         baseline=((5.0, 5.0), (4.2, 4.2), (0.0, 0.0), (3.5, 3.5)),
         effect=(1.0, 1.6, 0.0, 0.4),
-        noise_sd=0.5,
         r1_model=R1Model("mcar", 0.9),
-        aux_models=(AuxModel("independent", 0.5),),
     )
 
 
@@ -1697,21 +1662,15 @@ def _verify_monotone(spec: DgpSpec) -> None:
 
 
 def _preset_no_monotone(n: int, seed: int) -> DgpSpec:
-    pi_treated = (0.55, 0.15, 0.10, 0.20)
-    pi_control = (0.50, 0.20, 0.15, 0.15)
-    return DgpSpec(
-        n=n,
-        seed=seed,
-        joint_sd=(
-            tuple(0.5 * p for p in pi_control),
-            tuple(0.5 * p for p in pi_treated),
-        ),
+    return _strata_spec(
+        n,
+        seed,
+        pi_treated=(0.55, 0.15, 0.10, 0.20),
+        pi_control=(0.50, 0.20, 0.15, 0.15),
         trend=(0.4, 1.0, 0.1, 0.7),
         baseline=((5.0, 5.0), (4.0, 4.0), (4.5, 4.5), (3.0, 3.0)),
         effect=(1.0, 1.4, 0.6, 0.8),
-        noise_sd=0.5,
         r1_model=R1Model("always-observed"),
-        aux_models=(AuxModel("independent", 0.5),),
     )
 
 

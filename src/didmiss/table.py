@@ -329,8 +329,10 @@ def write_tables(
     docstring), however many destinations take it. Destinations are opened
     in order. One that cannot be opened is an ``InputError`` naming it,
     raised after those before it are written in full; those after it are
-    not opened. A path naming the same file as an earlier one replaces it,
-    as a second write would.
+    not opened. A path that cannot be written or closed (a full disk) is an
+    ``InputError`` naming it too; every file opened is closed, and what was
+    written stays. A path naming the same file as an earlier one replaces
+    it, as a second write would.
     """
     targets: list[tuple[IO[str], int]] = []
     owned: list[IO[str]] = []
@@ -343,7 +345,7 @@ def write_tables(
             try:
                 handle = open(dest, "w", newline="")
             except OSError as exc:
-                failure = InputError(f"cannot write {dest}: {exc.strerror}")
+                failure = _cannot_write(dest, exc)
                 break
             owned.append(handle)
             opened = os.fstat(handle.fileno())
@@ -353,18 +355,26 @@ def write_tables(
             ]
             targets.append((handle, width))
         if targets:
-            _write(targets, header, columns)
+            _write(targets, header, columns, owned)
     finally:
         for handle in owned:
-            handle.close()
+            try:
+                handle.close()
+            except OSError as exc:  # what is still buffered is written here
+                failure = failure or _cannot_write(handle.name, exc)
     if failure is not None:
         raise failure
+
+
+def _cannot_write(dest: object, exc: OSError) -> InputError:
+    return InputError(f"cannot write {dest}: {exc.strerror}")
 
 
 def _write(
     targets: Sequence[tuple[IO[str], int]],
     header: Sequence[str],
     columns: Sequence[Sequence[object]],
+    owned: Sequence[IO[str]],
 ) -> None:
     """Format each chunk of the table once; write each handle its first columns."""
     widths = sorted({width for _, width in targets})
@@ -381,4 +391,7 @@ def _write(
             rows = [a + "," + b for a, b in zip(rows, more)] if done else list(more)
             text[width], done = _lines(rows, width), width
         for handle, width in targets:
-            handle.write(text[width])
+            try:
+                handle.write(text[width])
+            except OSError as exc:  # a handle the caller gave keeps its own error
+                raise _cannot_write(handle.name, exc) if handle in owned else exc

@@ -27,7 +27,7 @@ from didmiss.simulate import (
     OraclePanel,
     OracleTruth,
     TrendMixtureReport,
-    _as_oracle,
+    _checked,
 )
 
 
@@ -368,7 +368,7 @@ def reference_simulate_panel(spec: DgpSpec) -> tuple[PanelDataset, OraclePanel, 
 
 def reference_decompose_att(records: OracleInput) -> AttDecomposition:
     """``decompose_att`` with one boolean-mask pass per group."""
-    oracle = _as_oracle(records)
+    oracle, _, _ = _checked(records)
     d = oracle.d
     s = oracle.s
     treated = d == 1
@@ -447,7 +447,7 @@ def reference_decompose_att(records: OracleInput) -> AttDecomposition:
 
 def reference_check_trend_mixture(records: OracleInput) -> TrendMixtureReport:
     """``check_trend_mixture`` with one boolean-mask pass per group."""
-    oracle = _as_oracle(records)
+    oracle, _, _ = _checked(records)
     delta0 = oracle.y2_0 - oracle.y1_true
     d = oracle.d
     s = oracle.s

@@ -468,6 +468,27 @@ def test_report_to_a_full_device_exits_1_with_one_line(toy_path):
     assert done.stderr == "did-miss: error: cannot write standard output: No space left on device\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("files", [["--out", "/dev/full"], ["--out", "p.csv", "--truth", "/dev/full"]])
+def test_a_file_on_a_full_device_exits_1_with_one_line(tmp_path, files):
+    done = cli_process(
+        "simulate", "--preset", "monotone", "--n", 2000, *files, cwd=tmp_path, capture_output=True
+    )
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == "did-miss: error: cannot write /dev/full: No space left on device\n"
+    # what was written before the failure stays
+    assert (tmp_path / "p.csv").exists() == ("p.csv" in files)
+
+
+def test_out_of_memory_exits_1_with_one_line(capsys, tmp_path, monkeypatch):
+    def no_memory(spec):
+        raise MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000,)")
+
+    monkeypatch.setattr("didmiss.cli.simulate_panel", no_memory)
+    code, out, err = run(capsys, "simulate", "--preset", "monotone", "--out", tmp_path / "x.csv")
+    assert (code, out, err) == (1, "", "did-miss: error: not enough memory for this run\n")
+
+
 def test_report_to_a_closed_pipe_exits_1_in_silence(toy_path):
     proc = cli_process(
         "cc", "--input", toy_path, run=subprocess.Popen,

@@ -12,8 +12,7 @@ from didmiss.common import clip01
 
 def test_interval_basics():
     iv = Interval(0.25, 0.75)
-    assert iv.width == 0.5
-    assert not iv.is_point
+    assert (iv.lo, iv.hi) == (0.25, 0.75)
     assert iv.contains(0.25) and iv.contains(0.75)
     assert not iv.contains(0.76)
     assert iv.contains(0.76, slack=0.02)
@@ -21,7 +20,7 @@ def test_interval_basics():
 
 def test_interval_point():
     iv = Interval.point(0.3)
-    assert iv.is_point and iv.width == 0.0 and iv.contains(0.3)
+    assert iv.lo == iv.hi == 0.3 and iv.contains(0.3)
 
 
 def test_interval_rejects_nan_and_disorder():
@@ -34,7 +33,7 @@ def test_interval_rejects_nan_and_disorder():
 def test_interval_normalizes_float_dust():
     # Endpoints out of order by less than 1e-15 collapse to a point.
     iv = Interval(0.5, 0.5 - 1e-16)
-    assert iv.is_point and iv.lo == 0.5
+    assert iv.lo == iv.hi == 0.5
 
 
 def test_clip01_records_events_only_when_moving():
@@ -45,5 +44,4 @@ def test_clip01_records_events_only_when_moving():
     assert clip01(1.5, "q", events) == 1.0
     assert [e.quantity for e in events] == ["p", "q"]
     assert events[0].raw == -0.2 and events[0].clipped == 0.0
-    assert clip01(0.9, "r", events, hi=0.8) == 0.8
-    assert events[-1].raw == 0.9
+    assert events[-1].raw == 1.5 and events[-1].clipped == 1.0

@@ -44,12 +44,6 @@ def test_toy_missingness_masks(toy):
     assert toy.complete_case.tolist() == [1, 0, 0, 1, 1, 0, 1, 0, 0]
 
 
-def test_toy_delta_y_nan_where_either_missing(toy):
-    dy = toy.delta_y
-    assert dy[0] == 1.0 and dy[3] == 1.0 and dy[4] == 2.0 and dy[6] == 1.0
-    assert all(math.isnan(dy[i]) for i in (1, 2, 5, 7, 8))
-
-
 def test_toy_rates_match_hand_counts(toy):
     rates = compute_rates(toy)
     assert rates.n == (3, 6)
@@ -309,14 +303,6 @@ def test_support_containment_enforced():
 def test_non_finite_support_says_so(support):
     with pytest.raises(InputError, match=r"^outcome support endpoints are not finite: "):
         make_panel([0, 1], [1.0, 1.0], [1.0, 1.0], outcome_support=support)
-
-
-def test_with_support_revalidates(toy):
-    widened = toy.with_support(-10.0, 10.0)
-    assert widened.outcome_support == (-10.0, 10.0)
-    assert toy.outcome_support is None
-    with pytest.raises(InputError, match="outside the declared support"):
-        toy.with_support(0.0, 2.0)
 
 
 def test_missing_outcomes_do_not_trip_support_check():
