@@ -170,20 +170,22 @@ def trimmed_mean(
     floor(p*n) values fully and the next value with fractional weight
     p*n - floor(p*n), then takes the weighted mean. side="top" mirrors from
     above. keep = 1 returns the plain mean exactly (same floating-point
-    result as numpy.mean on the unsorted input).
+    result as numpy.mean on the unsorted input). A NaN or infinite value is
+    refused, and so is a mean that overflows.
     """
     v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1:
-        v = v.ravel()
-    if v.size == 0:
-        raise InputError("trimmed_mean requires nonempty values")
+    if v.ndim != 1 or v.size == 0:
+        raise InputError(f"trimmed_mean requires a nonempty 1-D sample, got shape {v.shape}")
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        raise InputError(f"trimmed_mean requires finite values, got {v[bad[0]]} at index {bad[0]}")
     if not 0.0 < keep <= 1.0:
         raise InputError(f"keep fraction must be in (0, 1], got {keep}")
     if side not in ("bottom", "top"):
         raise InputError(f"side must be 'bottom' or 'top', got {side!r}")
-    if keep == 1.0:
-        return float(v.mean())
-    return _trimmed_sorted(_sorted(v), keep, side)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(v.mean()) if keep == 1.0 else _trimmed_sorted(_sorted(v), keep, side)
+    return finite(mean, "the trimmed mean")
 
 
 def _sorted(v: np.ndarray) -> np.ndarray:

@@ -55,38 +55,17 @@ from .simulate import (
     simulate_panel,
 )
 
-__all__ = ["RunReport", "main"]
+__all__ = ["main"]
 
 _PAIR_LABEL = dict(zip(STRATUM_PAIRS, STRATUM_LABELS))
 
 
-@dataclasses.dataclass(frozen=True)
-class RunReport:
-    """One CLI run: command echo, data fingerprint, result, provenance."""
-
-    tool: str
-    version: str
-    command: str
-    options: Mapping[str, Any]
-    data: Mapping[str, Any] | None
-    result: Any
-    diagnostics: Any
-    environment: Mapping[str, Any]
-    status: str = "ok"
-
-    def to_json(self) -> str:
-        payload = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
-        return json.dumps(payload, allow_nan=False)
-
-    def to_pretty(self) -> str:
-        lines = [f"{self.tool} {self.version} — {self.command} [{self.status}]"]
-        for section in ("options", "data", "result", "diagnostics", "environment"):
-            value = getattr(self, section)
-            if value is None:
-                continue
-            lines.append(f"{section}:")
-            lines.extend(_pretty_lines(value, indent=1))
-        return "\n".join(lines)
+def _pretty(report: Mapping[str, Any]) -> str:
+    """``report`` as aligned text: a title line, then each section that is a
+    mapping (a null section is left out)."""
+    title = "{tool} {version} — {command} [{status}]".format(**report)
+    sections = {key: value for key, value in report.items() if isinstance(value, Mapping)}
+    return "\n".join([title, *_pretty_lines(sections, indent=0)])
 
 
 def _pretty_lines(value: Any, indent: int) -> list[str]:
@@ -152,27 +131,29 @@ def _json(value: Any) -> Any:
 
 def _report(
     args: argparse.Namespace, data: Mapping[str, Any], result: Any, diagnostics: Any
-) -> RunReport:
-    """The one report envelope: options echo every flag but --pretty; seed
-    and level are null when no bootstrap was asked for."""
+) -> dict[str, Any]:
+    """The one report envelope, in output order: command echo, data
+    fingerprint, result, provenance.  Options echo every flag but --pretty;
+    seed and level are null when no bootstrap was asked for."""
     options = {k: v for k, v in vars(args).items() if k not in ("command", "pretty")}
     if "bootstrap" in options and options["bootstrap"] is None:
         options.update(seed=None, level=None)
-    return RunReport(
-        tool="did-miss",
-        version=__version__,
-        command=args.command,
-        options=options,
-        data=data,
-        result=_json(result),
-        diagnostics=_json(diagnostics),
-        environment={
+    return {
+        "tool": "did-miss",
+        "version": __version__,
+        "command": args.command,
+        "options": options,
+        "data": data,
+        "result": _json(result),
+        "diagnostics": _json(diagnostics),
+        "environment": {
             "package": __version__,
             "python": platform.python_version(),
             "numpy": np.__version__,
             "seed": options.get("seed"),
         },
-    )
+        "status": "ok",
+    }
 
 
 def _fingerprint(data: PanelDataset) -> dict[str, Any]:
@@ -265,7 +246,7 @@ def build_parser() -> _Parser:
     dec.add_argument("--truth", required=True, help="oracle CSV written by 'simulate --truth'")
 
     # subparsers inherit _Parser, so their usage errors also exit with code 1
-    for sub in (cc, iv, bounds, pi, rates, sim, dec):
+    for sub in commands.choices.values():
         sub.add_argument("--pretty", action="store_true", help="human-readable rendering")
     return parser
 
@@ -402,11 +383,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"did-miss: refused: {exc}", file=sys.stderr)
         return 2
     try:
-        text = report.to_json()
+        text = json.dumps(report, allow_nan=False)
     except ValueError:  # JSON has no NaN or infinity
         print("did-miss: refused: the result is not finite (NaN or infinity)", file=sys.stderr)
         return 2
-    output = report.to_pretty() if args.pretty else text
+    output = _pretty(report) if args.pretty else text
     try:
         print(output)
         sys.stdout.flush()

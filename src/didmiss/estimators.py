@@ -38,10 +38,8 @@ __all__ = [
     "ESTIMATOR_HANDLES",
 ]
 
-#: Named estimator handles shared with the CLI. "att-ar-bounds" is listed for
-#: discoverability but is interval-valued: bootstrap_ci refuses it and points
-#: at bounds.bootstrap_bounds instead.
-ESTIMATOR_HANDLES = ("cc-did", "iv", "att-ar-bounds", "pi")
+#: Named estimator handles shared with the CLI (see bootstrap_ci).
+ESTIMATOR_HANDLES = ("cc-did", "iv", "pi")
 
 
 @dataclass(frozen=True)
@@ -164,14 +162,10 @@ def _replicate_fn(
         from .principal import _principal_ignorability
 
         groups, formula = GroupKey(data, cells=True), _principal_ignorability
-    elif estimator == "att-ar-bounds":
-        raise InputError(
-            "att-ar-bounds is interval-valued; use bounds.bootstrap_bounds, "
-            "which bootstraps LB and UB separately"
-        )
     else:
         raise InputError(
-            f"unknown estimator handle {estimator!r}; expected one of {ESTIMATOR_HANDLES}"
+            f"unknown estimator handle {estimator!r}; expected one of {ESTIMATOR_HANDLES} "
+            "(interval estimands are handled by bounds.bootstrap_bounds)"
         )
     return formula(groups.counts()), lambda idx: (formula(groups.counts(idx)).point,)
 
@@ -229,6 +223,13 @@ def bootstrap_ci(
     left it outside (noted as "ci_widened"). Replicates whose estimator run
     fails are dropped and counted; if more than half fail, the last estimator
     error propagates.
+
+    ``estimator`` is a callable returning an Estimate, or one of
+    ESTIMATOR_HANDLES: "cc-did" is did_complete_case, "pi" is
+    att_principal_ignorability, and "iv" is ``att_iv(data, 0)``, instrument
+    0 only; to bootstrap another instrument, pass a callable such as
+    ``lambda d: att_iv(d, 1)[0]``. Interval estimands are bootstrapped by
+    bounds.bootstrap_bounds.
     """
     full, replicate = _replicate_fn(data, estimator)
     return _percentile_ci(full, replicate, len(data), cfg)

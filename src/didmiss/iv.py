@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .common import EPS_DENOM, finite
+from .common import EPS_DENOM, finite, is_integer
 from .errors import EstimatorError, InputError
 from .estimators import Estimate, _complete_case
 from .panel import GroupCounts, GroupKey, PanelDataset
@@ -131,13 +131,18 @@ def _corrected(
 def _iv_engine(
     data: PanelDataset, aux: tuple[int, ...]
 ) -> tuple[Estimate, IvDiagnostics, Callable[[np.ndarray], tuple[float]]]:
-    """``att_iv`` (one index) or ``att_iv_multi`` (a pair), and the point of
-    the resample at given row indices, from the same group counts."""
+    """``att_iv`` (one index) or ``att_iv_multi`` (a pair of different
+    indices), and the point of the resample at given row indices, from the
+    same group counts."""
     for k in aux:
+        if not is_integer(k):
+            raise InputError(f"aux index must be an integer, got {k!r}")
         if not 0 <= k < data.n_aux:
             raise InputError(
                 f"aux index {k} out of range: dataset has {data.n_aux} auxiliary indicator(s)"
             )
+    if len(aux) == 2 and aux[0] == aux[1]:
+        raise InputError(f"an instrument pair needs two different aux indices, got {aux[0]} twice")
     groups = GroupKey(data, aux=aux)
     formula = _iv_single if len(aux) == 1 else _iv_pair
     est, diag = formula(groups.counts())
@@ -172,8 +177,10 @@ def att_iv_multi(
     shift carried by both instruments cancels in numer1 - numer2, which is
     what licenses using instruments that individually shift the trend.
     """
-    k1, k2 = aux_pair
-    return _iv_engine(data, (k1, k2))[:2]
+    aux = tuple(aux_pair) if np.iterable(aux_pair) else (aux_pair,)
+    if len(aux) != 2:
+        raise InputError(f"an instrument pair must hold exactly two aux indices, got {aux!r}")
+    return _iv_engine(data, aux)[:2]
 
 
 def _iv_pair(c: GroupCounts) -> tuple[Estimate, IvDiagnostics]:

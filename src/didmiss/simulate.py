@@ -86,6 +86,9 @@ __all__ = [
 
 _AR, _ITR, _ICR, _NR = range(4)
 
+#: Each stratum label's code: its index in :data:`STRATUM_LABELS`.
+_STRATUM_CODE = {label: code for code, label in enumerate(STRATUM_LABELS)}
+
 #: ``STRATUM_PAIRS`` as an array: row ``s`` is stratum ``s``'s potential responses.
 _RESPONSE = np.array(STRATUM_PAIRS, dtype=np.int8)
 
@@ -327,10 +330,9 @@ class DgpSpec:
                     f"cell {c.label!r} carries {got} pattern values for "
                     f"{n_pattern} pattern auxiliary models"
                 )
+        joint = _aggregate_joint((self.arm_share(0), self.arm_share(1)), cells)
         for arm in (0, 1):
-            p_arm = self.arm_share(arm)
-            for s in range(4):
-                implied = p_arm * sum(c.share[arm] * c.strata[arm][s] for c in cells)
+            for s, implied in enumerate(joint[arm]):
                 if abs(implied - self.joint_sd[arm][s]) > 1e-9:
                     raise InputError(
                         "joint_sd is inconsistent with the cell layer: "
@@ -389,11 +391,12 @@ class DgpSpec:
 class OracleRecord:
     """One unit with its latent stratum and both potential outcomes.
 
-    The observable fields (``y1``, ``y2``, ``r1``, ``r2``) are the unit's
-    row of the observable panel, with None for a missing outcome;
-    ``y1_true`` keeps the first-period outcome even when survey response
-    hides it.  Consistency between the observable and the latent fields is
-    asserted on construction.
+    The observable fields (``y1``, ``y2``) are the unit's row of the
+    observable panel, with None for a missing outcome; ``y1_true`` keeps the
+    first-period outcome even when survey response hides it.  The stratum
+    ``s`` fixes both potential responses, so the unit's arm decides whether
+    ``y2`` shows.  Consistency between the observable and the latent fields
+    is asserted on construction.
     """
 
     unit_id: str
@@ -406,33 +409,16 @@ class OracleRecord:
     y1_true: float
     y2_1: float
     y2_0: float
-    r1: int
-    r2: int
-    r2_1: int
-    r2_0: int
 
     def __post_init__(self) -> None:
-        if self.s not in STRATUM_LABELS:
+        if self.s not in _STRATUM_CODE:
             raise ValueError(f"unknown stratum label {self.s!r}")
-        pair = STRATUM_PAIRS[STRATUM_LABELS.index(self.s)]
-        if (self.r2_1, self.r2_0) != pair:
-            raise ValueError(
-                f"stratum {self.s} implies potential responses {pair}, "
-                f"got ({self.r2_1}, {self.r2_0})"
-            )
-        realized = self.r2_1 if self.d == 1 else self.r2_0
-        if self.r2 != realized:
-            raise ValueError(f"observed r2={self.r2} but potential response is {realized}")
-        expected_y2 = (self.y2_1 if self.d == 1 else self.y2_0) if self.r2 else None
-        if (self.y2 is None) != (expected_y2 is None) or (
-            self.y2 is not None and self.y2 != expected_y2
-        ):
+        r2_1, r2_0 = STRATUM_PAIRS[_STRATUM_CODE[self.s]]
+        r2, y2 = (r2_1, self.y2_1) if self.d == 1 else (r2_0, self.y2_0)
+        if self.y2 != (y2 if r2 else None):
             raise ValueError("observed y2 does not equal the selected potential outcome")
-        if self.r1:
-            if self.y1 != self.y1_true:
-                raise ValueError("observed y1 does not equal the latent first-period outcome")
-        elif self.y1 is not None:
-            raise ValueError("y1 must be None when r1 = 0")
+        if self.y1 is not None and self.y1 != self.y1_true:
+            raise ValueError("observed y1 does not equal the latent first-period outcome")
 
 
 class OraclePanel(PanelDataset):
@@ -502,10 +488,6 @@ class OraclePanel(PanelDataset):
                     self.y1_true.tolist(),
                     self.y2_1.tolist(),
                     self.y2_0.tolist(),
-                    self.r1.view(np.int8).tolist(),
-                    self.r2.view(np.int8).tolist(),
-                    self.r2_1.tolist(),
-                    self.r2_0.tolist(),
                 )
             )
         return self._records
@@ -791,7 +773,6 @@ def _from_records(records: Iterable[OracleRecord]) -> OraclePanel:
     seq = list(records)
     if not seq:
         raise InputError("no oracle records supplied")
-    codes = {label: i for i, label in enumerate(STRATUM_LABELS)}
     return OraclePanel(
         d=np.array([r.d for r in seq], dtype=np.int8),
         y1=np.array([r.y1 for r in seq], dtype=np.float64),
@@ -800,7 +781,7 @@ def _from_records(records: Iterable[OracleRecord]) -> OraclePanel:
         x=None
         if seq[0].x is None
         else np.array([r.x for r in seq], dtype=np.int64).reshape(len(seq), -1),
-        s=np.array([codes[r.s] for r in seq], dtype=np.int8),
+        s=np.array([_STRATUM_CODE[r.s] for r in seq], dtype=np.int8),
         y1_true=np.array([r.y1_true for r in seq], dtype=np.float64),
         y2_1=np.array([r.y2_1 for r in seq], dtype=np.float64),
         y2_0=np.array([r.y2_0 for r in seq], dtype=np.float64),
@@ -1224,9 +1205,7 @@ def _oracle_table(oracle: OraclePanel) -> tuple[list[str], list[Sequence[object]
     return header, columns
 
 
-_STRATUM = labels(
-    {label: code for code, label in enumerate(STRATUM_LABELS)}, "unknown stratum label"
-)
+_STRATUM = labels(_STRATUM_CODE, "unknown stratum label")
 _LATENT = floats(missing="latent outcome must not be missing")
 
 
@@ -1390,16 +1369,13 @@ def _solve_multi_instrument() -> tuple[float, float, float, float]:
 
 
 def _aggregate_joint(
-    p_treated: float, cells: Sequence[Cell]
-) -> tuple[tuple[float, float, float, float], tuple[float, float, float, float]]:
-    joint = []
-    for arm, p_arm in ((0, 1.0 - p_treated), (1, p_treated)):
-        joint.append(
-            tuple(
-                p_arm * sum(c.share[arm] * c.strata[arm][s] for c in cells) for s in range(4)
-            )
-        )
-    return (joint[0], joint[1])
+    p_arm: tuple[float, float], cells: Sequence[Cell]
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """``Pr(S = s, D = d)`` implied by the arm shares ``(control, treated)`` and the cells."""
+    return tuple(
+        tuple(p_arm[arm] * sum(c.share[arm] * c.strata[arm][s] for c in cells) for s in range(4))
+        for arm in (0, 1)
+    )
 
 
 def _require(condition: bool, kind: str, message: str) -> None:
@@ -1412,7 +1388,7 @@ def _instrument_spec(n: int, seed: int, cells: Sequence[Cell]) -> DgpSpec:
     return DgpSpec(
         n=n,
         seed=seed,
-        joint_sd=_aggregate_joint(0.5, cells),
+        joint_sd=_aggregate_joint((0.5, 0.5), cells),
         trend=(0.4,) * 4,
         baseline=((5.0, 5.0),) * 4,
         effect=(1.0,) * 4,
@@ -1574,7 +1550,7 @@ def _preset_pi(n: int, seed: int) -> DgpSpec:
     return DgpSpec(
         n=n,
         seed=seed,
-        joint_sd=_aggregate_joint(0.5, cells),
+        joint_sd=_aggregate_joint((0.5, 0.5), cells),
         trend=(0.2,) * 4,
         baseline=((5.0, 5.0),) * 4,
         effect=(1.0,) * 4,

@@ -95,6 +95,37 @@ def test_trimmed_mean_input_validation():
         trimmed_mean([1.0], 0.5, "middle")
 
 
+@pytest.mark.parametrize(
+    "values, side, where",
+    [
+        ([float("nan"), 1.0, 2.0], "bottom", "nan at index 0"),
+        ([1.0, float("inf"), 2.0], "top", "inf at index 1"),
+        ([1.0, 2.0, float("-inf")], "bottom", "-inf at index 2"),
+    ],
+    ids=["nan", "inf", "-inf"],
+)
+def test_trimmed_mean_refuses_a_non_finite_value_naming_its_index(values, side, where):
+    # a NaN sorts last, so the bottom side would silently drop it
+    with pytest.raises(InputError, match=rf"^trimmed_mean requires finite values, got {where}$"):
+        trimmed_mean(values, 0.5, side)
+
+
+@pytest.mark.parametrize(
+    "values, shape", [([[1.0, 2.0], [3.0, 4.0]], r"\(2, 2\)"), (3.0, r"\(\)")], ids=["2-D", "0-D"]
+)
+def test_trimmed_mean_refuses_a_sample_that_is_not_1d(values, shape):
+    message = rf"^trimmed_mean requires a nonempty 1-D sample, got shape {shape}$"
+    with pytest.raises(InputError, match=message):
+        trimmed_mean(values, 0.5, "bottom")
+
+
+@pytest.mark.parametrize("keep", [1.0, 0.9])
+def test_trimmed_mean_refuses_a_mean_that_overflows(keep):
+    # finite values whose sum overflows: refused, with no numpy warning
+    with pytest.raises(EstimatorError, match=r"^the result is not finite: the trimmed mean is inf"):
+        trimmed_mean([1e308, 1e308, 1.0], keep, "top")
+
+
 # -- strata proportions, point-identified (monotone) ------------------------------
 
 

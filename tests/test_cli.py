@@ -514,6 +514,16 @@ def test_aux_index_out_of_range_exits_1(capsys, toy_path):
     assert "aux index" in err
 
 
+def test_one_column_named_twice_as_an_instrument_pair_exits_1(capsys, tmp_path):
+    path = tmp_path / "pair.csv"
+    save_panel(simulate_panel(make_preset("multi-iv", n=400, seed=1))[0], path)
+    code, out, err = run(capsys, "iv", "--input", path, "--aux", 1, "--aux2", 1)
+    assert (code, out) == (1, "")
+    assert err == (
+        "did-miss: error: an instrument pair needs two different aux indices, got 1 twice\n"
+    )
+
+
 def test_pi_covariates_reports_a_late_undecodable_byte_like_every_command(capsys, tmp_path):
     # y2 is missing from the header, but the whole file is read first, so the
     # undecodable byte in the last of 3000 rows wins, as it does for cc

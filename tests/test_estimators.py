@@ -13,6 +13,7 @@ from didmiss import (
     EstimatorError,
     InputError,
     Interval,
+    OraclePanel,
     att_ar_bounds,
     att_iv,
     att_iv_multi,
@@ -260,6 +261,28 @@ def test_bootstrap_rejects_interval_estimand(medium_panel):
 def test_bootstrap_rejects_unknown_handle(medium_panel):
     with pytest.raises(InputError, match="unknown estimator"):
         bootstrap_ci(medium_panel, "nope", BootstrapConfig(replicates=5, seed=0))
+
+
+def _one_armed_oracle() -> OraclePanel:
+    """Three treated units, all observed: an oracle is not validated as a panel is."""
+    ones, codes = np.ones(3), np.ones(3, dtype=np.int8)
+    return OraclePanel(codes, ones, ones, np.zeros((3, 0), dtype=np.int8), None,
+                       s=codes * 0, y1_true=ones, y2_1=ones, y2_0=ones)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda data: bootstrap_ci(data, lambda d: 1.0, BootstrapConfig(replicates=5, seed=0)),
+         InputError, "bootstrap_ci requires a scalar estimator returning Estimate; "
+         "interval estimands are handled by bounds.bootstrap_bounds"),
+        (lambda data: naive_did_all(_one_armed_oracle()), EstimatorError, "no units in arm 0"),
+    ],
+    ids=["bootstrap-callable-returns-float", "naive-did-one-arm"],
+)
+def test_malformed_estimator_calls_are_refused_by_name(medium_panel, call, error, message):
+    with pytest.raises(error, match=rf"^{message}$"):
+        call(medium_panel)
 
 
 def test_bootstrap_counts_failed_replicates():

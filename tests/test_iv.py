@@ -14,6 +14,7 @@ from didmiss import (
     att_iv_multi,
     did_complete_case,
     make_preset,
+    simulate_panel,
 )
 from didmiss.iv import _instrument_gap, _iv_pair, _iv_single
 from didmiss.panel import GroupCounts
@@ -151,6 +152,37 @@ def test_aux_index_out_of_range():
         att_iv(single_iv_fixture(), 3)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda data: att_iv(data, 1.0), r"aux index must be an integer, got 1\.0"),
+        (lambda data: att_iv(data, True), "aux index must be an integer, got True"),
+        (lambda data: att_iv_multi(data, (0, 1.0)), r"aux index must be an integer, got 1\.0"),
+        (
+            lambda data: att_iv_multi(data, (0, 1, 1)),
+            r"an instrument pair must hold exactly two aux indices, got \(0, 1, 1\)",
+        ),
+        (
+            lambda data: att_iv_multi(data, (1,)),
+            r"an instrument pair must hold exactly two aux indices, got \(1,\)",
+        ),
+        (
+            lambda data: att_iv_multi(data, 1),
+            r"an instrument pair must hold exactly two aux indices, got \(1,\)",
+        ),
+        (
+            lambda data: att_iv_multi(data, (1, 1)),
+            "an instrument pair needs two different aux indices, got 1 twice",
+        ),
+    ],
+    ids=["float", "bool", "float-in-pair", "three", "one", "scalar", "repeated"],
+)
+def test_a_malformed_instrument_index_is_an_input_error(call, message):
+    data, _, _ = simulate_panel(make_preset("multi-iv", n=400, seed=1))
+    with pytest.raises(InputError, match=rf"^{message}$"):
+        call(data)
+
+
 def test_empty_instrument_cell_refused():
     # All treated units sit at instrument level 0 while the arm has
     # missingness, so level 1 has no complete cases.
@@ -279,7 +311,8 @@ def test_degenerate_pair_refused():
     )
     with pytest.raises(EstimatorError, match="degenerate instrument pair"):
         att_iv_multi(data, (0, 1))
-    with pytest.raises(EstimatorError, match="degenerate instrument pair"):
+    # one column named twice is a malformed request, not a refusal on the data
+    with pytest.raises(InputError, match="two different aux indices, got 0 twice"):
         att_iv_multi(data, (0, 0))
 
 

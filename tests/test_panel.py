@@ -14,6 +14,7 @@ from didmiss import (
     EstimatorError,
     InputError,
     PanelDataset,
+    RateTable,
     compute_rates,
     load_panel,
     make_preset,
@@ -261,6 +262,33 @@ def test_both_arms_required():
 def test_bad_treatment_value_rejected():
     with pytest.raises(InputError, match="treatment must be 0 or 1"):
         make_panel([0, 3], [1.0, 2.0], [2.0, 3.0])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: PanelDataset([0, 1], [1.0], [2.0, 3.0]), r"y1 has shape \(1,\), expected \(2,\)"),
+        (lambda: PanelDataset([0, 1], [1.0, 2.0], [[2.0, 3.0]]),
+         r"y2 has shape \(1, 2\), expected \(2,\)"),
+        (lambda: PanelDataset([0, 1], [1.0, 2.0], [2.0, 3.0], aux=[[1], [0], [1]]),
+         "aux has 3 rows, expected 2"),
+        (lambda: PanelDataset([0, 1], [1.0, 2.0], [2.0, 3.0], x=[[1], [0], [1]]),
+         "x has 3 rows, expected 2"),
+        (lambda: PanelDataset([0, 1], [1.0, 2.0], [2.0, 3.0], unit_ids=("a",)),
+         "1 unit ids for 2 rows"),
+        (lambda: RateTable((0, 3), (1.0, 1.0), (0.5, 0.5), (0.5, 0.5), ((), ())),
+         "arm 0 has no units"),
+        (lambda: RateTable((3, 3), (1.0, 1.5), (0.5, 0.5), (0.5, 0.5), ((), ())),
+         r"rate 1\.5 outside \[0, 1\]"),
+        (lambda: RateTable((3, 3), (1.0, 1.0), (-0.5, 0.5), (0.5, 0.5), ((), ())),
+         r"rate -0\.5 outside \[0, 1\]"),
+    ],
+    ids=["y1-shape", "y2-shape", "aux-rows", "x-rows", "unit-ids", "rates-empty-arm",
+         "rate-above-1", "rate-below-0"],
+)
+def test_malformed_columns_and_rate_tables_are_refused_by_name(build, message):
+    with pytest.raises(InputError, match=rf"^{message}$"):
+        build()
 
 
 def test_shape_mismatch_rejected():

@@ -276,16 +276,70 @@ def test_independent_aux_rate():
 
 
 def test_oracle_record_rejects_inconsistency():
-    with pytest.raises(ValueError, match="potential responses"):
-        OracleRecord(
-            unit_id="1", d=1, y1=0.0, y2=1.0, aux=(), x=None, s="AR",
-            y1_true=0.0, y2_1=1.0, y2_0=0.5, r1=1, r2=1, r2_1=1, r2_0=0,
-        )
     with pytest.raises(ValueError, match="selected potential outcome"):
         OracleRecord(
             unit_id="1", d=1, y1=0.0, y2=9.0, aux=(), x=None, s="AR",
-            y1_true=0.0, y2_1=1.0, y2_0=0.5, r1=1, r2=1, r2_1=1, r2_0=1,
+            y1_true=0.0, y2_1=1.0, y2_0=0.5,
         )
+
+
+STRATA = ((0.5, 0.2, 0.1, 0.2), (0.25, 0.25, 0.25, 0.25))
+HALVES = ((0.5, 0.5, 0.0, 0.0), (0.5, 0.5, 0.0, 0.0))
+HALVES_JOINT = ((0.25, 0.25, 0.0, 0.0), (0.25, 0.25, 0.0, 0.0))
+TREATED_AR = dict(
+    unit_id="1", d=1, y1=0.0, y2=1.0, aux=(), x=None, s="AR", y1_true=0.0, y2_1=1.0, y2_0=0.5
+)
+
+
+def _cells_spec(*cells, **overrides) -> DgpSpec:
+    return plain_spec(joint_sd=HALVES_JOINT, covariate_model=cells, **overrides)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: Cell("a", (0.5,), STRATA), InputError,
+         "cell 'a': share must be two nonnegative numbers"),
+        (lambda: Cell("a", (0.5, -0.1), STRATA), InputError,
+         "cell 'a': share must be two nonnegative numbers"),
+        (lambda: Cell("a", (0.5, 0.5), STRATA[:1]), InputError,
+         "cell 'a': strata must hold one row per arm"),
+        (lambda: Cell("a", (0.5, 0.5), (STRATA[0], (0.5, 0.5, 0.0))), InputError,
+         "cell 'a': strata row for arm 1 must be four nonnegative probabilities"),
+        (lambda: Cell("a", (0.5, 0.5), (STRATA[0], (1.5, -0.5, 0.0, 0.0))), InputError,
+         "cell 'a': strata row for arm 1 must be four nonnegative probabilities"),
+        (lambda: plain_spec(joint_sd=((0.5, 0.5), (0.0,) * 4)), InputError,
+         r"joint_sd must hold two 4-entry rows \(control, treated\)"),
+        (lambda: plain_spec(joint_sd=((0.25,) * 4,)), InputError,
+         r"joint_sd must hold two 4-entry rows \(control, treated\)"),
+        (lambda: _cells_spec(
+            Cell("a", (0.5, 0.5), HALVES, x_label=0), Cell("b", (0.5, 0.5), HALVES)
+        ), InputError, "either every cell or no cell may set x_label"),
+        (lambda: _cells_spec(Cell("a", (0.5, 0.5), HALVES), Cell("b", (0.5, 0.4), HALVES)),
+         InputError, "cell shares for arm 1 sum to 0.9, expected 1"),
+        (lambda: _cells_spec(
+            Cell("a", (0.5, 0.5), HALVES, aux_pattern=(1,)),
+            Cell("b", (0.5, 0.5), HALVES, aux_pattern=(1, 0)),
+            aux_models=(AuxModel("pattern"),),
+        ), InputError, "cell 'b' carries 2 pattern values for 1 pattern auxiliary models"),
+        (lambda: OracleRecord(**{**TREATED_AR, "s": "XX"}), ValueError,
+         "unknown stratum label 'XX'"),
+        (lambda: OracleRecord(**{**TREATED_AR, "y1": 0.25}), ValueError,
+         "observed y1 does not equal the latent first-period outcome"),
+        (lambda: decompose_att([]), InputError, "no oracle records supplied"),
+        (lambda: check_trend_mixture([OracleRecord(**TREATED_AR)] * 3), EstimatorError,
+         "trend comparison requires units in both arms"),
+    ],
+    ids=[
+        "cell-share-width", "cell-share-negative", "cell-strata-rows", "cell-strata-width",
+        "cell-strata-negative", "joint-row-width", "joint-rows", "x-label-on-some-cells",
+        "cell-shares-sum", "aux-pattern-width", "record-label", "record-y1",
+        "decompose-no-records", "trend-mixture-one-arm",
+    ],
+)
+def test_malformed_specs_records_and_oracles_are_refused_by_name(build, error, message):
+    with pytest.raises(error, match=rf"^{message}$"):
+        build()
 
 
 # -- oracle CSV round trip ---------------------------------------------------------
@@ -400,10 +454,6 @@ def oracle_rows(rows) -> list[OracleRecord]:
                 y1_true=y1t,
                 y2_1=y21,
                 y2_0=y20,
-                r1=1,
-                r2=r2,
-                r2_1=pair[0],
-                r2_0=pair[1],
             )
         )
     return records
@@ -654,10 +704,11 @@ def _design(n_cells: int, seed: int, n: int) -> DgpSpec:
         )
         for c in range(n_cells)
     )
+    p_treated = float(rng.uniform(0.2, 0.8))
     return DgpSpec(
         n=n,
         seed=seed,
-        joint_sd=_aggregate_joint(float(rng.uniform(0.2, 0.8)), cells),
+        joint_sd=_aggregate_joint((1.0 - p_treated, p_treated), cells),
         trend=tuple(map(float, rng.normal(size=4))),
         baseline=tuple(map(tuple, rng.normal(size=(4, 2)).tolist())),
         effect=tuple(map(float, rng.normal(size=4))),
@@ -725,7 +776,9 @@ def test_cell_design_draws_are_byte_identical_to_the_per_unit_reference():
         for c, s in enumerate(shares.tolist())
     )
     specs += [
-        plain_spec(n=3000, seed=seed, joint_sd=_aggregate_joint(0.4, cells), covariate_model=cells)
+        plain_spec(
+            n=3000, seed=seed, joint_sd=_aggregate_joint((0.6, 0.4), cells), covariate_model=cells
+        )
         for seed in range(3)
     ]
     assert all(map(_same_draw, specs))
