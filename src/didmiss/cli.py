@@ -70,11 +70,11 @@ def _pretty(report: Mapping[str, Any]) -> str:
 
 def _pretty_lines(value: Any, indent: int) -> list[str]:
     pad = "  " * indent
+    lines: list[str] = []
     if isinstance(value, Mapping):
         if not value:
             return [f"{pad}(none)"]
         width = max(len(str(k)) for k in value)
-        lines: list[str] = []
         for key, item in value.items():
             if isinstance(item, Mapping) or (
                 isinstance(item, list) and item and isinstance(item[0], (Mapping, list))
@@ -84,19 +84,15 @@ def _pretty_lines(value: Any, indent: int) -> list[str]:
             else:
                 lines.append(f"{pad}{str(key).ljust(width)}  {_pretty_scalar(item)}")
         return lines
-    if isinstance(value, list):
-        if not value:
-            return [f"{pad}(none)"]
-        lines = []
-        for v in value:
-            if isinstance(v, Mapping):
-                inner = _pretty_lines(v, indent + 1)
-                lines.append(f"{pad}-" + inner[0][len(pad) + 1 :])
-                lines.extend(inner[1:])
-            else:
-                lines.append(f"{pad}- {_pretty_scalar(v)}")
-        return lines
-    return [f"{pad}{_pretty_scalar(value)}"]
+    # a non-empty list: only such a list is recursed into
+    for v in value:
+        if isinstance(v, Mapping):
+            inner = _pretty_lines(v, indent + 1)
+            lines.append(f"{pad}-" + inner[0][len(pad) + 1 :])
+            lines.extend(inner[1:])
+        else:
+            lines.append(f"{pad}- {_pretty_scalar(v)}")
+    return lines
 
 
 def _pretty_scalar(value: Any) -> str:

@@ -130,6 +130,13 @@ def _occupied(c: GroupCounts) -> tuple[list[tuple], np.ndarray, np.ndarray]:
     return cells, c.n[present], c.s[present]
 
 
+def _refuse_empty(cells: list[tuple], counts: np.ndarray, what: str) -> None:
+    """Refuse, listing every ``(x, arm)`` pair whose count in ``counts[cell, arm]`` is 0."""
+    empty = [f"(x={key!r}, arm {a})" for key, row in zip(cells, counts) for a in (0, 1) if row[a] == 0]
+    if empty:
+        raise EstimatorError(f"{what}: " + ", ".join(empty))
+
+
 def _cell_scores(
     cells: list[tuple], counts: np.ndarray
 ) -> tuple[np.ndarray, dict[tuple[int, int], np.ndarray], np.ndarray, dict[tuple[int, int], float]]:
@@ -140,9 +147,7 @@ def _cell_scores(
     the always-respondent scores before clipping.
     """
     n = counts.sum(axis=(2, 3))
-    empty = [f"(x={key!r}, arm {a})" for key, row in zip(cells, n) for a in (0, 1) if row[a] == 0]
-    if empty:
-        raise EstimatorError("empty covariate cell: " + ", ".join(empty))
+    _refuse_empty(cells, n, "empty covariate cell")
 
     p_r1 = counts[:, :, 1, :].sum(axis=2) / n
     p_r2 = counts[:, :, :, 1].sum(axis=2) / n
@@ -235,13 +240,7 @@ def _principal_ignorability(c: GroupCounts) -> Estimate:
     cells, counts, sums = _occupied(c)
     n, scores, raw, normalizers = _cell_scores(cells, counts)
     n_cc = counts[:, :, 1, 1]
-    missing_cc = [
-        f"(x={key!r}, arm {a})" for key, row in zip(cells, n_cc) for a in (0, 1) if row[a] == 0
-    ]
-    if missing_cc:
-        raise EstimatorError(
-            "no complete cases in covariate cell: " + ", ".join(missing_cc)
-        )
+    _refuse_empty(cells, n_cc, "no complete cases in covariate cell")
     dy_sum = sums[:, :, 1, 1]
     p_cc = n_cc / n
 

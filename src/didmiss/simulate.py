@@ -428,10 +428,10 @@ class OraclePanel(PanelDataset):
     ``unit_ids``) are those of the :class:`~didmiss.panel.PanelDataset` the
     draw shows; the oracle adds the stratum code ``s`` (an index into
     :data:`STRATUM_LABELS`), the unmasked first-period outcome ``y1_true``
-    and both potential second-period outcomes ``y2_1`` and ``y2_0``.  The
-    potential responses ``r2_1`` and ``r2_0`` are read from ``s``.  The
-    arrays are taken as given, unchecked; ``records`` builds a row-wise
-    tuple of :class:`OracleRecord` on first access.
+    and both potential second-period outcomes ``y2_1`` and ``y2_0``; the
+    potential responses are ``STRATUM_PAIRS[s]``.  The arrays are taken as
+    given, unchecked; ``records`` builds a row-wise tuple of
+    :class:`OracleRecord` on first access.
     """
 
     __slots__ = ("s", "y1_true", "y2_1", "y2_0", "_records", "_summary")
@@ -441,7 +441,7 @@ class OraclePanel(PanelDataset):
         d: np.ndarray,
         y1: np.ndarray,
         y2: np.ndarray,
-        aux: np.ndarray,
+        aux: np.ndarray | None,
         x: np.ndarray | None,
         s: np.ndarray,
         y1_true: np.ndarray,
@@ -458,16 +458,6 @@ class OraclePanel(PanelDataset):
         self._summary: _OracleSummary | None = None
         for arr in (s, y1_true, y2_1, y2_0):
             arr.setflags(write=False)
-
-    @property
-    def r2_1(self) -> np.ndarray:
-        """Second-period response if treated, from the stratum."""
-        return _RESPONSE[:, 0].take(self.s)
-
-    @property
-    def r2_0(self) -> np.ndarray:
-        """Second-period response if untreated, from the stratum."""
-        return _RESPONSE[:, 1].take(self.s)
 
     @property
     def records(self) -> tuple[OracleRecord, ...]:
@@ -770,6 +760,7 @@ def _checked(records: OracleInput) -> tuple[OraclePanel, np.ndarray, np.ndarray]
 
 
 def _from_records(records: Iterable[OracleRecord]) -> OraclePanel:
+    """The oracle of ``records`` as the identities read it: without aux or x."""
     seq = list(records)
     if not seq:
         raise InputError("no oracle records supplied")
@@ -777,10 +768,8 @@ def _from_records(records: Iterable[OracleRecord]) -> OraclePanel:
         d=np.array([r.d for r in seq], dtype=np.int8),
         y1=np.array([r.y1 for r in seq], dtype=np.float64),
         y2=np.array([r.y2 for r in seq], dtype=np.float64),
-        aux=np.array([r.aux for r in seq], dtype=np.int8).reshape(len(seq), -1),
-        x=None
-        if seq[0].x is None
-        else np.array([r.x for r in seq], dtype=np.int64).reshape(len(seq), -1),
+        aux=None,
+        x=None,
         s=np.array([_STRATUM_CODE[r.s] for r in seq], dtype=np.int8),
         y1_true=np.array([r.y1_true for r in seq], dtype=np.float64),
         y2_1=np.array([r.y2_1 for r in seq], dtype=np.float64),
@@ -1383,19 +1372,29 @@ def _require(condition: bool, kind: str, message: str) -> None:
         raise RuntimeError(f"preset {kind!r} failed its construction check: {message}")
 
 
-def _instrument_spec(n: int, seed: int, cells: Sequence[Cell]) -> DgpSpec:
-    """The instrument presets' shared design: one pattern column per ``aux_pattern`` entry."""
+def _cell_spec(n: int, seed: int, cells: Sequence[Cell], **fields) -> DgpSpec:
+    """The cell presets' shared design: each arm half the sample, ``Pr(S, D)``
+    aggregated from ``cells``, baseline 5, effect 1 and noise 0.25; ``fields``
+    are the remaining ``DgpSpec`` fields."""
     return DgpSpec(
         n=n,
         seed=seed,
         joint_sd=_aggregate_joint((0.5, 0.5), cells),
-        trend=(0.4,) * 4,
         baseline=((5.0, 5.0),) * 4,
         effect=(1.0,) * 4,
         noise_sd=0.25,
+        covariate_model=tuple(cells),
+        **fields,
+    )
+
+
+def _instrument_spec(n: int, seed: int, cells: Sequence[Cell]) -> DgpSpec:
+    """The instrument presets' shared design: one pattern column per ``aux_pattern`` entry."""
+    return _cell_spec(
+        n, seed, cells,
+        trend=(0.4,) * 4,
         r1_model=R1Model("mcar", 0.85),
         aux_models=(AuxModel("pattern"),) * len(cells[0].aux_pattern),
-        covariate_model=tuple(cells),
     )
 
 
@@ -1547,17 +1546,11 @@ def _preset_pi(n: int, seed: int) -> DgpSpec:
             x_label=1,
         ),
     )
-    return DgpSpec(
-        n=n,
-        seed=seed,
-        joint_sd=_aggregate_joint((0.5, 0.5), cells),
+    return _cell_spec(
+        n, seed, cells,
         trend=(0.2,) * 4,
-        baseline=((5.0, 5.0),) * 4,
-        effect=(1.0,) * 4,
-        noise_sd=0.25,
         r1_model=R1Model("always-observed"),
         aux_models=(AuxModel("independent", 0.5),),
-        covariate_model=cells,
     )
 
 

@@ -209,7 +209,8 @@ def test_observable_view_consistent_with_oracle():
     assert len(data) == len(oracle) == 2_000
     assert np.array_equal(data.d, oracle.d)
     # Realized response follows the stratum of each unit and its arm.
-    expected_r2 = np.where(oracle.d == 1, oracle.r2_1, oracle.r2_0).astype(bool)
+    pairs = np.array(STRATUM_PAIRS)[oracle.s]  # (R2(1), R2(0)) of each unit
+    expected_r2 = np.where(oracle.d == 1, pairs[:, 0], pairs[:, 1]).astype(bool)
     assert np.array_equal(data.r2, expected_r2)
     assert np.array_equal(data.y1[data.r1], oracle.y1_true[data.r1])
     assert np.isnan(data.y1[~data.r1]).all()
@@ -220,7 +221,7 @@ def test_observable_view_consistent_with_oracle():
     assert truth.att == pytest.approx(
         float((oracle.y2_1 - oracle.y2_0)[treated].mean()), abs=1e-12
     )
-    always = treated & (oracle.r2_1 == 1) & (oracle.r2_0 == 1)
+    always = treated & (pairs == 1).all(axis=1)
     assert truth.att_ar == pytest.approx(
         float((oracle.y2_1 - oracle.y2_0)[always].mean()), abs=1e-12
     )
@@ -350,7 +351,7 @@ def test_oracle_round_trip():
     buffer = io.StringIO()
     save_oracle(oracle, buffer)
     reloaded = load_oracle(buffer.getvalue().encode())
-    for name in ("d", "y1", "y2", "y1_true", "y2_1", "y2_0", "s", "r1", "r2_1", "r2_0", "aux"):
+    for name in ("d", "y1", "y2", "y1_true", "y2_1", "y2_0", "s", "r1", "aux"):
         assert np.array_equal(getattr(reloaded, name), getattr(oracle, name), equal_nan=True)
     assert reloaded.x is None and oracle.x is None
     assert reloaded.unit_ids == oracle.unit_ids == tuple(str(i) for i in range(1, 201))
@@ -736,7 +737,7 @@ def _draw_bytes(draw) -> list[bytes]:
     data, oracle, truth = draw
     fields = [data.d, data.y1, data.y2, data.aux, data.x, data.r1, data.r2]
     fields += [oracle.d, oracle.y1_true, oracle.y2_1, oracle.y2_0, oracle.s, oracle.r1,
-               oracle.r2_1, oracle.r2_0, oracle.aux, oracle.x]
+               oracle.aux, oracle.x]
     return [b"none" if a is None else repr((a.dtype, a.shape)).encode() + a.tobytes()
             for a in fields] + [repr(truth).encode()]
 

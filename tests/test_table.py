@@ -457,7 +457,7 @@ def test_load_oracle_holds_about_its_typed_columns(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    arrays = ("d", "y1_true", "y2_1", "y2_0", "s", "r1", "r2_1", "r2_0", "aux")
+    arrays = ("d", "y1_true", "y2_1", "y2_0", "s", "r1", "aux")
     parsed = sum(getattr(loaded, name).nbytes for name in arrays)
     ids = loaded.unit_ids
     parsed += sys.getsizeof(ids) + sum(map(sys.getsizeof, ids))
