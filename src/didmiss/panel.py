@@ -287,15 +287,7 @@ class GroupKey:
     __slots__ = ("key", "dy", "d", "shape", "cells")
 
     def __init__(self, data: PanelDataset, aux: Sequence[int] = (), cells: bool = False) -> None:
-        key = data.d.astype(np.intp)
-        self.cells: tuple[tuple[int, ...], ...] = ((),)
-        if cells and data.x is not None:
-            self.cells, cell = _factorize(data.x)
-            key += 2 * cell
-        for column in (data.r1, data.r2) + tuple(data.aux[:, k] for k in aux):
-            key <<= 1
-            key += column
-        self.key = key
+        self.key, self.cells, self.shape = _encode(data, aux, cells)
         #: Y2 - Y1 on complete cases, 0 elsewhere (so sums skip other units):
         #: the change's bits ANDed with all ones or all zeros, without a branch
         with np.errstate(over="ignore", invalid="ignore"):
@@ -312,7 +304,6 @@ class GroupKey:
                 f"(row {i + 1}: y1={float(data.y1[i])!r}, y2={float(data.y2[i])!r})"
             )
         self.d = data.d
-        self.shape = (len(self.cells), 2, 2, 2) + (2,) * len(aux)
 
     def counts(self, idx: np.ndarray | None = None) -> "GroupCounts":
         """Group counts and sums of the units at ``idx`` (all units when None)."""
@@ -326,6 +317,30 @@ class GroupKey:
             d = self.d if idx is None else self.d[idx]
             cc_sum = np.bincount(d, weights=dy, minlength=2)
         return GroupCounts(n=n, s=s, cc_sum=cc_sum, cells=self.cells)
+
+
+def _encode(
+    data: PanelDataset, aux: Sequence[int], cells: bool
+) -> tuple[np.ndarray, tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """``GroupKey``'s per-unit key, its covariate cells and the counts' shape."""
+    key = data.d.astype(np.intp)
+    rows: tuple[tuple[int, ...], ...] = ((),)
+    if cells and data.x is not None:
+        rows, cell = _factorize(data.x)
+        key += 2 * cell
+    for column in (data.r1, data.r2) + tuple(data.aux[:, k] for k in aux):
+        key <<= 1
+        key += column
+    return key, rows, (len(rows), 2, 2, 2) + (2,) * len(aux)
+
+
+def _unit_counts(
+    data: PanelDataset, aux: Sequence[int] = (), cells: bool = False
+) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """``GroupKey``'s covariate cells and unit counts, without the Y2 - Y1
+    sums: readers of counts alone are not refused for an outcome change."""
+    key, rows, shape = _encode(data, aux, cells)
+    return rows, np.bincount(key, minlength=math.prod(shape)).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -384,8 +399,8 @@ def _ranks(codes: np.ndarray) -> np.ndarray:
 def compute_rates(data: PanelDataset) -> RateTable:
     """Empirical response-rate table of ``data`` (proportions of counts)."""
     return _rate_table(
-        GroupKey(data).counts().arms,
-        [GroupKey(data, aux=(k,)).counts().n[0] for k in range(data.n_aux)],
+        _unit_counts(data)[1][0],
+        [_unit_counts(data, aux=(k,))[1][0] for k in range(data.n_aux)],
     )
 
 

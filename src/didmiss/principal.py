@@ -50,7 +50,7 @@ from .common import ClipEvent, finite
 from .errors import EstimatorError
 from .estimators import Estimate
 from .iv import _R1_NOTE
-from .panel import GroupCounts, GroupKey, PanelDataset
+from .panel import GroupCounts, GroupKey, PanelDataset, _unit_counts
 
 __all__ = [
     "CellScores",
@@ -119,15 +119,16 @@ class PrincipalScoreTable:
                 )
 
 
-def _occupied(c: GroupCounts) -> tuple[list[tuple], np.ndarray, np.ndarray]:
-    """Cells, counts and dY sums of the cells holding at least one unit.
+def _occupied(cells: tuple[tuple, ...], n: np.ndarray, *more: np.ndarray) -> tuple:
+    """The cells holding at least one unit, with their counts ``n`` and their
+    rows of each array in ``more`` (such as the dY sums).
 
     A resample may miss a covariate cell entirely; it is then left out, just
     as it would be absent from the resampled data.
     """
-    present = c.n.reshape(c.n.shape[0], -1).any(axis=1)
-    cells = [key for key, keep in zip(c.cells, present) if keep]
-    return cells, c.n[present], c.s[present]
+    present = n.reshape(n.shape[0], -1).any(axis=1)
+    kept = [key for key, keep in zip(cells, present) if keep]
+    return kept, n[present], *(a[present] for a in more)
 
 
 def _refuse_empty(cells: list[tuple], counts: np.ndarray, what: str) -> None:
@@ -181,7 +182,7 @@ def principal_scores(data: PanelDataset) -> PrincipalScoreTable:
         rates that identify the scores have no denominator.  The message
         lists every offending ``(x, arm)`` pair.
     """
-    cells, counts, _ = _occupied(GroupKey(data, cells=True).counts())
+    cells, counts = _occupied(*_unit_counts(data, cells=True))
     n, scores, raw, normalizers = _cell_scores(cells, counts)
     e11 = scores[(1, 1)]
     events = [
@@ -237,7 +238,7 @@ def att_principal_ignorability(data: PanelDataset) -> Estimate:
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing mean is refused below
 def _principal_ignorability(c: GroupCounts) -> Estimate:
     """``att_principal_ignorability`` from counts keyed on (cell, arm, R1, R2)."""
-    cells, counts, sums = _occupied(c)
+    cells, counts, sums = _occupied(c.cells, c.n, c.s)
     n, scores, raw, normalizers = _cell_scores(cells, counts)
     n_cc = counts[:, :, 1, 1]
     _refuse_empty(cells, n_cc, "no complete cases in covariate cell")

@@ -395,8 +395,8 @@ class OracleRecord:
     observable panel, with None for a missing outcome; ``y1_true`` keeps the
     first-period outcome even when survey response hides it.  The stratum
     ``s`` fixes both potential responses, so the unit's arm decides whether
-    ``y2`` shows.  Consistency between the observable and the latent fields
-    is asserted on construction.
+    ``y2`` shows.  The arm must be the integer 0 or 1, and consistency
+    between the observable and the latent fields is asserted on construction.
     """
 
     unit_id: str
@@ -411,6 +411,8 @@ class OracleRecord:
     y2_0: float
 
     def __post_init__(self) -> None:
+        if not (is_integer(self.d) and self.d in (0, 1)):
+            raise ValueError(f"treatment {self.d!r} of unit {self.unit_id!r} is not 0 or 1")
         if self.s not in _STRATUM_CODE:
             raise ValueError(f"unknown stratum label {self.s!r}")
         r2_1, r2_0 = STRATUM_PAIRS[_STRATUM_CODE[self.s]]

@@ -16,7 +16,10 @@ from didmiss import (
     EstimatorError,
     InputError,
     Interval,
+    PrincipalScoreTable,
     RateTable,
+    STRATUM_PAIRS,
+    StrataProportions,
     att_ar_bounds,
     bootstrap_bounds,
     make_preset,
@@ -414,3 +417,22 @@ def test_the_sort_helper_on_sizes_zero_one_and_odd():
     for v in (np.zeros(0), np.array([-0.0]), np.array([math.nan]), rng.normal(size=101),
               np.round(rng.normal(size=1001), 1), np.where(rng.random(999) < 0.5, -0.0, 0.0)):
         assert _sorted(v).tobytes() == np.sort(v, kind="stable").tobytes()
+
+
+QUARTERS = {pair: Interval(0.25, 0.25) for pair in STRATUM_PAIRS}
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: StrataProportions("monotone", (QUARTERS, {**QUARTERS, (1, 0): Interval(0.5, 1.5)})),
+         "pi[1][(1, 0)] = [0.5, 1.5] outside [0, 1]"),
+        (lambda: PrincipalScoreTable(cells={}, normalizers={(1, 1): -0.25}),
+         "stratum share out of range: (1, 1) -> -0.25"),
+    ],
+    ids=["strata-interval", "principal-share"],
+)
+def test_shares_outside_the_unit_interval_are_refused(build, message):
+    with pytest.raises(ValueError) as refused:
+        build()
+    assert str(refused.value) == message

@@ -25,6 +25,7 @@ from didmiss import (
     save_panel,
     simulate_panel,
 )
+from didmiss import cli
 from didmiss.cli import main
 from didmiss.simulate import PRESET_KINDS
 
@@ -158,6 +159,15 @@ def test_non_finite_result_is_refused(capsys, tmp_path):
         code, out, err = run(capsys, "cc", "--input", path)
     assert code == 2 and out == ""
     assert err.startswith("did-miss: refused: the result is not finite")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("pretty", [(), ("--pretty",)], ids=["json", "pretty"])
+def test_a_report_holding_a_non_finite_number_is_refused(capsys, monkeypatch, value, pretty):
+    # every runner refuses such a result itself; the report check is the last guard
+    monkeypatch.setitem(cli._RUNNERS, "rates", lambda args: ({"rows": 1}, {"point": value}, None))
+    code, out, err = run(capsys, "rates", "--input", "unread.csv", *pretty)
+    assert (code, out, err) == (2, "", "did-miss: refused: the result is not finite (NaN or infinity)\n")
 
 
 def test_data_fingerprint_matches_hand_counts(capsys, toy_path):
@@ -319,6 +329,23 @@ def test_decompose_refuses_an_overflowing_oracle_in_one_line(capsys, tmp_path):
         code, out, err = run(capsys, "decompose", "--truth", path)
     assert (code, out, err.count("\n")) == (2, "", 1)
     assert err.startswith("did-miss: refused: the result is not finite: y2_0 - y1_true ")
+
+
+def test_rates_read_counts_alone_where_every_estimator_refuses_an_overflow(capsys, tmp_path):
+    # unit 1 is a complete case whose y2 - y1 overflows
+    path = tmp_path / "overflow.csv"
+    path.write_bytes(OVERFLOWING_ORACLE.encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_json(capsys, "rates", "--input", path)
+        refused = {command: run(capsys, command, "--input", path) for command in ("cc", "bounds", "pi")}
+    assert report["result"]["n"] == [2, 2] and report["result"]["p_r2"] == [1.0, 1.0]
+    line = (
+        "did-miss: refused: the result is not finite: y2 - y1 is not finite for unit '1' "
+        "(row 1: y1=-1.7e+308, y2=1.7e+308)\n"
+    )
+    for command, outcome in refused.items():
+        assert outcome == (2, "", line), command
 
 
 GROUP_OVERFLOWING_ORACLE = (

@@ -29,6 +29,20 @@ from _helpers import make_panel, reference_rate_table, repr_or_error
 # -- loading the nine-unit example table ------------------------------------
 
 
+@pytest.mark.parametrize(
+    "aux, x, n_aux",
+    [
+        (np.array([0, 1, 1, 0]), None, 1),  # a 1-D aux is one column
+        (None, np.zeros((4, 0)), 0),  # x without columns is no x
+    ],
+    ids=["1-D-aux", "zero-column-x"],
+)
+def test_constructor_reshapes_a_1d_aux_and_drops_an_empty_x(aux, x, n_aux):
+    data = PanelDataset(np.array([0, 1, 0, 1]), np.ones(4), np.ones(4), aux=aux, x=x)
+    assert data.aux.shape == (4, n_aux) and data.aux.dtype == np.int8
+    assert data.x is None and data.n_covariates == 0
+
+
 def test_toy_loads_expected_shape(toy):
     assert len(toy) == 9
     assert toy.unit_ids == tuple(str(i) for i in range(1, 10))

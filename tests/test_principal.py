@@ -147,6 +147,34 @@ def test_cell_without_complete_cases_refused():
         att_principal_ignorability(data)
 
 
+@pytest.mark.parametrize(
+    "estimator, x, y2, message",
+    [
+        (principal_scores, [0, 0, 1, 1, 2, 2, 2, 2], [1.0] * 8,
+         "empty covariate cell: (x=(0,), arm 1), (x=(1,), arm 0)"),
+        (att_principal_ignorability, [0, 0, 0, 0, 1, 1, 2, 2],
+         [1.0, 1.0, np.nan, np.nan, 1.0, 2.0, np.nan, np.nan],
+         "no complete cases in covariate cell: (x=(0,), arm 1), (x=(2,), arm 0), (x=(2,), arm 1)"),
+    ],
+    ids=["empty-cell", "no-complete-cases"],
+)
+def test_cell_refusals_list_every_cell_and_arm(estimator, x, y2, message):
+    data = make_panel([0, 0, 1, 1, 0, 1, 0, 1], [0.0] * 8, y2, x=x)
+    with pytest.raises(EstimatorError) as refused:
+        estimator(data)
+    assert str(refused.value) == message
+
+
+def test_scores_read_counts_alone_where_the_estimator_refuses_an_overflow():
+    data = two_cell_fixture()
+    y1, y2 = data.y1.copy(), data.y2.copy()
+    y1[0], y2[0] = -1.7e308, 1.7e308  # a complete case whose y2 - y1 overflows
+    huge = make_panel(data.d, y1, y2, x=data.x)
+    assert principal_scores(huge) == principal_scores(data)
+    with pytest.raises(EstimatorError, match=r"^the result is not finite: y2 - y1 is not finite"):
+        att_principal_ignorability(huge)
+
+
 def test_first_wave_gaps_annotate_the_estimand():
     data = make_panel(
         [0, 0, 1, 1, 1],

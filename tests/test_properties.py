@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from didmiss import (
     STRATUM_PAIRS,
@@ -383,6 +383,11 @@ def test_permuting_or_duplicating_the_units_leaves_every_point_unchanged(name, s
 
 @given(panels(n_aux=1), slopes, shifts, st.randoms(use_true_random=False))
 @settings(deadline=None, max_examples=40)
+@example(  # complete cases whose y2 - y1 overflows: the rates read counts alone
+    make_panel([0, 1, 0, 1], [-1.7e308, 0.5, 0.2, -1.7e308], [1.7e308, 2.5, math.nan, 1.7e308],
+               aux=[[1], [0], [1], [1]]),
+    1.0, 0.0, random.Random(0),
+)
 def test_response_rates_ignore_outcome_values_and_row_order(data, a, b, rnd):
     c = np.array([rnd.uniform(-100.0, 100.0) for _ in range(len(data))])
     order = np.array(rnd.sample(range(len(data)), len(data)))

@@ -5,9 +5,11 @@ from __future__ import annotations
 import gc
 import hashlib
 import io
+import re
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -341,6 +343,26 @@ def _cells_spec(*cells, **overrides) -> DgpSpec:
 def test_malformed_specs_records_and_oracles_are_refused_by_name(build, error, message):
     with pytest.raises(error, match=rf"^{message}$"):
         build()
+
+
+@pytest.mark.parametrize("d", [2, 1.5, 300, True], ids=["two", "fraction", "past-int8", "bool"])
+def test_oracle_record_refuses_an_arm_other_than_the_integer_0_or_1(d):
+    # y2 is the outcome the arm's check would select, so only the arm is wrong
+    record = {**TREATED_AR, "d": d, "y2": 1.0 if d == 1 else 0.5}
+    with pytest.raises(ValueError, match=rf"^treatment {re.escape(repr(d))} of unit '1' is not 0 or 1$"):
+        OracleRecord(**record)
+
+
+@pytest.mark.parametrize("kind", ["monotone", "pi"])
+def test_the_identities_ignore_record_aux_and_x(kind):
+    """Neither identity reads aux or x, so ragged widths, or an x that only a
+    later record carries, give what the records give without them."""
+    _, oracle, _ = simulate_panel(make_preset(kind, n=400, seed=2))
+    plain = [replace(r, aux=(), x=None) for r in oracle.records]
+    ragged = [replace(r, aux=(1,) * (i % 3), x=None if i == 0 else (i % 2,))
+              for i, r in enumerate(plain)]
+    for identity in (decompose_att, check_trend_mixture):
+        assert repr(identity(ragged)) == repr(identity(plain))
 
 
 # -- oracle CSV round trip ---------------------------------------------------------
