@@ -27,7 +27,7 @@ import numpy as np
 from .common import STRATUM_PAIRS, ClipEvent, Interval, clip01, finite
 from .errors import EstimatorError, InputError
 from .estimators import BootstrapConfig, _replicates
-from .panel import GroupKey, PanelDataset, RateTable, _rate_table
+from .panel import GroupKey, PanelDataset, RateTable, _rate_table, _response_rates
 
 __all__ = [
     "INCONSISTENT_FLAG",
@@ -85,11 +85,7 @@ def strata_proportions_monotone(rates: RateTable) -> StrataProportions:
     clipped, each with a recorded clip event, and flagged — never an error.
     """
     events: list[ClipEvent] = []
-    p_r1, p_r2 = rates.p_r1, rates.p_r2
-
-    pi11_1 = clip01(p_r2[0] - p_r1[0] + p_r1[1], "pi_11(1)", events)
-    pi10_1 = clip01((p_r2[1] - p_r2[0]) - (p_r1[1] - p_r1[0]), "pi_10(1)", events)
-    pi00_1 = clip01(1.0 - pi11_1 - pi10_1, "pi_00(1)", events)
+    pi11_1, pi10_1, pi00_1, pi11_0 = _monotone_shares(rates.p_r1, rates.p_r2, events)
     treated = {
         (1, 1): Interval.point(pi11_1),
         (1, 0): Interval.point(pi10_1),
@@ -97,7 +93,6 @@ def strata_proportions_monotone(rates: RateTable) -> StrataProportions:
         (0, 0): Interval.point(pi00_1),
     }
 
-    pi11_0 = clip01(p_r2[0], "pi_11(0)", events)
     rest_0 = 1.0 - pi11_0
     control = {
         (1, 1): Interval.point(pi11_0),
@@ -112,6 +107,32 @@ def strata_proportions_monotone(rates: RateTable) -> StrataProportions:
     )
 
 
+def _monotone_shares(
+    p_r1: Sequence[float], p_r2: Sequence[float], events: list[ClipEvent]
+) -> tuple[float, float, float, float]:
+    """(pi_11(1), pi_10(1), pi_00(1), pi_11(0)) of ``strata_proportions_monotone``,
+    each clipped into [0, 1] with its event appended to ``events``."""
+    pi11_1 = clip01(p_r2[0] - p_r1[0] + p_r1[1], "pi_11(1)", events)
+    pi10_1 = clip01((p_r2[1] - p_r2[0]) - (p_r1[1] - p_r1[0]), "pi_10(1)", events)
+    pi00_1 = clip01(1.0 - pi11_1 - pi10_1, "pi_00(1)", events)
+    return pi11_1, pi10_1, pi00_1, clip01(p_r2[0], "pi_11(0)", events)
+
+
+def _counterfactual_rates(
+    p_r1: Sequence[float], p_r2: Sequence[float], events: list[ClipEvent]
+) -> tuple[float, float]:
+    """Pr(R2(0)=1|D=1) and Pr(R2(1)=1|D=0) of ``strata_proportions_bounds``,
+    each clipped into [0, 1] with its event appended to ``events``."""
+    a1 = clip01(p_r2[0] - p_r1[0] + p_r1[1], "Pr(R2(0)=1|D=1)", events)
+    a0 = clip01(p_r2[1] - p_r1[1] + p_r1[0], "Pr(R2(1)=1|D=0)", events)
+    return a1, a0
+
+
+def _frechet_floor(c: float, q: float) -> float:
+    """The lower Fréchet bound of pi_11 given Pr(R2(1)=1) = c and Pr(R2(0)=1) = q."""
+    return max(0.0, c + q - 1.0)
+
+
 def _frechet_cells(
     observed: float, counterfactual: float, arm: int
 ) -> dict[tuple[int, int], Interval]:
@@ -124,7 +145,7 @@ def _frechet_cells(
     """
     c = observed if arm == 1 else counterfactual  # Pr(R2(1) = 1 | D = arm)
     q = counterfactual if arm == 1 else observed  # Pr(R2(0) = 1 | D = arm)
-    lo11 = max(0.0, c + q - 1.0)
+    lo11 = _frechet_floor(c, q)
     hi11 = min(c, q)
     return {
         (1, 1): Interval(lo11, hi11),
@@ -145,13 +166,9 @@ def strata_proportions_bounds(rates: RateTable) -> StrataProportions:
     observed and counterfactual margins.
     """
     events: list[ClipEvent] = []
-    p_r1, p_r2 = rates.p_r1, rates.p_r2
-
-    a1 = clip01(p_r2[0] - p_r1[0] + p_r1[1], "Pr(R2(0)=1|D=1)", events)
-    a0 = clip01(p_r2[1] - p_r1[1] + p_r1[0], "Pr(R2(1)=1|D=0)", events)
-
-    treated = _frechet_cells(observed=p_r2[1], counterfactual=a1, arm=1)
-    control = _frechet_cells(observed=p_r2[0], counterfactual=a0, arm=0)
+    a1, a0 = _counterfactual_rates(rates.p_r1, rates.p_r2, events)
+    treated = _frechet_cells(observed=rates.p_r2[1], counterfactual=a1, arm=1)
+    control = _frechet_cells(observed=rates.p_r2[0], counterfactual=a0, arm=0)
 
     flags = (INCONSISTENT_FLAG,) if events else ()
     return StrataProportions(
@@ -288,7 +305,37 @@ def att_ar_bounds(data: PanelDataset, mode: Mode = "monotone") -> BoundResult:
             ordered[d] = _sorted(deltas[d])
         return _trimmed_sorted(ordered[d], keep, side)
 
-    return _bounds(groups.counts().arms, trim, mode, data.outcome_support)
+    return _bound_result(groups.counts().arms, trim, mode, data.outcome_support)
+
+
+def _bound_result(
+    arms: np.ndarray,
+    trim: Callable[[int, float, str], float],
+    mode: Mode,
+    support: tuple[float, float] | None,
+) -> BoundResult:
+    """``att_ar_bounds`` from counts over (arm, R1, R2) and a trimmed-mean
+    function ``trim(arm, keep, side)`` of each arm's complete-case changes."""
+    lb, ub, shares, events, fallback, intersected = _bounds(arms, trim, mode, support)
+    rates = _rate_table(arms)
+    props = (
+        strata_proportions_monotone(rates)
+        if mode == "monotone"
+        else strata_proportions_bounds(rates)
+    )
+    flags = props.flags + (("bounds intersected with estimand range",) if intersected else ())
+    return BoundResult(
+        estimand="ATT-AR",
+        lb=lb,
+        ub=ub,
+        trim_share=shares,
+        assumptions_used=_MONOTONE_ASSUMPTIONS if mode == "monotone" else _NO_MONOTONE_ASSUMPTIONS,
+        support_fallback=fallback,
+        flags=flags,
+        n_used=int(arms[0, 1, 1] + arms[1, 1, 1]),
+        clip_events=tuple(events),
+        proportions=props,
+    )
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing trimmed mean is refused below
@@ -297,30 +344,35 @@ def _bounds(
     trim: Callable[[int, float, str], float],
     mode: Mode,
     support: tuple[float, float] | None,
-) -> BoundResult:
-    """``att_ar_bounds`` from counts over (arm, R1, R2) and a trimmed-mean
-    function ``trim(arm, keep, side)`` of each arm's complete-case changes."""
-    complete = [arm[1][1] for arm in arms.tolist()]
+) -> tuple[float, float, tuple[float, float], list[ClipEvent], bool, bool]:
+    """The bounds of ``_bound_result`` as Python scalars: (lb, ub), each
+    arm's trim share, the clip events, whether an arm fell back to the
+    declared support, and whether that moved the bounds.
+
+    An arm's bottom and top trimmed means are put in order first: on
+    near-tied changes rounding can leave the bottom one a step above.
+    """
+    counts = arms.tolist()
     for d in (0, 1):
-        if complete[d] == 0:
+        if counts[d][1][1] == 0:
             raise EstimatorError(f"no complete cases in arm {d}")
 
-    rates = _rate_table(arms)
-    props = (
-        strata_proportions_monotone(rates)
-        if mode == "monotone"
-        else strata_proportions_bounds(rates)
-    )
-    events: list[ClipEvent] = list(props.clip_events)
+    _, p_r1, p_r2 = _response_rates(counts)
+    events: list[ClipEvent] = []
+    if mode == "monotone":
+        pi11_1, _, _, pi11_0 = _monotone_shares(p_r1, p_r2, events)
+        always = (pi11_0, pi11_1)
+    else:  # the lower endpoint of each arm's Fréchet interval
+        a1, a0 = _counterfactual_rates(p_r1, p_r2, events)
+        always = (_frechet_floor(a0, p_r2[0]), _frechet_floor(p_r2[1], a1))
 
-    lower: dict[int, float] = {}
-    upper: dict[int, float] = {}
-    shares: dict[int, float] = {}
+    lower = [0.0, 0.0]
+    upper = [0.0, 0.0]
+    shares = [0.0, 0.0]
     fallback = False
     for d in (0, 1):
-        pi11 = props.pi[d][(1, 1)].lo  # lower endpoint; degenerate in monotone mode
-        rate = rates.p_r2[d]
-        share = pi11 / rate if rate > 0.0 else 0.0
+        rate = p_r2[d]
+        share = always[d] / rate if rate > 0.0 else 0.0
         if share > 1.0:
             events.append(ClipEvent(f"trim share arm {d}", raw=share, clipped=1.0))
             share = 1.0
@@ -338,30 +390,20 @@ def _bounds(
             continue
         lower[d] = trim(d, share, "bottom")
         upper[d] = lower[d] if share == 1.0 else trim(d, share, "top")  # keep 1: the plain mean
+        if upper[d] < lower[d]:
+            lower[d], upper[d] = upper[d], lower[d]
         shares[d] = share
 
     lb = lower[1] - upper[0]
     ub = upper[1] - lower[0]
-    flags = list(props.flags)
+    intersected = False
     if fallback:
         width = support[1] - support[0]  # type: ignore[index]
         clipped_lb, clipped_ub = max(lb, -width), min(ub, width)
-        if (clipped_lb, clipped_ub) != (lb, ub):
-            flags.append("bounds intersected with estimand range")
+        intersected = (clipped_lb, clipped_ub) != (lb, ub)
         lb, ub = clipped_lb, clipped_ub
-
-    return BoundResult(
-        estimand="ATT-AR",
-        lb=finite(lb, "the lower bound"),
-        ub=finite(ub, "the upper bound"),
-        trim_share=(shares[0], shares[1]),
-        assumptions_used=_MONOTONE_ASSUMPTIONS if mode == "monotone" else _NO_MONOTONE_ASSUMPTIONS,
-        support_fallback=fallback,
-        flags=tuple(flags),
-        n_used=int(complete[0] + complete[1]),
-        clip_events=tuple(events),
-        proportions=props,
-    )
+    lb, ub = finite(lb, "the lower bound"), finite(ub, "the upper bound")
+    return lb, ub, (shares[0], shares[1]), events, fallback, intersected
 
 
 def _trimmed_mean_counts(
@@ -432,8 +474,7 @@ def _bounds_replicate(
         def trim(d: int, keep: float, side: str) -> float:
             return _trimmed_mean_counts(sorted_dy[d], mults[d], seen[d], keep, side)
 
-        b = _bounds(arms, trim, mode, data.outcome_support)
-        return b.lb, b.ub
+        return _bounds(arms, trim, mode, data.outcome_support)[:2]
 
     return replicate
 

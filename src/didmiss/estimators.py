@@ -13,15 +13,17 @@ weighting in the sibling modules are for.
 Bootstrap inference resamples units with replacement. Each replicate draws
 its random stream from (seed, replicate index), so results are bit-identical
 for a given seed. Replicates run one after another in the calling thread.
-A named estimator handle never rebuilds a dataset: its replicate is the same
-count formula as the full-sample estimate, evaluated on the group counts of
-the resampled rows (``panel.GroupKey``).
+A named estimator handle never rebuilds a dataset: its replicate evaluates
+the estimator's own count core, the function over group counts that the
+full-sample result is built from, on the group counts of the resampled rows
+(``panel.GroupKey``). It keeps the point as a float and builds no result
+objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -88,19 +90,22 @@ class BootstrapConfig:
             raise InputError(f"level must be in (0, 1), got {self.level}")
 
 
-def _complete_case(c: GroupCounts) -> Estimate:
-    """Complete-case DID from group counts (see ``did_complete_case``)."""
-    complete = [arm[1][1] for arm in c.arms.tolist()]
+def _cc_point(complete: Sequence[float], sums: Sequence[float]) -> float:
+    """Complete-case DID from each arm's complete-case count and Y2 - Y1 sum,
+    as Python scalars (see ``did_complete_case``)."""
     for d in (1, 0):
         if complete[d] == 0:
             raise EstimatorError(f"no complete cases in arm {d}")
-    sums = c.cc_sum.tolist()
     # Python floats: a sum or difference that overflows gives inf, not a warning
     point = float(sums[1]) / float(complete[1]) - float(sums[0]) / float(complete[0])
-    return Estimate(
-        point=finite(point, "the complete-case DID"),
-        n_used=int(complete[1] + complete[0]),
-    )
+    return finite(point, "the complete-case DID")
+
+
+def _complete_case(c: GroupCounts) -> Estimate:
+    """Complete-case DID from group counts (see ``did_complete_case``)."""
+    complete = [arm[1][1] for arm in c.arms.tolist()]
+    point = _cc_point(complete, c.cc_sum.tolist())
+    return Estimate(point=point, n_used=int(complete[1] + complete[0]))
 
 
 def did_complete_case(data: PanelDataset) -> Estimate:
@@ -155,19 +160,22 @@ def _replicate_fn(
         full, _, replicate = _iv_engine(data, (0,))
         return full, replicate
 
-    formula: Callable[[GroupCounts], Estimate]
     if estimator == "cc-did":
-        groups, formula = GroupKey(data), _complete_case
-    elif estimator == "pi":
-        from .principal import _principal_ignorability
+        groups = GroupKey(data)
 
-        groups, formula = GroupKey(data, cells=True), _principal_ignorability
-    else:
-        raise InputError(
-            f"unknown estimator handle {estimator!r}; expected one of {ESTIMATOR_HANDLES} "
-            "(interval estimands are handled by bounds.bootstrap_bounds)"
-        )
-    return formula(groups.counts()), lambda idx: (formula(groups.counts(idx)).point,)
+        def replicate(idx: np.ndarray) -> tuple[float]:
+            n, s, _, _ = groups.bins(idx)
+            return (_cc_point(n[0, :, 1, 1].tolist(), s[0, :, 1, 1].tolist()),)
+
+        return _complete_case(groups.counts()), replicate
+    if estimator == "pi":
+        from .principal import _pi_replicate
+
+        return _pi_replicate(data)
+    raise InputError(
+        f"unknown estimator handle {estimator!r}; expected one of {ESTIMATOR_HANDLES} "
+        "(interval estimands are handled by bounds.bootstrap_bounds)"
+    )
 
 
 def _replicates(

@@ -35,7 +35,7 @@ import numpy as np
 
 from .common import EPS_DENOM, finite, is_integer
 from .errors import EstimatorError, InputError
-from .estimators import Estimate, _complete_case
+from .estimators import Estimate, _cc_point
 from .panel import GroupCounts, GroupKey, PanelDataset
 
 __all__ = ["IvDiagnostics", "att_iv", "att_iv_multi"]
@@ -91,16 +91,22 @@ def _instrument_gap(n: np.ndarray, s: np.ndarray, d: int) -> tuple[float, float]
     return means[1] - means[0], q[0] - q[1]
 
 
-def _corrected(
-    c: GroupCounts, arm_gap: Callable[[int], tuple[float, float]]
-) -> tuple[Estimate, IvDiagnostics]:
+ArmGaps = Callable[[GroupCounts], Callable[[int], tuple[float, float]]]
+
+
+def _corrected_point(
+    c: GroupCounts, gaps: ArmGaps
+) -> tuple[float, list[list[list[float]]], list[float], list[float], list[float], list[float]]:
     """Complete-case DID plus the per-arm corrections gap / denom * Pr(R2=0|D=d).
 
-    ``arm_gap(d)`` returns arm d's (trend gap, denominator); it is called
-    only for arms with missing second-wave outcomes.
+    ``gaps(c)(d)`` returns arm d's (trend gap, denominator); it is called
+    only for arms with missing second-wave outcomes. Returns the point, the
+    counts over (arm, R1, R2), and per arm the missing share, denominator,
+    correction and trend gap.
     """
-    cc = _complete_case(c)
+    arm_gap = gaps(c)
     arms = c.arms.tolist()
+    cc = _cc_point([arm[1][1] for arm in arms], c.cc_sum.tolist())
     # Python scalars; each sum adds left to right, as numpy does for so few terms
     share = [
         float(n00 + n10) / float(n00 + n01 + n10 + n11) for (n00, n01), (n10, n11) in arms
@@ -115,10 +121,14 @@ def _corrected(
         if abs(denom[d]) < EPS_DENOM:
             raise EstimatorError(f"weak instrument in arm {d}")
         corr[d] = gap[d] / denom[d] * share[d]
+    return finite(cc + corr[1] - corr[0], "the instrumented DID"), arms, share, denom, corr, gap
 
-    point = cc.point + corr[1] - corr[0]
+
+def _corrected(c: GroupCounts, gaps: ArmGaps) -> tuple[Estimate, IvDiagnostics]:
+    """``_corrected_point`` as the estimate and its diagnostics."""
+    point, arms, share, denom, corr, gap = _corrected_point(c, gaps)
     notes = (_R1_NOTE,) if any(arms[0][0] + arms[1][0]) else ()
-    est = Estimate(point=finite(point, "the instrumented DID"), n_used=cc.n_used, notes=notes)
+    est = Estimate(point=point, n_used=int(arms[1][1][1] + arms[0][1][1]), notes=notes)
     diag = IvDiagnostics(
         denom=(denom[0], denom[1]),
         missing_share=(share[0], share[1]),
@@ -144,9 +154,9 @@ def _iv_engine(
     if len(aux) == 2 and aux[0] == aux[1]:
         raise InputError(f"an instrument pair needs two different aux indices, got {aux[0]} twice")
     groups = GroupKey(data, aux=aux)
-    formula = _iv_single if len(aux) == 1 else _iv_pair
-    est, diag = formula(groups.counts())
-    return est, diag, lambda idx: (formula(groups.counts(idx))[0].point,)
+    gaps = _single_gap if len(aux) == 1 else _pair_gap
+    est, diag = _corrected(groups.counts(), gaps)
+    return est, diag, lambda idx: (_corrected_point(groups.counts(idx), gaps)[0],)
 
 
 def att_iv(data: PanelDataset, aux_index: int) -> tuple[Estimate, IvDiagnostics]:
@@ -160,10 +170,16 @@ def att_iv(data: PanelDataset, aux_index: int) -> tuple[Estimate, IvDiagnostics]
     return _iv_engine(data, (aux_index,))[:2]
 
 
+def _single_gap(c: GroupCounts) -> Callable[[int], tuple[float, float]]:
+    """Arm d's (trend gap, denominator) across the levels of the one
+    instrument in counts keyed on (arm, R1, R2, instrument level)."""
+    n, s = c.n[0], c.s[0]
+    return lambda d: _instrument_gap(n, s, d)
+
+
 def _iv_single(c: GroupCounts) -> tuple[Estimate, IvDiagnostics]:
     """``att_iv`` from counts keyed on (arm, R1, R2, instrument level)."""
-    n, s = c.n[0], c.s[0]
-    return _corrected(c, lambda d: _instrument_gap(n, s, d))
+    return _corrected(c, _single_gap)
 
 
 def att_iv_multi(
@@ -183,12 +199,13 @@ def att_iv_multi(
     return _iv_engine(data, aux)[:2]
 
 
-def _iv_pair(c: GroupCounts) -> tuple[Estimate, IvDiagnostics]:
-    """``att_iv_multi`` from counts keyed on (arm, R1, R2, level of k1, level of k2):
-    the difference of the two instruments' trend gaps over the difference of
-    their missingness gaps."""
+def _pair_gap(c: GroupCounts) -> Callable[[int], tuple[float, float]]:
+    """Arm d's (trend gap, denominator) in counts keyed on (arm, R1, R2,
+    level of k1, level of k2): the difference of the two instruments' trend
+    gaps and of their missingness gaps."""
     n, s = c.n[0], c.s[0]
-    # a sum that overflows, or meets one that overflowed the other way, is refused by _corrected
+    # a sum that overflows, or meets one that overflowed the other way, is refused
+    # by _corrected_point
     with np.errstate(over="ignore", invalid="ignore"):
         s1, s2 = s.sum(axis=4), s.sum(axis=3)
 
@@ -201,4 +218,9 @@ def _iv_pair(c: GroupCounts) -> tuple[Estimate, IvDiagnostics]:
         gap2, denom2 = _instrument_gap(n.sum(axis=3), s2, d)
         return gap1 - gap2, denom1 - denom2
 
-    return _corrected(c, arm_gap)
+    return arm_gap
+
+
+def _iv_pair(c: GroupCounts) -> tuple[Estimate, IvDiagnostics]:
+    """``att_iv_multi`` from counts keyed on (arm, R1, R2, level of k1, level of k2)."""
+    return _corrected(c, _pair_gap)

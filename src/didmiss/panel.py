@@ -284,7 +284,7 @@ class GroupKey:
         lexicographically); otherwise the whole sample is one cell.
     """
 
-    __slots__ = ("key", "dy", "d", "shape", "cells")
+    __slots__ = ("key", "dy", "shape", "cells")
 
     def __init__(self, data: PanelDataset, aux: Sequence[int] = (), cells: bool = False) -> None:
         self.key, self.cells, self.shape = _encode(data, aux, cells)
@@ -303,19 +303,26 @@ class GroupKey:
                 f"the result is not finite: y2 - y1 is not finite for unit {data.unit_ids[i]!r} "
                 f"(row {i + 1}: y1={float(data.y1[i])!r}, y2={float(data.y2[i])!r})"
             )
-        self.d = data.d
+
+    def bins(
+        self, idx: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Unit counts and Y2 - Y1 sums over the key's shape for the units at
+        ``idx`` (all units when None), then those units' keys and changes."""
+        key, dy = (self.key, self.dy) if idx is None else (self.key.take(idx), self.dy.take(idx))
+        size = math.prod(self.shape)
+        n = np.bincount(key, minlength=size).reshape(self.shape)
+        return n, np.bincount(key, weights=dy, minlength=size).reshape(self.shape), key, dy
 
     def counts(self, idx: np.ndarray | None = None) -> "GroupCounts":
         """Group counts and sums of the units at ``idx`` (all units when None)."""
-        key, dy = (self.key, self.dy) if idx is None else (self.key[idx], self.dy[idx])
-        size = math.prod(self.shape)
-        n = np.bincount(key, minlength=size).reshape(self.shape)
-        s = np.bincount(key, weights=dy, minlength=size).reshape(self.shape)
+        n, s, key, dy = self.bins(idx)
         if self.shape == (1, 2, 2, 2):
             cc_sum = s[0, :, 1, 1]
         else:  # complete cases are split further: sum each arm's in unit order
-            d = self.d if idx is None else self.d[idx]
-            cc_sum = np.bincount(d, weights=dy, minlength=2)
+            arm = key >> (len(self.shape) - 2)  # the arm bit sits above R1, R2 and aux
+            arm &= 1  # in place: one full-length temporary
+            cc_sum = np.bincount(arm, weights=dy, minlength=2)
         return GroupCounts(n=n, s=s, cc_sum=cc_sum, cells=self.cells)
 
 
@@ -404,6 +411,23 @@ def compute_rates(data: PanelDataset) -> RateTable:
     )
 
 
+def _response_rates(arms: list) -> tuple[list[int], list[float], list[float]]:
+    """Units, Pr(R1 = 1) and Pr(R2 = 1) per arm from nested lists of counts
+    over (arm, R1, R2); an empty arm is refused."""
+    n: list[int] = []
+    p_r1: list[float] = []
+    p_r2: list[float] = []
+    # Python scalars; each sum adds left to right, as numpy does for so few terms
+    for (n00, n01), (n10, n11) in arms:
+        n_d = int(n00 + n01 + n10 + n11)
+        if n_d == 0:
+            raise InputError("single-arm dataset: both treated and control units are required")
+        n.append(n_d)
+        p_r1.append(int(n10 + n11) / n_d)
+        p_r2.append(int(n01 + n11) / n_d)
+    return n, p_r1, p_r2
+
+
 def _rate_table(arms: np.ndarray, aux_counts: Sequence[np.ndarray] = ()) -> RateTable:
     """Response-rate table from unit counts.
 
@@ -411,21 +435,13 @@ def _rate_table(arms: np.ndarray, aux_counts: Sequence[np.ndarray] = ()) -> Rate
     (arm, R1, R2, aux_k), one entry per auxiliary indicator. Without
     ``aux_counts`` the table's p_r2_given_aux is empty.
     """
-    n: list[int] = []
-    p_r1: list[float] = []
-    p_r2: list[float] = []
+    by_arm = arms.tolist()
+    n, p_r1, p_r2 = _response_rates(by_arm)
     p_cond: list[float | None] = []
     p_aux: list[tuple[tuple[float | None, float | None], ...]] = []
-    # Python scalars; each sum adds left to right, as numpy does for so few terms
     by_aux = [counts.tolist() for counts in aux_counts]
-    for d, ((n00, n01), (n10, n11)) in enumerate(arms.tolist()):
-        n_d = int(n00 + n01 + n10 + n11)
-        if n_d == 0:
-            raise InputError("single-arm dataset: both treated and control units are required")
+    for d, (_, (n10, n11)) in enumerate(by_arm):
         n_r1 = int(n10 + n11)
-        n.append(n_d)
-        p_r1.append(n_r1 / n_d)
-        p_r2.append(int(n01 + n11) / n_d)
         p_cond.append(int(n11) / n_r1 if n_r1 > 0 else None)
         per_k: list[tuple[float | None, float | None]] = []
         for counts in by_aux:

@@ -41,7 +41,7 @@ follows the control arm.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -133,19 +133,22 @@ def _occupied(cells: tuple[tuple, ...], n: np.ndarray, *more: np.ndarray) -> tup
 
 def _refuse_empty(cells: list[tuple], counts: np.ndarray, what: str) -> None:
     """Refuse, listing every ``(x, arm)`` pair whose count in ``counts[cell, arm]`` is 0."""
-    empty = [f"(x={key!r}, arm {a})" for key, row in zip(cells, counts) for a in (0, 1) if row[a] == 0]
-    if empty:
+    if not counts.all():
+        empty = [
+            f"(x={key!r}, arm {a})" for key, row in zip(cells, counts) for a in (0, 1) if row[a] == 0
+        ]
         raise EstimatorError(f"{what}: " + ", ".join(empty))
 
 
 def _cell_scores(
     cells: list[tuple], counts: np.ndarray
-) -> tuple[np.ndarray, dict[tuple[int, int], np.ndarray], np.ndarray, dict[tuple[int, int], float]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]:
     """Per-cell principal scores from counts over (cell, arm, R1, R2).
 
     Returns (n, scores, raw_e11, normalizers): n[i, a] counts the units of
-    cell i in arm a, scores[stratum] holds the per-cell scores and raw_e11
-    the always-respondent scores before clipping.
+    cell i in arm a, scores[k, i] is the score of stratum SCORE_STRATA[k] in
+    cell i, raw_e11 holds the always-respondent scores before clipping and
+    normalizers[k] is stratum k's treated-arm share.
     """
     n = counts.sum(axis=(2, 3))
     _refuse_empty(cells, n, "empty covariate cell")
@@ -154,11 +157,8 @@ def _cell_scores(
     p_r2 = counts[:, :, :, 1].sum(axis=2) / n
     raw = p_r1[:, 1] + p_r2[:, 0] - p_r1[:, 0]
     e11 = np.minimum(np.maximum(raw, 0.0), p_r2[:, 1])
-    scores = {(1, 1): e11, (1, 0): p_r2[:, 1] - e11, (0, 0): 1.0 - p_r2[:, 1]}
-    n1 = int(n[:, 1].sum())
-    normalizers = {
-        stratum: float((scores[stratum] * n[:, 1]).sum()) / n1 for stratum in SCORE_STRATA
-    }
+    scores = np.array([e11, p_r2[:, 1] - e11, 1.0 - p_r2[:, 1]])
+    normalizers = ((scores * n[:, 1]).sum(axis=1) / int(n[:, 1].sum())).tolist()
     return n, scores, raw, normalizers
 
 
@@ -184,7 +184,7 @@ def principal_scores(data: PanelDataset) -> PrincipalScoreTable:
     """
     cells, counts = _occupied(*_unit_counts(data, cells=True))
     n, scores, raw, normalizers = _cell_scores(cells, counts)
-    e11 = scores[(1, 1)]
+    e11, e10, e00 = scores
     events = [
         ClipEvent(quantity=f"e11(x={key!r})", raw=float(raw[i]), clipped=float(e11[i]))
         for i, key in enumerate(cells)
@@ -193,15 +193,15 @@ def principal_scores(data: PanelDataset) -> PrincipalScoreTable:
     table = {
         key: CellScores(
             e11=float(e11[i]),
-            e10=float(scores[(1, 0)][i]),
-            e00=float(scores[(0, 0)][i]),
+            e10=float(e10[i]),
+            e00=float(e00[i]),
             n=(int(n[i, 0]), int(n[i, 1])),
         )
         for i, key in enumerate(cells)
     }
     return PrincipalScoreTable(
         cells=table,
-        normalizers=normalizers,
+        normalizers=dict(zip(SCORE_STRATA, normalizers)),
         clip_events=tuple(events),
         flags=(INCONSISTENT_FLAG,) if events else (),
     )
@@ -235,33 +235,48 @@ def att_principal_ignorability(data: PanelDataset) -> Estimate:
     return _principal_ignorability(GroupKey(data, cells=True).counts())
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflowing mean is refused below
 def _principal_ignorability(c: GroupCounts) -> Estimate:
     """``att_principal_ignorability`` from counts keyed on (cell, arm, R1, R2)."""
-    cells, counts, sums = _occupied(c.cells, c.n, c.s)
-    n, scores, raw, normalizers = _cell_scores(cells, counts)
-    n_cc = counts[:, :, 1, 1]
-    _refuse_empty(cells, n_cc, "no complete cases in covariate cell")
-    dy_sum = sums[:, :, 1, 1]
-    p_cc = n_cc / n
-
-    point = 0.0
-    for stratum in SCORE_STRATA:
-        share = normalizers[stratum]
-        if share == 0.0:
-            continue
-        # per-record weight e_s(x) / Pr(complete case | arm, x), summed by cell
-        h = scores[stratum][:, None] / p_cc
-        means = (h * dy_sum).sum(axis=0) / (h * n_cc).sum(axis=0)
-        point += share * float(means[1] - means[0])
-
+    point, n_used, clipped = _pi_point(c.cells, c.n, c.s)
     notes: list[str] = []
     if c.arms[:, 0].any():
         notes.append(_R1_NOTE)
-    if (scores[(1, 1)] != raw).any():
+    if clipped:
         notes.append("principal scores clipped")
-    return Estimate(
-        point=finite(point, "the stratum-weighted DID"),
-        n_used=int(n_cc.sum()),
-        notes=tuple(notes),
-    )
+    return Estimate(point=point, n_used=n_used, notes=tuple(notes))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing mean is refused below
+def _pi_point(
+    cells: tuple[tuple, ...], counts: np.ndarray, sums: np.ndarray
+) -> tuple[float, int, bool]:
+    """The stratum-weighted DID from counts and Y2 - Y1 sums over (cell, arm,
+    R1, R2), the number of complete cases, and whether a score was clipped.
+
+    All strata are weighted at once, over (stratum, cell, arm); a stratum
+    with a zero share contributes nothing.
+    """
+    cells, counts, sums = _occupied(cells, counts, sums)
+    n, scores, raw, normalizers = _cell_scores(cells, counts)
+    n_cc = counts[:, :, 1, 1]
+    _refuse_empty(cells, n_cc, "no complete cases in covariate cell")
+    # per-record weight e_s(x) / Pr(complete case | arm, x), summed by cell
+    h = scores[:, :, None] / (n_cc / n)
+    means = ((h * sums[:, :, 1, 1]).sum(axis=1) / (h * n_cc).sum(axis=1)).tolist()
+    point = 0.0
+    for share, (control, treated) in zip(normalizers, means):
+        if share != 0.0:
+            point += share * (treated - control)
+    return finite(point, "the stratum-weighted DID"), int(n_cc.sum()), bool((scores[0] != raw).any())
+
+
+def _pi_replicate(data: PanelDataset) -> tuple[Estimate, Callable[[np.ndarray], tuple[float]]]:
+    """``att_principal_ignorability`` and the point of the resample at given
+    row indices, from the same group counts."""
+    groups = GroupKey(data, cells=True)
+
+    def replicate(idx: np.ndarray) -> tuple[float]:
+        n, s, _, _ = groups.bins(idx)
+        return (_pi_point(groups.cells, n, s)[0],)
+
+    return _principal_ignorability(groups.counts()), replicate

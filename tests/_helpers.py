@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from didmiss import Estimate, IvDiagnostics, PanelDataset, RateTable, trimmed_mean
-from didmiss.bounds import _bounds
+from didmiss.bounds import _bound_result
 from didmiss.common import EPS_DENOM, finite
 from didmiss.errors import DidMissError, EstimatorError, InputError
 from didmiss.panel import GroupCounts, GroupKey
@@ -39,6 +39,27 @@ OVERFLOWING_ORACLE = (
     "2,1,0.5,2.5,AR,0.5,2.5,1.5\r\n"
     "3,0,0.2,1.1,AR,0.2,2.1,1.1\r\n"
     "4,0,0.4,1.3,AR,0.4,2.3,1.3\r\n"
+)
+
+
+def _panel_csv(y1: str, rows: list[tuple[int, str]]) -> str:
+    return "id,d,y1,y2\n" + "".join(f"{i},{d},{y1},{y2}\n" for i, (d, y2) in enumerate(rows, 1))
+
+
+#: Near-tied complete-case changes: the treated arm's bottom trimmed mean
+#: (keep 20/21) rounds one step above its top one in monotone mode.
+TIED_TRIM_CSV = _panel_csv(
+    "0",
+    [(1, "0.1")] + [(1, "0.10000000000000002")] * 5 + [(1, "NA")] * 2
+    + [(0, "0")] * 5 + [(0, "NA")] * 2,
+)
+
+#: The full sample trims nothing, but a resample of ``bootstrap_bounds``
+#: with seed 2 meets the same near tie.
+TIED_RESAMPLE_CSV = _panel_csv(
+    "0.0",
+    [(1, "0.3333333333333333")] * 10 + [(1, "NA")] * 4
+    + [(0, repr(0.05 * k)) for k in range(12)] + [(0, "NA")] * 2,
 )
 
 
@@ -139,7 +160,7 @@ def reference_att_ar_bounds(data: PanelDataset, mode: str):
     """``att_ar_bounds`` sorting an arm's changes again for each trimmed mean."""
     groups = GroupKey(data)
     deltas = [groups.dy[data.complete_case & (data.d == d)] for d in (0, 1)]
-    return _bounds(
+    return _bound_result(
         groups.counts().arms,
         lambda d, keep, side: trimmed_mean(deltas[d], keep, side),
         mode,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import math
 import re
 
@@ -22,15 +23,23 @@ from didmiss import (
     StrataProportions,
     att_ar_bounds,
     bootstrap_bounds,
+    load_panel,
     make_preset,
     simulate_panel,
     strata_proportions_bounds,
     strata_proportions_monotone,
     trimmed_mean,
 )
-from didmiss.bounds import _sorted
+from didmiss.bounds import _bounds_replicate, _sorted
 
-from _helpers import block_panel, brute_trimmed_mean, make_panel, reference_att_ar_bounds
+from _helpers import (
+    TIED_RESAMPLE_CSV,
+    TIED_TRIM_CSV,
+    block_panel,
+    brute_trimmed_mean,
+    make_panel,
+    reference_att_ar_bounds,
+)
 
 
 def plain_rates(p_r1, p_r2) -> RateTable:
@@ -366,6 +375,31 @@ def test_bootstrap_bounds_deterministic_and_enveloping(bootable_panel):
     assert a.outer.lo <= a.lb_ci.hi and a.ub_ci.lo <= a.outer.hi
     assert a.replicates_used + a.replicates_failed == 40
     assert a.level == 0.95
+
+
+def test_an_arms_trimmed_means_are_ordered_on_near_tied_changes():
+    # the treated bottom mean rounds to 0.10000000000000003, the top one to 0.1
+    data = load_panel(io.StringIO(TIED_TRIM_CSV))
+    res = att_ar_bounds(data, "monotone")
+    assert (res.lb, res.ub) == (0.1, 0.10000000000000003)
+    assert res.trim_share == (1.0, 0.9523809523809524)
+    res = att_ar_bounds(data, "no-monotone")
+    assert res.lb == res.ub == 0.10000000000000002
+
+
+@pytest.mark.parametrize("mode", ["monotone", "no-monotone"])
+def test_a_near_tied_resample_keeps_the_bootstrap_going(mode):
+    data = load_panel(io.StringIO(TIED_RESAMPLE_CSV))
+    engine = _bounds_replicate(data, mode)
+    for rep in range(50):
+        idx = np.random.default_rng((2, rep)).integers(0, len(data), size=len(data))
+        lb, ub = engine(idx)
+        rebuilt = att_ar_bounds(data._take(idx), mode)
+        assert lb <= ub
+        assert (lb, ub) == pytest.approx((rebuilt.lb, rebuilt.ub), rel=0.0, abs=1e-12)
+    boot = bootstrap_bounds(data, mode, BootstrapConfig(replicates=50, seed=2))
+    assert (boot.replicates_used, boot.replicates_failed) == (50, 0)
+    assert boot.lb_ci.lo <= boot.lb_ci.hi and boot.ub_ci.lo <= boot.ub_ci.hi
 
 
 def test_bounds_are_bit_identical_to_sorting_per_trimmed_mean():

@@ -29,7 +29,7 @@ from didmiss import cli
 from didmiss.cli import main
 from didmiss.simulate import PRESET_KINDS
 
-from _helpers import OVERFLOWING_ORACLE, make_panel
+from _helpers import OVERFLOWING_ORACLE, TIED_RESAMPLE_CSV, TIED_TRIM_CSV, make_panel
 
 ENVELOPE_KEYS = [
     "tool",
@@ -610,6 +610,23 @@ def test_refusal_exits_2(capsys, tmp_path):
     assert "arm 0" in err
 
 
+@pytest.mark.parametrize(
+    "text, argv",
+    [(TIED_TRIM_CSV, ()), (TIED_RESAMPLE_CSV, ("--bootstrap", 50, "--seed", 2))],
+    ids=["full-sample", "bootstrap"],
+)
+@pytest.mark.parametrize("mode", ["monotone", "no-monotone"])
+def test_bounds_on_near_tied_changes_exit_0_in_order(tmp_path, text, argv, mode):
+    path = tmp_path / "tied.csv"
+    path.write_text(text)
+    proc = run_cli("bounds", "--input", path, "--mode", mode, *argv)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    result = strict_loads(proc.stdout)["result"]
+    assert result["lb"] <= result["ub"]
+    if argv:
+        assert result["bootstrap"]["replicates_failed"] == 0
+
+
 # -- pretty rendering -----------------------------------------------------------------
 
 
@@ -621,6 +638,25 @@ def test_pretty_renders_human_readable_report(capsys, toy_path):
     assert any(line == "result:" for line in lines)
     with pytest.raises(json.JSONDecodeError):
         json.loads(out)
+
+
+def test_pretty_renders_a_list_of_mappings_as_dashed_blocks(capsys, tmp_path):
+    # control response 0.9 above treated response 0.5: the always-respondent
+    # score clips, so clip_events is a non-empty list of mappings
+    path = tmp_path / "clipped.csv"
+    rows = [(0, "1.0" if i < 9 else "NA") for i in range(10)]
+    rows += [(1, "1.0" if i < 5 else "NA") for i in range(10)]
+    path.write_text("id,d,y1,y2\n" + "".join(f"{i},{d},0,{y}\n" for i, (d, y) in enumerate(rows, 1)))
+    code, out, err = run(capsys, "pi", "--input", path, "--pretty")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    at = lines.index("  clip_events:")
+    assert lines[at + 1 : at + 4] == [
+        "    - quantity  e11(x=())",
+        "      raw       0.9",
+        "      clipped   0.5",
+    ]
+    assert lines[at + 4] == "  flags                   [model-inconsistent rates]"
 
 
 # -- the contract under fuzzing ---------------------------------------------------------

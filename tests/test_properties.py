@@ -44,7 +44,7 @@ from didmiss.errors import DidMissError, InputError
 from didmiss.simulate import _couple
 from didmiss.table import Parser, read_columns
 
-from _helpers import brute_trimmed_mean, make_panel, reference_read_table
+from _helpers import TIED_TRIM_CSV, brute_trimmed_mean, make_panel, reference_read_table
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_subnormal=False)
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, allow_subnormal=False)
@@ -605,6 +605,7 @@ def _numbers(result) -> list[float]:
 
 
 @given(finite_valued_panels())
+@example(load_panel(io.StringIO(TIED_TRIM_CSV)))  # near-tied trimmed means
 @settings(deadline=None, max_examples=150)
 def test_every_estimator_is_finite_or_raises_a_package_error(data):
     estimators = {
