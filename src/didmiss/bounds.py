@@ -408,19 +408,21 @@ def _bounds(
 
 def _trimmed_mean_counts(
     values: np.ndarray,
-    mult: np.ndarray,
+    product: np.ndarray,
     seen: np.ndarray,
     keep: float,
     side: Literal["bottom", "top"],
 ) -> float:
     """``trimmed_mean`` of the sample holding mult[j] copies of values[j].
 
-    ``values`` must be sorted ascending and ``seen`` must be ``cumsum(mult)``,
-    with a positive last entry: the same prefix serves both sides.
+    ``values`` must be sorted ascending, ``product`` must be ``mult *
+    values`` and ``seen`` must be ``cumsum(mult)``, with a positive last
+    entry: the same product and prefix serve both sides. With keep = 1 only
+    ``seen[-1]``, the sample size, is read.
     """
     size = int(seen[-1])
     if keep == 1.0:  # the plain mean, identical for both sides
-        return float((mult * values).sum() / size)
+        return float(product.sum() / size)
     t = keep * size  # below size for keep < 1, so k < size and values[j] exists
     k = math.floor(t)
     frac = t - k
@@ -429,11 +431,12 @@ def _trimmed_mean_counts(
         last = values.size - 1
         j = last - int(np.searchsorted(seen[:last], size - k))
         before = size - int(seen[last - j]) if j else 0
-        values, mult = values[::-1], mult[::-1]
+        # a reduction keeps a reversed view's order: these sums are those of a reversed copy
+        values, product = values[::-1], product[::-1]
     else:
         j = int(np.searchsorted(seen, k, side="right"))  # values[j] holds the (k+1)-th copy
         before = int(seen[j - 1]) if j else 0
-    total = float((mult * values)[:j].sum()) + (k - before) * float(values[j])
+    total = float(product[:j].sum()) + (k - before) * float(values[j])
     if frac > 0.0:
         total += frac * float(values[j])
     return total / t
@@ -467,12 +470,16 @@ def _bounds_replicate(
         mult = np.bincount(rank.take(idx), minlength=top + 8)
         arms = mult[top:].reshape(2, 2, 2)  # complete-case groups are empty: filled in below
         mults = [mult[starts[d] : starts[d + 1]] for d in (0, 1)]
-        seen = [m.cumsum() for m in mults]
         for d in (0, 1):
-            arms[d, 1, 1] = seen[d][-1] if seen[d].size else 0
+            arms[d, 1, 1] = mults[d].sum()
+        terms: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # each arm's, on first use
 
         def trim(d: int, keep: float, side: str) -> float:
-            return _trimmed_mean_counts(sorted_dy[d], mults[d], seen[d], keep, side)
+            if d not in terms:
+                # an arm kept whole reads only its total, so it needs no running count
+                seen = mults[d].cumsum() if keep < 1.0 else arms[d, 1, 1:]
+                terms[d] = mults[d] * sorted_dy[d], seen
+            return _trimmed_mean_counts(sorted_dy[d], *terms[d], keep, side)
 
         return _bounds(arms, trim, mode, data.outcome_support)[:2]
 

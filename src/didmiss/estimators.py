@@ -10,9 +10,11 @@ trend are parallel across arms; under outcome-dependent missingness it is
 not, which is what the IV corrections, trimming bounds, and principal-score
 weighting in the sibling modules are for.
 
-Bootstrap inference resamples units with replacement. Each replicate draws
-its random stream from (seed, replicate index), so results are bit-identical
-for a given seed. Replicates run one after another in the calling thread.
+Bootstrap inference resamples units with replacement. Replicate ``rep``
+draws its row indices from exactly ``numpy.random.default_rng((seed, rep))``,
+so results are bit-identical for a given seed; the generators' seed words
+are derived for all replicates at once (``_streams``), not hashed one
+replicate at a time. Replicates run one after another in the calling thread.
 A named estimator handle never rebuilds a dataset: its replicate evaluates
 the estimator's own count core, the function over group counts that the
 full-sample result is built from, on the group counts of the resampled rows
@@ -185,17 +187,20 @@ def _replicates(
 ) -> tuple[list[tuple[float, float, float]], int, int]:
     """The resampling engine: run ``replicate`` on cfg.replicates resamples.
 
-    Replicate ``rep`` draws n row indices with replacement from the
-    ``(cfg.seed, rep)`` stream. Replicates that raise DidMissError are
-    dropped and counted; if more than half fail, the last error propagates.
+    Replicate ``rep`` draws n row indices with replacement, exactly
+    ``default_rng((cfg.seed, rep)).integers(0, n, size=n)``. Replicates
+    that raise DidMissError are dropped and counted; if more than half
+    fail, the last error propagates.
     Returns, for each statistic the replicate yields, (standard deviation,
     lower percentile, upper percentile) at cfg.level, then the numbers of
     replicates used and failed.
     """
+    from ._streams import replicate_generators
+
     values: list[tuple[float, ...]] = []
     failures: list[DidMissError] = []
-    for rep in range(cfg.replicates):
-        idx = np.random.default_rng((cfg.seed, rep)).integers(0, n, size=n)
+    for rng in replicate_generators(cfg.seed, cfg.replicates):
+        idx = rng.integers(0, n, size=n)
         try:
             values.append(replicate(idx))
         except DidMissError as exc:

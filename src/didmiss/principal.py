@@ -41,7 +41,7 @@ follows the control arm.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -127,11 +127,13 @@ def _occupied(cells: tuple[tuple, ...], n: np.ndarray, *more: np.ndarray) -> tup
     as it would be absent from the resampled data.
     """
     present = n.reshape(n.shape[0], -1).any(axis=1)
+    if present.all():  # the usual case: nothing to leave out, nothing to copy
+        return cells, n, *more
     kept = [key for key, keep in zip(cells, present) if keep]
     return kept, n[present], *(a[present] for a in more)
 
 
-def _refuse_empty(cells: list[tuple], counts: np.ndarray, what: str) -> None:
+def _refuse_empty(cells: Sequence[tuple], counts: np.ndarray, what: str) -> None:
     """Refuse, listing every ``(x, arm)`` pair whose count in ``counts[cell, arm]`` is 0."""
     if not counts.all():
         empty = [
@@ -141,7 +143,7 @@ def _refuse_empty(cells: list[tuple], counts: np.ndarray, what: str) -> None:
 
 
 def _cell_scores(
-    cells: list[tuple], counts: np.ndarray
+    cells: Sequence[tuple], counts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]:
     """Per-cell principal scores from counts over (cell, arm, R1, R2).
 

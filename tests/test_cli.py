@@ -126,14 +126,24 @@ def test_report_envelope_shape(capsys, toy_path):
     assert list(report["environment"]) == ["package", "python", "numpy", "seed"]
 
 
-def test_cli_import_needs_only_numpy():
+def _loaded_by_cli_import(module):
+    """Whether ``import didmiss.cli`` in a fresh interpreter loads ``module``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    probe = "import sys, didmiss.cli; print('scipy' in sys.modules)"
+    probe = f"import sys, didmiss.cli; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_cli_import_needs_only_numpy():
+    assert not _loaded_by_cli_import("scipy")
+
+
+def test_cli_import_leaves_numpy_random_to_the_commands_that_draw():
+    # loading numpy.random costs about 14 ms, paid only by a bootstrap or a simulation
+    assert not _loaded_by_cli_import("numpy.random")
 
 
 def test_undefined_truth_is_null_with_a_reason(capsys, tmp_path):

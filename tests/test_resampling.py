@@ -29,7 +29,8 @@ from didmiss import (
 )
 from didmiss import bounds as bounds_module
 from didmiss.bounds import _bounds_replicate, _trimmed_mean_counts
-from didmiss.estimators import ESTIMATOR_HANDLES, _percentile_ci, _replicate_fn
+from didmiss._streams import BLOCK, stream_states
+from didmiss.estimators import ESTIMATOR_HANDLES, _percentile_ci, _replicate_fn, _replicates
 from didmiss.iv import _iv_engine
 from didmiss.panel import GroupKey
 
@@ -279,6 +280,49 @@ def test_count_trimmed_mean_matches_trimmed_mean_of_the_resample(drawn, keep, si
     mult = np.array([m for _, m in drawn])
     assume(mult.sum() > 0)
     order = np.argsort(values, kind="stable")
-    got = _trimmed_mean_counts(values[order], mult[order], np.cumsum(mult[order]), keep, side)
+    v, m = values[order], mult[order]
+    got = _trimmed_mean_counts(v, m * v, np.cumsum(m), keep, side)
     want = trimmed_mean(np.repeat(values, mult), keep, side)
     assert got == pytest.approx(want, rel=0.0, abs=1e-12 * (1.0 + np.abs(values).max()))
+
+
+
+@pytest.mark.parametrize("size", [7, 8, 9, 127, 128, 129, 1000, 5003])
+def test_a_reversed_view_sums_in_the_order_of_a_reversed_copy(size):
+    # the top trimmed mean sums a reversed view of the product both sides
+    # share; the sum must have the bits of the same values laid out reversed
+    rng = np.random.default_rng(size)
+    product = rng.normal(size=size) * 10.0 ** rng.uniform(-8.0, 8.0, size)
+    for j in range(0, size + 1, max(1, size // 9)):
+        view = product[::-1][:j]
+        assert float(view.sum()) == float(view.copy().sum()), j
+
+
+# -- the (seed, replicate) stream ----------------------------------------------
+
+#: Seeds of 1, 2, 3, 4, 5 and 7 32-bit words, then numpy integers.
+STREAM_SEEDS = [
+    0, 2**32 - 1, 2**32, 2**64 + 3, 2**96 + 5, 2**128 + 1, 2**200 + 99,
+    np.uint64(2**64 - 1), np.int64(2**62 + 7),
+]
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS, ids=repr)
+def test_derived_seed_words_are_the_seed_sequence_states(seed):
+    # from the first rep, across a block edge, and across 2**32 and 2**64,
+    # where a rep gains a 32-bit word
+    for start, stop in ((0, 3), (BLOCK - 2, BLOCK + 2), (2**32 - 2, 2**32 + 2), (2**64 - 1, 2**64 + 1)):
+        want = [
+            np.random.SeedSequence((seed, rep)).generate_state(4, np.uint64)
+            for rep in range(start, stop)
+        ]
+        np.testing.assert_array_equal(stream_states(seed, start, stop), want)
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS, ids=repr)
+def test_each_resample_is_what_default_rng_of_seed_and_index_draws(seed):
+    n, drawn = 11, []
+    _replicates(n, BootstrapConfig(replicates=BLOCK + 3, seed=seed), lambda idx: drawn.append(idx) or (0.0,))
+    assert len(drawn) == BLOCK + 3  # across the block edge
+    for rep, idx in enumerate(drawn):
+        np.testing.assert_array_equal(idx, np.random.default_rng((seed, rep)).integers(0, n, size=n))
