@@ -24,7 +24,9 @@ from typing import IO, Any, Callable, Sequence
 import numpy as np
 
 from .errors import EstimatorError, InputError
-from .table import IDS, Parser, binary, counts, floats, read_columns, require_columns, write_table
+from .table import (
+    IDS, Parser, TextColumn, binary, counts, floats, read_columns, require_columns, write_table,
+)
 
 __all__ = [
     "PanelDataset",
@@ -89,7 +91,8 @@ class PanelDataset:
         Optional (n, J) array of small non-negative integer covariate
         categories.
     unit_ids
-        Optional opaque identifiers; generated as "1".."n" when omitted.
+        Optional opaque identifiers, stored as given; "1".."n" when omitted.
+        ``load_panel`` passes a ``table.TextColumn``, one text for all ids.
     outcome_support
         Optional declared closed interval [y_min, y_max]; every observed
         outcome must lie inside it. Required by the trimming bounds' support
@@ -105,7 +108,7 @@ class PanelDataset:
         y2: np.ndarray,
         aux: np.ndarray | None = None,
         x: np.ndarray | None = None,
-        unit_ids: tuple[str, ...] | None = None,
+        unit_ids: Sequence[str] | None = None,
         outcome_support: tuple[float, float] | None = None,
         _validate: bool = True,
     ) -> None:
@@ -195,9 +198,17 @@ class PanelDataset:
 
     @property
     def unit_ids(self) -> tuple[str, ...]:
+        """The ids as a tuple of strings, built on first access and then kept
+        (ids a caller passed are returned as given)."""
         if self._unit_ids is None:
             self._unit_ids = tuple(str(i + 1) for i in range(len(self)))
+        elif isinstance(self._unit_ids, TextColumn):
+            self._unit_ids = tuple(self._unit_ids)
         return self._unit_ids
+
+    def _unit_id(self, i: int) -> str:
+        """The id of row ``i``, read alone, for a message naming one unit."""
+        return str(i + 1) if self._unit_ids is None else self._unit_ids[i]
 
     @property
     def complete_case(self) -> np.ndarray:
@@ -300,7 +311,7 @@ class GroupKey:
         if not_finite.any():
             i = int(np.argmax(not_finite))
             raise EstimatorError(
-                f"the result is not finite: y2 - y1 is not finite for unit {data.unit_ids[i]!r} "
+                f"the result is not finite: y2 - y1 is not finite for unit {data._unit_id(i)!r} "
                 f"(row {i + 1}: y1={float(data.y1[i])!r}, y2={float(data.y2[i])!r})"
             )
 
@@ -521,7 +532,7 @@ def _panel_fields(header: Sequence[str], mapping: ColumnMapping) -> list[tuple[s
 
 def _panel_values(
     mapping: ColumnMapping, values: Sequence[Any]
-) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+) -> tuple[TextColumn, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
     """ids, d, y1, y2, aux and x from the values of ``_panel_fields``' columns."""
     k, w = len(mapping.aux_indicators), len(mapping.aux_variables)
     *columns, ids, d, y1, y2 = values
@@ -546,7 +557,8 @@ def save_panel(data: PanelDataset, dest: str | Path | IO[str]) -> None:
 def _table_columns(data: PanelDataset) -> tuple[list[str], list[Sequence[object]]]:
     """Header and columns of the panel fields, in save order, for ``write_table``.
 
-    Default ids are written as 1..n without building them.
+    Default ids are written as 1..n, and a ``TextColumn`` of ids a slice at
+    a time, without building the tuple of ids.
     """
     header = ["id", "d", "y1", "y2"]
     header += [f"aux{k + 1}" for k in range(data.n_aux)]

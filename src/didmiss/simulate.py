@@ -432,8 +432,10 @@ class OraclePanel(PanelDataset):
     :data:`STRATUM_LABELS`), the unmasked first-period outcome ``y1_true``
     and both potential second-period outcomes ``y2_1`` and ``y2_0``; the
     potential responses are ``STRATUM_PAIRS[s]``.  The arrays are taken as
-    given, unchecked; ``records`` builds a row-wise tuple of
-    :class:`OracleRecord` on first access.
+    given, unchecked; ``unit_ids`` (a tuple, or the ``table.TextColumn``
+    that :func:`load_oracle` passes) is stored as given and read as a tuple
+    of strings, built on first access.  ``records`` builds a row-wise tuple
+    of :class:`OracleRecord` on first access.
     """
 
     __slots__ = ("s", "y1_true", "y2_1", "y2_0", "_records", "_summary")
@@ -449,7 +451,7 @@ class OraclePanel(PanelDataset):
         y1_true: np.ndarray,
         y2_1: np.ndarray,
         y2_0: np.ndarray,
-        unit_ids: tuple[str, ...] | None = None,
+        unit_ids: Sequence[str] | None = None,
     ) -> None:
         super().__init__(d, y1, y2, aux=aux, x=x, unit_ids=unit_ids, _validate=False)
         self.s = s
@@ -742,7 +744,7 @@ def _checked(records: OracleInput) -> tuple[OraclePanel, np.ndarray, np.ndarray]
         if bad.size:
             i = int(bad[0])
             raise InputError(
-                f"oracle {name} {codes[i]} for unit {oracle.unit_ids[i]!r} (row {i + 1}) "
+                f"oracle {name} {codes[i]} for unit {oracle._unit_id(i)!r} (row {i + 1}) "
                 f"is outside 0-{top}"
             )
     y1, y2_1, y2_0 = oracle.y1_true, oracle.y2_1, oracle.y2_0
@@ -755,7 +757,7 @@ def _checked(records: OracleInput) -> tuple[OraclePanel, np.ndarray, np.ndarray]
         i = int(np.argmin(ok))
         raise EstimatorError(
             "the result is not finite: y2_0 - y1_true or y2_1 - y2_0 is not finite for unit "
-            f"{oracle.unit_ids[i]!r} (row {i + 1}: y1_true={float(y1[i])!r}, "
+            f"{oracle._unit_id(i)!r} (row {i + 1}: y1_true={float(y1[i])!r}, "
             f"y2_1={float(y2_1[i])!r}, y2_0={float(y2_0[i])!r})"
         )
     return oracle, delta0, direct
@@ -1217,7 +1219,7 @@ def load_oracle(source: str | Path | bytes | IO[str] | IO[bytes]) -> OraclePanel
     header, values = read_columns(source, "oracle table", _oracle_fields)
     *panel, s, y1_true, y2_1, y2_0 = values
     ids, d, y1, y2, aux, x = _panel_values(ColumnMapping.detect(header), panel)
-    if not ids:
+    if len(d) == 0:
         raise InputError("empty oracle table")
 
     r2 = _RESPONSE[s, 1 - d].astype(bool)

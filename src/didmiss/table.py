@@ -4,8 +4,9 @@ A table is a header row plus one row per unit. Blank lines are skipped; in
 messages the header is row 1 and blank lines are not counted. The reader
 takes rows from one ``csv.reader`` a few hundred at a time and passes each
 column of the chunk straight through that column's parser into a typed
-piece, so no cell string outlives its chunk (ids are kept, stripped) and the
-reader's memory is that of the typed columns. The parsers:
+piece, so no cell string outlives its chunk and the reader's memory is that
+of the typed columns; ids are kept, stripped, as one ``TextColumn``. Text is
+UTF-8, and one leading byte-order mark is ignored. The parsers:
 
 - floats: finite decimal numbers. An empty cell or ``NA`` (any case,
   surrounding whitespace ignored) is missing and becomes NaN. ``nan``,
@@ -40,7 +41,7 @@ import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Any, Callable, Iterable, Mapping, Sequence
+from typing import IO, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -72,9 +73,9 @@ class Parser:
     """How the cells of one column become values.
 
     ``parse`` takes the cells of one chunk and returns their values (a numpy
-    array, or a tuple of strings) and, for each check, the index of the first
-    cell failing it, or None. ``messages`` says what each check requires, in
-    the order their failures are reported.
+    array, a ``TextColumn`` or a tuple of strings) and, for each check, the
+    index of the first cell failing it, or None. ``messages`` says what each
+    check requires, in the order their failures are reported.
     """
 
     parse: Callable[[Sequence[str]], tuple[Any, Sequence[int | None]]]
@@ -172,8 +173,46 @@ def counts(message: str) -> Parser:
     return Parser(parse, (message,))
 
 
-#: Cell text with surrounding whitespace stripped, as a tuple of strings.
-IDS = Parser(lambda cells: (tuple(map(str.strip, cells)), ()))
+class TextColumn:
+    """A read-only column of strings kept as one text and each string's end.
+
+    ``text`` is the strings joined; ``ends`` holds, as int64, the offset in
+    ``text`` at which each string ends. ``column[i]`` is one string,
+    ``column[a:b]`` a list of them, so a column of 200k short ids costs a
+    few bytes per row instead of a ``str`` object and a tuple slot each.
+    """
+
+    __slots__ = ("text", "ends")
+
+    def __init__(self, text: str, ends: np.ndarray) -> None:
+        ends.setflags(write=False)
+        self.text = text
+        self.ends = ends
+
+    def __len__(self) -> int:
+        return self.ends.shape[0]
+
+    def __getitem__(self, key: int | slice) -> Any:
+        rows = range(len(self))[key]
+        if isinstance(rows, int):
+            return self.text[int(self.ends[rows - 1]) if rows else 0 : int(self.ends[rows])]
+        if rows.step != 1:
+            return [self[i] for i in rows]
+        ends = self.ends[rows.start : rows.stop].tolist()
+        starts = [int(self.ends[rows.start - 1]) if rows.start else 0] + ends[:-1]
+        return [self.text[a:b] for a, b in zip(starts, ends)]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self[:])
+
+
+def _ids(cells: Sequence[str]) -> tuple[TextColumn, tuple[()]]:
+    ids = list(map(str.strip, cells))
+    return TextColumn("".join(ids), np.cumsum(np.fromiter(map(len, ids), np.int64, len(ids)))), ()
+
+
+#: Cell text with surrounding whitespace stripped, as a ``TextColumn``.
+IDS = Parser(_ids)
 
 
 def read_columns(
@@ -252,21 +291,33 @@ def _join(parser: Parser, pieces: list[Any]) -> Any:
         return parser.parse(())[0]
     if isinstance(pieces[0], np.ndarray):
         return np.concatenate(pieces)
+    if isinstance(pieces[0], TextColumn):
+        shifts = itertools.accumulate((len(piece.text) for piece in pieces), initial=0)
+        return TextColumn(
+            "".join(piece.text for piece in pieces),
+            np.concatenate([piece.ends + shift for piece, shift in zip(pieces, shifts)]),
+        )
     return tuple(itertools.chain.from_iterable(pieces))
 
 
 def open_text(source: str | Path | bytes | IO[str] | IO[bytes]) -> IO[str]:
-    """str/Path name a file; bytes or a file-like object carry CSV content."""
+    """str/Path name a file; bytes or a file-like object carry CSV content.
+
+    Bytes are decoded as UTF-8, and so is a named file. One leading
+    byte-order mark (U+FEFF, as Excel's "CSV UTF-8" writes) is dropped from
+    every kind of source.
+    """
     if isinstance(source, (str, Path)):
         path = Path(source)
         try:
-            return open(path, newline="")
+            return open(path, newline="", encoding="utf-8-sig")
         except FileNotFoundError:
             raise InputError(f"no such file: {path}") from None
         except OSError as exc:
             raise InputError(f"cannot read {path}: {exc.strerror}") from None
     raw = source if isinstance(source, bytes) else source.read()
-    return io.StringIO(raw.decode("utf-8") if isinstance(raw, bytes) else raw)
+    text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+    return io.StringIO(text.removeprefix("\ufeff"))
 
 
 def require_columns(
@@ -324,16 +375,25 @@ def write_tables(
 ) -> None:
     """Write the first ``width`` columns of one table to each ``(dest, width)``.
 
-    A column is a numpy array, a ``range`` of ids or a sequence of text
-    cells, all of one length; each cell is formatted once (see the module
-    docstring), however many destinations take it. Destinations are opened
-    in order. One that cannot be opened is an ``InputError`` naming it,
-    raised after those before it are written in full; those after it are
-    not opened. A path that cannot be written or closed (a full disk) is an
+    A column is a numpy array, a ``range`` of ids, a ``TextColumn`` or a
+    sequence of text cells, all of one length; each cell is formatted once
+    (see the module docstring), however many destinations take it.
+    Destinations are opened in order. One that cannot be opened is an
+    ``InputError`` naming it, raised after those before it are written in
+    full; those after it are not opened. A path that cannot be written or closed (a full disk) is an
     ``InputError`` naming it too; every file opened is closed, and what was
     written stays. A path naming the same file as an earlier one replaces
-    it, as a second write would.
+    it, as a second write would. A header whose names do not match the
+    columns in number, or a column whose length differs from the first's,
+    is an ``InputError`` raised before any destination is opened.
     """
+    if len(header) != len(columns):
+        raise InputError(f"header has {len(header)} names for {len(columns)} columns")
+    for name, column in zip(header[1:], columns[1:]):
+        if len(column) != len(columns[0]):
+            raise InputError(
+                f"column {name} has {len(column)} rows, column {header[0]} has {len(columns[0])}"
+            )
     targets: list[tuple[IO[str], int]] = []
     owned: list[IO[str]] = []
     failure: InputError | None = None

@@ -223,6 +223,29 @@ def test_custom_schema_names():
     assert data.y2.tolist() == [2.0, 4.0]
 
 
+#: A panel as Excel's "CSV UTF-8" saves it: a byte-order mark, then the
+#: writer's own format, so saving the loaded panel gives the text after the mark.
+BOM_PANEL = "\ufeffid,d,y1,y2\r\né,0,1.0,2.0\r\nb,1,2.0,4.0\r\nc,0,NA,3.0\r\n𝔘,1,1.5,2.5\r\n"
+
+
+@pytest.mark.parametrize("kind", ["path", "bytes", "binary file", "text file"])
+def test_one_leading_byte_order_mark_is_ignored_in_every_kind_of_source(kind, tmp_path):
+    def source(text: str):
+        raw = text.encode("utf-8")
+        path = tmp_path / f"{len(text)}.csv"
+        path.write_bytes(raw)
+        return {"path": path, "bytes": raw, "binary file": io.BytesIO(raw),
+                "text file": io.StringIO(text)}[kind]
+
+    data = load_panel(source(BOM_PANEL))
+    assert data.unit_ids == ("é", "b", "c", "𝔘")
+    buffer = io.StringIO()
+    save_panel(data, buffer)
+    assert buffer.getvalue() == BOM_PANEL[1:]  # the writer writes no mark
+    with pytest.raises(InputError, match="^CSV header is missing required columns: id$"):
+        load_panel(source("\ufeff" + BOM_PANEL))  # a second mark is header text
+
+
 def test_declared_column_must_exist():
     with pytest.raises(InputError, match="declared column"):
         load_panel(

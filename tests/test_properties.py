@@ -165,12 +165,28 @@ def oracle_panels(draw):
     )
 
 
+def chunk_spanning_oracle() -> OraclePanel:
+    """A 700-unit oracle whose ids change width across the reader's 256-row
+    chunks (ASCII, then é, then an astral character) and hold inner spaces,
+    a quoted comma, a line break and a tab; every 97th id is empty."""
+    o = simulate_panel(make_preset("monotone", n=700, seed=1))[1]
+    marks = ("u", "é", "\U0001d518")
+    ids = tuple(
+        "" if i % 97 == 0 else f'{marks[i // 256]}{i} , "x"\r\n\t{i % 7}' for i in range(700)
+    )
+    return OraclePanel(o.d, o.y1, o.y2, o.aux, o.x, o.s, o.y1_true, o.y2_1, o.y2_0, unit_ids=ids)
+
+
 @given(oracle_panels())
+@example(chunk_spanning_oracle())
 @settings(deadline=None, max_examples=60)
 def test_oracle_csv_round_trip_is_exact(oracle):
     buffer = io.StringIO()
     save_oracle(oracle, buffer)
     reloaded = load_oracle(buffer.getvalue().encode())
+    again = io.StringIO()
+    save_oracle(reloaded, again)  # from the loaded id column, before unit_ids builds a tuple
+    assert again.getvalue() == buffer.getvalue()
     for name in ("d", "y1", "y2", "y1_true", "y2_1", "y2_0", "s", "r1", "aux"):
         want, got = getattr(oracle, name), getattr(reloaded, name)
         assert np.array_equal(got, want, equal_nan=True), name

@@ -442,6 +442,28 @@ def test_an_unwritable_path_is_an_input_error(tmp_path):
         save_panel(data, tmp_path)
 
 
+def test_the_writer_refuses_columns_of_different_lengths_before_opening_a_file(tmp_path):
+    n = 6
+    latent = np.zeros(n)
+    oracle = OraclePanel(
+        d=np.array([0, 1] * 3, dtype=np.int8), y1=latent, y2=latent, aux=None, x=None,
+        s=np.zeros(n, dtype=np.int8), y1_true=latent, y2_1=latent, y2_0=latent,
+        unit_ids=("a", "b", "c"),
+    )
+    path = tmp_path / "oracle.csv"
+    path.write_text("kept\n")
+    with pytest.raises(InputError, match="^column d has 6 rows, column id has 3$"):
+        save_oracle(oracle, path)
+    assert path.read_text() == "kept\n"
+
+
+def test_the_writer_refuses_a_header_that_does_not_name_every_column():
+    column, buffer = np.arange(3.0), io.StringIO()
+    with pytest.raises(InputError, match="^header has 3 names for 2 columns$"):
+        write_table(buffer, ["a", "b", "c"], [column, column])
+    assert buffer.getvalue() == ""
+
+
 # -- memory ------------------------------------------------------------------------
 
 
@@ -462,3 +484,24 @@ def test_load_oracle_holds_about_its_typed_columns(tmp_path):
     ids = loaded.unit_ids
     parsed += sys.getsizeof(ids) + sum(map(sys.getsizeof, ids))
     assert peak < 3 * parsed, (peak, parsed)
+
+
+@pytest.mark.parametrize("load", [load_panel, load_oracle], ids=["panel", "oracle"])
+def test_a_load_keeps_its_ids_in_a_few_bytes_per_row(tmp_path, load):
+    # ids are one text and its end offsets, about 13 bytes a row beyond the
+    # typed arrays, where a str object and a tuple slot per id take about 62
+    n = 20_000
+    _, oracle, _ = simulate_panel(make_preset("monotone", n=n, seed=5))
+    path = tmp_path / "table.csv"
+    (save_panel if load is load_panel else save_oracle)(oracle, path)
+    load(path)  # what a first load caches belongs to no table
+    tracemalloc.start()
+    try:
+        loaded = load(path)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    names = ("d", "y1", "y2", "r1", "r2", "aux", "x", "s", "y1_true", "y2_1", "y2_0")
+    arrays = [getattr(loaded, name, None) for name in names]
+    typed = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+    assert held - typed < 20 * n, (held - typed) / n
