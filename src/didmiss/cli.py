@@ -293,6 +293,8 @@ def _run_pi(args: argparse.Namespace) -> Run:
         data = load_panel(args.input)
     else:
         names = tuple(s.strip() for s in args.covariates.split(",") if s.strip())
+        if not names:
+            raise InputError(f"--covariates names no column, got {args.covariates!r}")
         data = load_panel(
             args.input,
             schema=lambda header: dataclasses.replace(

@@ -161,6 +161,7 @@ class PanelDataset:
         for name, arr in (("y1", self.y1), ("y2", self.y2)):
             if arr.shape != (n,):
                 raise InputError(f"{name} has shape {arr.shape}, expected ({n},)")
+            _check_values(arr, _is_not_infinite, f"{name} must be finite or missing (NaN)")
         if self.aux.shape[0] != n:
             raise InputError(f"aux has {self.aux.shape[0]} rows, expected {n}")
         if self.x is not None and self.x.shape[0] != n:
@@ -229,6 +230,10 @@ class PanelDataset:
 
 def _is_binary(values: np.ndarray) -> np.ndarray:
     return (values == 0) | (values == 1)
+
+
+def _is_not_infinite(values: np.ndarray) -> np.ndarray:
+    return ~np.isinf(values)
 
 
 def _is_count(values: np.ndarray) -> np.ndarray:

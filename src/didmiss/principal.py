@@ -160,7 +160,7 @@ def _cell_scores(
     raw = p_r1[:, 1] + p_r2[:, 0] - p_r1[:, 0]
     e11 = np.minimum(np.maximum(raw, 0.0), p_r2[:, 1])
     scores = np.array([e11, p_r2[:, 1] - e11, 1.0 - p_r2[:, 1]])
-    normalizers = ((scores * n[:, 1]).sum(axis=1) / int(n[:, 1].sum())).tolist()
+    normalizers = ((scores * n[:, 1]).sum(axis=1) / n[:, 1].sum()).tolist()
     return n, scores, raw, normalizers
 
 

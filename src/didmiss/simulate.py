@@ -30,11 +30,12 @@ properties (planted complete-case bias, instrument validity, bound coverage
 margins, …) are re-verified analytically every time they are built.
 
 Population truths come from the estimators themselves: the design's
-expected group counts (``Pr(R2, auxiliary levels | D)`` and the matching
-``E[Y2 - Y1]`` mass, in the layout of :class:`~didmiss.panel.GroupCounts`)
-are fed to the same count formulas that estimate from data, so the
-population complete-case DID and the preset checks of the instrument
-corrections run the code users run.
+expected group counts (``Pr(covariate cell, R2, auxiliary levels | D)`` and
+the matching ``E[Y2 - Y1]`` mass, in the layout of
+:class:`~didmiss.panel.GroupCounts`) are fed to the same count formulas that
+estimate from data, so the population complete-case DID and the preset
+checks of the instrument corrections, the stratum-weighted estimator and the
+bounds' response margins run the code users run.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ from typing import IO, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .bounds import _frechet_cells
-from .common import STRATUM_LABELS, STRATUM_PAIRS, check_seed, finite, is_integer
+from .bounds import _counterfactual_rates, _frechet_cells
+from .common import STRATUM_LABELS, STRATUM_PAIRS, ClipEvent, check_seed, finite, is_integer
 from .errors import EstimatorError, InputError
 from .estimators import _complete_case
 from .iv import _iv_pair, _iv_single
@@ -60,6 +61,7 @@ from .panel import (
     _panel_values,
     _table_columns,
 )
+from .principal import _pi_point
 from .table import Parser, floats, labels, read_columns, require_columns, write_table, write_tables
 
 __all__ = [
@@ -536,21 +538,28 @@ def _pattern_index(spec: DgpSpec, aux_index: int) -> int:
     return sum(1 for m in spec.aux_models[:aux_index] if m.kind == "pattern")
 
 
-def _expected_counts(spec: DgpSpec, aux: Sequence[int] = ()) -> GroupCounts:
+def _expected_counts(spec: DgpSpec, aux: Sequence[int] = (), cells: bool = False) -> GroupCounts:
     """The design's expected group counts per unit of each arm.
 
-    ``n[0, d, 1, r2, *levels]`` is ``Pr(R2 = r2, levels | D = d)``, where
-    ``levels`` are the values of the ``"pattern"`` auxiliary columns ``aux``;
-    all mass sits at R1 = 1 because first-wave response is independent of
-    everything else. ``s`` holds the matching ``E[(Y2 - Y1) 1{...} | D = d]``
-    on complete cases and ``cc_sum[d]`` its arm total, so the estimators'
-    count formulas evaluate to their population values.
+    ``n[c, d, 1, r2, *levels]`` is ``Pr(cell c, R2 = r2, levels | D = d)``,
+    where ``levels`` are the values of the ``"pattern"`` auxiliary columns
+    ``aux``; all mass sits at R1 = 1 because first-wave response is
+    independent of everything else. With ``cells``, exported covariate cells
+    get their own ``c``, keyed ``(x_label,)`` and sorted as
+    ``GroupKey(data, cells=True)`` sorts them; otherwise (and for latent
+    cells) there is one cell, keyed ``()``. ``s`` holds the matching
+    ``E[(Y2 - Y1) 1{...} | D = d]`` on complete cases and ``cc_sum[d]`` its
+    arm total, so the estimators' count formulas evaluate to their
+    population values.
     """
     slots = [_pattern_index(spec, k) for k in aux]
-    shape = (1, 2, 2, 2) + (2,) * len(aux)
+    labels = [() if not cells or c.x_label is None else (c.x_label,) for c in spec.cells()]
+    keys = sorted(set(labels))
+    shape = (len(keys), 2, 2, 2) + (2,) * len(aux)
     n = [0.0] * math.prod(shape)
     s = [0.0] * len(n)
-    for cell in spec.cells():
+    for cell, label in zip(spec.cells(), labels):
+        first = keys.index(label)
         level = 0
         for slot in slots:
             level = 2 * level + cell.aux_pattern[slot]
@@ -559,7 +568,7 @@ def _expected_counts(spec: DgpSpec, aux: Sequence[int] = ()) -> GroupCounts:
             for d in (0, 1):
                 w = cell.share[d] * cell.strata[d][st]
                 r2 = STRATUM_PAIRS[st][1 - d]
-                at = ((2 * d + 1) * 2 + r2) * 2 ** len(aux) + level
+                at = (((2 * first + d) * 2 + 1) * 2 + r2) * 2 ** len(aux) + level
                 n[at] += w
                 if r2:
                     trend = spec.trend[st] + cell.trend_shift[d]
@@ -569,8 +578,8 @@ def _expected_counts(spec: DgpSpec, aux: Sequence[int] = ()) -> GroupCounts:
     return GroupCounts(
         n=np.array(n).reshape(shape),
         s=sums,
-        cc_sum=sums[0, :, 1, 1].reshape(2, -1).sum(axis=1),
-        cells=((),),
+        cc_sum=sums[:, :, 1, 1].swapaxes(0, 1).reshape(2, -1).sum(axis=1),
+        cells=tuple(keys),
     )
 
 
@@ -1563,30 +1572,9 @@ def _verify_pi(spec: DgpSpec) -> None:
     att, _, cc = spec._population
     _require(abs(att - 1.0) < 1e-12, kind, "ATT is not 1.0")
     _require(abs(cc - att - 0.2) < 1e-9, kind, "planted complete-case bias is not 0.2")
-    for cell in spec.covariate_model:
-        _require(
-            cell.strata[0][_ICR] == 0.0 and cell.strata[1][_ICR] == 0.0,
-            kind,
-            "response must be monotone",
-        )
-        _require(
-            cell.strata[0][_AR] == cell.strata[1][_AR],
-            kind,
-            "control-response share must match across arms within cells",
-        )
-        _require(
-            cell.share[0] == cell.share[1],
-            kind,
-            "covariate distribution must be balanced across arms",
-        )
-    # the stratum-weighted estimator is exact in population: within each
-    # cell the treated/control change contrast is the constant effect
-    _require(
-        all(c.effect_shift == 0.0 for c in spec.covariate_model)
-        and len(set(spec.effect)) == 1,
-        kind,
-        "effects must be constant for the population-exactness argument",
-    )
+    c = _expected_counts(spec, cells=True)
+    point, _, _ = _pi_point(c.cells, c.n, c.s)
+    _require(abs(point - att) < 1e-9, kind, "stratum-weighted estimator is not exact in population")
 
 
 def _preset_mnar_baseline(n: int, seed: int) -> DgpSpec:
@@ -1653,29 +1641,20 @@ def _verify_no_monotone(spec: DgpSpec) -> None:
     _require(abs(att_ar - 1.0) < 1e-12, kind, "always-respondent ATT is not 1.0")
     pi = {d: spec.pi(d) for d in (0, 1)}
     _require(min(min(pi[0]), min(pi[1])) > 0.0, kind, "all four strata must be populated")
-    # identities the interval construction relies on: the control-response
-    # margin and the treatment-on-response effect match across arms
-    control_resp = {d: pi[d][_AR] + pi[d][_ICR] for d in (0, 1)}
-    treated_resp = {d: pi[d][_AR] + pi[d][_ITR] for d in (0, 1)}
-    _require(
-        abs(control_resp[0] - control_resp[1]) < 1e-12,
-        kind,
-        "control-response margins differ across arms",
-    )
-    _require(
-        abs(
-            (treated_resp[1] - control_resp[1]) - (treated_resp[0] - control_resp[0])
-        ) < 1e-12,
-        kind,
-        "treatment effect on response differs across arms",
-    )
-    # the true always-respondent share sits inside the population interval
-    # with room to spare for sampling noise
-    for d in (0, 1):
-        own, counter = treated_resp[d], control_resp[d]
-        if not d:  # the control arm observes its R2(0) margin
-            own, counter = counter, own
-        ar = _frechet_cells(observed=own, counterfactual=counter, arm=d)[(1, 1)]
+    # att_ar_bounds' interval construction on the design's response rates
+    arms = _expected_counts(spec).arms  # Pr(R1, R2 | D = d)
+    p_r2 = arms.sum(axis=1)[:, 1].tolist()
+    events: list[ClipEvent] = []
+    a1, a0 = _counterfactual_rates(arms.sum(axis=2)[:, 1].tolist(), p_r2, events)
+    _require(not events, kind, "a counterfactual response rate was clipped")
+    for d, margin in ((0, a0), (1, a1)):
+        # arm d's counterfactual response R2(1 - d) is 1 for always-respondents
+        # and for the if-treated (control arm) or if-control (treated arm) stratum
+        true = pi[d][_AR] + pi[d][_ITR if d == 0 else _ICR]
+        _require(abs(margin - true) < 1e-12, kind, f"counterfactual margin of arm {d} is wrong")
+        # the true always-respondent share sits inside the population
+        # interval with room to spare for sampling noise
+        ar = _frechet_cells(p_r2[d], margin, arm=d)[(1, 1)]
         _require(
             ar.lo + 0.05 <= pi[d][_AR] <= ar.hi - 0.05,
             kind,
@@ -1699,10 +1678,12 @@ PRESET_KINDS = tuple(_PRESETS)
 def make_preset(kind: str, n: int = 10_000, seed: int = 0) -> DgpSpec:
     """Build one of the documented generating processes.
 
-    Every preset's claimed properties are re-verified analytically on
-    construction (planted biases, instrument relevance and exactness,
-    monotonicity, interval margins); a failure raises ``RuntimeError``
-    because it indicates an internal inconsistency, not bad input.
+    Every preset's claimed properties are re-verified on construction
+    (planted biases, instrument relevance and exactness, the stratum-weighted
+    estimator's exactness, monotonicity, interval margins), where an
+    estimator can decide them by its own formula on the design's expected
+    counts; a failure raises ``RuntimeError`` because it indicates an
+    internal inconsistency, not bad input.
 
     Parameters
     ----------
@@ -1727,7 +1708,8 @@ def make_preset(kind: str, n: int = 10_000, seed: int = 0) -> DgpSpec:
         ``"pi"``
             An exported binary covariate drives both trends and strata;
             response status is unrelated to changes within covariate
-            cells.  Planted complete-case bias 0.2.  ATT 1.0.
+            cells, so the stratum-weighted estimator is exact in
+            population.  Planted complete-case bias 0.2.  ATT 1.0.
         ``"mnar-baseline"``
             Stratum composition differs across arms with heterogeneous
             trends and effects; complete-case bias 47/140.  ATT 1.01.

@@ -33,15 +33,15 @@ several files, each the first columns of the same table, so
 
 from __future__ import annotations
 
+import contextlib
 import csv
-import io
 import itertools
 import math
 import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Any, Callable, ContextManager, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -52,6 +52,9 @@ MISSING = "NA"
 
 #: What makes the writer quote a text cell, as ``csv.writer`` does by default.
 _QUOTED = re.compile('[,"\r\n]')
+
+#: A line with the line feed that ends it, or a last line without one.
+_LINE = re.compile(r"[^\n]*\n|[^\n]+")
 
 #: Missing-value cells after stripping whitespace and lower-casing.
 _MISSING_TOKENS = frozenset({"", "na"})
@@ -300,12 +303,15 @@ def _join(parser: Parser, pieces: list[Any]) -> Any:
     return tuple(itertools.chain.from_iterable(pieces))
 
 
-def open_text(source: str | Path | bytes | IO[str] | IO[bytes]) -> IO[str]:
-    """str/Path name a file; bytes or a file-like object carry CSV content.
+def open_text(source: str | Path | bytes | IO[str] | IO[bytes]) -> ContextManager[Iterable[str]]:
+    """The lines of a source: str/Path name a file; bytes or a file-like
+    object carry CSV content.
 
     Bytes are decoded as UTF-8, and so is a named file. One leading
     byte-order mark (U+FEFF, as Excel's "CSV UTF-8" writes) is dropped from
-    every kind of source.
+    every kind of source. Content that is not a file is read whole, and its
+    text is split after each line feed, as ``io.StringIO`` splits it, one
+    line at a time rather than through a copy of the whole text.
     """
     if isinstance(source, (str, Path)):
         path = Path(source)
@@ -317,7 +323,8 @@ def open_text(source: str | Path | bytes | IO[str] | IO[bytes]) -> IO[str]:
             raise InputError(f"cannot read {path}: {exc.strerror}") from None
     raw = source if isinstance(source, bytes) else source.read()
     text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
-    return io.StringIO(text.removeprefix("\ufeff"))
+    start = 1 if text.startswith("\ufeff") else 0
+    return contextlib.nullcontext(line.group() for line in _LINE.finditer(text, start))
 
 
 def require_columns(

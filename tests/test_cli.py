@@ -587,6 +587,15 @@ def test_covariates_on_a_file_without_rows_is_input_error(capsys, tmp_path):
     assert "empty dataset" in err
 
 
+@pytest.mark.parametrize("names", [",", "", " , "])
+def test_covariates_that_name_no_column_are_refused(capsys, tmp_path, names):
+    path = tmp_path / "panel.csv"
+    path.write_text("id,d,y1,y2,x1\n1,0,1,2,0\n2,1,1,3,0\n3,0,2,3,1\n4,1,2,4,1\n")
+    code, out, err = run(capsys, "pi", "--input", path, "--covariates", names)
+    assert (code, out) == (1, "")
+    assert err == f"did-miss: error: --covariates names no column, got {names!r}\n"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -307,6 +307,13 @@ def test_bad_treatment_value_rejected():
         (lambda: PanelDataset([0, 1], [1.0], [2.0, 3.0]), r"y1 has shape \(1,\), expected \(2,\)"),
         (lambda: PanelDataset([0, 1], [1.0, 2.0], [[2.0, 3.0]]),
          r"y2 has shape \(1, 2\), expected \(2,\)"),
+        # NaN is missing; an infinite outcome is refused, not counted as observed
+        (lambda: PanelDataset([0, 1, 0, 1, 0, 1], [1, 2, np.inf, 1, 1, 1],
+                              [1, 2, 3, -np.inf, np.nan, 2]),
+         r"y1 must be finite or missing \(NaN\), got inf \(row 3\)"),
+        (lambda: PanelDataset([0, 1, 0, 1, 0, 1], [1, 2, np.nan, 1, 1, 1],
+                              [1, 2, 3, -np.inf, np.nan, 2]),
+         r"y2 must be finite or missing \(NaN\), got -inf \(row 4\)"),
         (lambda: PanelDataset([0, 1], [1.0, 2.0], [2.0, 3.0], aux=[[1], [0], [1]]),
          "aux has 3 rows, expected 2"),
         (lambda: PanelDataset([0, 1], [1.0, 2.0], [2.0, 3.0], x=[[1], [0], [1]]),
@@ -320,8 +327,8 @@ def test_bad_treatment_value_rejected():
         (lambda: RateTable((3, 3), (1.0, 1.0), (-0.5, 0.5), (0.5, 0.5), ((), ())),
          r"rate -0\.5 outside \[0, 1\]"),
     ],
-    ids=["y1-shape", "y2-shape", "aux-rows", "x-rows", "unit-ids", "rates-empty-arm",
-         "rate-above-1", "rate-below-0"],
+    ids=["y1-shape", "y2-shape", "y1-infinite", "y2-infinite", "aux-rows", "x-rows", "unit-ids",
+         "rates-empty-arm", "rate-above-1", "rate-below-0"],
 )
 def test_malformed_columns_and_rate_tables_are_refused_by_name(build, message):
     with pytest.raises(InputError, match=rf"^{message}$"):

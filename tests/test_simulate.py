@@ -42,12 +42,15 @@ from didmiss import (
 )
 from didmiss.iv import _iv_pair, _iv_single
 from didmiss.panel import GroupKey
+from didmiss.principal import _pi_point
 from didmiss.simulate import (
     _aggregate_joint,
     _check_solution,
     _expected_counts,
     _solve_homogeneous_cells,
     _solve_multi_instrument,
+    _verify_no_monotone,
+    _verify_pi,
 )
 
 from _helpers import (
@@ -648,6 +651,100 @@ def test_expected_counts_match_a_large_draw():
         np.testing.assert_allclose(means, expected.s[0, d, 1, 1] / expected.n[0, d, 1, 1], atol=0.03)
         assert not expected.s[0, d, 1, 0].any()
     assert expected.cc_sum == pytest.approx(expected.s[0, :, 1, 1].sum(axis=(1, 2)), abs=1e-15)
+
+
+#: sha256 of the pooled expected counts' ``n``, ``s`` and ``cc_sum`` bytes for
+#: every preset and choice of pattern auxiliary columns
+EXPECTED_COUNT_DIGESTS = {
+    ("zero-bias", ()): "20a81b3869a70b426bb59e64114442cf9da5e9780b7c7d8c5ac918e64f84c66f",
+    ("zero-bias", (0,)): "5e41f0dea1847ef2cdeb3b1a912b48629ec2b4aa885bfa3c0f20f40e32b4451d",
+    ("homogeneous-bias", ()): "ac962d0ceeeb29ca198558e0177074e42241832167cb3fa320f7d231f4f30f6a",
+    ("homogeneous-bias", (0,)): "3e23151787ea719dc7f9806b75940097192f1ce9738027f129820a97fbc27616",
+    ("multi-iv", ()): "b3f55889d31444a9915ec32833f6ee392fafa7f4f51f703a016b83ad03dcec3e",
+    ("multi-iv", (0,)): "a0f42a5758292d52287262b57555a4000018577af80964f2cb4e95916cc23b2c",
+    ("multi-iv", (1,)): "56b17e43f7fd5e9231d6bbabf6f22dd82c75a5a86f5ca3701d3718e2e14e9be8",
+    ("multi-iv", (0, 1)): "70300f2cf593c37070262945b5c1d25444046ce6f23705db626cb45bb4c0ba7c",
+    ("pi", ()): "70c870411156d3037885e9fac2979e37b3d50b07f8d03bc05b0a2521253e1477",
+    ("mnar-baseline", ()): "fc98bc294830753a921b4b5ff41ec8cf6c04cdc9916a3b300d9ad054f3bef1b2",
+    ("monotone", ()): "6a3531afa14ebb34dbd48b41384f4b1214c516b9364b99413b77df8b9e83b7e2",
+    ("no-monotone", ()): "c02b2fd11010d6f6fb7416a4434b1a73b701e619a893199b6b4b389e571b036f",
+}
+
+
+@pytest.mark.parametrize("kind", PRESET_KINDS)
+def test_expected_counts_by_cell_sum_to_the_pooled_counts(kind):
+    spec = make_preset(kind)
+    pattern = [k for k, m in enumerate(spec.aux_models) if m.kind == "pattern"]
+    for aux in [()] + [(k,) for k in pattern] + [tuple(pattern)] * (len(pattern) > 1):
+        pooled = _expected_counts(spec, aux)
+        pinned = hashlib.sha256(pooled.n.tobytes() + pooled.s.tobytes() + pooled.cc_sum.tobytes())
+        assert pinned.hexdigest() == EXPECTED_COUNT_DIGESTS[kind, aux], aux
+        by_cell = _expected_counts(spec, aux, cells=True)
+        assert pooled.cells == ((),)
+        labels = sorted({(c.x_label,) for c in spec.cells() if c.x_label is not None})
+        assert by_cell.cells == (tuple(labels) or ((),))
+        np.testing.assert_array_equal(by_cell.n.sum(axis=0, keepdims=True), pooled.n)
+        np.testing.assert_array_equal(by_cell.s.sum(axis=0, keepdims=True), pooled.s)
+        np.testing.assert_array_equal(by_cell.cc_sum, pooled.cc_sum)
+
+
+def test_expected_counts_by_cell_are_keyed_like_a_draw():
+    # cells listed out of order: both sides sort them by covariate value
+    spec = make_preset("pi", n=200_000, seed=9)
+    spec = replace(spec, covariate_model=spec.covariate_model[::-1])
+    expected = _expected_counts(spec, cells=True)
+    data, _, _ = simulate_panel(spec)
+    drawn = GroupKey(data, cells=True).counts()
+    assert expected.cells == drawn.cells == ((0,), (1,))
+    for d in (0, 1):
+        shares = drawn.n[:, d] / drawn.n[:, d].sum()
+        np.testing.assert_allclose(shares, expected.n[:, d], atol=0.005)
+
+
+def _pi_design_point(spec: DgpSpec) -> float:
+    c = _expected_counts(spec, cells=True)
+    return _pi_point(c.cells, c.n, c.s)[0]
+
+
+def test_the_pi_preset_is_checked_by_the_stratum_weighted_estimator():
+    spec = make_preset("pi")
+    assert _pi_design_point(spec) == pytest.approx(1.0, abs=1e-9)
+    # a trend of its own for if-treated respondents breaks principal
+    # ignorability; the x=1 shift is re-solved so the planted bias stays 0.2
+    x0, x1 = spec.covariate_model
+
+    def biased(delta: float) -> DgpSpec:
+        cell = replace(x1, trend_shift=(delta, delta))
+        return replace(spec, trend=(0.2, 0.5, 0.2, 0.2), covariate_model=(x0, cell))
+
+    def cc_bias(delta: float) -> float:
+        att, _, cc = biased(delta)._population
+        return cc - att
+
+    delta = (0.2 - cc_bias(0.0)) / (cc_bias(1.0) - cc_bias(0.0))  # the bias is affine in it
+    design = biased(delta)
+    assert cc_bias(delta) == pytest.approx(0.2, abs=1e-12)
+    assert _pi_design_point(design) == pytest.approx(1.1338235294117645, abs=1e-12)
+    with pytest.raises(RuntimeError, match="stratum-weighted estimator is not exact"):
+        _verify_pi(design)
+
+
+def _no_monotone(pi_treated, pi_control) -> DgpSpec:
+    joint = (tuple(0.5 * p for p in pi_control), tuple(0.5 * p for p in pi_treated))
+    return replace(make_preset("no-monotone"), joint_sd=joint)
+
+
+def test_the_no_monotone_preset_is_checked_by_the_bounds_formulas():
+    _verify_no_monotone(make_preset("no-monotone"))
+    # the control-response margin differs across arms (0.65 treated, 0.70 control)
+    spec = _no_monotone((0.55, 0.15, 0.10, 0.20), (0.50, 0.20, 0.20, 0.10))
+    with pytest.raises(RuntimeError, match="counterfactual margin of arm 1 is wrong"):
+        _verify_no_monotone(spec)
+    # margins match, but the treated always-respondent share 0.62 sits 0.03
+    # below the top of its interval [0.35, 0.65]
+    spec = _no_monotone((0.62, 0.08, 0.03, 0.27), (0.50, 0.20, 0.15, 0.15))
+    with pytest.raises(RuntimeError, match="not interior in arm 1"):
+        _verify_no_monotone(spec)
 
 
 def test_bound_presets_plant_unit_att_among_always_respondents():

@@ -505,3 +505,25 @@ def test_a_load_keeps_its_ids_in_a_few_bytes_per_row(tmp_path, load):
     arrays = [getattr(loaded, name, None) for name in names]
     typed = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
     assert held - typed < 20 * n, (held - typed) / n
+
+
+@pytest.mark.parametrize("kind", ["bytes", "binary file", "text file"])
+def test_content_sources_are_read_without_a_copy_of_their_text(kind):
+    # the content and its decoded text, plus the parsed columns; copying the
+    # text into an io.StringIO peaked at about five times the content
+    data, _, _ = simulate_panel(make_preset("homogeneous-bias", n=20_000, seed=1))
+    buffer = io.StringIO()
+    save_panel(data, buffer)
+    text = buffer.getvalue()
+    raw = text.encode()
+    source = {"bytes": lambda: raw, "binary file": lambda: io.BytesIO(raw),
+              "text file": lambda: io.StringIO(text)}[kind]
+    load_panel(source())  # what a first load caches belongs to no table
+    handle = source()
+    tracemalloc.start()
+    try:
+        load_panel(handle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(raw), peak / len(raw)
