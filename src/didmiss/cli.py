@@ -41,7 +41,7 @@ from .common import Interval
 from .errors import EstimatorError, InputError
 from .estimators import BootstrapConfig, _percentile_ci, bootstrap_ci, did_complete_case
 from .iv import _iv_engine
-from .panel import ColumnMapping, PanelDataset, compute_rates, load_panel, save_panel
+from .panel import ColumnMapping, PanelDataset, _unit_counts, compute_rates, load_panel, save_panel
 from .principal import att_principal_ignorability, principal_scores
 from .simulate import (
     PRESET_KINDS,
@@ -153,12 +153,13 @@ def _report(
 
 
 def _fingerprint(data: PanelDataset) -> dict[str, Any]:
-    arms = [data.d == 0, data.d == 1]
+    counts = _unit_counts(data)[1][0]  # units over (arm, R1, R2), as compute_rates reads them
+    n = counts.sum(axis=(1, 2))
     return {
         "rows": len(data),
-        "arms": [int(a.sum()) for a in arms],
-        "missing_y1": [float(np.isnan(data.y1.compress(a)).mean()) if a.any() else 0.0 for a in arms],
-        "missing_y2": [float(np.isnan(data.y2.compress(a)).mean()) if a.any() else 0.0 for a in arms],
+        "arms": n.tolist(),
+        "missing_y1": (counts[:, 0].sum(axis=1) / n).tolist(),
+        "missing_y2": (counts[:, :, 0].sum(axis=1) / n).tolist(),
         "n_aux": data.n_aux,
         "n_covariates": data.n_covariates,
     }

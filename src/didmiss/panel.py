@@ -260,9 +260,12 @@ class RateTable:
     zero.
 
     p_r2_given_aux[d][k][v] = Pr(R2 = 1 | D = d, aux_k = v, R1 = 1).
+
+    n[d] is arm d's unit count, or its expected mass when the table is built
+    from a design's expected counts (then the rates are population rates).
     """
 
-    n: tuple[int, int]
+    n: tuple[float, float]
     p_r1: tuple[float, float]
     p_r2: tuple[float, float]
     p_r2_given_r1: tuple[float | None, float | None]
@@ -378,8 +381,8 @@ class GroupCounts:
     DID bit for bit.
 
     Counts may also be expected masses (floats): the simulator evaluates the
-    estimators' formulas on a design's expected counts to get population
-    values.
+    estimators' formulas, the response-rate table's among them, on a
+    design's expected counts to get population values.
     """
 
     n: np.ndarray
@@ -427,29 +430,31 @@ def compute_rates(data: PanelDataset) -> RateTable:
     )
 
 
-def _response_rates(arms: list) -> tuple[list[int], list[float], list[float]]:
+def _response_rates(arms: list) -> tuple[list[float], list[float], list[float]]:
     """Units, Pr(R1 = 1) and Pr(R2 = 1) per arm from nested lists of counts
-    over (arm, R1, R2); an empty arm is refused."""
-    n: list[int] = []
+    (or expected masses) over (arm, R1, R2); an empty arm is refused."""
+    n: list[float] = []
     p_r1: list[float] = []
     p_r2: list[float] = []
     # Python scalars; each sum adds left to right, as numpy does for so few terms
     for (n00, n01), (n10, n11) in arms:
-        n_d = int(n00 + n01 + n10 + n11)
+        n_d = n00 + n01 + n10 + n11
         if n_d == 0:
             raise InputError("single-arm dataset: both treated and control units are required")
         n.append(n_d)
-        p_r1.append(int(n10 + n11) / n_d)
-        p_r2.append(int(n01 + n11) / n_d)
+        p_r1.append((n10 + n11) / n_d)
+        p_r2.append((n01 + n11) / n_d)
     return n, p_r1, p_r2
 
 
 def _rate_table(arms: np.ndarray, aux_counts: Sequence[np.ndarray] = ()) -> RateTable:
-    """Response-rate table from unit counts.
+    """Response-rate table from unit counts or expected masses.
 
     ``arms`` holds counts over (arm, R1, R2); ``aux_counts[k]`` over
     (arm, R1, R2, aux_k), one entry per auxiliary indicator. Without
-    ``aux_counts`` the table's p_r2_given_aux is empty.
+    ``aux_counts`` the table's p_r2_given_aux is empty. Each rate is the
+    quotient of the counts as given, so integer counts give correctly
+    rounded rates and a design's expected masses its population rates.
     """
     by_arm = arms.tolist()
     n, p_r1, p_r2 = _response_rates(by_arm)
@@ -457,15 +462,15 @@ def _rate_table(arms: np.ndarray, aux_counts: Sequence[np.ndarray] = ()) -> Rate
     p_aux: list[tuple[tuple[float | None, float | None], ...]] = []
     by_aux = [counts.tolist() for counts in aux_counts]
     for d, (_, (n10, n11)) in enumerate(by_arm):
-        n_r1 = int(n10 + n11)
-        p_cond.append(int(n11) / n_r1 if n_r1 > 0 else None)
+        n_r1 = n10 + n11
+        p_cond.append(n11 / n_r1 if n_r1 > 0 else None)
         per_k: list[tuple[float | None, float | None]] = []
         for counts in by_aux:
             missing, complete = counts[d][1]  # over R2, then aux level
             levels: list[float | None] = []
             for v in (0, 1):
-                n_cell = int(missing[v] + complete[v])
-                levels.append(int(complete[v]) / n_cell if n_cell > 0 else None)
+                n_cell = missing[v] + complete[v]
+                levels.append(complete[v] / n_cell if n_cell > 0 else None)
             per_k.append((levels[0], levels[1]))
         p_aux.append(tuple(per_k))
     return RateTable(

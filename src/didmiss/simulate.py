@@ -48,7 +48,7 @@ from typing import IO, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .bounds import _counterfactual_rates, _frechet_cells
+from .bounds import _counterfactual_rates, _frechet_cells, strata_proportions_monotone
 from .common import STRATUM_LABELS, STRATUM_PAIRS, ClipEvent, check_seed, finite, is_integer
 from .errors import EstimatorError, InputError
 from .estimators import _complete_case
@@ -59,6 +59,7 @@ from .panel import (
     PanelDataset,
     _panel_fields,
     _panel_values,
+    _rate_table,
     _table_columns,
 )
 from .principal import _pi_point
@@ -1116,7 +1117,8 @@ def strip_missingness(spec: DgpSpec) -> DgpSpec:
     """Return a spec with the same outcome law but full observation.
 
     Every (cell, stratum) combination becomes an always-respondent cell that
-    keeps its trend, effect and baseline contributions, and first-wave
+    keeps its trend (in the treated arm with the stratum's
+    ``arm_trend_delta``), effect and baseline contributions, and first-wave
     response is forced on.  The generated panel therefore follows the same
     outcome distribution as the original with all missingness removed —
     the reference point for collapse identities.
@@ -1140,8 +1142,7 @@ def strip_missingness(spec: DgpSpec) -> DgpSpec:
                         cell.trend_shift[1]
                         + spec.trend[code]
                         + spec.arm_trend_delta[code]
-                        - spec.trend[_AR]
-                        - spec.arm_trend_delta[_AR],
+                        - spec.trend[_AR],
                     ),
                     effect_shift=cell.effect_shift + spec.effect[code] - spec.effect[_AR],
                     baseline_shift=(
@@ -1613,7 +1614,18 @@ def _preset_monotone(n: int, seed: int) -> DgpSpec:
 def _verify_monotone(spec: DgpSpec) -> None:
     kind = "monotone"
     _, att_ar, _ = spec._population
-    _require(spec.pi(0)[_ICR] == 0.0 and spec.pi(1)[_ICR] == 0.0, kind, "if-control mass present")
+    # the monotone formulas identify every stratum share from the design's
+    # response rates, as they do under monotonicity and parallel trends of
+    # missingness
+    shares = strata_proportions_monotone(_rate_table(_expected_counts(spec).arms))
+    _require(not shares.clip_events, kind, "a monotone stratum share was clipped")
+    for d in (0, 1):
+        for label, stratum, share in zip(STRATUM_LABELS, STRATUM_PAIRS, spec.pi(d)):
+            _require(
+                shares.pi[d][stratum].contains(share, slack=1e-12),
+                kind,
+                f"monotone shares miss the true {label} share of arm {d}",
+            )
     _require(abs(att_ar - 1.0) < 1e-12, kind, "always-respondent ATT is not 1.0")
     _require(
         len(set(spec.effect[:2] + spec.effect[3:])) > 1,
@@ -1642,10 +1654,9 @@ def _verify_no_monotone(spec: DgpSpec) -> None:
     pi = {d: spec.pi(d) for d in (0, 1)}
     _require(min(min(pi[0]), min(pi[1])) > 0.0, kind, "all four strata must be populated")
     # att_ar_bounds' interval construction on the design's response rates
-    arms = _expected_counts(spec).arms  # Pr(R1, R2 | D = d)
-    p_r2 = arms.sum(axis=1)[:, 1].tolist()
+    rates = _rate_table(_expected_counts(spec).arms)
     events: list[ClipEvent] = []
-    a1, a0 = _counterfactual_rates(arms.sum(axis=2)[:, 1].tolist(), p_r2, events)
+    a1, a0 = _counterfactual_rates(rates.p_r1, rates.p_r2, events)
     _require(not events, kind, "a counterfactual response rate was clipped")
     for d, margin in ((0, a0), (1, a1)):
         # arm d's counterfactual response R2(1 - d) is 1 for always-respondents
@@ -1654,7 +1665,7 @@ def _verify_no_monotone(spec: DgpSpec) -> None:
         _require(abs(margin - true) < 1e-12, kind, f"counterfactual margin of arm {d} is wrong")
         # the true always-respondent share sits inside the population
         # interval with room to spare for sampling noise
-        ar = _frechet_cells(p_r2[d], margin, arm=d)[(1, 1)]
+        ar = _frechet_cells(rates.p_r2[d], margin, arm=d)[(1, 1)]
         _require(
             ar.lo + 0.05 <= pi[d][_AR] <= ar.hi - 0.05,
             kind,
@@ -1680,10 +1691,10 @@ def make_preset(kind: str, n: int = 10_000, seed: int = 0) -> DgpSpec:
 
     Every preset's claimed properties are re-verified on construction
     (planted biases, instrument relevance and exactness, the stratum-weighted
-    estimator's exactness, monotonicity, interval margins), where an
-    estimator can decide them by its own formula on the design's expected
-    counts; a failure raises ``RuntimeError`` because it indicates an
-    internal inconsistency, not bad input.
+    estimator's exactness, the monotone strata shares, interval margins),
+    where an estimator can decide them by its own formula on the design's
+    expected counts; a failure raises ``RuntimeError`` because it indicates
+    an internal inconsistency, not bad input.
 
     Parameters
     ----------
@@ -1714,9 +1725,10 @@ def make_preset(kind: str, n: int = 10_000, seed: int = 0) -> DgpSpec:
             Stratum composition differs across arms with heterogeneous
             trends and effects; complete-case bias 47/140.  ATT 1.01.
         ``"monotone"``
-            No if-control respondents; heterogeneous effects with
-            always-respondent ATT 1.0; first wave missing completely at
-            random at rate 0.1.
+            No if-control respondents, so the monotone strata formulas
+            recover every true stratum share from the design's response
+            rates; heterogeneous effects with always-respondent ATT 1.0;
+            first wave missing completely at random at rate 0.1.
         ``"no-monotone"``
             All four strata populated, with the cross-arm response
             identities the interval construction needs; true

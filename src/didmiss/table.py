@@ -53,8 +53,10 @@ MISSING = "NA"
 #: What makes the writer quote a text cell, as ``csv.writer`` does by default.
 _QUOTED = re.compile('[,"\r\n]')
 
-#: A line with the line feed that ends it, or a last line without one.
-_LINE = re.compile(r"[^\n]*\n|[^\n]+")
+#: A line with the ending that ends it (CR, CRLF or LF, the universal
+#: newlines a file opened with ``newline=""`` splits at), or a last line
+#: without one.
+_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 
 #: Missing-value cells after stripping whitespace and lower-casing.
 _MISSING_TOKENS = frozenset({"", "na"})
@@ -310,8 +312,8 @@ def open_text(source: str | Path | bytes | IO[str] | IO[bytes]) -> ContextManage
     Bytes are decoded as UTF-8, and so is a named file. One leading
     byte-order mark (U+FEFF, as Excel's "CSV UTF-8" writes) is dropped from
     every kind of source. Content that is not a file is read whole, and its
-    text is split after each line feed, as ``io.StringIO`` splits it, one
-    line at a time rather than through a copy of the whole text.
+    text is split after each CR, CRLF or LF, as a named file is, one line at
+    a time rather than through a copy of the whole text.
     """
     if isinstance(source, (str, Path)):
         path = Path(source)

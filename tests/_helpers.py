@@ -124,9 +124,12 @@ def block_panel(blocks, aux_width: int = 0, outcome_support=None) -> PanelDatase
 
 
 def reference_read_table(text: str, what: str) -> dict[str, tuple[str, ...]]:
-    """The CSV reader as one whole-table transposition: every row held at once."""
+    """The CSV reader as one whole-table transposition: every row held at once.
+
+    Lines end at CR, CRLF or LF, as they do in a file opened with ``newline=""``.
+    """
     try:
-        rows = list(filter(None, csv.reader(io.StringIO(text))))
+        rows = list(filter(None, csv.reader(io.StringIO(text, newline=""))))
     except csv.Error as exc:
         raise InputError(f"malformed CSV: {exc}") from exc
     if not rows:
@@ -180,20 +183,20 @@ def reference_rate_table(arms: np.ndarray, aux_counts=()) -> RateTable:
     """``panel._rate_table`` with a numpy reduction or scalar index per figure."""
     n, p_r1, p_r2, p_cond, p_aux = [], [], [], [], []
     for d in (0, 1):
-        n_d = int(arms[d].sum())
+        n_d = arms[d].sum().item()
         if n_d == 0:
             raise InputError("single-arm dataset: both treated and control units are required")
-        n_r1 = int(arms[d, 1].sum())
+        n_r1 = arms[d, 1].sum().item()
         n.append(n_d)
         p_r1.append(n_r1 / n_d)
-        p_r2.append(int(arms[d, :, 1].sum()) / n_d)
-        p_cond.append(int(arms[d, 1, 1]) / n_r1 if n_r1 > 0 else None)
+        p_r2.append(arms[d, :, 1].sum().item() / n_d)
+        p_cond.append(arms[d, 1, 1].item() / n_r1 if n_r1 > 0 else None)
         per_k = []
         for counts in aux_counts:
             levels = []
             for v in (0, 1):
-                n_cell = int(counts[d, 1, :, v].sum())
-                levels.append(int(counts[d, 1, 1, v]) / n_cell if n_cell > 0 else None)
+                n_cell = counts[d, 1, :, v].sum().item()
+                levels.append(counts[d, 1, 1, v].item() / n_cell if n_cell > 0 else None)
             per_k.append((levels[0], levels[1]))
         p_aux.append(tuple(per_k))
     return RateTable(

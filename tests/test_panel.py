@@ -228,14 +228,19 @@ def test_custom_schema_names():
 BOM_PANEL = "\ufeffid,d,y1,y2\r\né,0,1.0,2.0\r\nb,1,2.0,4.0\r\nc,0,NA,3.0\r\n𝔘,1,1.5,2.5\r\n"
 
 
+def content_source(kind: str, text: str, tmp_path):
+    """``text`` as a ``load_panel`` source of the given kind."""
+    raw = text.encode("utf-8")
+    path = tmp_path / f"{len(text)}.csv"
+    path.write_bytes(raw)
+    return {"path": path, "bytes": raw, "binary file": io.BytesIO(raw),
+            "text file": io.StringIO(text)}[kind]
+
+
 @pytest.mark.parametrize("kind", ["path", "bytes", "binary file", "text file"])
 def test_one_leading_byte_order_mark_is_ignored_in_every_kind_of_source(kind, tmp_path):
     def source(text: str):
-        raw = text.encode("utf-8")
-        path = tmp_path / f"{len(text)}.csv"
-        path.write_bytes(raw)
-        return {"path": path, "bytes": raw, "binary file": io.BytesIO(raw),
-                "text file": io.StringIO(text)}[kind]
+        return content_source(kind, text, tmp_path)
 
     data = load_panel(source(BOM_PANEL))
     assert data.unit_ids == ("é", "b", "c", "𝔘")
@@ -244,6 +249,20 @@ def test_one_leading_byte_order_mark_is_ignored_in_every_kind_of_source(kind, tm
     assert buffer.getvalue() == BOM_PANEL[1:]  # the writer writes no mark
     with pytest.raises(InputError, match="^CSV header is missing required columns: id$"):
         load_panel(source("\ufeff" + BOM_PANEL))  # a second mark is header text
+
+
+@pytest.mark.parametrize("kind", ["path", "bytes", "binary file", "text file"])
+def test_lines_may_end_in_cr_crlf_or_lf_in_every_kind_of_source(kind, tmp_path):
+    def source(text: str):
+        return content_source(kind, text, tmp_path)
+
+    data = load_panel(source("id,d,y1,y2\r1,0,1,2\r2,1,1,3\r"))
+    assert data.unit_ids == ("1", "2")
+    # every ending in one file, a quoted bare CR inside an id, and a last
+    # line without an ending
+    data = load_panel(source('id,d,y1,y2\r"a\rb",0,1.0,2.0\r\nc,1,2.0,4.0\nd,0,NA,3.0\re,1,1.5,2.5'))
+    assert data.unit_ids == ("a\rb", "c", "d", "e")
+    assert data.y2.tolist() == [2.0, 4.0, 3.0, 2.5]
 
 
 def test_declared_column_must_exist():
@@ -441,6 +460,13 @@ def test_rate_table_keeps_the_bits_of_numpy_reductions_on_expected_masses(kind):
     for scale in (1.0, float(spec.n)):  # masses per unit, and per sample
         args = (arms * scale, [counts * scale for counts in aux_counts])
         assert repr_or_error(_rate_table, *args) == repr_or_error(reference_rate_table, *args)
+
+
+def test_rate_table_reads_expected_masses_as_given():
+    # masses per unit of each arm: truncating them to integers gave n=(1, 1)
+    # and p_r2=(0.0, 0.0)
+    rates = _rate_table(_expected_counts(make_preset("no-monotone")).arms)
+    assert rates.p_r2 == (0.65, 0.7000000000000001)
 
 
 def test_rate_table_keeps_the_bits_of_numpy_reductions_on_integer_counts():

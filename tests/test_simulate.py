@@ -49,6 +49,7 @@ from didmiss.simulate import (
     _expected_counts,
     _solve_homogeneous_cells,
     _solve_multi_instrument,
+    _verify_monotone,
     _verify_no_monotone,
     _verify_pi,
 )
@@ -580,6 +581,21 @@ def test_trend_gap_reflects_composition_not_trends():
 # -- collapse: removing missingness --------------------------------------------
 
 
+def test_strip_missingness_keeps_the_arm_specific_trend_of_every_stratum():
+    def treated_change(spec: DgpSpec) -> float:  # E[Y2(1) - Y1 | D = 1]
+        return sum(
+            cell.share[1] * cell.strata[1][st] * (
+                spec.trend[st] + spec.arm_trend_delta[st] + cell.trend_shift[1]
+                + spec.effect[st] + cell.effect_shift
+            )
+            for cell in spec.cells() for st in range(4)
+        )
+
+    spec = replace(make_preset("mnar-baseline"), arm_trend_delta=(0.5, 0.0, 0.0, 0.0))
+    assert treated_change(spec) == pytest.approx(1.89, abs=1e-12)
+    assert treated_change(strip_missingness(spec)) == pytest.approx(1.89, abs=1e-12)
+
+
 def test_strip_missingness_removes_all_missingness():
     spec = make_preset("mnar-baseline", n=3_000, seed=2)
     stripped = strip_missingness(spec)
@@ -745,6 +761,29 @@ def test_the_no_monotone_preset_is_checked_by_the_bounds_formulas():
     spec = _no_monotone((0.62, 0.08, 0.03, 0.27), (0.50, 0.20, 0.15, 0.15))
     with pytest.raises(RuntimeError, match="not interior in arm 1"):
         _verify_no_monotone(spec)
+
+
+def _monotone(pi_treated, pi_control) -> DgpSpec:
+    joint = (tuple(0.5 * p for p in pi_control), tuple(0.5 * p for p in pi_treated))
+    return replace(make_preset("monotone"), joint_sd=joint)
+
+
+def test_the_monotone_preset_is_checked_by_the_monotone_strata_formulas():
+    _verify_monotone(make_preset("monotone"))
+    # if-control respondents in the control arm raise its response rate
+    # above its always-respondent share
+    spec = _monotone((0.7, 0.2, 0.0, 0.1), (0.7, 0.1, 0.05, 0.15))
+    with pytest.raises(RuntimeError, match="miss the true AR share of arm 0"):
+        _verify_monotone(spec)
+    # if-control respondents in the treated arm, which monotonicity rules out
+    spec = _monotone((0.7, 0.2, 0.05, 0.05), (0.7, 0.1, 0.0, 0.2))
+    with pytest.raises(RuntimeError, match="miss the true ICR share of arm 1"):
+        _verify_monotone(spec)
+    # no if-control mass anywhere, but the treated always-respondent share
+    # 0.65 is not the control arm's 0.70, which the formulas read it from
+    spec = _monotone((0.65, 0.25, 0.0, 0.1), (0.7, 0.1, 0.0, 0.2))
+    with pytest.raises(RuntimeError, match="miss the true AR share of arm 1"):
+        _verify_monotone(spec)
 
 
 def test_bound_presets_plant_unit_att_among_always_respondents():
