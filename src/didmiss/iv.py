@@ -13,8 +13,16 @@ gap at both of its levels, identifies that gap from observed data:
 
 and the corrected estimator is
 
-    att_iv = cc_did + correction_1 - correction_0,
+    att_iv = base_1 - base_0 + correction_1 - correction_0,
+    base_d = sum_v Pr(R~=v | D=d, R1=1) * E(dY | D=d, R~=v, R1=1, R2=1),
     correction_d = (numer_d / denom_d) * Pr(R2=0 | D=d).
+
+The base weights the complete-case means by every auxiliary level the
+counts are keyed on (both levels of one instrument, the four joint levels of
+a pair), because the assumptions put the same respondent/nonrespondent gap in
+every such level, so each level's complete-case mean differs from its full
+mean by that gap times the level's own missing share. An arm with nothing missing
+keeps its complete-case mean.
 
 With two instruments the level-(iii) requirement can be traded for "parallel
 difference in trends" (both instruments shift the trend by the same amount):
@@ -55,8 +63,10 @@ class IvDiagnostics:
     missing_share[d]
         Pr(R2 = 0 | D = d); a zero annihilates arm d's correction exactly.
     bias_correction[d]
-        The additive correction attributed to arm d, signed as applied:
-        point = cc_did + bias_correction[0] + bias_correction[1].
+        The additive correction attributed to arm d, signed as applied: the
+        level-weighted base minus arm d's complete-case mean, plus the
+        instrumented gap term; point = cc_did + bias_correction[0] +
+        bias_correction[1].
     trend_gap[d]
         Observed complete-case trend gap across instrument levels (the
         numerator before scaling) — reported as a diagnostic only; the
@@ -91,13 +101,38 @@ def _instrument_gap(n: np.ndarray, s: np.ndarray, d: int) -> tuple[float, float]
     return means[1] - means[0], q[0] - q[1]
 
 
+def _level_base(n: np.ndarray, s: np.ndarray, d: int) -> float:
+    """Arm d's complete-case mean dY at each auxiliary level of the counts,
+    weighted by Pr(level | D=d, R1=1).
+
+    n and s are counts and dY sums over (arm, R1, R2, *levels); a level with
+    first-wave respondents but no complete cases is refused.
+    """
+    (missing, complete), sums = n[d, 1].reshape(2, -1).tolist(), s[d, 1, 1].reshape(-1).tolist()
+    mass = total = 0.0
+    for level, (n_miss, n_cc, sum_cc) in enumerate(zip(missing, complete, sums)):
+        if n_miss + n_cc == 0:
+            continue
+        if n_cc == 0:
+            levels = tuple(map(int, np.unravel_index(level, n.shape[3:])))
+            raise EstimatorError(
+                f"empty instrument cell (arm {d}, aux levels {levels}): "
+                "first-wave respondents but no complete cases"
+            )
+        mass += (n_miss + n_cc) * (sum_cc / n_cc)
+        total += n_miss + n_cc
+    return mass / total
+
+
 ArmGaps = Callable[[GroupCounts], Callable[[int], tuple[float, float]]]
 
 
 def _corrected_point(
     c: GroupCounts, gaps: ArmGaps
 ) -> tuple[float, list[list[list[float]]], list[float], list[float], list[float], list[float]]:
-    """Complete-case DID plus the per-arm corrections gap / denom * Pr(R2=0|D=d).
+    """Complete-case DID plus, per arm with missing second-wave outcomes, the
+    level-weighted base's shift from the arm's complete-case mean and the
+    correction gap / denom * Pr(R2=0|D=d).
 
     ``gaps(c)(d)`` returns arm d's (trend gap, denominator); it is called
     only for arms with missing second-wave outcomes. Returns the point, the
@@ -106,7 +141,8 @@ def _corrected_point(
     """
     arm_gap = gaps(c)
     arms = c.arms.tolist()
-    cc = _cc_point([arm[1][1] for arm in arms], c.cc_sum.tolist())
+    complete, sums = [arm[1][1] for arm in arms], c.cc_sum.tolist()
+    cc = _cc_point(complete, sums)
     # Python scalars; each sum adds left to right, as numpy does for so few terms
     share = [
         float(n00 + n10) / float(n00 + n01 + n10 + n11) for (n00, n01), (n10, n11) in arms
@@ -120,7 +156,8 @@ def _corrected_point(
         gap[d], denom[d] = arm_gap(d)
         if abs(denom[d]) < EPS_DENOM:
             raise EstimatorError(f"weak instrument in arm {d}")
-        corr[d] = gap[d] / denom[d] * share[d]
+        shift = _level_base(c.n[0], c.s[0], d) - float(sums[d]) / float(complete[d])
+        corr[d] = shift + gap[d] / denom[d] * share[d]
     return finite(cc + corr[1] - corr[0], "the instrumented DID"), arms, share, denom, corr, gap
 
 
@@ -191,7 +228,9 @@ def att_iv_multi(
     numer_k the observed complete-case trend gap across instrument k's levels
     and composite = [q2(1)-q2(0)] - [q1(1)-q1(0)]. A common direct trend
     shift carried by both instruments cancels in numer1 - numer2, which is
-    what licenses using instruments that individually shift the trend.
+    what licenses using instruments that individually shift the trend. The
+    base weights the complete-case means of the four joint levels, so each
+    joint level with first-wave respondents must hold complete cases.
     """
     aux = tuple(aux_pair) if np.iterable(aux_pair) else (aux_pair,)
     if len(aux) != 2:

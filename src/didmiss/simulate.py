@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence, Union
 
@@ -1249,7 +1249,7 @@ def load_oracle(source: str | Path | bytes | IO[str] | IO[bytes]) -> OraclePanel
 
 
 # ---------------------------------------------------------------------------
-# numeric preset solves (roots written out, re-checked on every call)
+# response tables of the instrument presets' cells
 # ---------------------------------------------------------------------------
 
 
@@ -1264,106 +1264,21 @@ def _couple(p_treated: float, p_control: float) -> tuple[float, float, float, fl
     return (ar, p_treated - ar, p_control - ar, 1.0 - max(p_treated, p_control))
 
 
-def _check_solution(residual: float, what: str) -> None:
-    if not residual < 1e-10:
-        raise RuntimeError(
-            f"preset root for {what} does not solve its equations (residual {residual!r})"
-        )
+def _independent(p_treated: float, p_control: float) -> tuple[float, float, float, float]:
+    """Stratum row of a cell whose two potential responses are drawn
+    independently, with ``Pr(R2(1) = 1) = p_treated`` and ``Pr(R2(0) = 1) =
+    p_control``.
 
-
-def _solve_homogeneous_cells() -> tuple[float, float, float]:
-    """Arm-1 response table with a constant respondent/nonrespondent gap.
-
-    A latent binary V shifts outcome trends; response probabilities
-    ``p(V, aux)`` are solved so that the respondent-minus-nonrespondent
-    mean-trend gap is identical across the two instrument groups while the
-    response-rate contrast between groups stays at 0.25.  Returns
-    ``(p(0, 1), p(1, 1), trend_coefficient)`` with ``p(0, 0) = 0.15`` and
-    ``p(1, 0) = 0.75`` held fixed; the trend coefficient scales V so the
-    planted complete-case bias is exactly 0.25.
-
-    The root was found once with a numerical solver (tolerance 1e-13) and is
-    written out to the last bit; ``equations`` re-verifies it on every call.
+    Under stratum trends ``tau + g1 R2(1) + g0 R2(0)``, the treated arm's
+    respondent/nonrespondent trend gap in such a cell is ``g1`` and the
+    control arm's is ``g0``, whatever the response rates.
     """
-
-    def v_gap(p_v0: float, p_v1: float) -> float:
-        # E[V | respondent] - E[V | nonrespondent] within one instrument group
-        obs = p_v1 / (p_v0 + p_v1)
-        miss = (1.0 - p_v1) / (2.0 - p_v0 - p_v1)
-        return obs - miss
-
-    target = v_gap(0.15, 0.75)
-
-    def equations(q: Sequence[float]) -> list[float]:
-        p01, p11 = q
-        rate_gap = (p01 + p11) / 2.0 - (0.15 + 0.75) / 2.0
-        return [rate_gap - 0.25, v_gap(p01, p11) - target]
-
-    p01, p11 = 0.44545454545454544, 0.9545454545454545
-    _check_solution(max(abs(r) for r in equations((p01, p11))), "homogeneous-bias cells")
-    if not (0.0 < p01 < 1.0 and 0.0 < p11 < 1.0):
-        raise RuntimeError("homogeneous-bias solve left the probability simplex")
-    share_v1_respondents = (0.75 + p11) / (0.15 + p01 + 0.75 + p11)
-    b = 0.25 / (share_v1_respondents - 0.5)
-    return p01, p11, b
-
-
-def _multi_iv_response(h: Sequence[float], v: int, a1: int, a2: int) -> float:
-    """Treated-arm response probability of the paired-instrument preset's
-    cell ``(v, a1, a2)`` under the interaction terms ``h``."""
-    return 0.30 + 0.20 * a1 - 0.15 * a2 + v * (h[0] + h[1] * a1 + h[2] * a2 + h[3] * a1 * a2)
-
-
-def _solve_multi_instrument() -> tuple[float, float, float, float]:
-    """Arm-1 response interaction terms for the paired-instrument preset.
-
-    Both auxiliary indicators shift trends directly by 0.3 (breaking the
-    single-instrument construction), while a latent V with unit trend
-    coefficient drives selection.  The V-part of the response probability,
-    ``v * (h0 + h1*a1 + h2*a2 + h12*a1*a2)``, is solved so that within each
-    instrument the respondent/nonrespondent trend gap is level-independent,
-    the paired-difference correction is exact in population, and the mean
-    V-response gap is 0.30.
-
-    The root was found once with a numerical solver (tolerance 1e-13) and is
-    written out to the last bit; ``equations`` re-verifies the gap conditions
-    on every call, and ``_verify_multi_iv`` checks the paired estimator's
-    exactness on the design's expected counts.
-    """
-    cells = [(v, a1, a2) for v in (0, 1) for a1 in (0, 1) for a2 in (0, 1)]
-
-    def shift(v: int, a1: int, a2: int) -> float:
-        return 1.0 * v + 0.3 * (a1 + a2)
-
-    def equations(h: Sequence[float]) -> list[float]:
-        p = {c: _multi_iv_response(h, *c) for c in cells}
-
-        def mean_shift(k: int, level: int, observed: bool) -> float:
-            mass = mean_sum = 0.0
-            for c in cells:
-                if c[k] != level:
-                    continue
-                w = p[c] if observed else 1.0 - p[c]
-                mass += w
-                mean_sum += w * shift(*c)
-            return mean_sum / mass
-
-        def gap(k: int, level: int) -> float:
-            return mean_shift(k, level, True) - mean_shift(k, level, False)
-
-        mean_v_gap = h[0] + (h[1] + h[2]) / 2.0 + h[3] / 4.0
-        return [
-            gap(1, 0) - gap(1, 1),  # cells are (v, a1, a2): k=1 is a1, k=2 is a2
-            gap(2, 0) - gap(2, 1),
-            mean_v_gap - 0.30,
-        ]
-
-    h = (0.3422596636831731, -0.056882853652676924, -0.07934081250884106, 0.1034086775903435)
-    _check_solution(max(abs(r) for r in equations(h)), "paired-instrument cells")
-    probs = [_multi_iv_response(h, *c) for c in cells]
-    if min(probs) <= 0.01 or max(probs) >= 0.99:
-        raise RuntimeError("paired-instrument solve left the probability simplex")
-    return h
+    return (
+        p_treated * p_control,
+        p_treated * (1.0 - p_control),
+        (1.0 - p_treated) * p_control,
+        (1.0 - p_treated) * (1.0 - p_control),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1402,11 +1317,14 @@ def _cell_spec(n: int, seed: int, cells: Sequence[Cell], **fields) -> DgpSpec:
     )
 
 
-def _instrument_spec(n: int, seed: int, cells: Sequence[Cell]) -> DgpSpec:
-    """The instrument presets' shared design: one pattern column per ``aux_pattern`` entry."""
+def _instrument_spec(
+    n: int, seed: int, cells: Sequence[Cell], g1: float = 0.0, g0: float = 0.0
+) -> DgpSpec:
+    """The instrument presets' shared design: stratum trends ``0.4 + g1 R2(1)
+    + g0 R2(0)`` and one pattern column per ``aux_pattern`` entry."""
     return _cell_spec(
         n, seed, cells,
-        trend=(0.4,) * 4,
+        trend=tuple(0.4 + g1 * r2_1 + g0 * r2_0 for r2_1, r2_0 in STRATUM_PAIRS),
         r1_model=R1Model("mcar", 0.85),
         aux_models=(AuxModel("pattern"),) * len(cells[0].aux_pattern),
     )
@@ -1458,22 +1376,22 @@ def _verify_zero_bias(spec: DgpSpec) -> None:
 
 
 def _preset_homogeneous_bias(n: int, seed: int) -> DgpSpec:
-    p01, p11, b = _solve_homogeneous_cells()
-    treated_response = {(0, 0): 0.15, (1, 0): 0.75, (0, 1): p01, (1, 1): p11}
-    cells = []
-    for v in (0, 1):
-        for a in (0, 1):
-            pair = _couple(treated_response[(v, a)], 0.55 + 0.25 * a)
-            cells.append(
-                Cell(
-                    label=f"v={v},aux={a}",
-                    share=(0.25, 0.25),
-                    strata=(pair, pair),
-                    trend_shift=(b * v, b * v),
-                    aux_pattern=(a,),
-                )
-            )
-    return _instrument_spec(n, seed, cells)
+    p_treated, p_control = (0.5, 0.8), (0.6, 0.8)
+    # g0 = -g1 * ratio keeps each level's mean trend g1 p_treated + g0 p_control
+    # equal; the complete-case bias is g1 times the bracket below, set to 0.25
+    ratio = (p_treated[1] - p_treated[0]) / (p_control[1] - p_control[0])
+    both = p_treated[0] * p_control[0] + p_treated[1] * p_control[1]
+    g1 = 0.25 / (1.0 - both / sum(p_control) + ratio * (1.0 - both / sum(p_treated)))
+    cells = [
+        Cell(
+            label=f"aux={a}",
+            share=(0.5, 0.5),
+            strata=(_independent(p_treated[a], p_control[a]),) * 2,
+            aux_pattern=(a,),
+        )
+        for a in (0, 1)
+    ]
+    return _instrument_spec(n, seed, cells, g1, -g1 * ratio)
 
 
 def _verify_homogeneous_bias(spec: DgpSpec) -> None:
@@ -1483,34 +1401,39 @@ def _verify_homogeneous_bias(spec: DgpSpec) -> None:
     _require(abs(cc - att - 0.25) < 1e-9, kind, "planted complete-case bias is not 0.25")
     _require(abs(att - 1.0) < 1e-12, kind, "ATT is not 1.0")
     _require(min(map(abs, iv.denom)) >= 0.15, kind, f"instrument relevance {iv.denom} below 0.15")
-    _require(abs(iv.bias_correction[0]) < 1e-12, kind, "control arm should need no correction")
-    _require(
-        abs(est.point - att) < 0.05, kind, "population instrument estimate strays from the ATT"
-    )
+    _require(abs(est.point - att) < 1e-9, kind, "instrument estimator is not exact in population")
+
+
+def _multi_iv_spec(n: int, seed: int, g0: float) -> DgpSpec:
+    """The paired-instrument design at control-arm gap ``g0``: each indicator
+    moves response and shifts every trend directly by 0.3."""
+    cells = []
+    for a1 in (0, 1):
+        for a2 in (0, 1):
+            shift = 0.3 * (a1 + a2)
+            p_treated, p_control = 0.3 + 0.15 * a1 + 0.4 * a2, 0.4 + 0.05 * a1 + 0.35 * a2
+            cells.append(
+                Cell(
+                    label=f"aux=({a1},{a2})",
+                    share=(0.25, 0.25),
+                    strata=(_independent(p_treated, p_control),) * 2,
+                    trend_shift=(shift, shift),
+                    aux_pattern=(a1, a2),
+                )
+            )
+    return _instrument_spec(n, seed, cells, 0.5, g0)
+
+
+@cache
+def _multi_iv_gap() -> float:
+    """The control-arm gap at which the pair equals the ATT of 1.0: its
+    population value is affine in the gap, so two evaluations fix the root."""
+    at = [_iv_pair(_expected_counts(_multi_iv_spec(1, 0, g0), (0, 1)))[0].point for g0 in (0.0, 1.0)]
+    return (1.0 - at[0]) / (at[1] - at[0])
 
 
 def _preset_multi_iv(n: int, seed: int) -> DgpSpec:
-    h = _solve_multi_instrument()
-    cells = []
-    for v in (0, 1):
-        for a1 in (0, 1):
-            for a2 in (0, 1):
-                p_treated = _multi_iv_response(h, v, a1, a2)
-                p_control = 0.60 + 0.15 * a1 - 0.10 * a2
-                cells.append(
-                    Cell(
-                        label=f"v={v},aux=({a1},{a2})",
-                        share=(0.125, 0.125),
-                        strata=(_couple(p_treated, p_control),) * 2,
-                        # treated-arm trends move with V and both indicators;
-                        # the control arm stays at their mean, so the
-                        # arm-level trend is common while each indicator's
-                        # exclusion restriction fails.
-                        trend_shift=(0.8, 1.0 * v + 0.3 * (a1 + a2)),
-                        aux_pattern=(a1, a2),
-                    )
-                )
-    return _instrument_spec(n, seed, cells)
+    return _multi_iv_spec(n, seed, _multi_iv_gap())
 
 
 def _verify_multi_iv(spec: DgpSpec) -> None:
@@ -1524,17 +1447,6 @@ def _verify_multi_iv(spec: DgpSpec) -> None:
     )
     _require(
         abs(one.point - att) > 0.15, kind, "single-instrument estimator should be visibly biased"
-    )
-    # arm-level trends agree across arms even though each indicator shifts
-    # them (the per-stratum trend is flat, so the cell layer is all that moves)
-    trend_means = [
-        sum(cell.share[d] * (spec.trend[_AR] + cell.trend_shift[d]) for cell in spec.covariate_model)
-        for d in (0, 1)
-    ]
-    _require(
-        abs(trend_means[0] - trend_means[1]) < 1e-12,
-        kind,
-        "arm-level trends are not common",
     )
 
 
@@ -1706,16 +1618,18 @@ def make_preset(kind: str, n: int = 10_000, seed: int = 0) -> DgpSpec:
             complete-case estimate is already unbiased and the instrument
             correction is null.  ATT 1.0.
         ``"homogeneous-bias"``
-            A latent trend shifter drives treated-arm response; the
-            respondent/nonrespondent gap is constant across instrument
-            groups (solved numerically), response rates differ by 0.25,
+            Each instrument level draws the two potential responses
+            independently and the response strata carry additive trends,
+            so each arm's respondent/nonrespondent gap is the same at both
+            levels (in closed form) and the instrument leaves the trend
+            alone; the single-instrument estimator is exact in population,
             planted complete-case bias 0.25.  ATT 1.0.
         ``"multi-iv"``
-            Two auxiliary indicators shift trends directly (each one's
-            exclusion restriction fails by 0.3) yet satisfy the paired
-            conditions: the paired-difference correction is exact in
-            population while the single-instrument estimate is off by more
-            than 0.15.  ATT 1.0.
+            The same construction over two auxiliary indicators, each of
+            which also shifts every trend directly by 0.3 (so each one's
+            exclusion restriction fails): the paired-difference correction
+            is exact in population while the single-instrument estimate is
+            off by more than 0.15.  ATT 1.0.
         ``"pi"``
             An exported binary covariate drives both trends and strata;
             response status is unrelated to changes within covariate

@@ -220,6 +220,22 @@ def reference_instrument_gap(n: np.ndarray, s: np.ndarray, d: int) -> tuple[floa
     return means[1] - means[0], q[0] - q[1]
 
 
+def reference_level_base(n: np.ndarray, s: np.ndarray, d: int) -> float:
+    """``iv._level_base`` with numpy reductions over the occupied levels."""
+    weights = n[d, 1].sum(axis=0).reshape(-1)
+    complete = n[d, 1, 1].reshape(-1)
+    occupied = weights != 0
+    empty = np.flatnonzero(occupied & (complete == 0))
+    if empty.size:
+        levels = tuple(int(v) for v in np.unravel_index(empty[0], n.shape[3:]))
+        raise EstimatorError(
+            f"empty instrument cell (arm {d}, aux levels {levels}): "
+            "first-wave respondents but no complete cases"
+        )
+    means = s[d, 1, 1].reshape(-1)[occupied] / complete[occupied]
+    return float((weights[occupied] * means).sum()) / float(weights[occupied].sum())
+
+
 def reference_corrected(c: GroupCounts, arm_gap) -> tuple[Estimate, IvDiagnostics]:
     """``iv._corrected``, and the complete-case DID inside it, with a numpy
     reduction or scalar index per figure."""
@@ -227,10 +243,8 @@ def reference_corrected(c: GroupCounts, arm_gap) -> tuple[Estimate, IvDiagnostic
     for d in (1, 0):
         if arms[d, 1, 1] == 0:
             raise EstimatorError(f"no complete cases in arm {d}")
-    cc = finite(
-        float(c.cc_sum[1]) / float(arms[1, 1, 1]) - float(c.cc_sum[0]) / float(arms[0, 1, 1]),
-        "the complete-case DID",
-    )
+    means = [float(c.cc_sum[d]) / float(arms[d, 1, 1]) for d in (0, 1)]
+    cc = finite(means[1] - means[0], "the complete-case DID")
     share = [float(arms[d, :, 0].sum()) / float(arms[d].sum()) for d in (0, 1)]
     denom, corr, gap = [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]
     for d in (0, 1):
@@ -239,7 +253,8 @@ def reference_corrected(c: GroupCounts, arm_gap) -> tuple[Estimate, IvDiagnostic
         gap[d], denom[d] = arm_gap(d)
         if abs(denom[d]) < EPS_DENOM:
             raise EstimatorError(f"weak instrument in arm {d}")
-        corr[d] = gap[d] / denom[d] * share[d]
+        base = reference_level_base(c.n[0], c.s[0], d)
+        corr[d] = (base - means[d]) + gap[d] / denom[d] * share[d]
     notes = ("estimand: ATT among first-wave respondents (R1 = 1)",) if arms[:, 0].any() else ()
     est = Estimate(
         point=finite(cc + corr[1] - corr[0], "the instrumented DID"),

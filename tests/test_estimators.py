@@ -137,13 +137,14 @@ def test_every_estimate_over_overflowing_sums_is_refused_without_a_warning():
 def test_paired_instrument_sums_that_overflow_both_ways_are_refused_without_a_warning():
     # the treated changes cancel in unit order, but the (aux1, aux2) = (0, 0)
     # sum overflows upward and the (1, 0) sum downward, so summing over the
-    # first indicator meets inf + -inf
+    # first indicator meets inf + -inf; every joint level of each arm holds
+    # a complete case, so the level-weighted base meets them too
     data = make_panel(
-        [0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1],
-        [0.0] * 11,
-        [1.0, 2.0, 1.5, np.nan, 1e308, -1e308, 1e308, -1e308, 1.0, 2.0, np.nan],
-        aux=[[0, 0], [1, 1], [0, 1], [1, 0], [0, 0], [1, 0], [0, 0], [1, 0], [0, 1], [1, 1],
-             [0, 1]],
+        [0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1],
+        [0.0] * 12,
+        [1.0, 2.0, 1.5, np.nan, 2.5, 1e308, -1e308, 1e308, -1e308, 1.0, 2.0, np.nan],
+        aux=[[0, 0], [1, 1], [0, 1], [1, 0], [1, 0], [0, 0], [1, 0], [0, 0], [1, 0], [0, 1],
+             [1, 1], [0, 1]],
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -70,19 +70,25 @@ def test_single_instrument_matches_hand_arithmetic():
     q_c = (1 - 5 / 10, 1 - 8 / 10)
     corr_t = (m_t[0] - m_t[1]) / (q_t[1] - q_t[0]) * 0.5
     corr_c = (m_c[0] - m_c[1]) / (q_c[1] - q_c[0]) * 0.35
+    # each arm's levels hold equally many first-wave respondents (8 treated,
+    # 10 control), so the base is the plain mean of the level means
+    base_t = 0.5 * m_t[0] + 0.5 * m_t[1]
+    base_c = 0.5 * m_c[0] + 0.5 * m_c[1]
     cc = did_complete_case(data).point
     assert cc == pytest.approx(1.9 - 21 / 13, abs=1e-12)
 
-    assert est.point == pytest.approx(cc + corr_t - corr_c, abs=1e-12)
-    assert est.point == pytest.approx(1.9 - 21 / 13 - 2.0 - 7 / 6, abs=1e-12)
+    assert est.point == pytest.approx(base_t + corr_t - base_c - corr_c, abs=1e-12)
+    assert est.point == pytest.approx(2.0 - 2.0 - 1.5 - 7 / 6, abs=1e-12)
     assert est.n_used == 23
 
     assert diag.missing_share == (0.35, 0.5)
     assert diag.denom[1] == pytest.approx(0.25, abs=1e-12)
     assert diag.denom[0] == pytest.approx(-0.3, abs=1e-12)
     assert diag.trend_gap == (-1.0, -1.0)
-    assert diag.bias_correction[0] == pytest.approx(-corr_c, abs=1e-12)
-    assert diag.bias_correction[1] == pytest.approx(corr_t, abs=1e-12)
+    # the base's shift from each arm's complete-case mean (1.9 and 21/13)
+    # rides with the arm's correction
+    assert diag.bias_correction[0] == pytest.approx(-(base_c - 21 / 13 + corr_c), abs=1e-12)
+    assert diag.bias_correction[1] == pytest.approx(base_t - 1.9 + corr_t, abs=1e-12)
     # The diagnostics reassemble the point exactly as documented.
     assert est.point == pytest.approx(
         cc + diag.bias_correction[0] + diag.bias_correction[1], abs=1e-12
@@ -121,13 +127,21 @@ def test_relabeling_the_instrument_is_exactly_neutral():
 
 
 def test_zero_missingness_collapses_to_complete_case():
-    # Constant instrument would normally be degenerate; with nothing missing
-    # the correction is skipped before any instrument cell is inspected.
-    data = make_panel([0, 0, 1, 1], [0.0, 1.0, 0.0, 1.0], [1.0, 2.0, 3.0, 4.0], aux=[[0]] * 4)
-    est, diag = att_iv(data, 0)
-    assert est.point == did_complete_case(data).point
-    assert diag.bias_correction == (0.0, 0.0)
-    assert diag.missing_share == (0.0, 0.0)
+    # A constant instrument would normally be degenerate; with nothing missing
+    # the correction, level-weighted base included, is skipped before any
+    # instrument cell is inspected, so both estimators keep the bits of the
+    # complete-case DID.
+    data = make_panel(
+        [0, 0, 0, 1, 1, 1],
+        [0.0, 1.0, 0.3, 0.0, 1.0, 0.7],
+        [1.0, 2.0, 0.4, 3.0, 4.1, 1.3],
+        aux=[[0, 0], [0, 1], [0, 1], [0, 1], [0, 0], [0, 0]],
+    )
+    cc = did_complete_case(data).point
+    for est, diag in (att_iv(data, 0), att_iv(data, 1), att_iv_multi(data, (0, 1))):
+        assert est.point == cc
+        assert diag.bias_correction == (0.0, 0.0)
+        assert diag.missing_share == (0.0, 0.0)
 
 
 def test_one_fully_observed_arm_skips_only_that_correction():
@@ -221,31 +235,33 @@ def test_weak_instrument_refused():
 # -- instrument pairs ---------------------------------------------------------
 
 
+def pair_iv_fixture_blocks() -> list[tuple]:
+    """Blocks of ``pair_iv_fixture``, each carrying (aux1, aux2)."""
+    return [
+        # treated: (aux1, aux2) cells with distinct response rates
+        (4, 1, 0.0, 1.0, 0, 0),
+        (2, 1, 0.0, None, 0, 0),
+        (4, 1, 0.0, 2.0, 0, 1),
+        (1, 1, 0.0, None, 0, 1),
+        (4, 1, 0.0, 2.5, 1, 0),
+        (3, 1, 0.0, None, 1, 0),
+        (4, 1, 0.0, 4.0, 1, 1),
+        (2, 1, 0.0, None, 1, 1),
+        # control
+        (5, 0, 0.0, 0.5, 0, 0),
+        (1, 0, 0.0, None, 0, 0),
+        (5, 0, 0.0, 1.0, 0, 1),
+        (2, 0, 0.0, None, 0, 1),
+        (5, 0, 0.0, 1.5, 1, 0),
+        (3, 0, 0.0, None, 1, 0),
+        (5, 0, 0.0, 2.0, 1, 1),
+        (1, 0, 0.0, None, 1, 1),
+    ]
+
+
 def pair_iv_fixture():
-    """Exact-count panel with two instruments; blocks carry (aux1, aux2)."""
-    return block_panel(
-        [
-            # treated: (aux1, aux2) cells with distinct response rates
-            (4, 1, 0.0, 1.0, 0, 0),
-            (2, 1, 0.0, None, 0, 0),
-            (4, 1, 0.0, 2.0, 0, 1),
-            (1, 1, 0.0, None, 0, 1),
-            (4, 1, 0.0, 2.5, 1, 0),
-            (3, 1, 0.0, None, 1, 0),
-            (4, 1, 0.0, 4.0, 1, 1),
-            (2, 1, 0.0, None, 1, 1),
-            # control
-            (5, 0, 0.0, 0.5, 0, 0),
-            (1, 0, 0.0, None, 0, 0),
-            (5, 0, 0.0, 1.0, 0, 1),
-            (2, 0, 0.0, None, 0, 1),
-            (5, 0, 0.0, 1.5, 1, 0),
-            (3, 0, 0.0, None, 1, 0),
-            (5, 0, 0.0, 2.0, 1, 1),
-            (1, 0, 0.0, None, 1, 1),
-        ],
-        aux_width=2,
-    )
+    """Exact-count panel with two instruments."""
+    return block_panel(pair_iv_fixture_blocks(), aux_width=2)
 
 
 def reference_pair_estimate(data) -> float:
@@ -253,12 +269,23 @@ def reference_pair_estimate(data) -> float:
     d = np.asarray(data.d)
     cc = ~np.isnan(data.y1) & ~np.isnan(data.y2)
     dy = data.y2 - data.y1
-    point = float(dy[cc & (d == 1)].mean() - dy[cc & (d == 0)].mean())
+    point = 0.0
     for arm, sign in ((0, -1.0), (1, 1.0)):
         in_arm = d == arm
+        mean = float(dy[cc & in_arm].mean())
         share = float(np.isnan(data.y2[in_arm]).mean())
         if share == 0.0:
+            point += sign * mean
             continue
+        # the complete-case means of the four joint levels, weighted by
+        # their shares of the arm's first-wave respondents
+        seen = in_arm & ~np.isnan(data.y1)
+        base = 0.0
+        for v1 in (0, 1):
+            for v2 in (0, 1):
+                level = seen & (data.aux[:, 0] == v1) & (data.aux[:, 1] == v2)
+                if level.any():
+                    base += level.sum() / seen.sum() * float(dy[cc & level].mean())
         stats = []
         for k in (0, 1):
             level = data.aux[:, k]
@@ -266,12 +293,12 @@ def reference_pair_estimate(data) -> float:
             for v in (0, 1):
                 cell = cc & in_arm & (level == v)
                 m.append(float(dy[cell].mean()))
-                base = in_arm & ~np.isnan(data.y1) & (level == v)
-                q.append(1.0 - cell.sum() / base.sum())
+                first = seen & (level == v)
+                q.append(1.0 - cell.sum() / first.sum())
             stats.append((m[1] - m[0], q[1] - q[0]))
         numer = stats[0][0] - stats[1][0]
         denom = stats[1][1] - stats[0][1]
-        point += sign * numer / denom * share
+        point += sign * (base + numer / denom * share)
     return point
 
 
@@ -314,6 +341,21 @@ def test_degenerate_pair_refused():
     # one column named twice is a malformed request, not a refusal on the data
     with pytest.raises(InputError, match="two different aux indices, got 0 twice"):
         att_iv_multi(data, (0, 0))
+
+
+def test_a_joint_level_without_complete_cases_is_refused():
+    # every treated unit at (aux1, aux2) = (1, 1) lost its second wave; each
+    # instrument alone still has complete cases at both of its levels
+    blocks = [b for b in pair_iv_fixture_blocks() if b != (4, 1, 0.0, 4.0, 1, 1)]
+    data = block_panel(blocks, aux_width=2)
+    with pytest.raises(
+        EstimatorError,
+        match=r"^empty instrument cell \(arm 1, aux levels \(1, 1\)\): "
+        "first-wave respondents but no complete cases$",
+    ):
+        att_iv_multi(data, (0, 1))
+    for k in (0, 1):
+        att_iv(data, k)
 
 
 def test_degenerate_pair_tolerated_when_nothing_is_missing():

@@ -109,7 +109,8 @@ def iv_panel():
 
 
 def two_aux_panel():
-    return _panel(_rows(0, 7, 5, 1) + _rows(1, 8, 5), seed=6, n_aux=2)
+    # every joint instrument level of each arm holds a complete case
+    return _panel(_rows(0, 10, 5, 1) + _rows(1, 11, 5), seed=2, n_aux=2)
 
 
 def pi_panel():

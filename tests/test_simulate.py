@@ -45,11 +45,10 @@ from didmiss.panel import GroupKey
 from didmiss.principal import _pi_point
 from didmiss.simulate import (
     _aggregate_joint,
-    _check_solution,
     _expected_counts,
-    _solve_homogeneous_cells,
-    _solve_multi_instrument,
+    _verify_homogeneous_bias,
     _verify_monotone,
+    _verify_multi_iv,
     _verify_no_monotone,
     _verify_pi,
 )
@@ -621,7 +620,7 @@ def test_presets_construct_and_carry_planted_truths():
     planted = {
         "zero-bias": (1.0, 0.0),
         "homogeneous-bias": (1.0, 0.25),
-        "multi-iv": (1.0, 0.16319881669174874),
+        "multi-iv": (1.0, 0.3084411252568573),
         "pi": (1.0, 0.2),
         "mnar-baseline": (1.01, 47 / 140),
         "monotone": (1.06, 0.20666666666666655),
@@ -640,16 +639,64 @@ def test_presets_construct_and_carry_planted_truths():
 def test_population_instrument_values_are_pinned():
     # the instrument estimators evaluated on the designs' expected counts
     est, diag = _iv_single(_expected_counts(make_preset("homogeneous-bias"), (0,)))
-    assert est.point == pytest.approx(0.9829234972677594, abs=1e-12)
-    assert diag.denom == pytest.approx((0.25, 0.25), abs=1e-12)
-    assert diag.bias_correction[0] == pytest.approx(0.0, abs=1e-12)
+    assert est.point == pytest.approx(1.0, abs=1e-12)
+    assert diag.denom == pytest.approx((0.2, 0.3), abs=1e-12)
+    assert diag.bias_correction == pytest.approx(
+        (-0.14401772525849338, -0.10598227474150651), abs=1e-12
+    )
 
     multi = make_preset("multi-iv")
     est, diag = _iv_single(_expected_counts(multi, (0,)))
-    assert est.point == pytest.approx(1.82363113664363, abs=1e-12)
-    assert diag.denom == pytest.approx((0.15000000000000002, 0.19741074257124747), abs=1e-12)
+    assert est.point == pytest.approx(-0.8723408279423772, abs=1e-12)
+    assert diag.denom == pytest.approx((0.05, 0.15), abs=1e-12)
+    est, _ = _iv_single(_expected_counts(multi, (1,)))
+    assert est.point == pytest.approx(0.9712659532576926, abs=1e-12)
     est, _ = _iv_pair(_expected_counts(multi, (0, 1)))
     assert est.point == pytest.approx(1.0, abs=1e-12)
+
+
+def test_the_single_instrument_preset_is_checked_by_its_estimator():
+    spec = make_preset("homogeneous-bias")
+    _verify_homogeneous_bias(spec)
+    # always-respondents trend 0.01 above the additive stratum trends
+    # tau + g1 R2(1) + g0 R2(0), so the treated arm's respondent/nonrespondent
+    # gap grows with each level's control response rate (by 0.002 between the
+    # two levels); both gains are rescaled so the planted bias stays 0.25
+    _, itr, icr, tau = spec.trend
+    g1, g0 = itr - tau, icr - tau
+
+    def nudged(scale: float) -> DgpSpec:
+        trend = (tau + scale * g1 + scale * g0 + 0.01, tau + scale * g1, tau + scale * g0, tau)
+        return replace(spec, trend=trend)
+
+    def cc_bias(scale: float) -> float:
+        att, _, cc = nudged(scale)._population
+        return cc - att
+
+    scale = (0.25 - cc_bias(0.0)) / (cc_bias(1.0) - cc_bias(0.0))  # the bias is affine in it
+    design = nudged(scale)
+    assert cc_bias(scale) == pytest.approx(0.25, abs=1e-12)
+    est, _ = _iv_single(_expected_counts(design, (0,)))
+    assert 1e-4 < abs(est.point - 1.0) < 0.05
+    with pytest.raises(RuntimeError, match="instrument estimator is not exact in population"):
+        _verify_homogeneous_bias(design)
+
+
+def test_the_instrument_pair_preset_is_checked_by_the_pair_estimator():
+    spec = make_preset("multi-iv")
+
+    def shifted(second: float) -> DgpSpec:
+        # the first indicator shifts every trend by 0.3, the second by ``second``
+        cells = []
+        for cell in spec.covariate_model:
+            a1, a2 = cell.aux_pattern
+            shift = 0.3 * a1 + second * a2
+            cells.append(replace(cell, trend_shift=(shift, shift)))
+        return replace(spec, covariate_model=tuple(cells))
+
+    _verify_multi_iv(shifted(0.3))  # the preset's own shifts
+    with pytest.raises(RuntimeError, match="paired-instrument estimator is not exact"):
+        _verify_multi_iv(shifted(0.35))
 
 
 def test_expected_counts_match_a_large_draw():
@@ -674,12 +721,12 @@ def test_expected_counts_match_a_large_draw():
 EXPECTED_COUNT_DIGESTS = {
     ("zero-bias", ()): "20a81b3869a70b426bb59e64114442cf9da5e9780b7c7d8c5ac918e64f84c66f",
     ("zero-bias", (0,)): "5e41f0dea1847ef2cdeb3b1a912b48629ec2b4aa885bfa3c0f20f40e32b4451d",
-    ("homogeneous-bias", ()): "ac962d0ceeeb29ca198558e0177074e42241832167cb3fa320f7d231f4f30f6a",
-    ("homogeneous-bias", (0,)): "3e23151787ea719dc7f9806b75940097192f1ce9738027f129820a97fbc27616",
-    ("multi-iv", ()): "b3f55889d31444a9915ec32833f6ee392fafa7f4f51f703a016b83ad03dcec3e",
-    ("multi-iv", (0,)): "a0f42a5758292d52287262b57555a4000018577af80964f2cb4e95916cc23b2c",
-    ("multi-iv", (1,)): "56b17e43f7fd5e9231d6bbabf6f22dd82c75a5a86f5ca3701d3718e2e14e9be8",
-    ("multi-iv", (0, 1)): "70300f2cf593c37070262945b5c1d25444046ce6f23705db626cb45bb4c0ba7c",
+    ("homogeneous-bias", ()): "3675e8bafee90e26149cbdcc2d858d88a3b5e018eafd96625885a7fc18d48303",
+    ("homogeneous-bias", (0,)): "f1f4bbf660624cbbf8d233a71d6cd0ad306787d18bc231966f02786083df9327",
+    ("multi-iv", ()): "852a980bb994e527cb3af866ced901bf1360e319c709e6fc34d19ff2149162d1",
+    ("multi-iv", (0,)): "71a6ca2e155c99d4210990124247494f25f04f43aadb63f862a03992459a99ca",
+    ("multi-iv", (1,)): "24727727792a601ad928bf085a31c720fd169d1841dc654678717bf92c5ba850",
+    ("multi-iv", (0, 1)): "eea715a3ab265538f1c4142be1ea2ebb322acce5a4945b7c0963b9fdbf44cb2c",
     ("pi", ()): "70c870411156d3037885e9fac2979e37b3d50b07f8d03bc05b0a2521253e1477",
     ("mnar-baseline", ()): "fc98bc294830753a921b4b5ff41ec8cf6c04cdc9916a3b300d9ad054f3bef1b2",
     ("monotone", ()): "6a3531afa14ebb34dbd48b41384f4b1214c516b9364b99413b77df8b9e83b7e2",
@@ -792,24 +839,11 @@ def test_bound_presets_plant_unit_att_among_always_respondents():
         assert truth.att_ar_population == pytest.approx(1.0, abs=1e-9)
 
 
-def test_preset_roots_are_pinned_and_checked():
-    # the written-out roots reproduce the numerical solves bit for bit, so
-    # presets keep generating identical panels
-    assert _solve_homogeneous_cells() == (
-        0.44545454545454544, 0.9545454545454545, 1.036885245901639
-    )
-    assert _solve_multi_instrument() == (
-        0.3422596636831731, -0.056882853652676924, -0.07934081250884106, 0.1034086775903435
-    )
-    with pytest.raises(RuntimeError, match="does not solve its equations"):
-        _check_solution(1e-9, "a mistyped root")
-
-
 #: sha256 of ``repr(make_preset(kind, n=10, seed=1))``: every spec field, to the bit
 PRESET_DIGESTS = {
     "zero-bias": "a7f4ca03ac2764a120483f98a84a32846a760ba08bd114fb651004459343e6e4",
-    "homogeneous-bias": "bd9c0f6227699ee53389ae29eddaa08d9e11bd0a4adb666246daba6103dabd3c",
-    "multi-iv": "972c044016167479492b77ad8cf6ab4be655528f3ab0eb6a0c9ce0212d1d9027",
+    "homogeneous-bias": "3d67bfe86d2d6c27cd1bc8c1c3057c526b9a2a094a6b6db46a9e1b9262fedd0b",
+    "multi-iv": "8d1e69503b7545c6135d84720d6d630dd3b1882b4a843cc29874d844b6b7fdd6",
     "pi": "b7545eb1ec622eeb510cb5261d665874ed0d2e96091711782ef2d233b72aa925",
     "mnar-baseline": "13210245c3faa2d8e24ea2630a435806ddb3327d3a7ff69a6e98a9d0899db1e3",
     "monotone": "2fb3a841bed6e039fe05304d83122636090d810a279f1f70280ad5b38797da05",
@@ -956,7 +990,7 @@ def _close(a, b) -> bool:
 
 def test_decomposition_and_trend_mixture_match_the_per_unit_reference():
     oracles = []
-    for kind in PRESET_KINDS:  # multi-iv and pi do not share trends
+    for kind in PRESET_KINDS:  # pi does not share trends
         for n in (4, 12, 50, 2000):
             for seed in range(3):
                 draw = _outcome(simulate_panel, make_preset(kind, n=n, seed=seed))
