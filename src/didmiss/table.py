@@ -1,12 +1,19 @@
 """The one CSV table grammar behind every file the package reads or writes.
 
 A table is a header row plus one row per unit. Blank lines are skipped; in
-messages the header is row 1 and blank lines are not counted. The reader
-takes rows from one ``csv.reader`` a few hundred at a time and passes each
-column of the chunk straight through that column's parser into a typed
-piece, so no cell string outlives its chunk and the reader's memory is that
-of the typed columns; ids are kept, stripped, as one ``TextColumn``. Text is
-UTF-8, and one leading byte-order mark is ignored. The parsers:
+messages the header is row 1 and blank lines are not counted. Text is UTF-8,
+and one leading byte-order mark is ignored. The reader takes the source in
+blocks of about 64 KiB that end at a line break. A block without quotes (and
+without the few other characters ``csv`` reads differently from
+``str.splitlines``) is split with ``str`` methods: into lines, then into
+cells by one join and one split on commas, with one more cell after each
+line's cells, which must fall every header-width cells unless a row is
+ragged. From the first block that has one, the rest of the text goes to
+``csv.reader``, which starts at a row because no quote came before. Either
+way each column of the chunk goes straight through that column's parser
+into a typed piece, so no cell string outlives its chunk and the reader's
+memory is that of the typed columns; ids are kept, stripped, as one
+``TextColumn``. The parsers:
 
 - floats: finite decimal numbers. An empty cell or ``NA`` (any case,
   surrounding whitespace ignored) is missing and becomes NaN. ``nan``,
@@ -22,19 +29,23 @@ reported in one order wherever they sit in the file (see ``read_columns``).
 The writer formats a few hundred rows at a time, each cell once, and writes
 the lines itself. It prints floats with ``repr``, so reading a written table
 back gives every value bit for bit, missing floats as ``NA`` and integers
-with ``str``; these cells never need quoting. Ids, labels and header names
-go through one quoting rule, that of ``csv.writer``'s default
-``QUOTE_MINIMAL``: a cell holding a comma, a quote, a carriage return or a
-line feed is wrapped in quotes with its quotes doubled, and an empty cell
-alone on its row is written as ``""``. Lines end in CRLF. One pass can feed
-several files, each the first columns of the same table, so
-``simulate --truth`` formats the cells its panel and oracle files share once.
+with ``str``; these cells never need quoting. A float cell with the same
+bits as the cell of an earlier float column in its row takes that cell's
+text, in a chunk where at least a fifth of the rows share it. Ids, labels
+and header names go through one quoting rule, that of ``csv.writer``'s
+default ``QUOTE_MINIMAL``: a cell holding a comma, a quote, a carriage
+return or a line feed is wrapped in quotes with its quotes doubled, and an
+empty cell alone on its row is written as ``""``. Lines end in CRLF. One
+pass can feed several files, each the first columns of the same table, so
+``simulate --truth`` formats the cells its panel and oracle files share
+once.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import itertools
 import math
 import os
@@ -55,8 +66,17 @@ _QUOTED = re.compile('[,"\r\n]')
 
 #: A line with the ending that ends it (CR, CRLF or LF, the universal
 #: newlines a file opened with ``newline=""`` splits at), or a last line
-#: without one.
+#: without one: the lines ``csv.reader`` is given.
 _LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
+
+#: Characters that hand the rest of a table to ``csv.reader``: a quote, a NUL
+#: (which ``csv`` refuses before Python 3.11) and the line breaks of
+#: ``str.splitlines`` that ``csv`` reads as cell text.
+_CSV_ONLY = '"\0\v\f\x1c\x1d\x1e\x85\u2028\u2029'
+
+#: Bytes (or characters, for a text source) read at a time; a block of text
+#: runs on to the last line break read.
+_BLOCK = 1 << 16
 
 #: Missing-value cells after stripping whitespace and lower-casing.
 _MISSING_TOKENS = frozenset({"", "na"})
@@ -66,10 +86,13 @@ _MISSING_CELLS = frozenset({"", "NA", "na"})
 
 _UNPARSEABLE = "unparseable numeric value: expected a finite decimal number or NA"
 
-#: Rows the reader parses, and the writer formats, at a time. A chunk's rows
-#: and cells are freed before the cyclic garbage collector promotes them, so it
-#: never walks a whole table of rows. On a 2-vCPU host a 200k-row panel reads
-#: in 0.27 s in chunks of 256 rows and in 0.42 s in chunks of 4096.
+#: Rows that ``csv.reader`` parses, and the writer formats, at a time. Each
+#: row from ``csv`` is a list, which the cyclic garbage collector tracks; freed
+#: a chunk at a time, they never make it walk a whole table of rows (on a
+#: 2-vCPU host a 200k-row panel read through ``csv`` in 0.27 s in chunks of 256
+#: rows and in 0.42 s in chunks of 4096). A block split by ``str`` methods
+#: makes only strings, which the collector does not track, so it is parsed
+#: whole.
 _CHUNK_ROWS = 256
 
 
@@ -127,17 +150,33 @@ def floats(missing: str | None = None) -> Parser:
     return Parser(_floats, (_UNPARSEABLE,) if missing is None else (_UNPARSEABLE, missing))
 
 
+def _one_char(cells: Sequence[str]) -> bytes | None:
+    """The cells as ASCII bytes when each is one ASCII character, else None."""
+    joined = "".join(cells)
+    # no empty cell and one character per cell: every cell is one character
+    if len(joined) == len(cells) and joined.isascii() and "" not in cells:
+        return joined.encode("ascii")
+    return None
+
+
 def labels(codes: Mapping[str, int], message: str) -> Parser:
-    """Int8 codes of cells that must be keys of ``codes``; ``message`` says so.
+    """Int8 codes of cells that must be keys of ``codes`` (which hold no
+    surrounding whitespace); ``message`` says so.
 
     When every key is one ASCII character other than whitespace, a chunk of
-    one-character cells is looked up byte by byte; any other chunk, and any
-    chunk with a byte that is not a key, is parsed cell by cell, so values and
-    messages are the same either way.
+    one-character cells is looked up byte by byte. Any other chunk is looked
+    up cell by cell, and a cell is stripped only when it is not a key as it
+    is, so values and messages are the same either way.
     """
 
     def parse(cells: Sequence[str]) -> tuple[np.ndarray, tuple[int | None]]:
-        values = np.array([codes.get(cell.strip(), -1) for cell in cells], dtype=np.int8)
+        found = list(map(codes.get, cells))
+        if None in found:
+            found = [
+                codes.get(cell.strip(), -1) if code is None else code
+                for code, cell in zip(found, cells)
+            ]
+        values = np.array(found, dtype=np.int8)
         return values, (_first(values < 0),)
 
     if not all(len(key) == 1 and key.isascii() and not key.isspace() for key in codes):
@@ -146,10 +185,9 @@ def labels(codes: Mapping[str, int], message: str) -> Parser:
     lookup[[ord(key) for key in codes]] = list(codes.values())
 
     def parse_bytes(cells: Sequence[str]) -> tuple[np.ndarray, tuple[int | None]]:
-        joined = "".join(cells)
-        # no empty cell and one character per cell: every cell is one character
-        if len(joined) == len(cells) and joined.isascii() and "" not in cells:
-            values = lookup[np.frombuffer(joined.encode("ascii"), dtype=np.uint8)]
+        chars = _one_char(cells)
+        if chars is not None:
+            values = lookup[np.frombuffer(chars, dtype=np.uint8)]
             if values.min(initial=0) >= 0:
                 return values, (None,)
         return parse(cells)
@@ -163,9 +201,15 @@ def binary(message: str) -> Parser:
 
 
 def counts(message: str) -> Parser:
-    """A non-negative integer column as int64 (at most 18 digits per cell)."""
+    """A non-negative integer column as int64 (at most 18 digits per cell).
+
+    A chunk of one-digit cells is read byte by byte, any other cell by cell.
+    """
 
     def parse(cells: Sequence[str]) -> tuple[np.ndarray, tuple[int | None]]:
+        chars = _one_char(cells)
+        if chars is not None and chars.isdigit():
+            return np.frombuffer(chars, dtype=np.uint8).astype(np.int64) - 48, (None,)
         values = np.array(
             [
                 int(cell) if cell.isascii() and cell.isdigit() and len(cell) < 19 else -1
@@ -236,45 +280,51 @@ def read_columns(
     returned in field order.
 
     The whole file is read before any fault is reported, and faults are
-    reported in this order: text that does not decode or parse, a missing
-    header row, duplicate header names, the first row whose cell count
-    differs from the header's, the error of ``spec``, then the first cell
-    failing the first failed check of the first field with one.
+    reported in this order: text that does not decode, text that does not
+    parse, a missing header row, duplicate header names, the first row
+    whose cell count differs from the header's, the error of ``spec``, then
+    the first cell failing the first failed check of the first field with
+    one.
     """
+    header: list[str] = []
     ragged: tuple[int, int] | None = None  # (row number, cell count)
     unfit: InputError | None = None  # what spec raised
     faults: dict[tuple[int, int], str] = {}  # (field, check) -> its first failure
     fields: list[tuple[int, str, Parser]] = []
-    try:
-        with open_text(source) as handle:
-            rows = filter(None, csv.reader(handle))
-            header = [cell.strip() for cell in next(rows, ())]
-            if header and len(set(header)) == len(header):
-                try:
-                    fields = [(header.index(name), name, parser) for name, parser in spec(header)]
-                except InputError as exc:
-                    unfit = exc
-            pieces: list[list[Any]] = [[] for _ in fields]
-            seen = 1  # non-blank rows read so far, the header included
-            while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
-                if ragged is None and set(map(len, chunk)) != {len(header)}:
-                    i, bad = next((i, r) for i, r in enumerate(chunk) if len(r) != len(header))
-                    ragged = (seen + i + 1, len(bad))
+    pieces: list[list[Any]] = []
+    seen = 1  # non-blank rows read so far, the header included
+    with _open(source) as handle:
+        blocks = _blocks(handle.read)
+        try:
+            for rows, width, cells, sizes in _chunks(blocks):
+                if not header:
+                    header = [cell.strip() for cell in cells[:width]]
+                    rows, cells, sizes = rows - 1, cells[width + 1 :], sizes and sizes[1:]
+                    if len(set(header)) == len(header):
+                        try:
+                            fields = [(header.index(n), n, p) for n, p in spec(header)]
+                        except InputError as exc:
+                            unfit = exc
+                    pieces = [[] for _ in fields]
+                if ragged is None and sizes is not None:
+                    i = next(i for i, size in enumerate(sizes) if size != width)
+                    ragged = (seen + i + 1, sizes[i])
                 if ragged is None:
-                    columns = list(zip(*chunk))
                     for f, (index, name, parser) in enumerate(fields):
-                        cells = columns[index]
-                        values, first = parser.parse(cells)
+                        column = cells[index :: width + 1]
+                        values, first = parser.parse(column)
                         pieces[f].append(values)
                         for check, (message, i) in enumerate(zip(parser.messages, first)):
                             if i is not None and (f, check) not in faults:
                                 faults[f, check] = (
-                                    f"{message}, got {cells[i]!r} "
+                                    f"{message}, got {column[i]!r} "
                                     f"(row {seen + i + 1}, column {name})"
                                 )
-                seen += len(chunk)
-    except (csv.Error, UnicodeDecodeError) as exc:
-        raise InputError(f"malformed CSV: {exc}") from exc
+                seen += rows
+        except csv.Error as exc:
+            for _ in blocks:  # text that does not decode, later on, is reported first
+                pass
+            raise InputError(f"malformed CSV: {exc}") from exc
     if not header:
         raise InputError(f"empty {what}")
     if len(set(header)) != len(header):
@@ -305,28 +355,96 @@ def _join(parser: Parser, pieces: list[Any]) -> Any:
     return tuple(itertools.chain.from_iterable(pieces))
 
 
-def open_text(source: str | Path | bytes | IO[str] | IO[bytes]) -> ContextManager[Iterable[str]]:
-    """The lines of a source: str/Path name a file; bytes or a file-like
-    object carry CSV content.
-
-    Bytes are decoded as UTF-8, and so is a named file. One leading
-    byte-order mark (U+FEFF, as Excel's "CSV UTF-8" writes) is dropped from
-    every kind of source. Content that is not a file is read whole, and its
-    text is split after each CR, CRLF or LF, as a named file is, one line at
-    a time rather than through a copy of the whole text.
-    """
+def _open(source: str | Path | bytes | IO[str] | IO[bytes]) -> ContextManager[IO[Any]]:
+    """A file object reading the source: str/Path name a file; bytes or a
+    file-like object carry CSV content."""
     if isinstance(source, (str, Path)):
         path = Path(source)
         try:
-            return open(path, newline="", encoding="utf-8-sig")
+            return open(path, "rb")
         except FileNotFoundError:
             raise InputError(f"no such file: {path}") from None
         except OSError as exc:
             raise InputError(f"cannot read {path}: {exc.strerror}") from None
-    raw = source if isinstance(source, bytes) else source.read()
-    text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
-    start = 1 if text.startswith("\ufeff") else 0
-    return contextlib.nullcontext(line.group() for line in _LINE.finditer(text, start))
+    return contextlib.nullcontext(io.BytesIO(source) if isinstance(source, bytes) else source)
+
+
+def _blocks(read: Callable[[int], Any]) -> Iterator[str]:
+    """The text ``read`` returns, ``_BLOCK`` bytes or characters at a time, in
+    blocks that each end at the last line break read (the last one may not).
+
+    Bytes are decoded as UTF-8 a block at a time; a byte that does not
+    decode is named by its offset in the source, whatever kind it is. One
+    leading byte-order mark (U+FEFF, as Excel's "CSV UTF-8" writes) is
+    dropped.
+    """
+    rest, done = [], 0  # what was read after the last line break; what was yielded
+    while True:
+        try:
+            data = read(_BLOCK)
+        except UnicodeDecodeError as exc:  # a text file object's own decoder
+            raise InputError(f"malformed CSV: {exc}") from None
+        breaks = ("\n", "\r") if isinstance(data, str) else (b"\n", b"\r")
+        cut = max(map(data.rfind, breaks)) + 1
+        if data and not cut:  # no line break yet: read on
+            rest.append(data)
+            continue
+        block = data[:0].join([*rest, data[:cut]])
+        rest = [data[cut:]]
+        try:
+            text = block if isinstance(block, str) else block.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise InputError(
+                f"malformed CSV: 'utf-8' codec can't decode byte 0x{block[exc.start]:02x} "
+                f"at byte {done + exc.start}: {exc.reason}"
+            ) from None
+        if text:
+            yield text[1:] if not done and text.startswith("\ufeff") else text
+        done += len(block)
+        if not data:
+            return
+
+
+def _chunks(blocks: Iterator[str]) -> Iterator[tuple[int, int, list[str], list[int] | None]]:
+    """The non-blank rows of a table's text, a chunk at a time.
+
+    Each chunk is (row count, width, cells, sizes). ``width`` is the cell
+    count of the table's first row, its header. ``cells`` holds each row's
+    cells followed by one ``"\\n"`` cell. ``sizes`` is None when every row of
+    the chunk has ``width`` cells, so that a column is every ``width + 1``-th
+    cell, and otherwise each row's cell count.
+
+    A block of text that ``csv`` would read as plain lines of comma-separated
+    cells is split by ``str`` methods. From the first block holding a quote, a
+    NUL, a line break ``csv`` does not take as one or a line longer than
+    ``csv.field_size_limit()``, the rest of the text goes to ``csv.reader``.
+    Blocks end at line breaks and no quote came before, so it starts at a row.
+    """
+    limit, width = csv.field_size_limit(), 0
+    for block in blocks:
+        if any(char in block for char in _CSV_ONLY):
+            break
+        lines = list(filter(None, block.splitlines()))
+        if len(block) > limit and max(map(len, lines), default=0) > limit:
+            break
+        if lines:
+            width = width or lines[0].count(",") + 1
+            cells = (",\n,".join(lines) + ",\n").split(",")
+            # no cell of a line is "\n": a "\n" after every width cells means
+            # that every line has width cells
+            plain = len(cells) == len(lines) * (width + 1)
+            plain = plain and cells[width :: width + 1].count("\n") == len(lines)
+            sizes = None if plain else [line.count(",") + 1 for line in lines]
+            yield len(lines), width, cells, sizes
+    else:
+        return
+    text = itertools.chain([block], blocks)
+    rows = filter(None, csv.reader(line.group() for t in text for line in _LINE.finditer(t)))
+    while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
+        width = width or len(chunk[0])
+        sizes = list(map(len, chunk))
+        cells = list(itertools.chain.from_iterable(row + ["\n"] for row in chunk))
+        yield len(chunk), width, cells, None if sizes.count(width) == len(sizes) else sizes
 
 
 def require_columns(
@@ -360,6 +478,37 @@ def _format(values: Sequence[object]) -> list[str]:
     cells = list(map(float.__repr__, values.tolist()))
     for i in np.flatnonzero(np.isnan(values)).tolist():
         cells[i] = MISSING
+    return cells
+
+
+def _format_chunk(values: Sequence[Sequence[object]]) -> list[list[str]]:
+    """The cell text of a chunk's columns, each formatted by ``_format``.
+
+    A float64 column takes the text of the first earlier one whose bits equal
+    its own in at least a fifth of the rows, as an oracle's latent outcomes
+    do the observed ones, and formats only its other cells; below about a
+    tenth, copying the text and setting the other cells costs more than
+    formatting them all.
+    """
+    cells: list[list[str]] = []
+    written: list[tuple[np.ndarray, list[str]]] = []  # float64 bits and their text
+    for column in values:
+        if not (isinstance(column, np.ndarray) and column.dtype == np.float64):
+            cells.append(_format(column))
+            continue
+        bits = column.view(np.int64)
+        for earlier, shared in written:
+            same = bits == earlier
+            if 5 * np.count_nonzero(same) >= len(same):
+                text = shared.copy()
+                other = np.flatnonzero(~same)
+                for i, cell in zip(other.tolist(), _format(column[other])):
+                    text[i] = cell
+                break
+        else:
+            text = _format(column)
+        written.append((bits, text))
+        cells.append(text)
     return cells
 
 
@@ -449,7 +598,7 @@ def _write(
     widths = sorted({width for _, width in targets})
     columns = columns[: widths[-1]]
     chunks = (
-        [_format(column[start : start + _CHUNK_ROWS]) for column in columns]
+        _format_chunk([column[start : start + _CHUNK_ROWS] for column in columns])
         for start in range(0, len(columns[0]) if columns else 0, _CHUNK_ROWS)
     )
     head = [[cell] for cell in _text(header[: widths[-1]])]

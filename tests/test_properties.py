@@ -7,6 +7,7 @@ import functools
 import io
 import math
 import random
+import tempfile
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -42,6 +43,7 @@ from didmiss import (
 )
 from didmiss.errors import DidMissError, InputError
 from didmiss.simulate import _couple
+from didmiss import table
 from didmiss.table import Parser, read_columns
 
 from _helpers import TIED_TRIM_CSV, brute_trimmed_mean, make_panel, reference_read_table
@@ -238,7 +240,7 @@ def csv_texts(draw):
 RAW = Parser(lambda cells: (tuple(cells), ()))
 
 
-def read_table(source: bytes, what: str) -> dict[str, tuple[str, ...]]:
+def read_table(source, what: str) -> dict[str, tuple[str, ...]]:
     header, columns = read_columns(source, what, lambda header: [(name, RAW) for name in header])
     return dict(zip(header, columns))
 
@@ -257,6 +259,84 @@ def test_read_table_matches_a_whole_table_transposition(text):
     assert list(got) == list(want)
     for name, cells in want.items():
         assert got[name] == cells, name
+
+
+#: What ``csv.field_size_limit()`` is lowered to while plain texts are read.
+LIMIT = 40
+
+#: Cells that hand the rest of a text to ``csv.reader``, placed in a late row.
+CSV_ONLY = ['"q"', 'a"b', '"open', "\0", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+            "\u2028", "\u2029", "x" * (LIMIT + 1), "y" * (LIMIT - 2)]
+
+
+@st.composite
+def plain_csv_texts(draw):
+    """CSV text without a quote, or with one only in a late row.
+
+    Lines end in LF, CRLF or a bare CR, or in a mix of them; blank lines fall
+    anywhere; cells hold non-ASCII text; some texts start with a byte-order
+    mark, have ragged rows (among them one a cell short and a later one a
+    cell long), or have one cell in one of the last rows that ``csv`` reads
+    differently from ``str.splitlines``: a quote, a NUL, a separator
+    ``str.splitlines`` breaks at, or one cell or a whole line longer than
+    ``LIMIT``.
+    """
+    rnd = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))  # cell text
+    n_rows = draw(st.integers(min_value=0, max_value=200))
+    width = draw(st.integers(min_value=1, max_value=4))
+    tokens = ["a", "1", ".", "-", " ", "\t", "é", "中", "😀"]
+    cell = lambda: "".join(rnd.choice(tokens) for _ in range(rnd.randrange(6)))
+    rows = [[f" c{k} " for k in range(width)]] + [
+        [cell() for _ in range(width)] for _ in range(n_rows)
+    ]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        i = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        rows[i] = rows[i][: draw(st.integers(0, width - 1))] or [cell()] * (width + 1)
+    if width > 1 and len(rows) > 2 and draw(st.integers(0, 3)) == 0:  # cell counts still add up
+        pair = st.lists(st.integers(1, len(rows) - 1), min_size=2, max_size=2, unique=True)
+        i, j = sorted(draw(pair))
+        rows[j].append(rows[i].pop())
+    if draw(st.booleans()):
+        i = max(0, len(rows) - 1 - draw(st.integers(0, 3)))
+        j = draw(st.integers(0, len(rows[i]) - 1))
+        rows[i][j] += draw(st.sampled_from(CSV_ONLY))
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r", None]))
+    lines = [",".join(row) + (ending or rnd.choice(["\n", "\r\n", "\r"])) for row in rows]
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), ending or "\r\n")
+    if draw(st.booleans()):  # no line break after the last row
+        lines[-1] = lines[-1].rstrip("\r\n")
+    return draw(st.sampled_from(["", "", "\ufeff"])) + "".join(lines)
+
+
+@example("c0,c1\r\na,1\r\nb,2\r\n", 6)  # the second block starts with the LF of a CRLF
+@example("c0,c1\na\nb,c,d\n", 1 << 16)  # a row short and one long, by the same cell
+@example("id\n" + "u\n" * 40 + '"q"\n', 8)  # the quote is in the last block
+@given(plain_csv_texts(), st.sampled_from([1, 6, 8, 29, 1 << 16]))
+@settings(deadline=None, max_examples=200)
+def test_plain_text_reads_as_a_whole_table_transposition_from_every_source(text, block):
+    raw = text.encode()
+    limit, default_block = csv.field_size_limit(LIMIT), table._BLOCK
+    table._BLOCK = block
+    try:
+        try:
+            want = reference_read_table(text.removeprefix("\ufeff"), "table")
+        except InputError as exc:
+            want = exc
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/table.csv"
+            with open(path, "wb") as handle:
+                handle.write(raw)
+            for source in (path, raw, io.BytesIO(raw), io.StringIO(text, newline="")):
+                if isinstance(want, InputError):
+                    with pytest.raises(InputError) as got:
+                        read_table(source, "table")
+                    assert str(got.value) == str(want), type(source)
+                else:
+                    assert list(read_table(source, "table").items()) == list(want.items())
+    finally:
+        csv.field_size_limit(limit)
+        table._BLOCK = default_block
 
 
 # -- complete-case DID invariances ----------------------------------------------

@@ -14,6 +14,7 @@ import csv
 import io
 import math
 import random
+import struct
 import sys
 import tracemalloc
 
@@ -113,8 +114,11 @@ def ref_panel_columns(table, mapping: ColumnMapping):
 def ref_table(raw: bytes, what: str):
     try:
         text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise InputError(f"malformed CSV: {exc}") from exc
+    except UnicodeDecodeError as exc:  # named by its offset in the whole source
+        raise InputError(
+            f"malformed CSV: 'utf-8' codec can't decode byte 0x{raw[exc.start]:02x} "
+            f"at byte {exc.start}: {exc.reason}"
+        ) from exc
     return reference_read_table(text, what)
 
 
@@ -294,6 +298,32 @@ def test_undecodable_bytes_late_in_a_file_win_over_every_other_fault(tmp_path):
         load_oracle(path)
 
 
+@pytest.mark.parametrize("first_row", ["1,0,1.0,2.0\n", "x" * 200 + ",0,1.0,2.0\n"])
+def test_an_undecodable_byte_is_named_by_its_offset_in_the_source(tmp_path, first_row):
+    # the second case's first id is longer than the lowered field limit, which
+    # csv refuses: the undecodable byte is still the fault reported
+    rows = "".join(f"{i},{i % 2},{i}.5,{i % 3}\n" for i in range(2, 30_000))
+    raw = f"id,d,y1,y2\n{first_row}{rows}".encode() + b"30000,1,\xff,0\n"
+    path = tmp_path / "late.csv"
+    path.write_bytes(raw)
+    at = raw.index(b"\xff")
+    message = f"malformed CSV: 'utf-8' codec can't decode byte 0xff at byte {at}: invalid start byte"
+    limit = csv.field_size_limit(100)
+    try:
+        for source in (path, raw, io.BytesIO(raw)):
+            with pytest.raises(InputError) as got:
+                load_panel(source)
+            assert str(got.value) == message, type(source)
+    finally:
+        csv.field_size_limit(limit)
+
+
+def test_a_text_file_whose_decoder_fails_is_an_input_error():
+    handle = io.TextIOWrapper(io.BytesIO(b"id,d,y1,y2\n1,0,\xff,1\n"), encoding="utf-8")
+    with pytest.raises(InputError, match=r"^malformed CSV: 'utf-8' codec can't decode byte 0xff"):
+        load_panel(handle)
+
+
 def test_a_column_that_is_both_missing_and_unparseable_reports_the_unparseable_cell():
     text = "id,d,y1,y2,s,y1_true,y2_1,y2_0\n1,0,1,1,AR,NA,1,1\n" + "".join(
         f"{i},0,1,1,AR,1,1,1\n" for i in range(2, 600)
@@ -371,7 +401,13 @@ TEXT = st.text(
     max_size=6,
 )
 
-FLOATS = st.floats() | st.sampled_from([math.nan, -0.0, 5e-324, 2.2e-308, 1.7976931348623157e308])
+#: NaNs whose sign or payload differ from numpy's default NaN.
+NANS = [struct.unpack("<d", struct.pack("<Q", bits))[0]
+        for bits in (0xFFF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001)]
+
+FLOATS = st.floats() | st.sampled_from(
+    [math.nan, -0.0, 0.0, 5e-324, 2.2e-308, 1.7976931348623157e308] + NANS
+)
 
 
 #: The cells of each kind of column the writer takes.
@@ -389,17 +425,30 @@ def written_tables(draw):
     """A header and 1-6 columns of every kind the writer takes, 0-257 rows.
 
     Each column repeats a few drawn cells in a drawn order, so that long
-    columns cost few draws.
+    columns cost few draws. A "shared" float column holds an earlier float
+    column's bits in a drawn share of its rows, and their negation (-0.0
+    for 0.0, a NaN of the other sign) in a few rows and wherever that column
+    holds a zero. With no earlier float column, one a third zeros is added.
     """
     n = draw(st.sampled_from([0, 1, 255, 256, 257]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     columns = []
-    for kind in draw(st.lists(st.sampled_from([*WRITTEN_CELLS, "range"]), min_size=1, max_size=6)):
+    kinds = [*WRITTEN_CELLS, "range", "shared f"]
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=6)):
         if kind == "range":
             columns.append(range(1, n + 1))
             continue
-        pool = draw(st.lists(WRITTEN_CELLS[kind], min_size=1, max_size=8))
+        pool = draw(st.lists(WRITTEN_CELLS[kind.removeprefix("shared ")], min_size=1, max_size=8))
         cells = [pool[i] for i in rng.integers(len(pool), size=n)]
+        if kind == "shared f":
+            earlier = [c for c in columns if isinstance(c, np.ndarray) and c.dtype.kind == "f"]
+            if not earlier:  # one to share with, a third of it zeros
+                earlier = [np.where(np.arange(n) % 3 == 0, 0.0, np.array(cells, dtype=np.float64))]
+                columns += earlier
+            share = draw(st.sampled_from([0.1, 0.19, 0.2, 0.21, 0.5, 1.0]))
+            column = np.where(rng.random(n) < share, earlier[-1], np.array(cells, dtype=np.float64))
+            columns.append(np.where((earlier[-1] == 0) | (rng.random(n) < 0.05), -column, column))
+            continue
         if kind == "ids":
             columns.append(tuple(cells))
         else:
@@ -432,6 +481,33 @@ def test_one_character_labels_parse_as_the_cell_by_cell_lookup(cells):
     want = np.array([{"0": 0, "1": 1}.get(cell.strip(), -1) for cell in cells], dtype=np.int8)
     assert values.dtype == np.int8 and np.array_equal(values, want)
     assert first == (int(np.argmax(want < 0)) if (want < 0).any() else None)
+
+
+@given(st.lists(st.sampled_from(["0", "7", "9", "٣", " 1", "1 ", "", "10", "x"]), max_size=600))
+@settings(deadline=None, max_examples=150)
+def test_one_digit_counts_parse_as_the_cell_by_cell_parse(cells):
+    # a chunk of one-digit cells is read byte by byte; any other cell by cell
+    text = "id,d,y1,y2,x1\n" + "".join(f"{i},{i % 2},1,2,{c}\n" for i, c in enumerate(cells))
+    raw = text.encode()
+    if same_error(lambda: load_panel(raw), lambda: ref_load_panel(raw, None)):
+        return
+    assert np.array_equal(load_panel(raw).x, ref_load_panel(raw, None).x)
+
+
+@given(st.lists(st.sampled_from(list(STRATUM_LABELS) + [" AR", "NR ", " ITR ", "ar", "XX", ""]),
+                min_size=1, max_size=600))
+@settings(deadline=None, max_examples=150)
+def test_stratum_labels_parse_as_the_stripped_cell_lookup(cells):
+    # a label is stripped only when it is not a key as it is
+    rows = []
+    for i, s in enumerate(cells):
+        label = s.strip()
+        pair = STRATUM_PAIRS[STRATUM_LABELS.index(label)] if label in STRATUM_LABELS else (1, 1)
+        rows.append(f"{i},{i % 2},1,{2 if pair[1 - i % 2] else 'NA'},{s},1,2,2\n")
+    raw = ("id,d,y1,y2,s,y1_true,y2_1,y2_0\n" + "".join(rows)).encode()
+    if same_error(lambda: load_oracle(raw), lambda: ref_load_oracle(raw)):
+        return
+    assert np.array_equal(load_oracle(raw).s, ref_load_oracle(raw)["s"])
 
 
 def test_an_unwritable_path_is_an_input_error(tmp_path):
