@@ -514,9 +514,10 @@ def bootstrap_bounds(
 ) -> BoundsBootstrap:
     """Percentile bootstrap of att_ar_bounds by unit-level resampling.
 
-    Deterministic given cfg.seed (each replicate uses the (seed, index)
-    stream); failed replicates are dropped and counted, and propagate only if
-    more than half fail.
+    Deterministic given cfg.seed (replicate ``rep`` resamples with the
+    (rep+1)-th draw of ``default_rng(seed)``, see ``estimators._replicates``);
+    failed replicates are dropped and counted, and propagate only if more
+    than half fail.
     """
     point = att_ar_bounds(data, mode)
     summaries, used, failed = _replicates(len(data), cfg, _bounds_replicate(data, mode))

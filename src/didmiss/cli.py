@@ -18,8 +18,9 @@ A report that cannot be written to stdout also exits 1: in silence when the
 reader closed the pipe, with one stderr line for any other write error.
 
 ``--pretty`` switches to an aligned human-readable rendering of the same
-report.  Bootstrap replicate streams are derived from (seed, replicate
-index) and run in one thread.
+report.  A bootstrap draws its resamples from one
+``numpy.random.default_rng(seed)``, replicate ``rep`` taking its (rep+1)-th
+draw, and runs them in one thread.
 """
 
 from __future__ import annotations

@@ -10,11 +10,12 @@ trend are parallel across arms; under outcome-dependent missingness it is
 not, which is what the IV corrections, trimming bounds, and principal-score
 weighting in the sibling modules are for.
 
-Bootstrap inference resamples units with replacement. Replicate ``rep``
-draws its row indices from exactly ``numpy.random.default_rng((seed, rep))``,
-so results are bit-identical for a given seed; the generators' seed words
-are derived for all replicates at once (``_streams``), not hashed one
-replicate at a time. Replicates run one after another in the calling thread.
+Bootstrap inference resamples units with replacement. One call builds one
+generator, ``numpy.random.default_rng(seed)``, and replicate ``rep`` takes
+its (rep+1)-th ``integers(0, n, size=n)`` draw, so a resample depends only on
+the seed, its index and n: results are bit-identical for a given seed, and
+the first replicates of a larger B are those of a smaller one. Replicates
+run one after another in the calling thread.
 A named estimator handle never rebuilds a dataset: its replicate evaluates
 the estimator's own count core, the function over group counts that the
 full-sample result is built from, on the group counts of the resampled rows
@@ -187,29 +188,31 @@ def _replicates(
 ) -> tuple[list[tuple[float, float, float]], int, int]:
     """The resampling engine: run ``replicate`` on cfg.replicates resamples.
 
-    Replicate ``rep`` draws n row indices with replacement, exactly
-    ``default_rng((cfg.seed, rep)).integers(0, n, size=n)``. Replicates
-    that raise DidMissError are dropped and counted; if more than half
-    fail, the last error propagates.
+    One generator, ``default_rng(cfg.seed)``, serves the whole call:
+    replicate ``rep`` takes its (rep+1)-th ``integers(0, n, size=n)`` draw
+    as the resampled row indices, whether or not earlier replicates failed.
+    To rebuild replicate ``rep`` by hand, draw ``rep + 1`` times from a
+    fresh ``default_rng(seed)`` and keep the last draw. Replicates that
+    raise DidMissError are dropped and counted; if more than half fail, the
+    last error propagates. Only that error is kept: each traceback holds
+    its replicate's resampled arrays.
     Returns, for each statistic the replicate yields, (standard deviation,
     lower percentile, upper percentile) at cfg.level, then the numbers of
     replicates used and failed.
     """
-    from ._streams import replicate_generators
-
     values: list[tuple[float, ...]] = []
-    failures: list[DidMissError] = []
-    for rng in replicate_generators(cfg.seed, cfg.replicates):
+    failed, last_error = 0, None
+    rng = np.random.default_rng(cfg.seed)
+    for _ in range(cfg.replicates):
         idx = rng.integers(0, n, size=n)
         try:
             values.append(replicate(idx))
         except DidMissError as exc:
-            failures.append(exc)
-    if len(failures) * 2 > cfg.replicates:
+            failed, last_error = failed + 1, exc
+    if failed * 2 > cfg.replicates:
         raise EstimatorError(
-            f"{len(failures)}/{cfg.replicates} bootstrap replicates failed; "
-            f"last error: {failures[-1]}"
-        ) from failures[-1]
+            f"{failed}/{cfg.replicates} bootstrap replicates failed; last error: {last_error}"
+        ) from last_error
 
     alpha = (1.0 - cfg.level) / 2.0
     summaries = []
@@ -220,7 +223,7 @@ def _replicates(
             lo, hi = np.percentile(arr, [100 * alpha, 100 * (1 - alpha)])
         se = finite(se, "the bootstrap standard error")
         summaries.append((se, finite(lo, "the lower percentile"), finite(hi, "the upper percentile")))
-    return summaries, len(values), len(failures)
+    return summaries, len(values), failed
 
 
 def bootstrap_ci(

@@ -124,22 +124,38 @@ def _level_base(n: np.ndarray, s: np.ndarray, d: int) -> float:
     return mass / total
 
 
-ArmGaps = Callable[[GroupCounts], Callable[[int], tuple[float, float]]]
+def _arm_gap(n: np.ndarray, s: np.ndarray, d: int) -> tuple[float, float]:
+    """Arm d's (trend gap, denominator). Counts keyed on (arm, R1, R2,
+    instrument level) give them across the one instrument's levels; counts
+    keyed on (arm, R1, R2, level of k1, level of k2) give the difference of
+    the two instruments' trend gaps and of their missingness gaps."""
+    if n.ndim == 4:
+        return _instrument_gap(n, s, d)
+    if not (n[:, 1, 1, 0, 1].any() or n[:, 1, 1, 1, 0].any()):
+        raise EstimatorError(
+            "degenerate instrument pair: indicators are identical on complete cases"
+        )
+    # a sum that overflows, or meets one that overflowed the other way, is refused
+    # by _corrected_point
+    with np.errstate(over="ignore", invalid="ignore"):
+        s1, s2 = s.sum(axis=4), s.sum(axis=3)
+    gap1, denom1 = _instrument_gap(n.sum(axis=4), s1, d)
+    gap2, denom2 = _instrument_gap(n.sum(axis=3), s2, d)
+    return gap1 - gap2, denom1 - denom2
 
 
 def _corrected_point(
-    c: GroupCounts, gaps: ArmGaps
+    c: GroupCounts,
 ) -> tuple[float, list[list[list[float]]], list[float], list[float], list[float], list[float]]:
     """Complete-case DID plus, per arm with missing second-wave outcomes, the
     level-weighted base's shift from the arm's complete-case mean and the
     correction gap / denom * Pr(R2=0|D=d).
 
-    ``gaps(c)(d)`` returns arm d's (trend gap, denominator); it is called
-    only for arms with missing second-wave outcomes. Returns the point, the
-    counts over (arm, R1, R2), and per arm the missing share, denominator,
-    correction and trend gap.
+    c is keyed on one instrument's levels or a pair's (see ``_arm_gap``);
+    the gaps are taken only for arms with missing second-wave outcomes.
+    Returns the point, the counts over (arm, R1, R2), and per arm the
+    missing share, denominator, correction and trend gap.
     """
-    arm_gap = gaps(c)
     arms = c.arms.tolist()
     complete, sums = [arm[1][1] for arm in arms], c.cc_sum.tolist()
     cc = _cc_point(complete, sums)
@@ -153,7 +169,7 @@ def _corrected_point(
     for d in (0, 1):
         if share[d] == 0.0:
             continue
-        gap[d], denom[d] = arm_gap(d)
+        gap[d], denom[d] = _arm_gap(c.n[0], c.s[0], d)
         if abs(denom[d]) < EPS_DENOM:
             raise EstimatorError(f"weak instrument in arm {d}")
         shift = _level_base(c.n[0], c.s[0], d) - float(sums[d]) / float(complete[d])
@@ -161,9 +177,11 @@ def _corrected_point(
     return finite(cc + corr[1] - corr[0], "the instrumented DID"), arms, share, denom, corr, gap
 
 
-def _corrected(c: GroupCounts, gaps: ArmGaps) -> tuple[Estimate, IvDiagnostics]:
-    """``_corrected_point`` as the estimate and its diagnostics."""
-    point, arms, share, denom, corr, gap = _corrected_point(c, gaps)
+def _iv_counts(c: GroupCounts) -> tuple[Estimate, IvDiagnostics]:
+    """``att_iv`` from counts keyed on (arm, R1, R2, instrument level), or
+    ``att_iv_multi`` from counts keyed on (arm, R1, R2, level of k1, level
+    of k2): ``_corrected_point`` as the estimate and its diagnostics."""
+    point, arms, share, denom, corr, gap = _corrected_point(c)
     notes = (_R1_NOTE,) if any(arms[0][0] + arms[1][0]) else ()
     est = Estimate(point=point, n_used=int(arms[1][1][1] + arms[0][1][1]), notes=notes)
     diag = IvDiagnostics(
@@ -191,9 +209,8 @@ def _iv_engine(
     if len(aux) == 2 and aux[0] == aux[1]:
         raise InputError(f"an instrument pair needs two different aux indices, got {aux[0]} twice")
     groups = GroupKey(data, aux=aux)
-    gaps = _single_gap if len(aux) == 1 else _pair_gap
-    est, diag = _corrected(groups.counts(), gaps)
-    return est, diag, lambda idx: (_corrected_point(groups.counts(idx), gaps)[0],)
+    est, diag = _iv_counts(groups.counts())
+    return est, diag, lambda idx: (_corrected_point(groups.counts(idx))[0],)
 
 
 def att_iv(data: PanelDataset, aux_index: int) -> tuple[Estimate, IvDiagnostics]:
@@ -205,18 +222,6 @@ def att_iv(data: PanelDataset, aux_index: int) -> tuple[Estimate, IvDiagnostics]
     clear the weak-instrument threshold.
     """
     return _iv_engine(data, (aux_index,))[:2]
-
-
-def _single_gap(c: GroupCounts) -> Callable[[int], tuple[float, float]]:
-    """Arm d's (trend gap, denominator) across the levels of the one
-    instrument in counts keyed on (arm, R1, R2, instrument level)."""
-    n, s = c.n[0], c.s[0]
-    return lambda d: _instrument_gap(n, s, d)
-
-
-def _iv_single(c: GroupCounts) -> tuple[Estimate, IvDiagnostics]:
-    """``att_iv`` from counts keyed on (arm, R1, R2, instrument level)."""
-    return _corrected(c, _single_gap)
 
 
 def att_iv_multi(
@@ -236,30 +241,3 @@ def att_iv_multi(
     if len(aux) != 2:
         raise InputError(f"an instrument pair must hold exactly two aux indices, got {aux!r}")
     return _iv_engine(data, aux)[:2]
-
-
-def _pair_gap(c: GroupCounts) -> Callable[[int], tuple[float, float]]:
-    """Arm d's (trend gap, denominator) in counts keyed on (arm, R1, R2,
-    level of k1, level of k2): the difference of the two instruments' trend
-    gaps and of their missingness gaps."""
-    n, s = c.n[0], c.s[0]
-    # a sum that overflows, or meets one that overflowed the other way, is refused
-    # by _corrected_point
-    with np.errstate(over="ignore", invalid="ignore"):
-        s1, s2 = s.sum(axis=4), s.sum(axis=3)
-
-    def arm_gap(d: int) -> tuple[float, float]:
-        if not (n[:, 1, 1, 0, 1].any() or n[:, 1, 1, 1, 0].any()):
-            raise EstimatorError(
-                "degenerate instrument pair: indicators are identical on complete cases"
-            )
-        gap1, denom1 = _instrument_gap(n.sum(axis=4), s1, d)
-        gap2, denom2 = _instrument_gap(n.sum(axis=3), s2, d)
-        return gap1 - gap2, denom1 - denom2
-
-    return arm_gap
-
-
-def _iv_pair(c: GroupCounts) -> tuple[Estimate, IvDiagnostics]:
-    """``att_iv_multi`` from counts keyed on (arm, R1, R2, level of k1, level of k2)."""
-    return _corrected(c, _pair_gap)

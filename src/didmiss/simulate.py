@@ -52,7 +52,7 @@ from .bounds import _counterfactual_rates, _frechet_cells, strata_proportions_mo
 from .common import STRATUM_LABELS, STRATUM_PAIRS, ClipEvent, check_seed, finite, is_integer
 from .errors import EstimatorError, InputError
 from .estimators import _complete_case
-from .iv import _iv_pair, _iv_single
+from .iv import _iv_counts
 from .panel import (
     ColumnMapping,
     GroupCounts,
@@ -1368,7 +1368,7 @@ def _preset_zero_bias(n: int, seed: int) -> DgpSpec:
 def _verify_zero_bias(spec: DgpSpec) -> None:
     kind = "zero-bias"
     att, _, cc = spec._population
-    _, iv = _iv_single(_expected_counts(spec, (0,)))
+    _, iv = _iv_counts(_expected_counts(spec, (0,)))
     _require(abs(cc - att) < 1e-12, kind, "complete-case bias is not zero")
     _require(abs(att - 1.0) < 1e-12, kind, "ATT is not 1.0")
     _require(min(map(abs, iv.denom)) >= 0.15, kind, f"instrument relevance {iv.denom} below 0.15")
@@ -1397,7 +1397,7 @@ def _preset_homogeneous_bias(n: int, seed: int) -> DgpSpec:
 def _verify_homogeneous_bias(spec: DgpSpec) -> None:
     kind = "homogeneous-bias"
     att, _, cc = spec._population
-    est, iv = _iv_single(_expected_counts(spec, (0,)))
+    est, iv = _iv_counts(_expected_counts(spec, (0,)))
     _require(abs(cc - att - 0.25) < 1e-9, kind, "planted complete-case bias is not 0.25")
     _require(abs(att - 1.0) < 1e-12, kind, "ATT is not 1.0")
     _require(min(map(abs, iv.denom)) >= 0.15, kind, f"instrument relevance {iv.denom} below 0.15")
@@ -1428,7 +1428,10 @@ def _multi_iv_spec(n: int, seed: int, g0: float) -> DgpSpec:
 def _multi_iv_gap() -> float:
     """The control-arm gap at which the pair equals the ATT of 1.0: its
     population value is affine in the gap, so two evaluations fix the root."""
-    at = [_iv_pair(_expected_counts(_multi_iv_spec(1, 0, g0), (0, 1)))[0].point for g0 in (0.0, 1.0)]
+    at = [
+        _iv_counts(_expected_counts(_multi_iv_spec(1, 0, g0), (0, 1)))[0].point
+        for g0 in (0.0, 1.0)
+    ]
     return (1.0 - at[0]) / (at[1] - at[0])
 
 
@@ -1440,8 +1443,8 @@ def _verify_multi_iv(spec: DgpSpec) -> None:
     kind = "multi-iv"
     att, _, _ = spec._population
     _require(abs(att - 1.0) < 1e-12, kind, "ATT is not 1.0")
-    one, _ = _iv_single(_expected_counts(spec, (0,)))
-    pair, _ = _iv_pair(_expected_counts(spec, (0, 1)))
+    one, _ = _iv_counts(_expected_counts(spec, (0,)))
+    pair, _ = _iv_counts(_expected_counts(spec, (0, 1)))
     _require(
         abs(pair.point - att) < 1e-9, kind, "paired-instrument estimator is not exact in population"
     )

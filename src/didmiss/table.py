@@ -561,7 +561,7 @@ def write_tables(
                 targets.append((dest, width))  # type: ignore[arg-type]
                 continue
             try:
-                handle = open(dest, "w", newline="")
+                handle = open(dest, "w", encoding="utf-8", newline="")
             except OSError as exc:
                 failure = _cannot_write(dest, exc)
                 break

@@ -237,7 +237,7 @@ def reference_level_base(n: np.ndarray, s: np.ndarray, d: int) -> float:
 
 
 def reference_corrected(c: GroupCounts, arm_gap) -> tuple[Estimate, IvDiagnostics]:
-    """``iv._corrected``, and the complete-case DID inside it, with a numpy
+    """``iv._iv_counts``, and the complete-case DID inside it, with a numpy
     reduction or scalar index per figure."""
     arms = c.arms
     for d in (1, 0):

@@ -390,9 +390,9 @@ def test_an_arms_trimmed_means_are_ordered_on_near_tied_changes():
 @pytest.mark.parametrize("mode", ["monotone", "no-monotone"])
 def test_a_near_tied_resample_keeps_the_bootstrap_going(mode):
     data = load_panel(io.StringIO(TIED_RESAMPLE_CSV))
-    engine = _bounds_replicate(data, mode)
-    for rep in range(50):
-        idx = np.random.default_rng((2, rep)).integers(0, len(data), size=len(data))
+    engine, rng = _bounds_replicate(data, mode), np.random.default_rng(2)
+    for rep in range(50):  # the resamples of the bootstrap below
+        idx = rng.integers(0, len(data), size=len(data))
         lb, ub = engine(idx)
         rebuilt = att_ar_bounds(data._take(idx), mode)
         assert lb <= ub

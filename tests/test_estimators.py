@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from didmiss import (
     InputError,
     Interval,
     OraclePanel,
+    PanelDataset,
     att_ar_bounds,
     att_iv,
     att_iv_multi,
@@ -302,6 +304,26 @@ def test_bootstrap_counts_failed_replicates():
     assert int(failed[0].split("=")[1]) > 0
     assert est.ci is not None
 
+
+def test_failed_replicates_do_not_pin_their_resamples():
+    # one treated complete case: about 37% of resamples miss it and fail; a
+    # kept traceback would hold its replicate's resampled rows, so the peak
+    # would grow with B
+    n = 20_000
+    y2 = np.ones(n)
+    y2[3::2] = np.nan  # every treated row but row 1
+    data = PanelDataset(np.arange(n) % 2, np.zeros(n), y2)
+    peaks, failed = [], []
+    for replicates in (20, 200):
+        tracemalloc.start()
+        try:
+            est = bootstrap_ci(data, "cc-did", BootstrapConfig(replicates=replicates, seed=4))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        failed += [int(note.split("=")[1]) for note in est.notes if note.startswith("replicates_failed=")]
+    assert failed[1] > 50, failed
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 def test_bootstrap_propagates_majority_failure():
     calls = {"bootstrap": False}

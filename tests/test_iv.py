@@ -16,7 +16,7 @@ from didmiss import (
     make_preset,
     simulate_panel,
 )
-from didmiss.iv import _instrument_gap, _iv_pair, _iv_single
+from didmiss.iv import _instrument_gap, _iv_counts
 from didmiss.panel import GroupCounts
 from didmiss.simulate import PRESET_KINDS, _expected_counts
 
@@ -373,7 +373,7 @@ def test_degenerate_pair_tolerated_when_nothing_is_missing():
 
 
 def _reference_iv(c: GroupCounts):
-    """``_iv_single`` or ``_iv_pair`` over the reference formulas."""
+    """``_iv_counts`` over the reference formulas."""
     n, s = c.n[0], c.s[0]
     if n.ndim == 4:
         return reference_corrected(c, lambda d: reference_instrument_gap(n, s, d))
@@ -400,8 +400,7 @@ def _assert_iv_bits(c: GroupCounts):
         for d in (0, 1):
             got = repr_or_error(_instrument_gap, n_k, s_k, d)
             assert got == repr_or_error(reference_instrument_gap, n_k, s_k, d)
-    formula = _iv_single if n.ndim == 4 else _iv_pair
-    assert repr_or_error(formula, c) == repr_or_error(_reference_iv, c)
+    assert repr_or_error(_iv_counts, c) == repr_or_error(_reference_iv, c)
 
 
 @pytest.mark.parametrize("kind", PRESET_KINDS)

@@ -29,7 +29,6 @@ from didmiss import (
 )
 from didmiss import bounds as bounds_module
 from didmiss.bounds import _bounds_replicate, _trimmed_mean_counts
-from didmiss._streams import BLOCK, stream_states
 from didmiss.estimators import ESTIMATOR_HANDLES, _percentile_ci, _replicate_fn, _replicates
 from didmiss.iv import _iv_engine
 from didmiss.panel import GroupKey
@@ -85,10 +84,11 @@ def _assert_same(got, want, rep):
 
 
 def _compare(engine, reference, n, seed=3):
-    """Run both replicate functions on the same streams; return the outcomes."""
-    outcomes = []
+    """Run both replicate functions on the resamples a bootstrap with this
+    seed draws; return the outcomes."""
+    outcomes, rng = [], np.random.default_rng(seed)
     for rep in range(REPLICATES):
-        idx = np.random.default_rng((seed, rep)).integers(0, n, size=n)
+        idx = rng.integers(0, n, size=n)
         want = _outcome(reference, idx)
         _assert_same(_outcome(engine, idx), want, rep)
         outcomes.append((idx, want))
@@ -299,7 +299,7 @@ def test_a_reversed_view_sums_in_the_order_of_a_reversed_copy(size):
         assert float(view.sum()) == float(view.copy().sum()), j
 
 
-# -- the (seed, replicate) stream ----------------------------------------------
+# -- the stream of resamples ----------------------------------------------------
 
 #: Seeds of 1, 2, 3, 4, 5 and 7 32-bit words, then numpy integers.
 STREAM_SEEDS = [
@@ -308,22 +308,38 @@ STREAM_SEEDS = [
 ]
 
 
-@pytest.mark.parametrize("seed", STREAM_SEEDS, ids=repr)
-def test_derived_seed_words_are_the_seed_sequence_states(seed):
-    # from the first rep, across a block edge, and across 2**32 and 2**64,
-    # where a rep gains a 32-bit word
-    for start, stop in ((0, 3), (BLOCK - 2, BLOCK + 2), (2**32 - 2, 2**32 + 2), (2**64 - 1, 2**64 + 1)):
-        want = [
-            np.random.SeedSequence((seed, rep)).generate_state(4, np.uint64)
-            for rep in range(start, stop)
-        ]
-        np.testing.assert_array_equal(stream_states(seed, start, stop), want)
+def _resamples(n, replicates, seed, fails=()):
+    """The row indices ``_replicates`` hands each replicate, in order; the
+    replicates numbered in ``fails`` raise."""
+    drawn = []
+
+    def replicate(idx):
+        drawn.append(idx)
+        if len(drawn) - 1 in fails:
+            raise DidMissError("synthetic failure")
+        return (0.0,)
+
+    _replicates(n, BootstrapConfig(replicates=replicates, seed=seed), replicate)
+    return drawn
 
 
 @pytest.mark.parametrize("seed", STREAM_SEEDS, ids=repr)
 def test_each_resample_is_what_default_rng_of_seed_and_index_draws(seed):
-    n, drawn = 11, []
-    _replicates(n, BootstrapConfig(replicates=BLOCK + 3, seed=seed), lambda idx: drawn.append(idx) or (0.0,))
-    assert len(drawn) == BLOCK + 3  # across the block edge
+    # resample rep is the (rep + 1)-th draw of one default_rng(seed)
+    n, replicates = 11, 1027
+    drawn = _resamples(n, replicates, seed)
+    assert len(drawn) == replicates
+    rng = np.random.default_rng(seed)
     for rep, idx in enumerate(drawn):
-        np.testing.assert_array_equal(idx, np.random.default_rng((seed, rep)).integers(0, n, size=n))
+        np.testing.assert_array_equal(idx, rng.integers(0, n, size=n), err_msg=f"rep {rep}")
+
+
+def test_a_smaller_bootstrap_draws_the_first_resamples_of_a_larger_one():
+    small, large = _resamples(50, 3, seed=8), _resamples(50, 40, seed=8)
+    assert len(large) == 40
+    np.testing.assert_array_equal(small, large[:3])
+
+
+def test_a_failed_replicate_does_not_shift_later_resamples():
+    clean, failing = _resamples(50, 12, seed=8), _resamples(50, 12, seed=8, fails={0, 4, 5})
+    np.testing.assert_array_equal(failing, clean)

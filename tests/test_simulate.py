@@ -40,7 +40,7 @@ from didmiss import (
     simulate_panel,
     strip_missingness,
 )
-from didmiss.iv import _iv_pair, _iv_single
+from didmiss.iv import _iv_counts
 from didmiss.panel import GroupKey
 from didmiss.principal import _pi_point
 from didmiss.simulate import (
@@ -638,7 +638,7 @@ def test_presets_construct_and_carry_planted_truths():
 
 def test_population_instrument_values_are_pinned():
     # the instrument estimators evaluated on the designs' expected counts
-    est, diag = _iv_single(_expected_counts(make_preset("homogeneous-bias"), (0,)))
+    est, diag = _iv_counts(_expected_counts(make_preset("homogeneous-bias"), (0,)))
     assert est.point == pytest.approx(1.0, abs=1e-12)
     assert diag.denom == pytest.approx((0.2, 0.3), abs=1e-12)
     assert diag.bias_correction == pytest.approx(
@@ -646,12 +646,12 @@ def test_population_instrument_values_are_pinned():
     )
 
     multi = make_preset("multi-iv")
-    est, diag = _iv_single(_expected_counts(multi, (0,)))
+    est, diag = _iv_counts(_expected_counts(multi, (0,)))
     assert est.point == pytest.approx(-0.8723408279423772, abs=1e-12)
     assert diag.denom == pytest.approx((0.05, 0.15), abs=1e-12)
-    est, _ = _iv_single(_expected_counts(multi, (1,)))
+    est, _ = _iv_counts(_expected_counts(multi, (1,)))
     assert est.point == pytest.approx(0.9712659532576926, abs=1e-12)
-    est, _ = _iv_pair(_expected_counts(multi, (0, 1)))
+    est, _ = _iv_counts(_expected_counts(multi, (0, 1)))
     assert est.point == pytest.approx(1.0, abs=1e-12)
 
 
@@ -676,7 +676,7 @@ def test_the_single_instrument_preset_is_checked_by_its_estimator():
     scale = (0.25 - cc_bias(0.0)) / (cc_bias(1.0) - cc_bias(0.0))  # the bias is affine in it
     design = nudged(scale)
     assert cc_bias(scale) == pytest.approx(0.25, abs=1e-12)
-    est, _ = _iv_single(_expected_counts(design, (0,)))
+    est, _ = _iv_counts(_expected_counts(design, (0,)))
     assert 1e-4 < abs(est.point - 1.0) < 0.05
     with pytest.raises(RuntimeError, match="instrument estimator is not exact in population"):
         _verify_homogeneous_bias(design)

@@ -13,10 +13,13 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 import random
 import struct
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -517,6 +520,29 @@ def test_an_unwritable_path_is_an_input_error(tmp_path):
     with pytest.raises(InputError, match="^cannot write "):
         save_panel(data, tmp_path)
 
+
+def test_a_path_is_written_in_utf8_under_an_ascii_locale(tmp_path):
+    # the readers decode UTF-8 whatever the locale; the writer must encode it
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from didmiss import PanelDataset, load_panel, save_panel\n"
+        "data = PanelDataset(np.array([1, 0]), np.zeros(2), np.ones(2), unit_ids=('\\xe9', 'b'))\n"
+        "save_panel(data, sys.argv[1])\n"
+        "print(ascii(load_panel(sys.argv[1]).unit_ids))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.update(PYTHONCOERCECLOCALE="0", LC_ALL="C")
+    env.pop("PYTHONUTF8", None)
+    path = tmp_path / "panel.csv"
+    done = subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-c", script, str(path)],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "('\\xe9', 'b')\n"
+    assert path.read_bytes().splitlines()[1].startswith("\u00e9,".encode())
 
 def test_the_writer_refuses_columns_of_different_lengths_before_opening_a_file(tmp_path):
     n = 6
