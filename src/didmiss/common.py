@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
+from typing import Iterable
 
 import numpy as np
 
@@ -57,6 +60,17 @@ class Interval:
 def is_integer(value: object) -> bool:
     """Whether ``value`` is a Python or numpy integer; ``bool`` is not one."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """``values`` added left to right, starting from 0.0.
+
+    The builtin ``sum`` adds floats with Neumaier compensation from Python
+    3.12 on and left to right before, so its last bits depend on the
+    interpreter; every float sum whose bits the package pins goes through
+    here instead.
+    """
+    return reduce(add, values, 0.0)
 
 
 def check_seed(seed: object) -> None:

@@ -25,6 +25,12 @@ column.  Stratum trends are shared across arms by construction; arm-specific
 deviations must be requested explicitly (``arm_trend_delta`` or per-arm cell
 trend shifts) so violations are opt-in and visible in the DgpSpec.
 
+The outcome model a spec spells out is stated once, as one table of
+(cell, arm, stratum) groups: each group's mass ``Pr(cell, S | D)``, its
+first-period mean, its untreated trend and its effect.  The draw gathers
+each unit's terms from that table, and the expected counts, the population
+truths and :func:`strip_missingness` are read from it too.
+
 :func:`make_preset` returns ready-made generating processes whose documented
 properties (planted complete-case bias, instrument validity, bound coverage
 margins, …) are re-verified analytically every time they are built.
@@ -49,7 +55,15 @@ from typing import IO, Iterable, Mapping, Sequence, Union
 import numpy as np
 
 from .bounds import _counterfactual_rates, _frechet_cells, strata_proportions_monotone
-from .common import STRATUM_LABELS, STRATUM_PAIRS, ClipEvent, check_seed, finite, is_integer
+from .common import (
+    STRATUM_LABELS,
+    STRATUM_PAIRS,
+    ClipEvent,
+    check_seed,
+    finite,
+    is_integer,
+    left_sum,
+)
 from .errors import EstimatorError, InputError
 from .estimators import _complete_case
 from .iv import _iv_counts
@@ -224,11 +238,22 @@ class Cell:
                     f"cell {self.label!r}: strata row for arm {arm} must be four "
                     "nonnegative probabilities"
                 )
-            if abs(sum(row) - 1.0) > 1e-9:
+            if abs(left_sum(row) - 1.0) > 1e-9:
                 raise InputError(
                     f"cell {self.label!r}: strata probabilities for arm {arm} sum to "
-                    f"{sum(row)!r}, expected 1"
+                    f"{left_sum(row)!r}, expected 1"
                 )
+
+
+def _per_cell(cells: Sequence[Cell], name: str) -> np.ndarray:
+    """Field ``name`` of each cell, stacked along a first axis, as float64."""
+    return np.array([getattr(c, name) for c in cells], dtype=np.float64)
+
+
+def _masses(cells: Sequence[Cell]) -> np.ndarray:
+    """``Pr(cell, S = s | D = d)``, indexed ``[cell, d, s]``: each cell's arm
+    share times its stratum probability."""
+    return _per_cell(cells, "share")[..., None] * _per_cell(cells, "strata")
 
 
 @dataclass(frozen=True)
@@ -266,6 +291,12 @@ class DgpSpec:
     arm_trend_delta : tuple of float
         Per-stratum trend added only in the treated arm — zero by default;
         nonzero values are a labelled violation of shared trends.
+
+    The outcome model these fields spell out is stated once, as one table
+    of (cell, arm, stratum) groups (``_groups``): each group's mass, its
+    first-period mean, its untreated trend and its effect.  The draw, the
+    expected counts, the population truths and :func:`strip_missingness`
+    all read that table.
     """
 
     n: int
@@ -297,8 +328,8 @@ class DgpSpec:
         flat = [p for row in self.joint_sd for p in row]
         if any(p < -1e-12 for p in flat):
             raise InputError("joint_sd entries must be nonnegative")
-        if abs(sum(flat) - 1.0) > 1e-9:
-            raise InputError(f"joint_sd sums to {sum(flat)!r}, expected 1")
+        if abs(left_sum(flat) - 1.0) > 1e-9:
+            raise InputError(f"joint_sd sums to {left_sum(flat)!r}, expected 1")
         for name, row in (("trend", self.trend), ("effect", self.effect),
                           ("arm_trend_delta", self.arm_trend_delta)):
             if len(row) != 4:
@@ -323,7 +354,7 @@ class DgpSpec:
         if any(labelled) and not all(labelled):
             raise InputError("either every cell or no cell may set x_label")
         for arm in (0, 1):
-            total = sum(c.share[arm] for c in cells)
+            total = left_sum(c.share[arm] for c in cells)
             if abs(total - 1.0) > 1e-9:
                 raise InputError(f"cell shares for arm {arm} sum to {total!r}, expected 1")
         for c in cells:
@@ -347,7 +378,7 @@ class DgpSpec:
 
     def arm_share(self, d: int) -> float:
         """``Pr(D = d)``."""
-        return float(sum(self.joint_sd[d]))
+        return left_sum(self.joint_sd[d])
 
     def pi(self, d: int) -> tuple[float, float, float, float]:
         """``Pr(S = s | D = d)`` in :data:`STRATUM_LABELS` order."""
@@ -363,21 +394,37 @@ class DgpSpec:
         return (Cell(label="all", share=(1.0, 1.0), strata=(self.pi(0), self.pi(1))),)
 
     @cached_property
+    def _groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The outcome model: four read-only float64 tables indexed ``[cell,
+        arm, stratum]``.
+
+        They hold each group's mass ``Pr(cell, S | D)``, its first-period
+        mean, its untreated trend (with ``arm_trend_delta`` in the treated
+        arm) and its effect.  Each entry adds its spec terms in the order
+        the per-unit outcome expressions add them, so every draw and every
+        truth read from it keeps its bits.
+        """
+        cells = self.cells()
+        base = np.array(self.baseline, float).T + _per_cell(cells, "baseline_shift")[..., None]
+        trend = np.array(self.trend, float) + _per_cell(cells, "trend_shift")[..., None]
+        trend[:, 1] += self.arm_trend_delta
+        effect = np.array(self.effect, float) + _per_cell(cells, "effect_shift")[:, None, None]
+        groups = _masses(cells), base, trend, np.broadcast_to(effect, base.shape)
+        for table in groups:
+            table.setflags(write=False)
+        return groups
+
+    @cached_property
     def _population(self) -> tuple[float, float, float]:
         """Population ATT, always-respondent ATT and complete-case DID.
 
         Evaluated once per spec, for the preset check and the oracle truth.
         The complete-case DID is NaN when an arm has no second-wave respondents.
         """
-        att = ar_num = ar_den = 0.0
-        for cell in self.cells():
-            for st in range(4):
-                w = cell.share[1] * cell.strata[1][st]
-                effect = self.effect[st] + cell.effect_shift
-                att += w * effect
-                if st == _AR:
-                    ar_num += w * effect
-                    ar_den += w
+        mass, _, _, effect = self._groups
+        terms = mass[:, 1] * effect[:, 1]  # each treated (cell, stratum) group's share of the ATT
+        att = left_sum(terms.ravel().tolist())
+        ar_num, ar_den = left_sum(terms[:, _AR].tolist()), left_sum(mass[:, 1, _AR].tolist())
         try:
             cc = _complete_case(_expected_counts(self)).point
         except EstimatorError:
@@ -557,27 +604,18 @@ def _expected_counts(spec: DgpSpec, aux: Sequence[int] = (), cells: bool = False
     labels = [() if not cells or c.x_label is None else (c.x_label,) for c in spec.cells()]
     keys = sorted(set(labels))
     shape = (len(keys), 2, 2, 2) + (2,) * len(aux)
-    n = [0.0] * math.prod(shape)
-    s = [0.0] * len(n)
-    for cell, label in zip(spec.cells(), labels):
-        first = keys.index(label)
-        level = 0
-        for slot in slots:
-            level = 2 * level + cell.aux_pattern[slot]
-        for st in range(4):
-            effect = spec.effect[st] + cell.effect_shift
-            for d in (0, 1):
-                w = cell.share[d] * cell.strata[d][st]
-                r2 = STRATUM_PAIRS[st][1 - d]
-                at = (((2 * first + d) * 2 + 1) * 2 + r2) * 2 ** len(aux) + level
-                n[at] += w
-                if r2:
-                    trend = spec.trend[st] + cell.trend_shift[d]
-                    mu = trend + spec.arm_trend_delta[st] + effect if d else trend
-                    s[at] += w * mu
-    sums = np.array(s).reshape(shape)
+    mass, _, trend, effect = spec._groups
+    # each (cell, arm, stratum) group's bin is (key, arm, R1 = 1, R2, levels);
+    # bincount adds a bin's groups in (cell, stratum) order, from 0.0
+    first = np.array([keys.index(label) for label in labels])[:, None, None]
+    levels = np.array([c.aux_pattern or () for c in spec.cells()])[:, slots].T[..., None, None]
+    at = np.ravel_multi_index((first, [[0], [1]], 1, ~_MISSING_Y2, *levels), shape).ravel()
+    # a complete case's mean change: the trend, plus the effect if treated (x + -0.0 is x)
+    change = mass * (trend + np.where([[False], [True]], effect, -0.0))
+    sums = np.bincount(at, np.where(_MISSING_Y2, 0.0, change).ravel(), math.prod(shape))
+    sums = sums.reshape(shape)
     return GroupCounts(
-        n=np.array(n).reshape(shape),
+        n=np.bincount(at, mass.ravel(), math.prod(shape)).reshape(shape),
         s=sums,
         cc_sum=sums[:, :, 1, 1].swapaxes(0, 1).reshape(2, -1).sum(axis=1),
         cells=tuple(keys),
@@ -640,12 +678,12 @@ def simulate_panel(spec: DgpSpec) -> tuple[PanelDataset, OraclePanel, OracleTrut
     # capped at the last bin, since the edges never decrease.
     u_cell = rng.random(n)
     cell = np.zeros(n, dtype=np.intp)
-    for edge in np.cumsum([c.share for c in cells], axis=0, dtype=np.float64)[:-1]:
+    for edge in _per_cell(cells, "share").cumsum(axis=0)[:-1]:
         cell += u_cell >= edge.take(arm)
     group = 2 * cell + arm  # (cell, arm)
     del u_cell, cell, arm
 
-    cum_strata = np.cumsum([c.strata for c in cells], axis=2, dtype=np.float64)
+    cum_strata = _per_cell(cells, "strata").cumsum(axis=2)
     u_strat = rng.random(n)
     s = np.zeros(n, dtype=np.int8)
     for edge in cum_strata.reshape(-1, 4).T[:3]:
@@ -656,16 +694,8 @@ def simulate_panel(spec: DgpSpec) -> tuple[PanelDataset, OraclePanel, OracleTrut
     eps1 = rng.normal(0.0, spec.noise_sd, n)
     eps2 = rng.normal(0.0, spec.noise_sd, n)
 
-    # Each (cell, arm, stratum) term, summed in the order of the per-unit
-    # outcome expressions, so every outcome keeps its bits.
-    def per_cell(name: str) -> np.ndarray:
-        return np.array([getattr(c, name) for c in cells], dtype=np.float64)
-
-    base = np.array(spec.baseline, dtype=np.float64).T + per_cell("baseline_shift")[:, :, None]
-    trend = np.array(spec.trend, dtype=np.float64) + per_cell("trend_shift")[:, :, None]
-    trend = trend + np.array(spec.arm_trend_delta, dtype=np.float64) * np.array([[False], [True]])
-    effect = np.array(spec.effect, dtype=np.float64) + per_cell("effect_shift")[:, None, None]
-    effect = np.broadcast_to(effect, base.shape)
+    # each unit's terms, gathered from its (cell, arm, stratum) group
+    _, base, trend, effect = spec._groups
     # What the observed y2 adds to Y2(0): the effect if treated, -0.0 if not
     # (x + -0.0 is x, bit for bit) and NaN where y2 is hidden, so one gather
     # and one sum give the observed outcome without a per-unit branch.
@@ -969,13 +999,8 @@ def decompose_att(records: OracleInput) -> AttDecomposition:
     shares = {STRATUM_PAIRS[code]: share[code] for code in range(4)}
 
     # the treated respondents' mean change, stratum by stratum: effect plus trend
-    term1 = sum(
-        (
-            share[code] * (effect[code][1] + trend[code][1])
-            for code in (_AR, _ITR)
-            if share[code] > 0
-        ),
-        0.0,
+    term1 = left_sum(
+        share[code] * (effect[code][1] + trend[code][1]) for code in (_AR, _ITR) if share[code] > 0
     )
     terms = [term1]
     # control-arm trends of the strata that respond if treated (subtracted),
@@ -993,7 +1018,7 @@ def decompose_att(records: OracleInput) -> AttDecomposition:
         else:
             terms.append(-share[code] * trend[code][0])
 
-    total = float(sum(terms))
+    total = left_sum(terms)
     deviation = total - att
 
     # The deviation equals the share-weighted cross-arm gap in untreated
@@ -1085,7 +1110,7 @@ def check_trend_mixture(records: OracleInput) -> TrendMixtureReport:
             {STRATUM_PAIRS[code]: means[code][arm] if n[code][arm] else None for code in range(4)}
         )
         mixture.append(
-            sum(n[code][arm] / n_arm[arm] * means[code][arm] for code in range(4) if n[code][arm])
+            left_sum(n[c][arm] / n_arm[arm] * means[c][arm] for c in range(4) if n[c][arm])
         )
 
     scale = max(1.0, max(abs(v) for v in direct))
@@ -1096,7 +1121,7 @@ def check_trend_mixture(records: OracleInput) -> TrendMixtureReport:
             "exceeds floating-point tolerance"
         )
 
-    var = sum(arm_ss[arm] / (n_arm[arm] - 1) / n_arm[arm] for arm in (0, 1) if n_arm[arm] >= 2)
+    var = left_sum(arm_ss[a] / (n_arm[a] - 1) / n_arm[a] for a in (0, 1) if n_arm[a] >= 2)
     return TrendMixtureReport(
         direct=(direct[0], direct[1]),
         mixture=(mixture[0], mixture[1]),
@@ -1123,36 +1148,26 @@ def strip_missingness(spec: DgpSpec) -> DgpSpec:
     outcome distribution as the original with all missingness removed —
     the reference point for collapse identities.
     """
-    new_cells: list[Cell] = []
-    for cell in spec.cells():
-        for code in range(4):
-            share = (
-                cell.share[0] * cell.strata[0][code],
-                cell.share[1] * cell.strata[1][code],
-            )
-            if share[0] <= 0.0 and share[1] <= 0.0:
-                continue
-            new_cells.append(
-                Cell(
-                    label=f"{cell.label}/{STRATUM_LABELS[code]}",
-                    share=share,
-                    strata=((1.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)),
-                    trend_shift=(
-                        cell.trend_shift[0] + spec.trend[code] - spec.trend[_AR],
-                        cell.trend_shift[1]
-                        + spec.trend[code]
-                        + spec.arm_trend_delta[code]
-                        - spec.trend[_AR],
-                    ),
-                    effect_shift=cell.effect_shift + spec.effect[code] - spec.effect[_AR],
-                    baseline_shift=(
-                        cell.baseline_shift[0] + spec.baseline[code][0] - spec.baseline[_AR][0],
-                        cell.baseline_shift[1] + spec.baseline[code][1] - spec.baseline[_AR][1],
-                    ),
-                    x_label=cell.x_label,
-                    aux_pattern=cell.aux_pattern,
-                )
-            )
+    mass, base, trend, effect = spec._groups
+    # each group's terms beyond its arm's always-respondent terms, which the
+    # new cell's one stratum adds back; as Python floats, like any spec field
+    terms = (mass, trend - spec.trend[_AR], effect - spec.effect[_AR])
+    terms += (base - np.array(spec.baseline[_AR])[:, None],)
+    new_cells = [
+        Cell(
+            label=f"{cell.label}/{label}",
+            share=tuple(share),
+            strata=((1.0, 0.0, 0.0, 0.0),) * 2,
+            trend_shift=tuple(trend_shift),
+            effect_shift=effect_shift[0],
+            baseline_shift=tuple(baseline_shift),
+            x_label=cell.x_label,
+            aux_pattern=cell.aux_pattern,
+        )
+        for cell, *rows in zip(spec.cells(), *(t.swapaxes(1, 2).tolist() for t in terms))
+        for label, share, trend_shift, effect_shift, baseline_shift in zip(STRATUM_LABELS, *rows)
+        if share[0] > 0.0 or share[1] > 0.0
+    ]
     p1 = spec.arm_share(1)
     joint = ((1.0 - p1, 0.0, 0.0, 0.0), (p1, 0.0, 0.0, 0.0))
     return replace(
@@ -1253,17 +1268,6 @@ def load_oracle(source: str | Path | bytes | IO[str] | IO[bytes]) -> OraclePanel
 # ---------------------------------------------------------------------------
 
 
-def _couple(p_treated: float, p_control: float) -> tuple[float, float, float, float]:
-    """Comonotone coupling of the two potential response margins.
-
-    Maximizes the always-respondent mass consistent with marginal response
-    probabilities ``p_treated = Pr(R2(1) = 1)`` and ``p_control``; the
-    resulting table is automatically monotone when ``p_treated >= p_control``.
-    """
-    ar = min(p_treated, p_control)
-    return (ar, p_treated - ar, p_control - ar, 1.0 - max(p_treated, p_control))
-
-
 def _independent(p_treated: float, p_control: float) -> tuple[float, float, float, float]:
     """Stratum row of a cell whose two potential responses are drawn
     independently, with ``Pr(R2(1) = 1) = p_treated`` and ``Pr(R2(0) = 1) =
@@ -1289,11 +1293,10 @@ def _independent(p_treated: float, p_control: float) -> tuple[float, float, floa
 def _aggregate_joint(
     p_arm: tuple[float, float], cells: Sequence[Cell]
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """``Pr(S = s, D = d)`` implied by the arm shares ``(control, treated)`` and the cells."""
-    return tuple(
-        tuple(p_arm[arm] * sum(c.share[arm] * c.strata[arm][s] for c in cells) for s in range(4))
-        for arm in (0, 1)
-    )
+    """``Pr(S = s, D = d)`` implied by the arm shares ``(control, treated)`` and
+    the cells: each arm share times its cells' masses, added in cell order."""
+    mass = _masses(cells)
+    return tuple(tuple(p_arm[d] * left_sum(m) for m in mass[:, d].T.tolist()) for d in (0, 1))
 
 
 def _require(condition: bool, kind: str, message: str) -> None:
@@ -1353,7 +1356,7 @@ def _preset_zero_bias(n: int, seed: int) -> DgpSpec:
     cells = []
     for a in (0, 1):
         p = 0.55 + 0.25 * a
-        pair = _couple(p, p)
+        pair = (p, 0.0, 0.0, 1.0 - p)  # both potential responses equal: no ITR or ICR mass
         cells.append(
             Cell(
                 label=f"aux={a}",
@@ -1381,7 +1384,7 @@ def _preset_homogeneous_bias(n: int, seed: int) -> DgpSpec:
     # equal; the complete-case bias is g1 times the bracket below, set to 0.25
     ratio = (p_treated[1] - p_treated[0]) / (p_control[1] - p_control[0])
     both = p_treated[0] * p_control[0] + p_treated[1] * p_control[1]
-    g1 = 0.25 / (1.0 - both / sum(p_control) + ratio * (1.0 - both / sum(p_treated)))
+    g1 = 0.25 / (1.0 - both / left_sum(p_control) + ratio * (1.0 - both / left_sum(p_treated)))
     cells = [
         Cell(
             label=f"aux={a}",

@@ -337,13 +337,12 @@ def read_columns(
         raise unfit
     if faults:
         raise InputError(faults[min(faults)])
-    return header, [_join(parser, piece) for (_, _, parser), piece in zip(fields, pieces)]
+    return header, [_join(piece) for piece in pieces]
 
 
-def _join(parser: Parser, pieces: list[Any]) -> Any:
-    """One column's values from its chunks' pieces."""
-    if not pieces:
-        return parser.parse(())[0]
+def _join(pieces: list[Any]) -> Any:
+    """One column's values from its chunks' pieces; the header's chunk always
+    gives every column one piece."""
     if isinstance(pieces[0], np.ndarray):
         return np.concatenate(pieces)
     if isinstance(pieces[0], TextColumn):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -12,6 +13,7 @@ from didmiss import Estimate, IvDiagnostics, PanelDataset, RateTable, trimmed_me
 from didmiss.bounds import _bound_result
 from didmiss.common import EPS_DENOM, finite
 from didmiss.errors import DidMissError, EstimatorError, InputError
+from didmiss.estimators import _complete_case
 from didmiss.panel import GroupCounts, GroupKey
 from didmiss.simulate import (
     _AR,
@@ -22,12 +24,15 @@ from didmiss.simulate import (
     STRATUM_LABELS,
     STRATUM_PAIRS,
     AttDecomposition,
+    Cell,
     DgpSpec,
     OracleInput,
     OraclePanel,
     OracleTruth,
+    R1Model,
     TrendMixtureReport,
     _checked,
+    _pattern_index,
 )
 
 
@@ -540,4 +545,102 @@ def reference_check_trend_mixture(records: OracleInput) -> TrendMixtureReport:
         stratum_trends=(trends[0], trends[1]),
         pt_gap=direct[1] - direct[0],
         pt_gap_se=math.sqrt(var),
+    )
+
+
+# -- the outcome model's truths, one (cell, stratum) group at a time -----------
+
+
+def reference_expected_counts(spec: DgpSpec, aux=(), cells: bool = False) -> GroupCounts:
+    """``_expected_counts`` as a loop over cells, strata and arms that forms
+    each group's mass and mean change from the spec fields."""
+    slots = [_pattern_index(spec, k) for k in aux]
+    labels = [() if not cells or c.x_label is None else (c.x_label,) for c in spec.cells()]
+    keys = sorted(set(labels))
+    shape = (len(keys), 2, 2, 2) + (2,) * len(aux)
+    n = [0.0] * math.prod(shape)
+    s = [0.0] * len(n)
+    for cell, label in zip(spec.cells(), labels):
+        first = keys.index(label)
+        level = 0
+        for slot in slots:
+            level = 2 * level + cell.aux_pattern[slot]
+        for st in range(4):
+            effect = spec.effect[st] + cell.effect_shift
+            for d in (0, 1):
+                w = cell.share[d] * cell.strata[d][st]
+                r2 = STRATUM_PAIRS[st][1 - d]
+                at = (((2 * first + d) * 2 + 1) * 2 + r2) * 2 ** len(aux) + level
+                n[at] += w
+                if r2:
+                    trend = spec.trend[st] + cell.trend_shift[d]
+                    mu = trend + spec.arm_trend_delta[st] + effect if d else trend
+                    s[at] += w * mu
+    sums = np.array(s).reshape(shape)
+    return GroupCounts(
+        n=np.array(n).reshape(shape),
+        s=sums,
+        cc_sum=sums[:, :, 1, 1].swapaxes(0, 1).reshape(2, -1).sum(axis=1),
+        cells=tuple(keys),
+    )
+
+
+def reference_population(spec: DgpSpec) -> tuple[float, float, float]:
+    """``DgpSpec._population`` with each treated group's mass and effect
+    formed from the spec fields."""
+    att = ar_num = ar_den = 0.0
+    for cell in spec.cells():
+        for st in range(4):
+            w = cell.share[1] * cell.strata[1][st]
+            effect = spec.effect[st] + cell.effect_shift
+            att += w * effect
+            if st == _AR:
+                ar_num += w * effect
+                ar_den += w
+    try:
+        cc = _complete_case(reference_expected_counts(spec)).point
+    except EstimatorError:
+        cc = math.nan
+    return att, ar_num / ar_den if ar_den > 0 else math.nan, cc
+
+
+def reference_strip_missingness(spec: DgpSpec) -> DgpSpec:
+    """``strip_missingness`` with each new cell's fields formed from the spec fields."""
+    new_cells = []
+    for cell in spec.cells():
+        for code in range(4):
+            share = (
+                cell.share[0] * cell.strata[0][code],
+                cell.share[1] * cell.strata[1][code],
+            )
+            if share[0] <= 0.0 and share[1] <= 0.0:
+                continue
+            new_cells.append(
+                Cell(
+                    label=f"{cell.label}/{STRATUM_LABELS[code]}",
+                    share=share,
+                    strata=((1.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)),
+                    trend_shift=(
+                        cell.trend_shift[0] + spec.trend[code] - spec.trend[_AR],
+                        cell.trend_shift[1]
+                        + spec.trend[code]
+                        + spec.arm_trend_delta[code]
+                        - spec.trend[_AR],
+                    ),
+                    effect_shift=cell.effect_shift + spec.effect[code] - spec.effect[_AR],
+                    baseline_shift=(
+                        cell.baseline_shift[0] + spec.baseline[code][0] - spec.baseline[_AR][0],
+                        cell.baseline_shift[1] + spec.baseline[code][1] - spec.baseline[_AR][1],
+                    ),
+                    x_label=cell.x_label,
+                    aux_pattern=cell.aux_pattern,
+                )
+            )
+    p1 = spec.arm_share(1)
+    return replace(
+        spec,
+        joint_sd=((1.0 - p1, 0.0, 0.0, 0.0), (p1, 0.0, 0.0, 0.0)),
+        covariate_model=tuple(new_cells),
+        r1_model=R1Model("always-observed"),
+        arm_trend_delta=(0.0, 0.0, 0.0, 0.0),
     )

@@ -18,10 +18,14 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from didmiss import (
     STRATUM_PAIRS,
+    AuxModel,
     BootstrapConfig,
     BoundResult,
+    Cell,
+    DgpSpec,
     OraclePanel,
     PanelDataset,
+    R1Model,
     RateTable,
     att_ar_bounds,
     att_iv,
@@ -39,14 +43,23 @@ from didmiss import (
     simulate_panel,
     strata_proportions_bounds,
     strata_proportions_monotone,
+    strip_missingness,
     trimmed_mean,
 )
 from didmiss.errors import DidMissError, InputError
-from didmiss.simulate import _couple
+from didmiss.simulate import _expected_counts
 from didmiss import table
 from didmiss.table import Parser, read_columns
 
-from _helpers import TIED_TRIM_CSV, brute_trimmed_mean, make_panel, reference_read_table
+from _helpers import (
+    TIED_TRIM_CSV,
+    brute_trimmed_mean,
+    make_panel,
+    reference_expected_counts,
+    reference_population,
+    reference_read_table,
+    reference_strip_missingness,
+)
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_subnormal=False)
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, allow_subnormal=False)
@@ -648,18 +661,123 @@ def test_monotone_point_inside_frechet_interval_when_consistent(rates):
         assert frechet.pi[arm][(1, 1)].contains(point, slack=1e-12)
 
 
-# -- simulator internals ------------------------------------------------------------
+# -- the outcome model's (cell, arm, stratum) table ---------------------------------
+
+#: a term of the outcome model: a zero of either sign, a round value or any moderate one
+model_terms = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.sampled_from([1.5, -2.25]),
+    st.floats(min_value=-10.0, max_value=10.0, allow_subnormal=False),
+)
 
 
-@given(unit, unit)
-@settings(deadline=None, max_examples=150)
-def test_couple_is_a_coupling_of_its_margins(p1, p0):
-    cell = _couple(p1, p0)
-    assert len(cell) == 4
-    assert all(v >= -1e-12 for v in cell)
-    assert math.fsum(cell) == pytest.approx(1.0, abs=1e-9)
-    assert cell[0] + cell[1] == pytest.approx(p1, abs=1e-9)
-    assert cell[0] + cell[2] == pytest.approx(p0, abs=1e-9)
+def _simplex(draw, size: int) -> list[float]:
+    """``size`` nonnegative weights summing to one within float dust, often with zeros."""
+    weight = st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=1.0))
+    raw = draw(st.lists(weight, min_size=size, max_size=size).filter(any))
+    return [v / math.fsum(raw) for v in raw]
+
+
+@st.composite
+def designs(draw) -> DgpSpec:
+    """A ``DgpSpec`` with no cell layer, or with one to four latent or exported
+    cells and up to two pattern auxiliary columns (cells often share a level
+    or a covariate value); every trend, effect, baseline and shift may be a
+    zero of either sign, negative or positive."""
+    n_cells = draw(st.integers(min_value=0, max_value=4))
+    n_pattern = draw(st.integers(min_value=0, max_value=2)) if n_cells else 0
+    bit = st.integers(min_value=0, max_value=1)
+    exported = draw(st.booleans())
+    treated = draw(st.floats(min_value=0.1, max_value=0.9))
+    p_arm = (1.0 - treated, treated)
+    if n_cells:
+        shares = list(zip(_simplex(draw, n_cells), _simplex(draw, n_cells)))
+        pairs = st.tuples(model_terms, model_terms)
+        cells = tuple(
+            Cell(
+                label=f"c{i}",
+                share=shares[i],
+                strata=(tuple(_simplex(draw, 4)), tuple(_simplex(draw, 4))),
+                trend_shift=draw(pairs),
+                effect_shift=draw(model_terms),
+                baseline_shift=draw(pairs),
+                x_label=draw(st.integers(min_value=0, max_value=2)) if exported else None,
+                aux_pattern=tuple(draw(bit) for _ in range(n_pattern)),
+            )
+            for i in range(n_cells)
+        )
+        joint = tuple(
+            tuple(p * math.fsum(c.share[d] * c.strata[d][s] for c in cells) for s in range(4))
+            for d, p in enumerate(p_arm)
+        )
+    else:
+        cells = ()
+        joint = tuple(tuple(p_arm[d] * v for v in _simplex(draw, 4)) for d in (0, 1))
+    aux_models = [AuxModel("pattern")] * n_pattern
+    if draw(st.booleans()):
+        at = draw(st.integers(min_value=0, max_value=n_pattern))
+        aux_models.insert(at, AuxModel("independent"))
+    four = st.tuples(model_terms, model_terms, model_terms, model_terms)
+    return DgpSpec(
+        n=100,
+        seed=0,
+        joint_sd=joint,
+        trend=draw(four),
+        baseline=tuple(draw(st.tuples(model_terms, model_terms)) for _ in range(4)),
+        effect=draw(four),
+        noise_sd=0.5,
+        r1_model=draw(st.sampled_from([R1Model(), R1Model("mcar", 0.9)])),
+        aux_models=tuple(aux_models),
+        covariate_model=cells,
+        arm_trend_delta=draw(four),
+    )
+
+
+#: Two latent cells sharing an aux level, every term a zero of either sign:
+#: a trend, effect or baseline of -0.0 plus a shift of -0.0 stays -0.0, and
+#: less a +0.0 always-respondent term it is -0.0 again, where (-0.0 + -0.0)
+#: + 0.0 would be +0.0
+SIGNED_ZEROS = DgpSpec(
+    n=100,
+    seed=0,
+    joint_sd=((0.125,) * 4, (0.125,) * 4),
+    trend=(0.0, -0.0, -0.0, -0.0),
+    baseline=((0.0, 0.0),) + ((-0.0, -0.0),) * 3,
+    effect=(0.0, -0.0, -0.0, -0.0),
+    noise_sd=0.5,
+    aux_models=(AuxModel("pattern"),),
+    covariate_model=tuple(
+        Cell(
+            label=f"c{i}",
+            share=(0.5, 0.5),
+            strata=((0.25,) * 4,) * 2,
+            trend_shift=(-0.0, -0.0),
+            effect_shift=-0.0,
+            baseline_shift=(-0.0, -0.0),
+            aux_pattern=(1,),
+        )
+        for i in range(2)
+    ),
+    arm_trend_delta=(0.0, 0.0, -0.0, 0.0),
+)
+
+
+@given(designs())
+@example(SIGNED_ZEROS)
+@settings(deadline=None, max_examples=200)
+def test_the_group_table_gives_every_truth_to_the_bit(spec):
+    pattern = [k for k, m in enumerate(spec.aux_models) if m.kind == "pattern"]
+    subsets = [()] + [(k,) for k in pattern]
+    subsets += [tuple(pattern), tuple(pattern[::-1])] * (len(pattern) > 1)
+    for aux in subsets:
+        for cells in (False, True):
+            got = _expected_counts(spec, aux, cells)
+            want = reference_expected_counts(spec, aux, cells)
+            assert got.cells == want.cells
+            for name in ("n", "s", "cc_sum"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (aux, name)
+    assert repr(spec._population) == repr(reference_population(spec))
+    assert repr(strip_missingness(spec)) == repr(reference_strip_missingness(spec))
 
 
 # -- finite or an explicit error ------------------------------------------------

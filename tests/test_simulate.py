@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 import gc
 import hashlib
 import io
+import math
+import operator
 import re
 import sys
 import tracemalloc
@@ -42,6 +45,7 @@ from didmiss import (
 )
 from didmiss.iv import _iv_counts
 from didmiss.panel import GroupKey
+from didmiss import simulate
 from didmiss.principal import _pi_point
 from didmiss.simulate import (
     _aggregate_joint,
@@ -857,6 +861,73 @@ def test_preset_specs_are_pinned_to_the_bit(kind):
     # digest of the spec itself sees a field move
     spec = repr(make_preset(kind, n=10, seed=1)).encode()
     assert hashlib.sha256(spec).hexdigest() == PRESET_DIGESTS[kind]
+
+
+def neumaier_sum(iterable, /, start=0):
+    """The builtin ``sum`` of CPython 3.12 (``builtin_sum_impl`` in
+    ``bltinmodule.c``): exact ints add as ints; from the first float on,
+    exact floats add with Neumaier's compensation, added back at the end
+    when it is nonzero and finite."""
+    items = iter(iterable)
+    result = start
+    if type(result) is int:
+        for item in items:
+            if type(item) is not int and type(item) is not bool:
+                result = result + item
+                break
+            result += item
+    if type(result) is not float:
+        for item in items:
+            result = result + item
+        return result
+    total, compensation = result, 0.0
+    for item in items:
+        if type(item) is float:
+            t = total + item
+            if abs(total) >= abs(item):
+                compensation += (total - t) + item
+            else:
+                compensation += (item - t) + total
+            total = t
+        elif isinstance(item, int):
+            total += float(item)
+        else:
+            result = total + compensation + item if compensation else total + item
+            for item in items:
+                result = result + item
+            return result
+    return total + compensation if compensation and math.isfinite(compensation) else total
+
+
+def _outcome(function, *args) -> str:
+    try:
+        return repr(function(*args))
+    except (EstimatorError, RuntimeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_preset_specs_and_identities_do_not_depend_on_how_sum_adds_floats(monkeypatch):
+    # Python 3.12's sum compensates float rounding and 3.10/3.11 add left to
+    # right; the package adds floats left to right itself, so its bits are
+    # the same on every version
+    assert neumaier_sum([0.1] * 10) == 1.0 != functools.reduce(operator.add, [0.1] * 10, 0.0)
+
+    def observed() -> list[str]:
+        simulate._multi_iv_gap.cache_clear()
+        seen = [repr(make_preset(kind, n=10, seed=1)) for kind in PRESET_KINDS]
+        draws = (("monotone", 3000, 4), ("mnar-baseline", 2000, 3), ("no-monotone", 2000, 1))
+        for kind, n, seed in draws:
+            _, oracle, truth = simulate_panel(make_preset(kind, n=n, seed=seed))
+            seen += [repr(truth), _outcome(decompose_att, oracle)]
+            seen.append(_outcome(check_trend_mixture, oracle))
+        return seen
+
+    left_to_right = observed()
+    with monkeypatch.context() as patch:
+        patch.setattr(simulate, "sum", neumaier_sum, raising=False)
+        compensated = observed()
+    simulate._multi_iv_gap.cache_clear()
+    assert compensated == left_to_right
 
 
 def test_unknown_preset_rejected():
