@@ -24,7 +24,7 @@ from typing import Callable, Literal, Mapping, Sequence
 
 import numpy as np
 
-from .common import STRATUM_PAIRS, ClipEvent, Interval, clip01, finite
+from .common import INCONSISTENT_FLAG, STRATUM_PAIRS, ClipEvent, Interval, clip01, finite
 from .errors import EstimatorError, InputError
 from .estimators import BootstrapConfig, _replicates
 from .panel import GroupKey, PanelDataset, RateTable, _rate_table, _response_rates
@@ -40,10 +40,6 @@ __all__ = [
     "att_ar_bounds",
     "bootstrap_bounds",
 ]
-
-#: Flag raised whenever a probability formula needed clipping: the observed
-#: rates contradict the assumption set that produced the formula.
-INCONSISTENT_FLAG = "model-inconsistent rates"
 
 Mode = Literal["monotone", "no-monotone"]
 

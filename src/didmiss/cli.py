@@ -21,6 +21,12 @@ reader closed the pipe, with one stderr line for any other write error.
 report.  A bootstrap draws its resamples from one
 ``numpy.random.default_rng(seed)``, replicate ``rep`` taking its (rep+1)-th
 draw, and runs them in one thread.
+
+Each command loads only the modules it runs: this module imports the CSV
+reader and the shared constants, and each runner imports its estimator or the
+simulator when it runs, so ``rates`` loads no estimator module and
+``decompose`` only the simulator.  A bootstrap takes its percentiles without
+loading ``numpy.ma``.
 """
 
 from __future__ import annotations
@@ -32,29 +38,17 @@ import math
 import os
 import platform
 import sys
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 import numpy as np
 
 from . import __version__
-from .bounds import att_ar_bounds, bootstrap_bounds
-from .common import Interval
+from .common import PRESET_KINDS, STRATUM_LABELS, STRATUM_PAIRS, Interval
 from .errors import EstimatorError, InputError
-from .estimators import BootstrapConfig, _percentile_ci, bootstrap_ci, did_complete_case
-from .iv import _iv_engine
 from .panel import ColumnMapping, PanelDataset, _unit_counts, compute_rates, load_panel, save_panel
-from .principal import att_principal_ignorability, principal_scores
-from .simulate import (
-    PRESET_KINDS,
-    STRATUM_LABELS,
-    STRATUM_PAIRS,
-    _save_panel_and_oracle,
-    check_trend_mixture,
-    decompose_att,
-    load_oracle,
-    make_preset,
-    simulate_panel,
-)
+
+if TYPE_CHECKING:
+    from .estimators import BootstrapConfig
 
 __all__ = ["main"]
 
@@ -257,6 +251,8 @@ def build_parser() -> _Parser:
 def _bootstrap_cfg(args: argparse.Namespace) -> BootstrapConfig | None:
     if args.bootstrap is None:
         return None
+    from .estimators import BootstrapConfig
+
     return BootstrapConfig(replicates=args.bootstrap, seed=args.seed, level=args.level)
 
 
@@ -264,6 +260,8 @@ Run = tuple[Mapping[str, Any], Any, Any]  # data fingerprint, result, diagnostic
 
 
 def _run_cc(args: argparse.Namespace) -> Run:
+    from .estimators import bootstrap_ci, did_complete_case
+
     data = load_panel(args.input)
     cfg = _bootstrap_cfg(args)
     est = bootstrap_ci(data, "cc-did", cfg) if cfg else did_complete_case(data)
@@ -271,6 +269,9 @@ def _run_cc(args: argparse.Namespace) -> Run:
 
 
 def _run_iv(args: argparse.Namespace) -> Run:
+    from .estimators import _percentile_ci
+    from .iv import _iv_engine
+
     data = load_panel(args.input)
     aux = (args.aux,) if args.aux2 is None else (args.aux, args.aux2)
     est, diag, replicate = _iv_engine(data, aux)
@@ -281,6 +282,8 @@ def _run_iv(args: argparse.Namespace) -> Run:
 
 
 def _run_bounds(args: argparse.Namespace) -> Run:
+    from .bounds import att_ar_bounds, bootstrap_bounds
+
     support = None if args.support is None else (args.support[0], args.support[1])
     data = load_panel(args.input, outcome_support=support)
     cfg = _bootstrap_cfg(args)
@@ -291,6 +294,9 @@ def _run_bounds(args: argparse.Namespace) -> Run:
 
 
 def _run_pi(args: argparse.Namespace) -> Run:
+    from .estimators import bootstrap_ci
+    from .principal import att_principal_ignorability, principal_scores
+
     if args.covariates is None:
         data = load_panel(args.input)
     else:
@@ -329,6 +335,8 @@ _UNDEFINED_TRUTH = {
 
 
 def _run_simulate(args: argparse.Namespace) -> Run:
+    from .simulate import _save_panel_and_oracle, make_preset, simulate_panel
+
     spec = make_preset(args.preset, n=args.n, seed=args.seed)
     data, oracle, truth = simulate_panel(spec)
     if args.truth is None:
@@ -344,6 +352,8 @@ def _run_simulate(args: argparse.Namespace) -> Run:
 
 
 def _run_decompose(args: argparse.Namespace) -> Run:
+    from .simulate import check_trend_mixture, decompose_att, load_oracle
+
     oracle = load_oracle(args.truth)
     try:
         dec = _json(decompose_att(oracle))

@@ -33,6 +33,20 @@ STRATUM_LABELS = ("AR", "ITR", "ICR", "NR")
 #: ``(R2(treated), R2(control))`` pair for each stratum, same order.
 STRATUM_PAIRS = ((1, 1), (1, 0), (0, 1), (0, 0))
 
+#: The simulator's preset names, in ``make_preset``'s order; stated here so
+#: the CLI can offer them without loading the simulator.
+PRESET_KINDS = (
+    "zero-bias", "homogeneous-bias", "multi-iv", "pi", "mnar-baseline", "monotone", "no-monotone"
+)
+
+#: Flag raised whenever a probability formula needed clipping: the observed
+#: rates contradict the assumption set that produced the formula.
+INCONSISTENT_FLAG = "model-inconsistent rates"
+
+#: The note of an instrument or stratum-weighted estimate on data with
+#: first-wave nonresponse.
+R1_NOTE = "estimand: ATT among first-wave respondents (R1 = 1)"
+
 
 @dataclass(frozen=True)
 class Interval:

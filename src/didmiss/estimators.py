@@ -220,10 +220,30 @@ def _replicates(
         arr = np.array(column, dtype=np.float64)
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
             se = float(arr.std(ddof=1)) if arr.size >= 2 else 0.0
-            lo, hi = np.percentile(arr, [100 * alpha, 100 * (1 - alpha)])
+            lo, hi = _percentiles(arr, alpha)
         se = finite(se, "the bootstrap standard error")
         summaries.append((se, finite(lo, "the lower percentile"), finite(hi, "the upper percentile")))
     return summaries, len(values), failed
+
+
+def _percentiles(arr: np.ndarray, alpha: float) -> np.ndarray:
+    """``np.percentile(arr, [100 * alpha, 100 * (1 - alpha)])`` of a 1-d
+    float64 ``arr`` without NaN, bit for bit: numpy's ``linear`` method step
+    by step, without the ``np.unique`` that imports ``numpy.ma``."""
+    n = arr.size
+    virtual = (n - 1) * np.true_divide([100 * alpha, 100 * (1 - alpha)], 100)
+    lower = np.floor(virtual)
+    upper = lower + 1
+    lower[virtual >= n - 1] = upper[virtual >= n - 1] = -1
+    gamma = virtual - lower
+    lower, upper = lower.astype(np.intp), upper.astype(np.intp)
+    # numpy's own kth set: partition's order of equal values (+0.0, -0.0) depends on it
+    part = np.partition(arr, sorted({0, -1, *lower.tolist(), *upper.tolist()}))
+    a, b = part[lower], part[upper]
+    diff = b - a
+    out = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    return out
 
 
 def bootstrap_ci(

@@ -41,15 +41,12 @@ from typing import Callable
 
 import numpy as np
 
-from .common import EPS_DENOM, finite, is_integer
+from .common import EPS_DENOM, R1_NOTE, finite, is_integer
 from .errors import EstimatorError, InputError
 from .estimators import Estimate, _cc_point
 from .panel import GroupCounts, GroupKey, PanelDataset
 
 __all__ = ["IvDiagnostics", "att_iv", "att_iv_multi"]
-
-_R1_NOTE = "estimand: ATT among first-wave respondents (R1 = 1)"
-
 
 @dataclass(frozen=True)
 class IvDiagnostics:
@@ -182,7 +179,7 @@ def _iv_counts(c: GroupCounts) -> tuple[Estimate, IvDiagnostics]:
     ``att_iv_multi`` from counts keyed on (arm, R1, R2, level of k1, level
     of k2): ``_corrected_point`` as the estimate and its diagnostics."""
     point, arms, share, denom, corr, gap = _corrected_point(c)
-    notes = (_R1_NOTE,) if any(arms[0][0] + arms[1][0]) else ()
+    notes = (R1_NOTE,) if any(arms[0][0] + arms[1][0]) else ()
     est = Estimate(point=point, n_used=int(arms[1][1][1] + arms[0][1][1]), notes=notes)
     diag = IvDiagnostics(
         denom=(denom[0], denom[1]),

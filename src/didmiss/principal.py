@@ -45,11 +45,9 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .bounds import INCONSISTENT_FLAG
-from .common import ClipEvent, finite
+from .common import INCONSISTENT_FLAG, R1_NOTE, ClipEvent, finite
 from .errors import EstimatorError
 from .estimators import Estimate
-from .iv import _R1_NOTE
 from .panel import GroupCounts, GroupKey, PanelDataset, _unit_counts
 
 __all__ = [
@@ -242,7 +240,7 @@ def _principal_ignorability(c: GroupCounts) -> Estimate:
     point, n_used, clipped = _pi_point(c.cells, c.n, c.s)
     notes: list[str] = []
     if c.arms[:, 0].any():
-        notes.append(_R1_NOTE)
+        notes.append(R1_NOTE)
     if clipped:
         notes.append("principal scores clipped")
     return Estimate(point=point, n_used=n_used, notes=tuple(notes))

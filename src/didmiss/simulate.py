@@ -47,6 +47,7 @@ bounds' response margins run the code users run.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from pathlib import Path
@@ -54,8 +55,8 @@ from typing import IO, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .bounds import _counterfactual_rates, _frechet_cells, strata_proportions_monotone
 from .common import (
+    PRESET_KINDS,
     STRATUM_LABELS,
     STRATUM_PAIRS,
     ClipEvent,
@@ -65,8 +66,6 @@ from .common import (
     left_sum,
 )
 from .errors import EstimatorError, InputError
-from .estimators import _complete_case
-from .iv import _iv_counts
 from .panel import (
     ColumnMapping,
     GroupCounts,
@@ -76,7 +75,6 @@ from .panel import (
     _rate_table,
     _table_columns,
 )
-from .principal import _pi_point
 from .table import Parser, floats, labels, read_columns, require_columns, write_table, write_tables
 
 __all__ = [
@@ -340,6 +338,7 @@ class DgpSpec:
             if self.arm_share(arm) <= 0:
                 raise InputError(f"arm {arm} has zero probability in joint_sd")
         self._validate_cells()
+        self._check_outcome_range()
 
     def _validate_cells(self) -> None:
         cells = self.covariate_model
@@ -373,6 +372,28 @@ class DgpSpec:
                         f"Pr(S={STRATUM_LABELS[s]}, D={arm}) aggregates to {implied!r} "
                         f"but joint_sd says {self.joint_sd[arm][s]!r}"
                     )
+
+    def _check_outcome_range(self) -> None:
+        """Refuse a (cell, arm, stratum) group whose outcomes could overflow.
+
+        A group's outcomes stay within ``|base| + |trend| + |effect|`` plus
+        two periods' noise of at most 20 standard deviations each (a normal
+        draw past 20 has probability below 1e-88), and a unit's effect within
+        twice that.  The bound may take up at most a ``1 / 2n`` share of the
+        largest float, so every outcome, every effect and the sample truths'
+        sums over ``n`` units are finite; an infinite group term fails too.
+        """
+        with np.errstate(over="ignore"):  # an infinite term is refused below
+            _, base, trend, effect = self._groups
+            size = abs(base) + abs(trend) + abs(effect) + 40 * self.noise_sd
+        limit = sys.float_info.max / (2 * min(self.n, sys.maxsize))  # no draw is longer
+        if not size.max() <= limit:  # NaN compares false
+            c, d, s = np.argwhere(~(size <= limit))[0].tolist()
+            raise InputError(
+                f"outcomes of cell {self.cells()[c].label!r}, arm {d}, stratum {STRATUM_LABELS[s]} "
+                f"may overflow: |baseline| + |trend| + |effect| + 40 noise_sd is "
+                f"{float(size[c, d, s])!r}, above the largest float over 2n ({limit!r})"
+            )
 
     # -- derived views ----------------------------------------------------
 
@@ -421,6 +442,8 @@ class DgpSpec:
         Evaluated once per spec, for the preset check and the oracle truth.
         The complete-case DID is NaN when an arm has no second-wave respondents.
         """
+        from .estimators import _complete_case
+
         mass, _, _, effect = self._groups
         terms = mass[:, 1] * effect[:, 1]  # each treated (cell, stratum) group's share of the ATT
         att = left_sum(terms.ravel().tolist())
@@ -1299,6 +1322,14 @@ def _aggregate_joint(
     return tuple(tuple(p_arm[d] * left_sum(m) for m in mass[:, d].T.tolist()) for d in (0, 1))
 
 
+def _design_iv(spec: DgpSpec, aux: Sequence[int]) -> tuple:
+    """The instrument correction on the design's expected counts over the
+    pattern columns ``aux``: its estimate and diagnostics."""
+    from .iv import _iv_counts
+
+    return _iv_counts(_expected_counts(spec, aux))
+
+
 def _require(condition: bool, kind: str, message: str) -> None:
     if not condition:
         raise RuntimeError(f"preset {kind!r} failed its construction check: {message}")
@@ -1371,7 +1402,7 @@ def _preset_zero_bias(n: int, seed: int) -> DgpSpec:
 def _verify_zero_bias(spec: DgpSpec) -> None:
     kind = "zero-bias"
     att, _, cc = spec._population
-    _, iv = _iv_counts(_expected_counts(spec, (0,)))
+    _, iv = _design_iv(spec, (0,))
     _require(abs(cc - att) < 1e-12, kind, "complete-case bias is not zero")
     _require(abs(att - 1.0) < 1e-12, kind, "ATT is not 1.0")
     _require(min(map(abs, iv.denom)) >= 0.15, kind, f"instrument relevance {iv.denom} below 0.15")
@@ -1400,7 +1431,7 @@ def _preset_homogeneous_bias(n: int, seed: int) -> DgpSpec:
 def _verify_homogeneous_bias(spec: DgpSpec) -> None:
     kind = "homogeneous-bias"
     att, _, cc = spec._population
-    est, iv = _iv_counts(_expected_counts(spec, (0,)))
+    est, iv = _design_iv(spec, (0,))
     _require(abs(cc - att - 0.25) < 1e-9, kind, "planted complete-case bias is not 0.25")
     _require(abs(att - 1.0) < 1e-12, kind, "ATT is not 1.0")
     _require(min(map(abs, iv.denom)) >= 0.15, kind, f"instrument relevance {iv.denom} below 0.15")
@@ -1431,10 +1462,7 @@ def _multi_iv_spec(n: int, seed: int, g0: float) -> DgpSpec:
 def _multi_iv_gap() -> float:
     """The control-arm gap at which the pair equals the ATT of 1.0: its
     population value is affine in the gap, so two evaluations fix the root."""
-    at = [
-        _iv_counts(_expected_counts(_multi_iv_spec(1, 0, g0), (0, 1)))[0].point
-        for g0 in (0.0, 1.0)
-    ]
+    at = [_design_iv(_multi_iv_spec(1, 0, g0), (0, 1))[0].point for g0 in (0.0, 1.0)]
     return (1.0 - at[0]) / (at[1] - at[0])
 
 
@@ -1446,8 +1474,8 @@ def _verify_multi_iv(spec: DgpSpec) -> None:
     kind = "multi-iv"
     att, _, _ = spec._population
     _require(abs(att - 1.0) < 1e-12, kind, "ATT is not 1.0")
-    one, _ = _iv_counts(_expected_counts(spec, (0,)))
-    pair, _ = _iv_counts(_expected_counts(spec, (0, 1)))
+    one, _ = _design_iv(spec, (0,))
+    pair, _ = _design_iv(spec, (0, 1))
     _require(
         abs(pair.point - att) < 1e-9, kind, "paired-instrument estimator is not exact in population"
     )
@@ -1487,6 +1515,8 @@ def _preset_pi(n: int, seed: int) -> DgpSpec:
 
 
 def _verify_pi(spec: DgpSpec) -> None:
+    from .principal import _pi_point
+
     kind = "pi"
     att, _, cc = spec._population
     _require(abs(att - 1.0) < 1e-12, kind, "ATT is not 1.0")
@@ -1530,6 +1560,8 @@ def _preset_monotone(n: int, seed: int) -> DgpSpec:
 
 
 def _verify_monotone(spec: DgpSpec) -> None:
+    from .bounds import strata_proportions_monotone
+
     kind = "monotone"
     _, att_ar, _ = spec._population
     # the monotone formulas identify every stratum share from the design's
@@ -1566,6 +1598,8 @@ def _preset_no_monotone(n: int, seed: int) -> DgpSpec:
 
 
 def _verify_no_monotone(spec: DgpSpec) -> None:
+    from .bounds import _counterfactual_rates, _frechet_cells
+
     kind = "no-monotone"
     _, att_ar, _ = spec._population
     _require(abs(att_ar - 1.0) < 1e-12, kind, "always-respondent ATT is not 1.0")
@@ -1601,7 +1635,8 @@ _PRESETS = {
     "no-monotone": (_preset_no_monotone, _verify_no_monotone),
 }
 
-PRESET_KINDS = tuple(_PRESETS)
+# the preset names are stated once, in common, for the CLI's choices
+assert tuple(_PRESETS) == PRESET_KINDS, (tuple(_PRESETS), PRESET_KINDS)
 
 
 def make_preset(kind: str, n: int = 10_000, seed: int = 0) -> DgpSpec:

@@ -30,6 +30,7 @@ from didmiss.cli import main
 from didmiss.simulate import PRESET_KINDS
 
 from _helpers import OVERFLOWING_ORACLE, TIED_RESAMPLE_CSV, TIED_TRIM_CSV, make_panel
+from test_exports import PUBLIC_NAMES
 
 ENVELOPE_KEYS = [
     "tool",
@@ -126,15 +127,26 @@ def test_report_envelope_shape(capsys, toy_path):
     assert list(report["environment"]) == ["package", "python", "numpy", "seed"]
 
 
-def _loaded_by_cli_import(module):
-    """Whether ``import didmiss.cli`` in a fresh interpreter loads ``module``."""
+def _fresh_run(probe, *args):
+    """The stdout of ``probe`` run in a fresh interpreter with ``args`` as
+    ``sys.argv[1:]``; the run must succeed."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    probe = f"import sys, didmiss.cli; print({module!r} in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", probe, *map(str, args)],
+        env=env, capture_output=True, text=True, check=True,
     )
-    return out.stdout.strip() == "True"
+    return out.stdout
+
+
+def _fresh_modules(probe, *args):
+    """The modules a fresh interpreter has loaded after running ``probe``."""
+    return set(_fresh_run(f"{probe}\nimport sys\nprint(*sys.modules)", *args).split())
+
+
+def _loaded_by_cli_import(module):
+    """Whether ``import didmiss.cli`` in a fresh interpreter loads ``module``."""
+    return module in _fresh_modules("import didmiss.cli")
 
 
 def test_cli_import_needs_only_numpy():
@@ -144,6 +156,67 @@ def test_cli_import_needs_only_numpy():
 def test_cli_import_leaves_numpy_random_to_the_commands_that_draw():
     # loading numpy.random costs about 14 ms, paid only by a bootstrap or a simulation
     assert not _loaded_by_cli_import("numpy.random")
+
+
+#: What every command loads of the package: the CLI, the CSV reader and the constants.
+CLI_CORE = {f"didmiss{m}" for m in ("", ".cli", ".common", ".errors", ".panel", ".table")}
+
+RUN_QUIETLY = """import contextlib, io, sys
+from didmiss.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(sys.argv[1:]) == 0"""
+
+
+@pytest.mark.parametrize(
+    "argv, loads",
+    [
+        (["rates", "--input", "monotone"], ""),
+        (["cc", "--input", "monotone"], "estimators"),
+        (["iv", "--input", "homogeneous-bias"], "estimators iv"),
+        (["bounds", "--input", "monotone"], "estimators bounds"),
+        (["pi", "--input", "monotone"], "estimators principal"),
+        (["decompose", "--truth", "monotone-truth"], "simulate"),
+        (["cc", "--input", "monotone", "--bootstrap", "20"], "estimators"),
+        (["iv", "--input", "homogeneous-bias", "--bootstrap", "20"], "estimators iv"),
+        (["bounds", "--input", "monotone", "--bootstrap", "20"], "estimators bounds"),
+        (["pi", "--input", "monotone", "--bootstrap", "20"], "estimators principal"),
+    ],
+    ids=lambda value: value if isinstance(value, str) else " ".join(value),
+)
+def test_each_command_loads_only_the_modules_it_runs(sim_files, argv, loads):
+    files = {**{k: v[0] for k, v in sim_files.items()}, "monotone-truth": sim_files["monotone"][1]}
+    loaded = _fresh_modules(RUN_QUIETLY, *(files.get(a, a) for a in argv))
+    assert {m for m in loaded if m.partition(".")[0] == "didmiss"} == (
+        CLI_CORE | {f"didmiss.{m}" for m in loads.split()}
+    )
+    # numpy.ma, which np.percentile imports, costs about 9 ms of a bootstrap
+    assert "numpy.ma" not in loaded
+
+
+def test_import_didmiss_alone_loads_no_submodule_and_no_numpy():
+    loaded = _fresh_modules("import didmiss\nassert not hasattr(didmiss, '__wrapped__')")
+    assert {m for m in loaded if m.startswith("didmiss")} == {"didmiss"}
+    assert "numpy" not in loaded
+
+
+@pytest.mark.parametrize("first", ["didmiss.att_iv", "from didmiss import *"])
+def test_the_first_public_name_fills_the_whole_namespace(first):
+    probe = f"""import json, sys
+import didmiss
+{first}
+assert set(didmiss.__all__) <= set(dir(didmiss))
+assert didmiss.bounds is sys.modules["didmiss.bounds"]
+try:
+    didmiss.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("an unknown name resolved")
+names = {{}}
+exec("from didmiss import *", names)
+assert all(names[name] is getattr(didmiss, name) for name in didmiss.__all__)
+print(json.dumps(sorted(set(names) - {{"__builtins__"}})))"""
+    assert json.loads(_fresh_run(probe)) == PUBLIC_NAMES
 
 
 def test_undefined_truth_is_null_with_a_reason(capsys, tmp_path):
@@ -521,7 +594,7 @@ def test_out_of_memory_exits_1_with_one_line(capsys, tmp_path, monkeypatch):
     def no_memory(spec):
         raise MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000,)")
 
-    monkeypatch.setattr("didmiss.cli.simulate_panel", no_memory)
+    monkeypatch.setattr("didmiss.simulate.simulate_panel", no_memory)  # what _run_simulate calls
     code, out, err = run(capsys, "simulate", "--preset", "monotone", "--out", tmp_path / "x.csv")
     assert (code, out, err) == (1, "", "did-miss: error: not enough memory for this run\n")
 

@@ -9,6 +9,7 @@ failure, replicate by replicate.
 
 from __future__ import annotations
 
+import sys
 from unittest import mock
 
 import numpy as np
@@ -29,7 +30,13 @@ from didmiss import (
 )
 from didmiss import bounds as bounds_module
 from didmiss.bounds import _bounds_replicate, _trimmed_mean_counts
-from didmiss.estimators import ESTIMATOR_HANDLES, _percentile_ci, _replicate_fn, _replicates
+from didmiss.estimators import (
+    ESTIMATOR_HANDLES,
+    _percentile_ci,
+    _percentiles,
+    _replicate_fn,
+    _replicates,
+)
 from didmiss.iv import _iv_engine
 from didmiss.panel import GroupKey
 
@@ -343,3 +350,67 @@ def test_a_smaller_bootstrap_draws_the_first_resamples_of_a_larger_one():
 def test_a_failed_replicate_does_not_shift_later_resamples():
     clean, failing = _resamples(50, 12, seed=8), _resamples(50, 12, seed=8, fails={0, 4, 5})
     np.testing.assert_array_equal(failing, clean)
+
+
+# -- bootstrap percentiles --------------------------------------------------------
+
+BIG = sys.float_info.max
+
+#: (replicate values, level): one or two values, ties, signed zeros in every
+#: order (where a full sort would order +0.0 and -0.0 otherwise than numpy's
+#: partition), constant arrays and values near the float limits
+PERCENTILE_CASES = [
+    ([1.5], 0.95),
+    ([-0.0], 0.95),
+    ([2.0, 1.0], 0.5),
+    ([0.0, -0.0], 0.95),
+    ([-0.0, 0.0], 0.95),
+    ([0.0] * 40, 0.9),
+    ([-0.0] * 40, 0.9),
+    ([-0.0, 0.0, 0.0, -0.0, 0.0, -0.0, -0.0, 0.0, 0.0, 0.0, -0.0], 0.5),
+    ([0.0, -0.0] * 50 + [1.0, -1.0], 0.8),
+    ([0.0, -0.0, -0.0, 0.0, -0.0, -0.0, 0.0, -1.0, -0.0], 0.9),
+    ([-0.0, -0.0, 1.0, -0.0, -0.0, 0.0, -0.0, 0.0, 0.0, -1.0, -0.0, -0.0, -0.0, -0.0, 0.0, 0.0,
+      -0.0, -0.0], 0.5),
+    ([3.25] * 7, 0.999),
+    ([BIG, -BIG, BIG, -BIG, BIG], 0.6),
+    ([BIG, BIG, BIG * 0.5, -BIG], 0.95),
+    (np.round(np.random.default_rng(3).normal(size=499), 1).tolist(), 0.95),
+    (list(range(2000)), 0.999),
+]
+
+percentile_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -2.5, BIG, -BIG, 5e-324]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-3.0, max_value=3.0).map(lambda v: round(v, 1)),
+)
+
+
+def _same_bits_as_numpy(values, level):
+    alpha = (1.0 - level) / 2.0
+    arr = np.array(values, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.percentile(arr, [100 * alpha, 100 * (1 - alpha)])
+        got = _percentiles(arr, alpha)
+    return got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("values, level", PERCENTILE_CASES)
+def test_bootstrap_percentiles_are_numpys_to_the_bit(values, level):
+    assert _same_bits_as_numpy(values, level)
+
+
+@given(
+    st.one_of(
+        st.lists(percentile_values, min_size=1, max_size=2000),
+        st.lists(st.sampled_from([0.0, -0.0]), min_size=1, max_size=300),
+        st.tuples(percentile_values, st.integers(1, 300)).map(lambda t: [t[0]] * t[1]),
+    ),
+    st.one_of(
+        st.sampled_from([0.5, 0.8, 0.9, 0.95, 0.99, 0.999]),
+        st.floats(min_value=0.5, max_value=0.999),
+    ),
+)
+@settings(deadline=None, max_examples=500)
+def test_bootstrap_percentiles_are_numpys_to_the_bit_on_any_replicates(values, level):
+    assert _same_bits_as_numpy(values, level)

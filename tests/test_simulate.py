@@ -121,6 +121,41 @@ def test_spec_refuses_non_finite_numbers_naming_the_field(field, value):
         plain_spec(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "fields, group",
+    [
+        # finite terms whose treated trend adds up past the largest float: the
+        # draw gave NaN truths with two numpy warnings
+        (dict(trend=(1.7e308, 0, 0, 0), effect=(1.7e308, 0, 0, 0),
+              arm_trend_delta=(1e308, 0, 0, 0)), "cell 'all', arm 0, stratum AR"),
+        (dict(arm_trend_delta=(0, 0, 0, 1e306)), "cell 'all', arm 1, stratum NR"),
+        # finite outcomes whose sum over n units overflows
+        (dict(effect=(0, 0, 1e304, 0), n=10_000), "cell 'all', arm 0, stratum ICR"),
+        (dict(noise_sd=1e305), "cell 'all', arm 0, stratum AR"),
+    ],
+    ids=["infinite trend", "treated trend", "sum over n", "noise"],
+)
+def test_spec_refuses_outcomes_that_may_overflow_naming_the_group(fields, group):
+    base = dict(joint_sd=((0.125,) * 4,) * 2, baseline=((0.0, 0.0),) * 4, noise_sd=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match=rf"^outcomes of {group} may overflow: "):
+            plain_spec(**{"n": 100, **base, **fields})
+
+
+def test_a_spec_just_within_the_outcome_bound_draws_finite_truths():
+    limit = sys.float_info.max / 200
+    spec = plain_spec(
+        n=100, trend=(limit / 2, 0, 0, 0), effect=(limit / 4, 0, 0, 0), noise_sd=1.0,
+        baseline=((0.0, 0.0),) * 4,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, oracle, truth = simulate_panel(spec)
+    assert all(math.isfinite(getattr(truth, k)) for k in ("att", "att_ar", "cc_population"))
+    assert np.isfinite(oracle.y2_1).all()
+
+
 SPEC_BUILDERS = {
     "make_preset": lambda **size: make_preset("pi", **{"n": 50, "seed": 1, **size}),
     "DgpSpec": plain_spec,
