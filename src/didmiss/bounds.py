@@ -461,9 +461,14 @@ def _bounds_replicate(
     for d, units in enumerate(arm_units):
         rank[units] = starts[d] + np.arange(units.size)
         sorted_dy.append(dy[units])
+    gathered = None  # a resample's ranks: one buffer per call, allocated on its first resample
 
     def replicate(idx: np.ndarray) -> tuple[float, float]:
-        mult = np.bincount(rank.take(idx), minlength=top + 8)
+        nonlocal gathered
+        if gathered is None:
+            gathered = np.empty_like(rank)
+        # the engine's n indices lie in [0, n): "clip" gathers without a copy
+        mult = np.bincount(rank.take(idx, out=gathered, mode="clip"), minlength=top + 8)
         arms = mult[top:].reshape(2, 2, 2)  # complete-case groups are empty: filled in below
         mults = [mult[starts[d] : starts[d + 1]] for d in (0, 1)]
         for d in (0, 1):

@@ -14,13 +14,15 @@ Bootstrap inference resamples units with replacement. One call builds one
 generator, ``numpy.random.default_rng(seed)``, and replicate ``rep`` takes
 its (rep+1)-th ``integers(0, n, size=n)`` draw, so a resample depends only on
 the seed, its index and n: results are bit-identical for a given seed, and
-the first replicates of a larger B are those of a smaller one. Replicates
-run one after another in the calling thread.
+the first replicates of a larger B are those of a smaller one. The indices
+are drawn in blocks of about 128 KiB, each block one ``integers`` call that
+gives the same draws as one call per replicate. Replicates run one after
+another in the calling thread.
 A named estimator handle never rebuilds a dataset: its replicate evaluates
 the estimator's own count core, the function over group counts that the
 full-sample result is built from, on the group counts of the resampled rows
-(``panel.GroupKey``). It keeps the point as a float and builds no result
-objects.
+(``panel.GroupKey``). It gathers the resampled rows into buffers allocated
+once per call, keeps the point as a float and builds no result objects.
 """
 
 from __future__ import annotations
@@ -181,6 +183,13 @@ def _replicate_fn(
     )
 
 
+#: Resample indices drawn per block: 128 KiB of int64, glibc's default mmap
+#: threshold, so a block is reused heap memory rather than fresh pages. A
+#: (rows, n) draw is rows size-n draws in turn, bit for bit and to the
+#: generator state. From n = 2**13 + 1 on, a block is one replicate's draw.
+_BLOCK_INDICES = 2**14
+
+
 def _replicates(
     n: int,
     cfg: BootstrapConfig,
@@ -191,6 +200,10 @@ def _replicates(
     One generator, ``default_rng(cfg.seed)``, serves the whole call:
     replicate ``rep`` takes its (rep+1)-th ``integers(0, n, size=n)`` draw
     as the resampled row indices, whether or not earlier replicates failed.
+    The indices are drawn a block of about 128 KiB at a time, as one
+    ``integers(0, n, size=(rows, n))`` call whose rows are those same
+    draws in turn; ``replicate`` gets one row and may gather into buffers
+    it allocates once per call.
     To rebuild replicate ``rep`` by hand, draw ``rep + 1`` times from a
     fresh ``default_rng(seed)`` and keep the last draw. Replicates that
     raise DidMissError are dropped and counted; if more than half fail, the
@@ -203,12 +216,14 @@ def _replicates(
     values: list[tuple[float, ...]] = []
     failed, last_error = 0, None
     rng = np.random.default_rng(cfg.seed)
-    for _ in range(cfg.replicates):
-        idx = rng.integers(0, n, size=n)
-        try:
-            values.append(replicate(idx))
-        except DidMissError as exc:
-            failed, last_error = failed + 1, exc
+    rows = max(1, _BLOCK_INDICES // n)
+    for start in range(0, cfg.replicates, rows):
+        for idx in rng.integers(0, n, size=(min(rows, cfg.replicates - start), n)):
+            try:
+                values.append(replicate(idx))
+            except DidMissError as exc:
+                failed, last_error = failed + 1, exc
+        del idx  # the block is freed before the next is drawn
     if failed * 2 > cfg.replicates:
         raise EstimatorError(
             f"{failed}/{cfg.replicates} bootstrap replicates failed; last error: {last_error}"

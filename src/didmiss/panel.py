@@ -303,10 +303,11 @@ class GroupKey:
         lexicographically); otherwise the whole sample is one cell.
     """
 
-    __slots__ = ("key", "dy", "shape", "cells")
+    __slots__ = ("key", "dy", "shape", "cells", "_gathered")
 
     def __init__(self, data: PanelDataset, aux: Sequence[int] = (), cells: bool = False) -> None:
         self.key, self.cells, self.shape = _encode(data, aux, cells)
+        self._gathered: tuple[np.ndarray, np.ndarray] | None = None  # a resample's keys, changes
         #: Y2 - Y1 on complete cases, 0 elsewhere (so sums skip other units):
         #: the change's bits ANDed with all ones or all zeros, without a branch
         with np.errstate(over="ignore", invalid="ignore"):
@@ -327,8 +328,23 @@ class GroupKey:
         self, idx: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Unit counts and Y2 - Y1 sums over the key's shape for the units at
-        ``idx`` (all units when None), then those units' keys and changes."""
-        key, dy = (self.key, self.dy) if idx is None else (self.key.take(idx), self.dy.take(idx))
+        ``idx`` (all units when None), then those units' keys and changes.
+
+        A resample's keys and changes are gathered into two buffers allocated
+        on the first resample and reused: the next ``bins(idx)`` or
+        ``counts(idx)`` overwrites the arrays returned. ``idx`` must hold n
+        indices, each in ``[0, n)``; one outside is clipped into it, not
+        refused.
+        """
+        if idx is None:
+            key, dy = self.key, self.dy
+        else:
+            if self._gathered is None:
+                self._gathered = np.empty_like(self.key), np.empty_like(self.dy)
+            key, dy = self._gathered
+            # mode="raise" with out= gathers into a copy first
+            self.key.take(idx, out=key, mode="clip")
+            self.dy.take(idx, out=dy, mode="clip")
         size = math.prod(self.shape)
         n = np.bincount(key, minlength=size).reshape(self.shape)
         return n, np.bincount(key, weights=dy, minlength=size).reshape(self.shape), key, dy
@@ -339,8 +355,10 @@ class GroupKey:
         if self.shape == (1, 2, 2, 2):
             cc_sum = s[0, :, 1, 1]
         else:  # complete cases are split further: sum each arm's in unit order
-            arm = key >> (len(self.shape) - 2)  # the arm bit sits above R1, R2 and aux
-            arm &= 1  # in place: one full-length temporary
+            # the arm bit sits above R1, R2 and aux; a resample's gathered keys
+            # are shifted in place, the full sample's into one temporary
+            arm = np.right_shift(key, len(self.shape) - 2, out=None if idx is None else key)
+            arm &= 1
             cc_sum = np.bincount(arm, weights=dy, minlength=2)
         return GroupCounts(n=n, s=s, cc_sum=cc_sum, cells=self.cells)
 

@@ -316,6 +316,8 @@ class DgpSpec:
             raise InputError(f"sample size must be an integer, got {self.n!r}")
         if self.n < 1:
             raise InputError(f"sample size must be at least 1, got {self.n!r}")
+        if self.n > np.iinfo(np.intp).max:  # no array holds more
+            raise InputError(f"sample size must be at most {np.iinfo(np.intp).max}, got {self.n!r}")
         check_seed(self.seed)
         numbers = ("joint_sd", "trend", "baseline", "effect", "arm_trend_delta", "noise_sd")
         _check_finite(self, numbers)

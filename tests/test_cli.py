@@ -599,6 +599,17 @@ def test_out_of_memory_exits_1_with_one_line(capsys, tmp_path, monkeypatch):
     assert (code, out, err) == (1, "", "did-miss: error: not enough memory for this run\n")
 
 
+def test_a_size_no_array_can_hold_exits_1_with_one_line(tmp_path):
+    done = cli_process(
+        "simulate", "--preset", "monotone", "--n", 10**20, "--out", "x.csv",
+        cwd=tmp_path, capture_output=True,
+    )
+    assert (done.returncode, done.stdout) == (1, "")
+    most = np.iinfo(np.intp).max
+    assert done.stderr == f"did-miss: error: sample size must be at most {most}, got {10**20}\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_report_to_a_closed_pipe_exits_1_in_silence(toy_path):
     proc = cli_process(
         "cc", "--input", toy_path, run=subprocess.Popen,

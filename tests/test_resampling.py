@@ -352,6 +352,83 @@ def test_a_failed_replicate_does_not_shift_later_resamples():
     np.testing.assert_array_equal(failing, clean)
 
 
+#: Ranges of one index: small, one past 2**31 (half the 32-bit draws are
+#: rejected), the largest 32-bit range, and ranges drawn from 64-bit words.
+DRAW_RANGES = [1, 3, 5000, 2**31 + 1, 2**32 - 1, 2**32, 2**40 + 3]
+
+
+@pytest.mark.parametrize("high", DRAW_RANGES)
+@pytest.mark.parametrize("length", [1, 7, 8])
+def test_a_block_draw_is_its_rows_drawn_one_by_one(high, length):
+    # the engine's block draw rests on this numpy property: a (rows, length)
+    # draw is rows size-length draws in turn, and leaves the same generator state
+    blocks, single = np.random.default_rng(21), np.random.default_rng(21)
+    for rows in (3, 1, 4, 2):
+        block = blocks.integers(0, high, size=(rows, length))
+        for row in block:
+            np.testing.assert_array_equal(row, single.integers(0, high, size=length))
+        assert blocks.bit_generator.state == single.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "n, replicates, fails",
+    # blocks of 3, 3 and 1 resamples, then of 2, 2 and 1, with failures inside a block
+    [(5000, 7, ()), (5000, 7, {1, 3, 4}), (8192, 5, ()), (8192, 5, {0, 3})],
+)
+def test_resamples_drawn_over_several_blocks_are_the_single_draws(n, replicates, fails):
+    drawn = _resamples(n, replicates, seed=2**64 + 3, fails=fails)
+    assert len(drawn) == replicates
+    rng = np.random.default_rng(2**64 + 3)
+    for rep, idx in enumerate(drawn):
+        np.testing.assert_array_equal(idx, rng.integers(0, n, size=n), err_msg=f"rep {rep}")
+
+
+# -- buffers reused across resamples ---------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "panel, options", [(cc_panel, {}), (iv_panel, {"aux": (0,)}), (pi_panel, {"cells": True})]
+)
+def test_resample_bins_gather_into_reused_buffers(panel, options):
+    data, rng = panel(), np.random.default_rng(5)
+    groups = GroupKey(data, **options)
+    gathered = []
+    for _ in range(2):
+        idx = rng.integers(0, len(data), size=len(data))
+        n, s, key, dy = groups.bins(idx)
+        want_n, want_s, want_key, want_dy = GroupKey(data._take(idx), **options).bins()
+        assert n.tolist() == want_n.tolist() and s.tolist() == want_s.tolist()
+        assert key.tolist() == want_key.tolist() and dy.tolist() == want_dy.tolist()
+        gathered.append((key, dy))
+    (key0, dy0), (key1, dy1) = gathered
+    assert np.shares_memory(key0, key1) and np.shares_memory(dy0, dy1)
+
+
+@pytest.mark.parametrize("options", [{"aux": (0,)}, {"cells": True}])
+def test_resample_counts_leave_the_full_sample_key_as_it_was(options):
+    data = iv_panel() if options.get("aux") else pi_panel()
+    groups, rng = GroupKey(data, **options), np.random.default_rng(6)
+    key = groups.key.copy()
+    full = groups.counts()
+    for _ in range(3):
+        idx = rng.integers(0, len(data), size=len(data))
+        got, want = groups.counts(idx), GroupKey(data._take(idx), **options).counts()
+        assert got.n.tolist() == want.n.tolist() and got.cc_sum.tolist() == want.cc_sum.tolist()
+        np.testing.assert_array_equal(groups.key, key)
+    again = groups.counts()
+    assert again.n.tolist() == full.n.tolist() and again.cc_sum.tolist() == full.cc_sum.tolist()
+    np.testing.assert_array_equal(groups.key, key)
+
+
+@pytest.mark.parametrize("mode", ["monotone", "no-monotone"])
+def test_a_bounds_replicate_run_again_equals_a_fresh_one(mode):
+    data, rng = _panel(_rows(0, 12, 4, 2) + _rows(1, 14, 3), seed=7), np.random.default_rng(8)
+    engine = _bounds_replicate(data, mode)
+    for rep in range(4):
+        idx = rng.integers(0, len(data), size=len(data))
+        assert _outcome(engine, idx) == _outcome(_bounds_replicate(data, mode), idx), rep
+
+
 # -- bootstrap percentiles --------------------------------------------------------
 
 BIG = sys.float_info.max

@@ -181,6 +181,16 @@ def test_spec_refuses_a_fractional_or_non_positive_size_or_seed(builder, field, 
         SPEC_BUILDERS[builder](**{field: value})
 
 
+@pytest.mark.parametrize("builder", SPEC_BUILDERS)
+@pytest.mark.parametrize("n", [np.iinfo(np.intp).max + 1, 10**20], ids=["intp max + 1", "1e20"])
+def test_spec_refuses_a_size_no_array_can_hold(builder, n):
+    # refused where the value enters, not by numpy's "Maximum allowed dimension
+    # exceeded" in the first draw
+    most = np.iinfo(np.intp).max
+    with pytest.raises(InputError, match=rf"^sample size must be at most {most}, got {n}$"):
+        SPEC_BUILDERS[builder](n=n)
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
