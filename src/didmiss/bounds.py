@@ -14,11 +14,14 @@ The ATT among always-respondents ("ATT-AR") is then partially identified by
 fractional trimming: within each arm the always-respondents are a known
 share p_d = π_11(d) / Pr(R2=1|D=d) of observed respondents, so their mean
 outcome change is bracketed by the bottom-p_d and top-p_d trimmed means.
+One kernel, ``_trimmed_mean_counts``, computes every trimmed mean: those of
+``trimmed_mean``, of the bounds' point and of each bootstrap replicate.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Literal, Mapping, Sequence
 
@@ -182,9 +185,11 @@ def trimmed_mean(
     Sort ascending (stable); the bottom-p trimmed mean retains the lowest
     floor(p*n) values fully and the next value with fractional weight
     p*n - floor(p*n), then takes the weighted mean. side="top" mirrors from
-    above. keep = 1 returns the plain mean exactly (same floating-point
-    result as numpy.mean on the unsorted input). A NaN or infinite value is
-    refused, and so is a mean that overflows.
+    above. Both sides run the one trimming kernel that ``att_ar_bounds`` and
+    its bootstrap replicates run. keep = 1 returns the plain mean exactly
+    (same floating-point result as numpy.mean on the unsorted input). A NaN
+    or infinite value is refused, and so is a keep below the smallest normal
+    float, whose keep * n would lose its digits, and a mean that overflows.
     """
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1 or v.size == 0:
@@ -192,12 +197,12 @@ def trimmed_mean(
     bad = np.flatnonzero(~np.isfinite(v))
     if bad.size:
         raise InputError(f"trimmed_mean requires finite values, got {v[bad[0]]} at index {bad[0]}")
-    if not 0.0 < keep <= 1.0:
-        raise InputError(f"keep fraction must be in (0, 1], got {keep}")
+    if not sys.float_info.min <= keep <= 1.0:  # a subnormal keep * n loses its digits
+        raise InputError(f"keep fraction must be in [{sys.float_info.min}, 1], got {keep}")
     if side not in ("bottom", "top"):
         raise InputError(f"side must be 'bottom' or 'top', got {side!r}")
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = float(v.mean()) if keep == 1.0 else _trimmed_sorted(_sorted(v), keep, side)
+        mean = float(v.mean()) if keep == 1.0 else _trimmed_mean_counts(_sorted(v), None, None, keep, side)
     return finite(mean, "the trimmed mean")
 
 
@@ -213,19 +218,6 @@ def _sorted(v: np.ndarray) -> np.ndarray:
     if (zero < out.size and out[zero] == 0.0) or (out.size and np.isnan(out[-1])):
         return np.sort(v, kind="stable")
     return out
-
-
-def _trimmed_sorted(v: np.ndarray, keep: float, side: str) -> float:
-    """``trimmed_mean`` with keep < 1 of the values ``v``, sorted ascending."""
-    if side == "top":
-        v = v[::-1]
-    t = keep * v.size
-    k = int(np.floor(t))
-    frac = t - k
-    total = float(v[:k].sum())
-    if frac > 0.0 and k < v.size:
-        total += frac * float(v[k])
-    return total / t
 
 
 @dataclass(frozen=True)
@@ -299,7 +291,7 @@ def att_ar_bounds(data: PanelDataset, mode: Mode = "monotone") -> BoundResult:
             return float(deltas[d].mean())
         if d not in ordered:
             ordered[d] = _sorted(deltas[d])
-        return _trimmed_sorted(ordered[d], keep, side)
+        return _trimmed_mean_counts(ordered[d], None, None, keep, side)
 
     return _bound_result(groups.counts().arms, trim, mode, data.outcome_support)
 
@@ -404,34 +396,41 @@ def _bounds(
 
 def _trimmed_mean_counts(
     values: np.ndarray,
-    product: np.ndarray,
-    seen: np.ndarray,
+    product: np.ndarray | None,
+    seen: np.ndarray | None,
     keep: float,
     side: Literal["bottom", "top"],
 ) -> float:
-    """``trimmed_mean`` of the sample holding mult[j] copies of values[j].
+    """``trimmed_mean`` of the sample holding mult[j] copies of values[j]:
+    the one trimming kernel of ``trimmed_mean``, of ``att_ar_bounds`` and of
+    every ``bootstrap_bounds`` replicate.
 
     ``values`` must be sorted ascending, ``product`` must be ``mult *
     values`` and ``seen`` must be ``cumsum(mult)``, with a positive last
-    entry: the same product and prefix serve both sides. With keep = 1 only
+    entry: the same product and prefix serve both sides. With ``product``
+    and ``seen`` both None every value has one copy. With keep = 1 only
     ``seen[-1]``, the sample size, is read.
     """
-    size = int(seen[-1])
+    # one copy each: the product is the values and the prefix at j is j
+    size, product = (values.size, values) if seen is None else (int(seen[-1]), product)
     if keep == 1.0:  # the plain mean, identical for both sides
         return float(product.sum() / size)
     t = keep * size  # below size for keep < 1, so k < size and values[j] exists
     k = math.floor(t)
     frac = t - k
-    if side == "top":
+    if seen is None:
+        j = before = k
+    elif side == "top":
         # counted from the top, the prefix at i < last is size - seen[last - 1 - i]
         last = values.size - 1
         j = last - int(np.searchsorted(seen[:last], size - k))
         before = size - int(seen[last - j]) if j else 0
-        # a reduction keeps a reversed view's order: these sums are those of a reversed copy
-        values, product = values[::-1], product[::-1]
     else:
         j = int(np.searchsorted(seen, k, side="right"))  # values[j] holds the (k+1)-th copy
         before = int(seen[j - 1]) if j else 0
+    if side == "top":
+        # a reduction keeps a reversed view's order: these sums are those of a reversed copy
+        values, product = values[::-1], product[::-1]
     total = float(product[:j].sum()) + (k - before) * float(values[j])
     if frac > 0.0:
         total += frac * float(values[j])

@@ -104,6 +104,21 @@ def brute_trimmed_mean(values, keep: float, side: str) -> float:
     return float(np.dot(w, v) / t)
 
 
+def reference_trimmed_sorted(v: np.ndarray, keep: float, side: str) -> float:
+    """``trimmed_mean`` with keep < 1 of the values ``v``, sorted ascending:
+    the one-copy trimming formula as it stood before the count kernel took
+    it over, kept to pin that kernel's bits."""
+    if side == "top":
+        v = v[::-1]
+    t = keep * v.size
+    k = int(np.floor(t))
+    frac = t - k
+    total = float(v[:k].sum())
+    if frac > 0.0 and k < v.size:
+        total += frac * float(v[k])
+    return total / t
+
+
 def block_panel(blocks, aux_width: int = 0, outcome_support=None) -> PanelDataset:
     """Expand (count, d, y1, y2[, aux...]) blocks into a PanelDataset.
 
@@ -644,3 +659,64 @@ def reference_strip_missingness(spec: DgpSpec) -> DgpSpec:
         r1_model=R1Model("always-observed"),
         arm_trend_delta=(0.0, 0.0, 0.0, 0.0),
     )
+
+
+def population_lee_bounds(spec: DgpSpec, mode: str) -> tuple[float, float]:
+    """The sharp ATT-AR interval that ``att_ar_bounds`` estimates, in the
+    population of ``spec``.
+
+    An arm's complete-case Y2 - Y1 is a normal mixture over its responding
+    (cell, stratum) groups: each component has the group's trend, plus its
+    effect if the arm is treated, and sd ``noise_sd`` (the first-period noise
+    cancels). First-wave response has one rate for both arms, so the
+    ``p_r1`` terms of the share formulas cancel and the keep shares follow
+    from ``Pr(R2 = 1 | D)`` alone:
+    - monotone: 1 in the control arm and ``Pr(R2=1|D=0) / Pr(R2=1|D=1)``
+      (at most 1) in the treated arm;
+    - no-monotone: in each arm the Fréchet floor ``max(0, c + q - 1)`` of the
+      always-respondent share over its margins ``Pr(R2(1)=1|D=d) = c`` and
+      ``Pr(R2(0)=1|D=d) = q``, over ``Pr(R2=1|D=d)``. Parallel trends of
+      missingness make each arm's counterfactual margin the other arm's
+      observed rate.
+    Quantiles come from bisection on the mixture CDF and trimmed means from
+    truncated-normal partial means.
+    """
+    mass, _, trend, effect = spec._groups
+    sd = spec.noise_sd
+    responds = [[pair[1 - d] == 1 for pair in STRATUM_PAIRS] for d in (0, 1)]  # R2(d) = 1
+    rate = [float(mass[:, d][:, responds[d]].sum()) for d in (0, 1)]  # Pr(R2 = 1 | D = d)
+    if mode == "monotone":
+        keep = (1.0, min(1.0, rate[0] / rate[1]))
+    else:
+        floor = max(0.0, rate[0] + rate[1] - 1.0)
+        keep = (floor / rate[0], floor / rate[1])
+
+    def cdf(z: float) -> float:
+        return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+
+    def pdf(z: float) -> float:
+        return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+    def trimmed(d: int, p: float, side: str) -> float:
+        w = mass[:, d][:, responds[d]].ravel()
+        mu = (trend[:, d] + (effect[:, d] if d else 0.0))[:, responds[d]].ravel()
+        w = w / w.sum()
+        if p == 1.0:
+            return float(w @ mu)
+        target = p if side == "bottom" else 1.0 - p
+        lo, hi = float(mu.min()) - 40.0 * sd, float(mu.max()) + 40.0 * sd
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            below = sum(wi * cdf((mid - mi) / sd) for wi, mi in zip(w, mu))
+            lo, hi = (mid, hi) if below < target else (lo, mid)
+        q = 0.5 * (lo + hi)
+        z = [(q - mi) / sd for mi in mu]
+        if side == "bottom":  # E[Y 1{Y <= q}] of each component
+            part = sum(wi * (mi * cdf(zi) - sd * pdf(zi)) for wi, mi, zi in zip(w, mu, z))
+        else:  # E[Y 1{Y > q}]
+            part = sum(wi * (mi * (1.0 - cdf(zi)) + sd * pdf(zi)) for wi, mi, zi in zip(w, mu, z))
+        return part / p
+
+    lower = [trimmed(d, keep[d], "bottom") for d in (0, 1)]
+    upper = [trimmed(d, keep[d], "top") for d in (0, 1)]
+    return lower[1] - upper[0], upper[1] - lower[0]

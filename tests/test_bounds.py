@@ -5,10 +5,11 @@ from __future__ import annotations
 import io
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from didmiss import (
     INCONSISTENT_FLAG,
@@ -30,7 +31,7 @@ from didmiss import (
     strata_proportions_monotone,
     trimmed_mean,
 )
-from didmiss.bounds import _bounds_replicate, _sorted
+from didmiss.bounds import _bounds_replicate, _sorted, _trimmed_mean_counts
 
 from _helpers import (
     TIED_RESAMPLE_CSV,
@@ -38,7 +39,9 @@ from _helpers import (
     block_panel,
     brute_trimmed_mean,
     make_panel,
+    population_lee_bounds,
     reference_att_ar_bounds,
+    reference_trimmed_sorted,
 )
 
 
@@ -136,6 +139,57 @@ def test_trimmed_mean_refuses_a_mean_that_overflows(keep):
     # finite values whose sum overflows: refused, with no numpy warning
     with pytest.raises(EstimatorError, match=r"^the result is not finite: the trimmed mean is inf"):
         trimmed_mean([1e308, 1e308, 1.0], keep, "top")
+
+
+@pytest.mark.parametrize("keep", [5e-324, 1e-310])
+def test_trimmed_mean_refuses_a_subnormal_keep(keep):
+    # keep * n would be subnormal and lose its digits: [0.3] gave 0.0 and 0.29999999999998517
+    message = rf"^keep fraction must be in \[{sys.float_info.min}, 1\], got {keep}$"
+    with pytest.raises(InputError, match=message):
+        trimmed_mean([0.3], keep, "bottom")
+
+
+SAMPLES = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300, 1.0, -1.0, 0.1]),
+        st.floats(min_value=-1e300, max_value=1e300),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@st.composite
+def samples_and_keeps(draw) -> tuple[np.ndarray, float]:
+    """A finite sample and a keep share: a step k/n, one ulp either side of
+    it, an extreme share or any share in [the smallest normal float, 1]."""
+    values = draw(SAMPLES)
+    step = draw(st.integers(1, len(values))) / len(values)
+    keep = draw(
+        st.sampled_from(
+            [step, math.nextafter(step, 0.0), math.nextafter(step, 2.0), 1e-9, 1 - 1e-12]
+        )
+        | st.floats(min_value=sys.float_info.min, max_value=1.0)
+    )
+    return np.array(values), min(keep, 1.0)
+
+
+@given(samples_and_keeps(), st.sampled_from(["bottom", "top"]))
+@settings(deadline=None, max_examples=400)
+def test_trimmed_mean_keeps_the_bits_of_the_one_copy_formula(drawn, side):
+    v, keep = drawn
+    assume(keep < 1.0)  # keep 1 is the plain mean of the unsorted sample
+    want = reference_trimmed_sorted(np.sort(v, kind="stable"), keep, side)
+    assert trimmed_mean(v, keep, side).hex() == want.hex()
+
+
+@given(samples_and_keeps(), st.sampled_from(["bottom", "top"]))
+@settings(deadline=None, max_examples=400)
+def test_the_kernels_one_copy_case_is_its_count_case_with_one_copy_each(drawn, side):
+    v = np.sort(drawn[0], kind="stable")
+    once = _trimmed_mean_counts(v, None, None, drawn[1], side)
+    counted = _trimmed_mean_counts(v, v, np.arange(1, v.size + 1), drawn[1], side)
+    assert once.hex() == counted.hex()
 
 
 # -- strata proportions, point-identified (monotone) ------------------------------
@@ -426,6 +480,34 @@ def test_bounds_are_bit_identical_to_sorting_per_trimmed_mean():
             assert repr(att_ar_bounds(data, mode)) == want
             fallbacks += "support_fallback=True" in want
     assert fallbacks > 10
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["monotone", "no-monotone"])
+@pytest.mark.parametrize("kind", ["monotone", "no-monotone"])
+def test_bounds_reach_the_sharp_identified_set(kind, mode, seed):
+    # containment alone passes an interval that is too wide: each endpoint
+    # must sit within 4.5 bootstrap SEs of its population value
+    spec = make_preset(kind, n=200_000, seed=seed)
+    lb, ub = population_lee_bounds(spec, mode)
+    data = simulate_panel(spec)[0]
+    boot = bootstrap_bounds(data, mode, BootstrapConfig(replicates=50, seed=seed))
+    assert abs(boot.point.lb - lb) <= 4.5 * boot.se_lb, (boot.point.lb, lb, boot.se_lb)
+    assert abs(boot.point.ub - ub) <= 4.5 * boot.se_ub, (boot.point.ub, ub, boot.se_ub)
+
+
+@pytest.mark.parametrize(
+    "kind, mode, want",
+    [
+        ("monotone", "monotone", (0.971249, 1.512871)),
+        ("monotone", "no-monotone", (0.730382, 1.760861)),
+        ("no-monotone", "monotone", (1.180176, 1.369231)),
+        ("no-monotone", "no-monotone", (0.389575, 2.177214)),
+    ],
+)
+def test_the_population_bounds_of_the_bounds_presets(kind, mode, want):
+    got = population_lee_bounds(make_preset(kind, n=1000, seed=1), mode)
+    assert got == pytest.approx(want, abs=1e-6)
 
 
 # -- exact fast sorts: the default sort where it gives the stable sort's bytes --
